@@ -39,1281 +39,25 @@
    oversubscribe the host), DQ_BATCH (batch size, default 8; batch 1 is
    always measured alongside). *)
 
-let ops_per_thread =
-  match Sys.getenv_opt "DQ_OPS" with Some s -> int_of_string s | None -> 6_000
-
-let threads_list =
-  match Sys.getenv_opt "DQ_THREADS" with
-  | Some s -> List.map int_of_string (String.split_on_char ',' s)
-  | None ->
-      (* Busy-wait latency simulation is only meaningful without
-         oversubscription: sweep up to the host's core count. *)
-      let cores = Domain.recommended_domain_count () in
-      List.filter (fun t -> t <= cores) [ 1; 2; 4; 8; 16 ]
-
-let reps =
-  match Sys.getenv_opt "DQ_REPS" with Some s -> int_of_string s | None -> 3
-
-let fig2_queues = List.map (fun e -> e.Dq.Registry.name) Dq.Registry.figure2
-
-(* RedoOpt is evaluated only on the first two workloads, as in the paper. *)
-let queues_for workload =
-  match workload with
-  | Harness.Workload.Random_5050 | Harness.Workload.Pairs -> fig2_queues
-  | _ -> List.filter (fun n -> n <> "RedoOptQ") fig2_queues
-
-let collect_workload ?(latency = Nvm.Latency.default) workload =
-  let queues = queues_for workload in
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun threads ->
-      List.iter
-        (fun qname ->
-          let entry = Dq.Registry.find qname in
-          let cfg =
-            {
-              Harness.Runner.default_config with
-              threads;
-              ops_per_thread;
-              latency;
-            }
-          in
-          let r = Harness.Runner.run_median ~reps entry workload cfg in
-          Hashtbl.replace tbl (threads, qname) r)
-        queues)
-    threads_list;
-  (queues, fun ~threads ~queue -> Hashtbl.find_opt tbl (threads, queue))
-
-let figure2_workload ?latency workload =
-  let queues, get = collect_workload ?latency workload in
-  Harness.Report.print_throughput ~workload ~threads_list ~queues ~get
-
-(* Machine-readable export: one CSV per Figure-2 workload plus the census,
-   under results/. *)
-let export () =
-  (try Unix.mkdir "results" 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  List.iter
-    (fun workload ->
-      let queues, get = collect_workload workload in
-      let path = Printf.sprintf "results/fig2-%s.csv" (Harness.Workload.id workload) in
-      let oc = open_out path in
-      output_string oc "workload,queue,threads,model_mops,wall_mops,fences,postflush\n";
-      List.iter
-        (fun threads ->
-          List.iter
-            (fun queue ->
-              match get ~threads ~queue with
-              | Some r ->
-                  Printf.fprintf oc "%s,%s,%d,%.4f,%.4f,%d,%d\n"
-                    (Harness.Workload.id workload)
-                    queue threads r.Harness.Runner.model_mops
-                    r.Harness.Runner.mops
-                    r.Harness.Runner.counters.Nvm.Stats.fences
-                    (Nvm.Stats.post_flush_accesses r.Harness.Runner.counters)
-              | None -> ())
-            queues)
-        threads_list;
-      close_out oc;
-      Printf.printf "wrote %s\n%!" path)
-    Harness.Workload.all;
-  let oc = open_out "results/census.csv" in
-  Harness.Report.census_csv oc
-    (List.map
-       (fun e -> Harness.Runner.run_census e ~ops:2_000)
-       Dq.Registry.durable);
-  close_out oc;
-  Printf.printf "wrote results/census.csv\n%!"
-
-let census () =
-  let rows =
-    List.map
-      (fun e -> Harness.Runner.run_census e ~ops:2_000)
-      Dq.Registry.durable
-  in
-  Harness.Report.print_census rows
-
-(* Recovery scaling is measured over the paper's queues plus ONLL; the
-   ablation variants are excluded (the no-predcut variants are
-   deliberately quadratic in queue size, which is their ablation's point,
-   not a recovery property). *)
-let recovery_queues =
-  List.filter (fun e -> e.Dq.Registry.durable) Dq.Registry.figure2
-  @ [ Dq.Registry.find "ONLL-Q"; Dq.Registry.find "DurableMSQ+results" ]
-
-let recovery () =
-  Printf.printf "\n== recovery time after a crash (ms) ==\n";
-  Printf.printf "%8s" "size";
-  List.iter
-    (fun e -> Printf.printf "%14s" e.Dq.Registry.name)
-    recovery_queues;
-  print_newline ();
-  List.iter
-    (fun size ->
-      Printf.printf "%8d" size;
-      List.iter
-        (fun entry ->
-          Nvm.Tid.reset ();
-          Nvm.Tid.set 0;
-          let heap =
-            Nvm.Heap.create ~mode:Nvm.Heap.Checked ~latency:Nvm.Latency.off ()
-          in
-          let q = entry.Dq.Registry.make heap in
-          for i = 1 to size do
-            q.Dq.Queue_intf.enqueue i
-          done;
-          Nvm.Crash.crash ~policy:Nvm.Crash.Only_persisted heap;
-          Nvm.Tid.reset ();
-          Nvm.Tid.set 0;
-          let t0 = Unix.gettimeofday () in
-          q.Dq.Queue_intf.recover ();
-          let t1 = Unix.gettimeofday () in
-          assert (List.length (q.Dq.Queue_intf.to_list ()) = size);
-          Printf.printf "%14.2f" ((t1 -. t0) *. 1e3))
-        recovery_queues;
-      print_newline ())
-    [ 1_000; 10_000; 50_000 ]
-
-(* Bechamel microbenchmark: single-thread enqueue+dequeue pair latency per
-   queue, under the simulated NVRAM latencies. *)
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  Nvm.Tid.reset ();
-  Nvm.Tid.set 0;
-  let tests =
-    List.map
-      (fun entry ->
-        let heap =
-          Nvm.Heap.create ~mode:Nvm.Heap.Fast ~latency:Nvm.Latency.default ()
-        in
-        let q = entry.Dq.Registry.make heap in
-        for i = 1 to 64 do
-          q.Dq.Queue_intf.enqueue i
-        done;
-        Test.make ~name:entry.Dq.Registry.name
-          (Staged.stage (fun () ->
-               q.Dq.Queue_intf.enqueue 1;
-               ignore (q.Dq.Queue_intf.dequeue ()))))
-      Dq.Registry.all
-  in
-  let test = Test.make_grouped ~name:"pair" ~fmt:"%s %s" tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) ()
-  in
-  let raw_results = Benchmark.all cfg instances test in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw_results) instances
-  in
-  let results = Analyze.merge ols instances results in
-  Printf.printf "\n== bechamel: single-thread enq+deq pair latency ==\n%!";
-  Hashtbl.iter
-    (fun _measure tbl ->
-      let rows = ref [] in
-      Hashtbl.iter
-        (fun name ols ->
-          let est =
-            match Analyze.OLS.estimates ols with
-            | Some (e :: _) -> e
-            | Some [] | None -> nan
-          in
-          rows := (name, est) :: !rows)
-        tbl;
-      List.iter
-        (fun (name, est) -> Printf.printf "%36s  %10.0f ns/pair\n" name est)
-        (List.sort (fun (_, a) (_, b) -> compare a b) !rows))
-    results
-
-(* Minimal parser for our own one-object-per-line BENCH_*.json row
-   format, used by the regression gates. *)
-let field_str line name =
-  let pat = Printf.sprintf "\"%s\": \"" name in
-  match Str.search_forward (Str.regexp_string pat) line 0 with
-  | exception Not_found -> None
-  | i ->
-      let start = i + String.length pat in
-      let stop = String.index_from line start '"' in
-      Some (String.sub line start (stop - start))
-
-let field_num line name =
-  let pat = Printf.sprintf "\"%s\": " name in
-  match Str.search_forward (Str.regexp_string pat) line 0 with
-  | exception Not_found -> None
-  | i ->
-      let start = i + String.length pat in
-      let stop = ref start in
-      let len = String.length line in
-      while
-        !stop < len
-        && (match line.[!stop] with '0' .. '9' | '.' | '-' -> true | _ -> false)
-      do
-        incr stop
-      done;
-      Some (float_of_string (String.sub line start (!stop - start)))
-
-(* Broker shard-count sweep: Producers through Broker.Service at a fixed
-   stream count, unbatched and batched, under both enqueue front-ends
-   (per-op and flat-combining), under two latency profiles:
-
-   - "cpu" ({!Nvm.Latency.model_only}): persist costs accrue only in
-     modeled time, so the wall series measures pure code-path and
-     coordination cost.  On a host with fewer cores than worker domains
-     this series cannot scale with shards — there is no parallelism to
-     harvest — which is exactly why it makes a good regression gate for
-     the front-ends' CPU cost.
-   - "dimm" ({!Nvm.Latency.dimm_wall}): only the fence *drain* costs,
-     and it elapses as wall-clock sleep through each heap's FIFO device
-     queue.  The drain is the DIMM's work, not the core's, so drains on
-     different shards overlap even on one core while drains on the same
-     shard serialize: the wall series is device-bound and scales with
-     the shard count — the scaling the sharding design exists to buy,
-     expressed in wall-clock time on any host.
-
-   Batching amortizes fences to one per batch per shard, and the
-   combining front-end does the same amortization under contention by
-   electing one combiner to persist a whole announced batch behind one
-   pipelined fence (the split drain keeps the device busy while the
-   combiner collects the next batch).  Results land in BENCH_shard.json
-   and, when a committed baseline (bench/shard_baseline.json, or
-   DQ_SHARD_BASELINE) is present, gate: the run fails if any (profile,
-   frontend, batch, shards) point's wall throughput drops below
-   DQ_SHARD_GATE_FRAC (default 0.7) of its baseline.  Knobs: DQ_SHARDS
-   (comma list), DQ_SHARD_THREADS, DQ_BATCH, DQ_OPS, DQ_DIMM_OPS,
-   DQ_WARMUP, DQ_REPS, DQ_SHARD_SMOKE=1 (CI preset: fewer ops,
-   repetitions and shard counts), DQ_SHARD_GATE=0 (disable the gate). *)
-let shard_scaling () =
-  let smoke = Sys.getenv_opt "DQ_SHARD_SMOKE" <> None in
-  let shard_counts =
-    match Sys.getenv_opt "DQ_SHARDS" with
-    | Some s -> List.map int_of_string (String.split_on_char ',' s)
-    | None -> if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ]
-  in
-  (* As many producer streams as the largest shard count: a stream is
-     pinned to one shard, so with fewer streams than shards the extra
-     shards idle and the top of the scaling series measures a tie
-     instead of the added device bandwidth. *)
-  let threads =
-    match Sys.getenv_opt "DQ_SHARD_THREADS" with
-    | Some s -> int_of_string s
-    | None -> List.fold_left max 1 shard_counts
-  in
-  let batch =
-    match Sys.getenv_opt "DQ_BATCH" with Some s -> int_of_string s | None -> 8
-  in
-  (* Wall-clock throughput is a measured series here, so the window must
-     be long enough to ride out scheduler and co-tenant noise: unless
-     DQ_OPS pins it, use a larger per-thread count than the modeled-only
-     sections need. *)
-  let ops_per_thread =
-    match Sys.getenv_opt "DQ_OPS" with
-    | Some s -> int_of_string s
-    | None -> if smoke then 4_000 else max 30_000 ops_per_thread
-  in
-  let warmup =
-    match Sys.getenv_opt "DQ_WARMUP" with
-    | Some s -> int_of_string s
-    | None -> max 200 (ops_per_thread / 10)
-  in
-  (* More repetitions than the modeled sections: the wall series keeps
-     only each point's fastest rotation, and the more rotations, the
-     closer that best sample gets to the host's uncontended speed. *)
-  let reps =
-    match Sys.getenv_opt "DQ_REPS" with
-    | Some s -> int_of_string s
-    | None -> if smoke then 3 else 8
-  in
-  (* Device-bound runs sleep out drains of hundreds of microseconds per
-     fence, so they need far fewer operations for a stable series. *)
-  let dimm_ops =
-    match Sys.getenv_opt "DQ_DIMM_OPS" with
-    | Some s -> int_of_string s
-    | None -> if smoke then 300 else 1_500
-  in
-  let cfg =
-    { Harness.Sharded.default_config with threads; ops_per_thread; warmup }
-  in
-  let profiles =
-    [
-      ("cpu", Nvm.Latency.model_only, ops_per_thread, warmup);
-      ("dimm", Nvm.Latency.dimm_wall, dimm_ops, max 50 (dimm_ops / 10));
-    ]
-  in
-  let frontend (r : Harness.Sharded.result) =
-    if r.Harness.Sharded.combining then "combining" else "per-op"
-  in
-  Printf.printf
-    "\n\
-     == broker shard scaling: %s, Producers, %d streams, %d warmup ops ==\n"
-    cfg.Harness.Sharded.algorithm threads warmup;
-  Printf.printf "%8s %10s %8s %8s %14s %14s %9s %9s %12s %14s %10s %10s %10s\n"
-    "profile" "frontend" "shards" "batch" "model Mops/s" "wall Mops/s"
-    "wall sd" "wall x" "fences/op" "postflush/op" "max f/op" "max f/bat"
-    "max pf/op";
-  let rows =
-    List.concat_map
-      (fun (pname, latency, ops_per_thread, warmup) ->
-        List.concat_map
-          (fun combining ->
-            List.concat_map
-              (fun b ->
-                List.map
-                  (fun r -> (pname, r))
-                  (Harness.Sharded.sweep ~reps ~shard_counts
-                     {
-                       cfg with
-                       Harness.Sharded.batch = b;
-                       combining;
-                       latency;
-                       ops_per_thread;
-                       warmup;
-                     }))
-              [ 1; batch ])
-          [ false; true ])
-      profiles
-  in
-  List.iter
-    (fun (pname, (r : Harness.Sharded.result)) ->
-      Printf.printf
-        "%8s %10s %8d %8d %14.3f %14.3f %9.3f %9.2f %12.4f %14.4f %10d %10d \
-         %10d\n"
-        pname (frontend r) r.Harness.Sharded.shards r.Harness.Sharded.batch
-        r.Harness.Sharded.model_mops r.Harness.Sharded.mops
-        r.Harness.Sharded.wall_stddev_mops r.Harness.Sharded.wall_speedup
-        r.Harness.Sharded.fences_per_op r.Harness.Sharded.post_flush_per_op
-        r.Harness.Sharded.max_op_fences r.Harness.Sharded.max_batch_fences
-        r.Harness.Sharded.max_post_flush)
-    rows;
-  let oc = open_out "BENCH_shard.json" in
-  output_string oc "[\n";
-  List.iteri
-    (fun i (pname, (r : Harness.Sharded.result)) ->
-      Printf.fprintf oc
-        "  {\"algorithm\": %S, \"workload\": \"w3-producers\", \"profile\": \
-         %S, \"frontend\": %S, \"threads\": %d, \"shards\": %d, \"batch\": \
-         %d, \"ops\": %d, \"trials\": %d, \"model_mops\": %.4f, \
-         \"wall_mops\": %.4f, \"wall_min_mops\": %.4f, \"wall_max_mops\": \
-         %.4f, \"wall_stddev_mops\": %.4f, \"wall_speedup\": %.4f, \
-         \"fences_per_op\": %.4f, \"post_flush_per_op\": %.4f, \
-         \"max_fences_per_op\": %d, \"max_batch_fences\": %d, \
-         \"max_post_flush_per_op\": %d}%s\n"
-        r.Harness.Sharded.algorithm pname (frontend r)
-        r.Harness.Sharded.threads r.Harness.Sharded.shards
-        r.Harness.Sharded.batch r.Harness.Sharded.total_ops
-        r.Harness.Sharded.trials r.Harness.Sharded.model_mops
-        r.Harness.Sharded.mops r.Harness.Sharded.wall_min_mops
-        r.Harness.Sharded.wall_max_mops r.Harness.Sharded.wall_stddev_mops
-        r.Harness.Sharded.wall_speedup r.Harness.Sharded.fences_per_op
-        r.Harness.Sharded.post_flush_per_op r.Harness.Sharded.max_op_fences
-        r.Harness.Sharded.max_batch_fences r.Harness.Sharded.max_post_flush
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_shard.json\n%!";
-  (* -- Regression gate ---------------------------------------------------- *)
-  let baseline_path =
-    match Sys.getenv_opt "DQ_SHARD_BASELINE" with
-    | Some p -> p
-    | None -> "bench/shard_baseline.json"
-  in
-  let gate_enabled = Sys.getenv_opt "DQ_SHARD_GATE" <> Some "0" in
-  if gate_enabled && Sys.file_exists baseline_path then begin
-    let frac =
-      match Sys.getenv_opt "DQ_SHARD_GATE_FRAC" with
-      | Some s -> float_of_string s
-      | None -> 0.7
-    in
-    let key p fe b s = Printf.sprintf "%s %s b%d s%d" p fe b s in
-    let ic = open_in baseline_path in
-    let baseline = Hashtbl.create 16 in
-    (try
-       while true do
-         let line = input_line ic in
-         match
-           ( field_str line "profile",
-             field_str line "frontend",
-             field_num line "batch",
-             field_num line "shards",
-             field_num line "wall_mops" )
-         with
-         | Some p, Some fe, Some b, Some s, Some mops ->
-             Hashtbl.replace baseline
-               (key p fe (int_of_float b) (int_of_float s))
-               mops
-         | _ -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let failures = ref [] in
-    List.iter
-      (fun (pname, (r : Harness.Sharded.result)) ->
-        let k =
-          key pname (frontend r) r.Harness.Sharded.batch
-            r.Harness.Sharded.shards
-        in
-        match Hashtbl.find_opt baseline k with
-        | Some base when r.Harness.Sharded.mops < frac *. base ->
-            failures :=
-              Printf.sprintf "%s: %.3f wall Mops/s < %.0f%% of baseline %.3f"
-                k r.Harness.Sharded.mops (frac *. 100.) base
-              :: !failures
-        | _ -> ())
-      rows;
-    if !failures <> [] then begin
-      Printf.eprintf
-        "SHARD-SCALING REGRESSION GATE FAILED (baseline %s):\n%s\n%!"
-        baseline_path
-        (String.concat "\n" (List.rev !failures));
-      exit 1
-    end
-    else
-      Printf.printf "shard-scaling gate passed (>= %.0f%% of %s)\n%!"
-        (frac *. 100.) baseline_path
-  end
-
-(* Primitive-level heap benchmark: raw throughput of the simulated-NVRAM
-   hot paths (read / write / cas / write+flush+fence / movnti+fence) per
-   mode and domain count, on private per-domain lines — this measures
-   the simulator's own overhead, not algorithmic contention.  Write and
-   cas loops persist every 64th operation so checked-mode store logs
-   compact instead of growing without bound (as they would in any real
-   usage, where fences are never further apart than a batch).
-
-   Writes BENCH_heap.json and, when a committed baseline
-   (bench/heap_baseline.json, or DQ_HEAP_BASELINE) is present, gates:
-   the run fails if Fast single-domain throughput of any op drops below
-   DQ_HEAP_GATE_FRAC (default 0.7) of its baseline.  Knobs:
-   DQ_HEAPOPS_ITERS, DQ_HEAPOPS_TRIALS, DQ_HEAPOPS_DOMAINS (comma
-   list), DQ_HEAPOPS_SMOKE=1 (CI preset: fewer iterations and domain
-   counts), DQ_HEAP_GATE=0 (disable the gate). *)
-
-let heap_ops () =
-  let env_int name d =
-    match Sys.getenv_opt name with Some s -> int_of_string s | None -> d
-  in
-  let smoke = Sys.getenv_opt "DQ_HEAPOPS_SMOKE" <> None in
-  let iters = env_int "DQ_HEAPOPS_ITERS" (if smoke then 30_000 else 200_000) in
-  let trials = env_int "DQ_HEAPOPS_TRIALS" (if smoke then 2 else 3) in
-  let domain_counts =
-    match Sys.getenv_opt "DQ_HEAPOPS_DOMAINS" with
-    | Some s -> List.map int_of_string (String.split_on_char ',' s)
-    | None -> if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ]
-  in
-  let modes = [ (Nvm.Heap.Fast, "fast"); (Nvm.Heap.Checked, "checked") ] in
-  let spin_barrier n =
-    let remaining = Atomic.make n in
-    fun () ->
-      Atomic.decr remaining;
-      while Atomic.get remaining > 0 do
-        Domain.cpu_relax ()
-      done
-  in
-  (* One trial: [d] domains, each hammering its own line of its own
-     region; returns wall Mops aggregated over the domains. *)
-  let trial ~mode ~d op_body =
-    Nvm.Tid.reset ();
-    Nvm.Tid.set d;
-    let heap = Nvm.Heap.create ~mode ~latency:Nvm.Latency.model_only () in
-    let regions =
-      Array.init d (fun _ ->
-          Nvm.Heap.alloc_region heap ~tag:Nvm.Region.Meta
-            ~words:Nvm.Line.words_per_line)
-    in
-    Nvm.Heap.reset_fence_contention heap;
-    let barrier = spin_barrier d in
-    let t_start = Array.make d 0. and t_end = Array.make d 0. in
-    let workers =
-      List.init d (fun w ->
-          Domain.spawn (fun () ->
-              Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 20 };
-              Nvm.Tid.set w;
-              let addr = Nvm.Region.base_addr regions.(w) in
-              (* Warm the code paths and the line state. *)
-              for i = 1 to max 1 (iters / 10) do
-                op_body heap addr i
-              done;
-              barrier ();
-              t_start.(w) <- Unix.gettimeofday ();
-              for i = 1 to iters do
-                op_body heap addr i
-              done;
-              t_end.(w) <- Unix.gettimeofday ()))
-    in
-    List.iter Domain.join workers;
-    let elapsed =
-      Array.fold_left max neg_infinity t_end
-      -. Array.fold_left min infinity t_start
-    in
-    float_of_int (d * iters) /. elapsed /. 1e6
-  in
-  let median l =
-    let s = List.sort compare l in
-    List.nth s (List.length s / 2)
-  in
-  let ops =
-    [
-      ("read", fun h a _ -> ignore (Nvm.Heap.read h a));
-      ( "write",
-        fun h a i ->
-          Nvm.Heap.write h a i;
-          if i land 63 = 0 then begin
-            Nvm.Heap.flush h a;
-            Nvm.Heap.sfence h
-          end );
-      ( "cas",
-        fun h a i ->
-          ignore (Nvm.Heap.cas h a ~expected:(i land 1) ~desired:(1 - (i land 1)));
-          if i land 63 = 0 then begin
-            Nvm.Heap.flush h a;
-            Nvm.Heap.sfence h
-          end );
-      ( "persist",
-        fun h a i ->
-          Nvm.Heap.write h a i;
-          Nvm.Heap.flush h a;
-          Nvm.Heap.sfence h );
-      ( "movnti",
-        fun h a i ->
-          Nvm.Heap.movnti h a i;
-          Nvm.Heap.sfence h );
-    ]
-  in
-  Printf.printf
-    "\n\
-     == heap primitive throughput (%d iters/domain, median of %d trials) ==\n"
-    iters trials;
-  Printf.printf "%10s %10s %10s %14s\n" "op" "mode" "domains" "wall Mops/s";
-  let rows = ref [] in
-  List.iter
-    (fun (mode, mode_name) ->
-      List.iter
-        (fun d ->
-          List.iter
-            (fun (op_name, body) ->
-              let mops =
-                median (List.init trials (fun _ -> trial ~mode ~d body))
-              in
-              Printf.printf "%10s %10s %10d %14.3f\n%!" op_name mode_name d
-                mops;
-              rows := (op_name, mode_name, d, mops) :: !rows)
-            ops)
-        domain_counts)
-    modes;
-  let rows = List.rev !rows in
-  let oc = open_out "BENCH_heap.json" in
-  output_string oc "[\n";
-  List.iteri
-    (fun i (op, mode, d, mops) ->
-      Printf.fprintf oc
-        "  {\"op\": %S, \"mode\": %S, \"domains\": %d, \"iters\": %d, \
-         \"trials\": %d, \"mops\": %.3f}%s\n"
-        op mode d iters trials mops
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_heap.json\n%!";
-  (* -- Regression gate ---------------------------------------------------- *)
-  let baseline_path =
-    match Sys.getenv_opt "DQ_HEAP_BASELINE" with
-    | Some p -> p
-    | None -> "bench/heap_baseline.json"
-  in
-  let gate_enabled = Sys.getenv_opt "DQ_HEAP_GATE" <> Some "0" in
-  if gate_enabled && Sys.file_exists baseline_path then begin
-    let frac =
-      match Sys.getenv_opt "DQ_HEAP_GATE_FRAC" with
-      | Some s -> float_of_string s
-      | None -> 0.7
-    in
-    let ic = open_in baseline_path in
-    let baseline = Hashtbl.create 16 in
-    (try
-       while true do
-         let line = input_line ic in
-         match (field_str line "op", field_str line "mode", field_num line "domains", field_num line "mops") with
-         | Some op, Some "fast", Some 1., Some mops ->
-             Hashtbl.replace baseline op mops
-         | _ -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let failures = ref [] in
-    List.iter
-      (fun (op, mode, d, mops) ->
-        if mode = "fast" && d = 1 then
-          match Hashtbl.find_opt baseline op with
-          | Some base when mops < frac *. base ->
-              failures :=
-                Printf.sprintf "%s: %.3f Mops/s < %.0f%% of baseline %.3f" op
-                  mops (frac *. 100.) base
-                :: !failures
-          | _ -> ())
-      rows;
-    if !failures <> [] then begin
-      Printf.eprintf
-        "HEAP-OPS REGRESSION GATE FAILED (baseline %s):\n%s\n%!" baseline_path
-        (String.concat "\n" (List.rev !failures));
-      exit 1
-    end
-    else
-      Printf.printf "heap-ops gate passed (>= %.0f%% of %s)\n%!" (frac *. 100.)
-        baseline_path
-  end
-
-(* Durable keyed-store throughput: both map variants under a Zipf-skewed
-   key stream, a pure-insert load phase then a mixed
-   put/lookup/remove phase, per domain count.  All domains share one map
-   instance, so multi-domain rows measure the real contended paths
-   (same-key overwrite CASes, SOFT's pnode install).  Writes
-   BENCH_set.json and, when a committed baseline
-   (bench/set_baseline.json, or DQ_SET_BASELINE) is present, gates: the
-   run fails if any single-domain phase drops below DQ_SET_GATE_FRAC
-   (default 0.7) of its baseline.  Knobs: DQ_SETOPS_ITERS,
-   DQ_SETOPS_TRIALS, DQ_SETOPS_DOMAINS (comma list), DQ_SETOPS_KEYS,
-   DQ_SETOPS_SMOKE=1 (CI preset), DQ_SET_GATE=0 (disable the gate). *)
-let set_ops () =
-  let env_int name d =
-    match Sys.getenv_opt name with Some s -> int_of_string s | None -> d
-  in
-  let smoke = Sys.getenv_opt "DQ_SETOPS_SMOKE" <> None in
-  let iters = env_int "DQ_SETOPS_ITERS" (if smoke then 20_000 else 100_000) in
-  let trials = env_int "DQ_SETOPS_TRIALS" (if smoke then 2 else 3) in
-  let key_space = env_int "DQ_SETOPS_KEYS" 4_096 in
-  let domain_counts =
-    match Sys.getenv_opt "DQ_SETOPS_DOMAINS" with
-    | Some s -> List.map int_of_string (String.split_on_char ',' s)
-    | None -> if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ]
-  in
-  let spin_barrier n =
-    let remaining = Atomic.make n in
-    fun () ->
-      Atomic.decr remaining;
-      while Atomic.get remaining > 0 do
-        Domain.cpu_relax ()
-      done
-  in
-  (* One trial: [d] domains over one shared map; returns aggregated wall
-     Mops for the load phase and the mixed phase. *)
-  let trial (entry : Dq.Registry.map_entry) ~d =
-    Nvm.Tid.reset ();
-    Nvm.Tid.set d;
-    let heap =
-      Nvm.Heap.create ~mode:Nvm.Heap.Fast ~latency:Nvm.Latency.model_only ()
-    in
-    let m = entry.Dq.Registry.make_map heap in
-    let load_barrier = spin_barrier d and mixed_barrier = spin_barrier d in
-    let ls = Array.make d 0. and le = Array.make d 0. in
-    let ms = Array.make d 0. and me = Array.make d 0. in
-    let workers =
-      List.init d (fun w ->
-          Domain.spawn (fun () ->
-              Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 20 };
-              Nvm.Tid.set w;
-              let z =
-                Harness.Zipf.create_worker ~n:key_space ~seed:0x5E70 ~worker:w
-                  ()
-              in
-              let rng = Random.State.make [| 0x5E7B; w |] in
-              (* Warm the allocator areas and code paths. *)
-              for i = 1 to max 1 (iters / 10) do
-                m.Dset.Map_intf.put ~key:(Harness.Zipf.draw z) ~value:i
-              done;
-              load_barrier ();
-              ls.(w) <- Unix.gettimeofday ();
-              for i = 1 to iters do
-                m.Dset.Map_intf.put ~key:(Harness.Zipf.draw z) ~value:i
-              done;
-              le.(w) <- Unix.gettimeofday ();
-              mixed_barrier ();
-              ms.(w) <- Unix.gettimeofday ();
-              for i = 1 to iters do
-                let key = Harness.Zipf.draw z in
-                match Random.State.int rng 10 with
-                | 0 | 1 -> ignore (m.Dset.Map_intf.remove ~key)
-                | 2 | 3 | 4 | 5 -> ignore (m.Dset.Map_intf.get ~key)
-                | _ -> m.Dset.Map_intf.put ~key ~value:i
-              done;
-              me.(w) <- Unix.gettimeofday ()))
-    in
-    List.iter Domain.join workers;
-    let mops s e =
-      let elapsed =
-        Array.fold_left max neg_infinity e -. Array.fold_left min infinity s
-      in
-      float_of_int (d * iters) /. elapsed /. 1e6
-    in
-    (mops ls le, mops ms me)
-  in
-  let median l =
-    let s = List.sort compare l in
-    List.nth s (List.length s / 2)
-  in
-  Printf.printf
-    "\n\
-     == keyed-store throughput (%d iters/domain, zipf over %d keys, median \
-     of %d trials) ==\n"
-    iters key_space trials;
-  Printf.printf "%14s %8s %10s %14s\n" "map" "phase" "domains" "wall Mops/s";
-  let rows = ref [] in
-  List.iter
-    (fun (entry : Dq.Registry.map_entry) ->
-      List.iter
-        (fun d ->
-          let results = List.init trials (fun _ -> trial entry ~d) in
-          let load = median (List.map fst results) in
-          let mixed = median (List.map snd results) in
-          List.iter
-            (fun (phase, mops) ->
-              Printf.printf "%14s %8s %10d %14.3f\n%!" entry.Dq.Registry.m_name
-                phase d mops;
-              rows := (entry.Dq.Registry.m_name, phase, d, mops) :: !rows)
-            [ ("load", load); ("mixed", mixed) ])
-        domain_counts)
-    Dq.Registry.maps;
-  let rows = List.rev !rows in
-  let oc = open_out "BENCH_set.json" in
-  output_string oc "[\n";
-  List.iteri
-    (fun i (map, phase, d, mops) ->
-      Printf.fprintf oc
-        "  {\"map\": %S, \"phase\": %S, \"domains\": %d, \"iters\": %d, \
-         \"trials\": %d, \"keys\": %d, \"mops\": %.3f}%s\n"
-        map phase d iters trials key_space mops
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_set.json\n%!";
-  (* -- Regression gate ---------------------------------------------------- *)
-  let baseline_path =
-    match Sys.getenv_opt "DQ_SET_BASELINE" with
-    | Some p -> p
-    | None -> "bench/set_baseline.json"
-  in
-  let gate_enabled = Sys.getenv_opt "DQ_SET_GATE" <> Some "0" in
-  if gate_enabled && Sys.file_exists baseline_path then begin
-    let frac =
-      match Sys.getenv_opt "DQ_SET_GATE_FRAC" with
-      | Some s -> float_of_string s
-      | None -> 0.7
-    in
-    let ic = open_in baseline_path in
-    let baseline = Hashtbl.create 16 in
-    (try
-       while true do
-         let line = input_line ic in
-         match
-           ( field_str line "map",
-             field_str line "phase",
-             field_num line "domains",
-             field_num line "mops" )
-         with
-         | Some map, Some phase, Some 1., Some mops ->
-             Hashtbl.replace baseline (map, phase) mops
-         | _ -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let failures = ref [] in
-    List.iter
-      (fun (map, phase, d, mops) ->
-        if d = 1 then
-          match Hashtbl.find_opt baseline (map, phase) with
-          | Some base when mops < frac *. base ->
-              failures :=
-                Printf.sprintf "%s/%s: %.3f Mops/s < %.0f%% of baseline %.3f"
-                  map phase mops (frac *. 100.) base
-                :: !failures
-          | _ -> ())
-      rows;
-    if !failures <> [] then begin
-      Printf.eprintf "SET-OPS REGRESSION GATE FAILED (baseline %s):\n%s\n%!"
-        baseline_path
-        (String.concat "\n" (List.rev !failures));
-      exit 1
-    end
-    else
-      Printf.printf "set-ops gate passed (>= %.0f%% of %s)\n%!" (frac *. 100.)
-        baseline_path
-  end
-
-(* Durability-lag sweep: the buffered-durability bargain in wall-clock
-   numbers.  One producer, one queue instance on a [dimm] heap
-   ({!Nvm.Latency.dimm_wall}: fence drains elapse as wall-clock device
-   time), enqueue-only, sweeping acks level x group-commit watermark:
-
-   - all-synced: the strict queue — one full device drain per operation,
-     the price of strict durable linearizability;
-   - leader: the buffered tier with commit drains joined — the producer
-     is paced to the device once per watermark instead of once per op;
-   - none: fire-and-forget — commits issue asynchronously and the
-     closing [sync] joins whatever is left.
-
-   Throughput includes the closing [sync], so durability is complete at
-   the end of every row's timed window.  The op→durable lag of a
-   buffered enqueue is the wall time from its return to the deadline of
-   the commit drain covering it ({!Dq.Buffered_q.set_on_commit} +
-   {!Nvm.Heap.drain_deadline}); strict operations are durable at return
-   (lag 0 by contract, so the strict row reports none).
-
-   Writes BENCH_durability.json and, when a committed baseline
-   (bench/durability_baseline.json, or DQ_DUR_BASELINE) is present,
-   gates: the run fails if any (level, batch) row's throughput drops
-   below DQ_DUR_GATE_FRAC (default 0.7) of its baseline.  Knobs:
-   DQ_DUR_OPS, DQ_DUR_TRIALS, DQ_DUR_BATCHES (comma list),
-   DQ_DUR_SMOKE=1 (CI preset), DQ_DUR_GATE=0 (disable the gate). *)
-let durability_lag () =
-  let env_int name d =
-    match Sys.getenv_opt name with Some s -> int_of_string s | None -> d
-  in
-  let smoke = Sys.getenv_opt "DQ_DUR_SMOKE" <> None in
-  (* Enqueue-only (the journal is never consumed), so ops is bounded by
-     the journal capacity. *)
-  let ops = min 60_000 (env_int "DQ_DUR_OPS" (if smoke then 400 else 2_000)) in
-  let trials = env_int "DQ_DUR_TRIALS" (if smoke then 2 else 3) in
-  let batches =
-    match Sys.getenv_opt "DQ_DUR_BATCHES" with
-    | Some s -> List.map int_of_string (String.split_on_char ',' s)
-    | None -> [ 8; 64 ]
-  in
-  let entry = Dq.Registry.find "OptUnlinkedQ" in
-  (* One trial: returns (wall seconds, op→durable lags in seconds,
-     commits issued). *)
-  let trial ~level ~batch =
-    Nvm.Tid.reset ();
-    Nvm.Tid.set 0;
-    let heap =
-      Nvm.Heap.create ~mode:Nvm.Heap.Fast ~latency:Nvm.Latency.dimm_wall ()
-    in
-    match level with
-    | "all-synced" ->
-        let q = entry.Dq.Registry.make heap in
-        let t0 = Unix.gettimeofday () in
-        for i = 1 to ops do
-          q.Dq.Queue_intf.enqueue i
-        done;
-        let t1 = Unix.gettimeofday () in
-        (t1 -. t0, [], 0)
-    | level ->
-        let b =
-          Dq.Buffered_q.create ~watermark:batch heap entry.Dq.Registry.make
-        in
-        let t_enq = Array.make ops 0. in
-        let t_durable = Array.make ops 0. in
-        let covered = ref 0 in
-        Dq.Buffered_q.set_on_commit b
-          (Some
-             (fun ~floor ~consumed:_ ~drain ->
-               (* Everything the commit newly covers becomes durable at
-                  its meta-fence drain deadline. *)
-               let dl = Nvm.Heap.drain_deadline drain in
-               let dl = if dl > 0. then dl else Unix.gettimeofday () in
-               let upto = min floor ops in
-               for i = !covered to upto - 1 do
-                 t_durable.(i) <- dl
-               done;
-               if upto > !covered then covered := upto));
-        let join = level = "leader" in
-        let t0 = Unix.gettimeofday () in
-        for i = 1 to ops do
-          Dq.Buffered_q.enqueue ~join b i;
-          t_enq.(i - 1) <- Unix.gettimeofday ()
-        done;
-        Dq.Buffered_q.sync b;
-        let t1 = Unix.gettimeofday () in
-        let lags =
-          List.init ops (fun i -> max 0. (t_durable.(i) -. t_enq.(i)))
-        in
-        (t1 -. t0, lags, (Dq.Buffered_q.stats b).Dq.Buffered_q.s_commits)
-  in
-  let percentile lags p =
-    match lags with
-    | [] -> 0.
-    | lags ->
-        let a = Array.of_list lags in
-        Array.sort compare a;
-        a.(min (Array.length a - 1) (Array.length a * p / 100))
-  in
-  let mean = function
-    | [] -> 0.
-    | lags ->
-        List.fold_left ( +. ) 0. lags /. float_of_int (List.length lags)
-  in
-  (* The trial with median wall time represents its row (lags and all —
-     a lag distribution from a different trial than the throughput would
-     be incoherent). *)
-  let run_row ~level ~batch =
-    let results = List.init trials (fun _ -> trial ~level ~batch) in
-    let sorted =
-      List.sort (fun (a, _, _) (b, _, _) -> compare a b) results
-    in
-    List.nth sorted (List.length sorted / 2)
-  in
-  Printf.printf
-    "\n\
-     == durability lag: level x group-commit watermark (%s, dimm profile, \
-     %d enqueues, median of %d trials) ==\n"
-    entry.Dq.Registry.name ops trials;
-  Printf.printf "%12s %8s %12s %10s %14s %14s %9s\n" "level" "batch"
-    "wall kops/s" "vs strict" "p99 lag us" "mean lag us" "commits";
-  let rows = ref [] in
-  let emit ~level ~batch =
-    let wall, lags, commits = run_row ~level ~batch in
-    let kops = float_of_int ops /. wall /. 1e3 in
-    rows := (level, batch, kops, lags, commits) :: !rows;
-    kops
-  in
-  let strict_kops = emit ~level:"all-synced" ~batch:1 in
-  List.iter
-    (fun level -> List.iter (fun b -> ignore (emit ~level ~batch:b)) batches)
-    [ "leader"; "none" ];
-  let rows = List.rev !rows in
-  List.iter
-    (fun (level, batch, kops, lags, commits) ->
-      Printf.printf "%12s %8d %12.2f %10.2f %14.1f %14.1f %9d\n%!" level batch
-        kops (kops /. strict_kops)
-        (percentile lags 99 *. 1e6)
-        (mean lags *. 1e6)
-        commits)
-    rows;
-  let best_speedup =
-    List.fold_left
-      (fun acc (_, _, kops, _, _) -> max acc (kops /. strict_kops))
-      0. rows
-  in
-  Printf.printf "best buffered speedup vs strict: %.2fx\n%!" best_speedup;
-  if (not smoke) && best_speedup < 2. then
-    Printf.eprintf
-      "WARNING: buffered tier under 2x strict throughput (%.2fx) — the \
-       group commit is not amortizing the device drain\n%!"
-      best_speedup;
-  let oc = open_out "BENCH_durability.json" in
-  output_string oc "[\n";
-  List.iteri
-    (fun i (level, batch, kops, lags, commits) ->
-      Printf.fprintf oc
-        "  {\"algorithm\": %S, \"profile\": \"dimm\", \"level\": %S, \
-         \"batch\": %d, \"ops\": %d, \"trials\": %d, \"wall_kops\": %.3f, \
-         \"speedup_vs_strict\": %.3f, \"p99_lag_us\": %.1f, \
-         \"mean_lag_us\": %.1f, \"commits\": %d}%s\n"
-        entry.Dq.Registry.name level batch ops trials kops
-        (kops /. strict_kops)
-        (percentile lags 99 *. 1e6)
-        (mean lags *. 1e6)
-        commits
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_durability.json\n%!";
-  (* -- Regression gate ---------------------------------------------------- *)
-  let baseline_path =
-    match Sys.getenv_opt "DQ_DUR_BASELINE" with
-    | Some p -> p
-    | None -> "bench/durability_baseline.json"
-  in
-  let gate_enabled = Sys.getenv_opt "DQ_DUR_GATE" <> Some "0" in
-  if gate_enabled && Sys.file_exists baseline_path then begin
-    let frac =
-      match Sys.getenv_opt "DQ_DUR_GATE_FRAC" with
-      | Some s -> float_of_string s
-      | None -> 0.7
-    in
-    let key level batch = Printf.sprintf "%s b%d" level batch in
-    let ic = open_in baseline_path in
-    let baseline = Hashtbl.create 16 in
-    (try
-       while true do
-         let line = input_line ic in
-         match
-           ( field_str line "level",
-             field_num line "batch",
-             field_num line "wall_kops" )
-         with
-         | Some level, Some b, Some kops ->
-             Hashtbl.replace baseline (key level (int_of_float b)) kops
-         | _ -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let failures = ref [] in
-    List.iter
-      (fun (level, batch, kops, _, _) ->
-        let k = key level batch in
-        match Hashtbl.find_opt baseline k with
-        | Some base when kops < frac *. base ->
-            failures :=
-              Printf.sprintf "%s: %.2f kops/s < %.0f%% of baseline %.2f" k
-                kops (frac *. 100.) base
-              :: !failures
-        | _ -> ())
-      rows;
-    if !failures <> [] then begin
-      Printf.eprintf
-        "DURABILITY-LAG REGRESSION GATE FAILED (baseline %s):\n%s\n%!"
-        baseline_path
-        (String.concat "\n" (List.rev !failures));
-      exit 1
-    end
-    else
-      Printf.printf "durability-lag gate passed (>= %.0f%% of %s)\n%!"
-        (frac *. 100.) baseline_path
-  end
-
-(* Recovery time vs heap size x checkpoint cadence — the incremental
-   checkpoint's reason to exist.  Each point: enqueue [size] items (the
-   designated areas grow to hold them all), drain down to a small live
-   window (the drained regions stay allocated: the free lists hold
-   them), optionally take one checkpoint (stream the window, flip the
-   epoch, retire the drained regions), crash under Only_persisted, and
-   time the recovery.  Without the checkpoint, recovery scans every
-   allocated region — linear in peak heap size forever after; with it,
-   the scan is bounded by the live window plus the post-checkpoint
-   residue — flat.  Node areas are shrunk (area_lines 1024) so the
-   region count actually tracks [size] — but no smaller: UnlinkedQ's
-   double-width-CAS head packs the node pointer into 32 bits, so region
-   ids must stay under 256 even at the 100x size.
-
-   Writes BENCH_recovery.json; when a committed baseline
-   (bench/recovery_baseline.json, or DQ_RECOVERY_BASELINE) is present,
-   gates: a row fails if its recover_ms exceeds baseline /
-   DQ_RECOVERY_GATE_FRAC (default 0.7; rows under 0.5 ms of baseline
-   are too noisy to gate).  Knobs: DQ_RECOVERY_SIZE (base size),
-   DQ_RECOVERY_TRIALS, DQ_RECOVERY_SMOKE=1 (CI preset),
-   DQ_RECOVERY_GATE=0 (disable the gate). *)
-let recovery_time () =
-  let env_int name d =
-    match Sys.getenv_opt name with Some s -> int_of_string s | None -> d
-  in
-  let smoke = Sys.getenv_opt "DQ_RECOVERY_SMOKE" <> None in
-  let base = env_int "DQ_RECOVERY_SIZE" (if smoke then 400 else 2_000) in
-  let trials = env_int "DQ_RECOVERY_TRIALS" (if smoke then 2 else 3) in
-  let window = 64 in
-  let sizes = [ base; base * 10; base * 100 ] in
-  let queues = [ "UnlinkedQ"; "OptUnlinkedQ" ] in
-  let saved_area = !Reclaim.Ssmem.default_area_lines in
-  Reclaim.Ssmem.default_area_lines := 1024;
-  Fun.protect
-    ~finally:(fun () -> Reclaim.Ssmem.default_area_lines := saved_area)
-    (fun () ->
-      let trial entry ~size ~ckpt =
-        Nvm.Tid.reset ();
-        Nvm.Tid.set 0;
-        let heap =
-          Nvm.Heap.create ~mode:Nvm.Heap.Checked ~latency:Nvm.Latency.off ()
-        in
-        let q = entry.Dq.Registry.make heap in
-        for i = 1 to size do
-          q.Dq.Queue_intf.enqueue i
-        done;
-        for _ = 1 to size - window do
-          ignore (q.Dq.Queue_intf.dequeue ())
-        done;
-        if ckpt then
-          Option.iter
-            (fun ck -> ignore (Dq.Checkpoint.run ck))
-            q.Dq.Queue_intf.checkpoint;
-        Nvm.Crash.crash ~policy:Nvm.Crash.Only_persisted heap;
-        Nvm.Tid.reset ();
-        Nvm.Tid.set 0;
-        let t0 = Unix.gettimeofday () in
-        q.Dq.Queue_intf.recover ();
-        let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-        assert (List.length (q.Dq.Queue_intf.to_list ()) = window);
-        let stats =
-          match q.Dq.Queue_intf.checkpoint with
-          | Some ck -> Dq.Checkpoint.last_recovery ck
-          | None -> Dq.Checkpoint.no_recovery
-        in
-        (ms, stats, Nvm.Heap.occupancy heap)
-      in
-      let run_point entry ~size ~ckpt =
-        let results =
-          List.init trials (fun _ -> trial entry ~size ~ckpt)
-        in
-        let sorted =
-          List.sort (fun (a, _, _) (b, _, _) -> compare a b) results
-        in
-        List.nth sorted (List.length sorted / 2)
-      in
-      Printf.printf
-        "\n\
-         == recovery time vs heap size x checkpointing (crash -> healthy \
-         ms, live window %d, median of %d trials) ==\n"
-        window trials;
-      Printf.printf "%14s %9s %6s %12s %8s %10s %8s %8s\n" "queue" "size"
-        "ckpt" "recover ms" "epoch" "replayed" "scanned" "regions";
-      let rows = ref [] in
-      List.iter
-        (fun name ->
-          let entry = Dq.Registry.find name in
-          List.iter
-            (fun ckpt ->
-              List.iter
-                (fun size ->
-                  let ms, stats, occ = run_point entry ~size ~ckpt in
-                  rows := (name, size, ckpt, ms, stats, occ) :: !rows;
-                  Printf.printf "%14s %9d %6s %12.2f %8d %10d %8d %8d\n%!"
-                    name size
-                    (if ckpt then "on" else "off")
-                    ms stats.Dq.Checkpoint.ckpt_epoch
-                    stats.Dq.Checkpoint.replayed_items
-                    stats.Dq.Checkpoint.scanned_regions
-                    (Nvm.Stats.live_regions occ))
-                sizes)
-            [ false; true ])
-        queues;
-      let rows = List.rev !rows in
-      (* Flatness summary: the checkpointed curve must stay flat while
-         the unchecked one tracks the heap. *)
-      List.iter
-        (fun name ->
-          let ms_of ckpt size =
-            List.find_map
-              (fun (n, s, c, ms, _, _) ->
-                if n = name && s = size && c = ckpt then Some ms else None)
-              rows
-            |> Option.get
-          in
-          let big = List.nth sizes (List.length sizes - 1) in
-          let on = ms_of true big /. Float.max 1e-6 (ms_of true base) in
-          let off = ms_of false big /. Float.max 1e-6 (ms_of false base) in
-          Printf.printf
-            "%s: %dx heap growth -> %.2fx recovery with checkpointing, \
-             %.2fx without\n%!"
-            name (big / base) on off;
-          if (not smoke) && on > 2. then
-            Printf.eprintf
-              "WARNING: %s checkpointed recovery grew %.2fx over a %dx \
-               heap (bound 2x) — compaction is not bounding recovery\n%!"
-              name on (big / base))
-        queues;
-      let oc = open_out "BENCH_recovery.json" in
-      output_string oc "[\n";
-      List.iteri
-        (fun i (name, size, ckpt, ms, (stats : Dq.Checkpoint.recovery_stats), occ) ->
-          Printf.fprintf oc
-            "  {\"algorithm\": %S, \"size\": %d, \"checkpoint\": %S, \
-             \"window\": %d, \"trials\": %d, \"recover_ms\": %.3f, \
-             \"ckpt_epoch\": %d, \"replayed_items\": %d, \
-             \"scanned_regions\": %d, \"live_regions\": %d, \
-             \"retired_regions\": %d, \"reclaimed_words\": %d}%s\n"
-            name size
-            (if ckpt then "on" else "off")
-            window trials ms stats.Dq.Checkpoint.ckpt_epoch
-            stats.Dq.Checkpoint.replayed_items
-            stats.Dq.Checkpoint.scanned_regions
-            (Nvm.Stats.live_regions occ)
-            occ.Nvm.Stats.regions_retired occ.Nvm.Stats.words_reclaimed
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      output_string oc "]\n";
-      close_out oc;
-      Printf.printf "wrote BENCH_recovery.json\n%!";
-      (* -- Regression gate ------------------------------------------------ *)
-      let baseline_path =
-        match Sys.getenv_opt "DQ_RECOVERY_BASELINE" with
-        | Some p -> p
-        | None -> "bench/recovery_baseline.json"
-      in
-      let gate_enabled = Sys.getenv_opt "DQ_RECOVERY_GATE" <> Some "0" in
-      if gate_enabled && Sys.file_exists baseline_path then begin
-        let frac =
-          match Sys.getenv_opt "DQ_RECOVERY_GATE_FRAC" with
-          | Some s -> float_of_string s
-          | None -> 0.7
-        in
-        let key name size ckpt =
-          Printf.sprintf "%s %d %s" name size (if ckpt then "on" else "off")
-        in
-        let ic = open_in baseline_path in
-        let baseline = Hashtbl.create 16 in
-        (try
-           while true do
-             let line = input_line ic in
-             match
-               ( field_str line "algorithm",
-                 field_num line "size",
-                 field_str line "checkpoint",
-                 field_num line "recover_ms" )
-             with
-             | Some name, Some s, Some c, Some ms ->
-                 Hashtbl.replace baseline
-                   (Printf.sprintf "%s %d %s" name (int_of_float s) c)
-                   ms
-             | _ -> ()
-           done
-         with End_of_file -> ());
-        close_in ic;
-        let failures = ref [] in
-        List.iter
-          (fun (name, size, ckpt, ms, _, _) ->
-            match Hashtbl.find_opt baseline (key name size ckpt) with
-            | Some base_ms when base_ms >= 0.5 && ms > base_ms /. frac ->
-                failures :=
-                  Printf.sprintf
-                    "%s: %.2f ms > baseline %.2f ms / %.2f"
-                    (key name size ckpt) ms base_ms frac
-                  :: !failures
-            | _ -> ())
-          rows;
-        if !failures <> [] then begin
-          Printf.eprintf
-            "RECOVERY-TIME REGRESSION GATE FAILED (baseline %s):\n%s\n%!"
-            baseline_path
-            (String.concat "\n" (List.rev !failures));
-          exit 1
-        end
-        else
-          Printf.printf "recovery-time gate passed (<= baseline/%.2f of %s)\n%!"
-            frac baseline_path
-      end)
-
-(* Ablation: head-to-head modeled comparison of a design choice. *)
-let ablation_compare ~title pairs =
-  Printf.printf "\n### ABLATION: %s\n" title;
-  Printf.printf "%28s  %14s  %14s\n" "queue" "model Mops/s" "postflush/op";
-  List.iter
-    (fun name ->
-      let entry = Dq.Registry.find name in
-      let cfg =
-        {
-          Harness.Runner.default_config with
-          threads = 1;
-          ops_per_thread;
-        }
-      in
-      let r = Harness.Runner.run_median ~reps entry Harness.Workload.Pairs cfg in
-      let c = Harness.Runner.run_census entry ~ops:2_000 in
-      let _, _, _, enq_pf = c.Harness.Runner.enq in
-      let _, _, _, deq_pf = c.Harness.Runner.deq in
-      Printf.printf "%28s  %14.3f  %7.2f/%5.2f\n" name
-        r.Harness.Runner.model_mops enq_pf deq_pf)
-    (List.concat_map (fun (a, b) -> [ a; b ]) pairs)
-
 let sections =
   [
-    ("fig2-w1", fun () -> figure2_workload Harness.Workload.Random_5050);
-    ("fig2-w2", fun () -> figure2_workload Harness.Workload.Pairs);
-    ("fig2-w3", fun () -> figure2_workload Harness.Workload.Producers);
-    ("fig2-w4", fun () -> figure2_workload Harness.Workload.Consumers);
-    ("fig2-w5", fun () -> figure2_workload Harness.Workload.Mixed_pc);
-    ("census", census);
-    ("shard-scaling", shard_scaling);
-    ("heap-ops", heap_ops);
-    ("set-ops", set_ops);
-    ("durability-lag", durability_lag);
-    ("recovery-time", recovery_time);
-    ("export", export);
-    ("micro", micro);
-    ("recovery", recovery);
+    ("fig2-w1", fun () -> Paper.figure2_workload Harness.Workload.Random_5050);
+    ("fig2-w2", fun () -> Paper.figure2_workload Harness.Workload.Pairs);
+    ("fig2-w3", fun () -> Paper.figure2_workload Harness.Workload.Producers);
+    ("fig2-w4", fun () -> Paper.figure2_workload Harness.Workload.Consumers);
+    ("fig2-w5", fun () -> Paper.figure2_workload Harness.Workload.Mixed_pc);
+    ("census", Paper.census);
+    ("shard-scaling", Shard_scaling.shard_scaling);
+    ("heap-ops", Heap_ops.heap_ops);
+    ("set-ops", Set_ops.set_ops);
+    ("durability-lag", Durability_lag.durability_lag);
+    ("recovery-time", Recovery_time.recovery_time);
+    ("export", Paper.export);
+    ("micro", Micro.micro);
+    ("recovery", Recovery_scaling.recovery);
     ( "ablation-movnti",
       fun () ->
-        ablation_compare
+        Paper.ablation_compare
           ~title:
             "non-temporal writes (Section 6.3) vs store+flush for the \
              per-thread persistent slots"
@@ -1323,7 +67,7 @@ let sections =
           ] );
     ( "ablation-predcut",
       fun () ->
-        ablation_compare
+        Paper.ablation_compare
           ~title:
             "backward-link cut after the fence (Appendix A) vs unbounded \
              flush walks"
@@ -1338,7 +82,7 @@ let sections =
            ### ABLATION: flushes without cache invalidation (future \
            platform; Section 6 predicts\n\
            ### UnlinkedQ/LinkedQ close the gap to the Opt queues)\n";
-        figure2_workload ~latency:Nvm.Latency.no_invalidation
+        Paper.figure2_workload ~latency:Nvm.Latency.no_invalidation
           Harness.Workload.Random_5050 );
   ]
 
@@ -1351,8 +95,8 @@ let () =
   Printf.printf "Durable Queues: The Second Amendment — benchmark reproduction\n";
   Printf.printf "host cores=%d  ops/thread=%d  threads=%s\n%!"
     (Domain.recommended_domain_count ())
-    ops_per_thread
-    (String.concat "," (List.map string_of_int threads_list));
+    Common.ops_per_thread
+    (String.concat "," (List.map string_of_int Common.threads_list));
   List.iter
     (fun id ->
       match List.assoc_opt id sections with
