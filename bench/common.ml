@@ -1,5 +1,9 @@
-let ops_per_thread =
-  match Sys.getenv_opt "DQ_OPS" with Some s -> int_of_string s | None -> 6_000
+(* The paper-sweep knobs and the helpers the bench targets share. *)
+
+let env_int name default =
+  match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
+
+let ops_per_thread = env_int "DQ_OPS" 6_000
 
 let threads_list =
   match Sys.getenv_opt "DQ_THREADS" with
@@ -10,32 +14,20 @@ let threads_list =
       let cores = Domain.recommended_domain_count () in
       List.filter (fun t -> t <= cores) [ 1; 2; 4; 8; 16 ]
 
-let reps =
-  match Sys.getenv_opt "DQ_REPS" with Some s -> int_of_string s | None -> 3
+let reps = env_int "DQ_REPS" 3
 
-(* Minimal parser for our own one-object-per-line BENCH_*.json row
-   format, used by the regression gates. *)
-let field_str line name =
-  let pat = Printf.sprintf "\"%s\": \"" name in
-  match Str.search_forward (Str.regexp_string pat) line 0 with
-  | exception Not_found -> None
-  | i ->
-      let start = i + String.length pat in
-      let stop = String.index_from line start '"' in
-      Some (String.sub line start (stop - start))
+let spin_barrier n =
+  let remaining = Atomic.make n in
+  fun () ->
+    Atomic.decr remaining;
+    while Atomic.get remaining > 0 do
+      Domain.cpu_relax ()
+    done
 
-let field_num line name =
-  let pat = Printf.sprintf "\"%s\": " name in
-  match Str.search_forward (Str.regexp_string pat) line 0 with
-  | exception Not_found -> None
-  | i ->
-      let start = i + String.length pat in
-      let stop = ref start in
-      let len = String.length line in
-      while
-        !stop < len
-        && (match line.[!stop] with '0' .. '9' | '.' | '-' -> true | _ -> false)
-      do
-        incr stop
-      done;
-      Some (float_of_string (String.sub line start (!stop - start)))
+(* The trial whose [by] is the median represents its point (the upper
+   median for an even count). *)
+let median_by by l =
+  let sorted = List.sort (fun a b -> compare (by a) (by b)) l in
+  List.nth sorted (List.length sorted / 2)
+
+let median l = median_by Fun.id l

@@ -19,26 +19,15 @@ open Common
    {!Nvm.Heap.drain_deadline}); strict operations are durable at return
    (lag 0 by contract, so the strict row reports none).
 
-   Writes BENCH_durability.json and, when a committed baseline
-   (bench/durability_baseline.json, or DQ_DUR_BASELINE) is present,
-   gates: the run fails if any (level, batch) row's throughput drops
-   below DQ_DUR_GATE_FRAC (default 0.7) of its baseline.  Knobs:
-   DQ_DUR_OPS, DQ_DUR_TRIALS, DQ_DUR_BATCHES (comma list),
-   DQ_DUR_SMOKE=1 (CI preset), DQ_DUR_GATE=0 (disable the gate). *)
-let durability_lag () =
-  let env_int name d =
-    match Sys.getenv_opt name with Some s -> int_of_string s | None -> d
-  in
-  let smoke = Sys.getenv_opt "DQ_DUR_SMOKE" <> None in
-  (* Enqueue-only (the journal is never consumed), so ops is bounded by
-     the journal capacity. *)
-  let ops = min 60_000 (env_int "DQ_DUR_OPS" (if smoke then 400 else 2_000)) in
-  let trials = env_int "DQ_DUR_TRIALS" (if smoke then 2 else 3) in
-  let batches =
-    match Sys.getenv_opt "DQ_DUR_BATCHES" with
-    | Some s -> List.map int_of_string (String.split_on_char ',' s)
-    | None -> [ 8; 64 ]
-  in
+   Rows land in BENCH_durability.json, gated by
+   {!Harness.Bench_row.durability_lag}: throughput per (level, batch).
+   Smoke runs fewer enqueues and trials. *)
+let run ~smoke =
+  (* Enqueue-only (the journal is never consumed), so ops must stay
+     within the journal capacity (60_000). *)
+  let ops = if smoke then 400 else 2_000 in
+  let trials = if smoke then 2 else 3 in
+  let batches = [ 8; 64 ] in
   let entry = Dq.Registry.find "OptUnlinkedQ" in
   (* One trial: returns (wall seconds, op→durable lags in seconds,
      commits issued). *)
@@ -89,28 +78,13 @@ let durability_lag () =
         in
         (t1 -. t0, lags, (Dq.Buffered_q.stats b).Dq.Buffered_q.s_commits)
   in
-  let percentile lags p =
-    match lags with
-    | [] -> 0.
-    | lags ->
-        let a = Array.of_list lags in
-        Array.sort compare a;
-        a.(min (Array.length a - 1) (Array.length a * p / 100))
-  in
-  let mean = function
-    | [] -> 0.
-    | lags ->
-        List.fold_left ( +. ) 0. lags /. float_of_int (List.length lags)
-  in
   (* The trial with median wall time represents its row (lags and all —
      a lag distribution from a different trial than the throughput would
      be incoherent). *)
   let run_row ~level ~batch =
-    let results = List.init trials (fun _ -> trial ~level ~batch) in
-    let sorted =
-      List.sort (fun (a, _, _) (b, _, _) -> compare a b) results
-    in
-    List.nth sorted (List.length sorted / 2)
+    median_by
+      (fun (wall, _, _) -> wall)
+      (List.init trials (fun _ -> trial ~level ~batch))
   in
   Printf.printf
     "\n\
@@ -123,7 +97,7 @@ let durability_lag () =
   let emit ~level ~batch =
     let wall, lags, commits = run_row ~level ~batch in
     let kops = float_of_int ops /. wall /. 1e3 in
-    rows := (level, batch, kops, lags, commits) :: !rows;
+    rows := (level, batch, kops, Load.Metrics.summarize lags, commits) :: !rows;
     kops
   in
   let strict_kops = emit ~level:"all-synced" ~batch:1 in
@@ -132,11 +106,11 @@ let durability_lag () =
     [ "leader"; "none" ];
   let rows = List.rev !rows in
   List.iter
-    (fun (level, batch, kops, lags, commits) ->
+    (fun (level, batch, kops, (lag : Load.Metrics.summary), commits) ->
       Printf.printf "%12s %8d %12.2f %10.2f %14.1f %14.1f %9d\n%!" level batch
         kops (kops /. strict_kops)
-        (percentile lags 99 *. 1e6)
-        (mean lags *. 1e6)
+        (lag.Load.Metrics.p99_s *. 1e6)
+        (lag.Load.Metrics.mean_s *. 1e6)
         commits)
     rows;
   let best_speedup =
@@ -150,75 +124,14 @@ let durability_lag () =
       "WARNING: buffered tier under 2x strict throughput (%.2fx) — the \
        group commit is not amortizing the device drain\n%!"
       best_speedup;
-  let oc = open_out "BENCH_durability.json" in
-  output_string oc "[\n";
-  List.iteri
-    (fun i (level, batch, kops, lags, commits) ->
-      Printf.fprintf oc
-        "  {\"algorithm\": %S, \"profile\": \"dimm\", \"level\": %S, \
-         \"batch\": %d, \"ops\": %d, \"trials\": %d, \"wall_kops\": %.3f, \
-         \"speedup_vs_strict\": %.3f, \"p99_lag_us\": %.1f, \
-         \"mean_lag_us\": %.1f, \"commits\": %d}%s\n"
-        entry.Dq.Registry.name level batch ops trials kops
-        (kops /. strict_kops)
-        (percentile lags 99 *. 1e6)
-        (mean lags *. 1e6)
-        commits
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_durability.json\n%!";
-  (* -- Regression gate ---------------------------------------------------- *)
-  let baseline_path =
-    match Sys.getenv_opt "DQ_DUR_BASELINE" with
-    | Some p -> p
-    | None -> "bench/durability_baseline.json"
-  in
-  let gate_enabled = Sys.getenv_opt "DQ_DUR_GATE" <> Some "0" in
-  if gate_enabled && Sys.file_exists baseline_path then begin
-    let frac =
-      match Sys.getenv_opt "DQ_DUR_GATE_FRAC" with
-      | Some s -> float_of_string s
-      | None -> 0.7
-    in
-    let key level batch = Printf.sprintf "%s b%d" level batch in
-    let ic = open_in baseline_path in
-    let baseline = Hashtbl.create 16 in
-    (try
-       while true do
-         let line = input_line ic in
-         match
-           ( field_str line "level",
-             field_num line "batch",
-             field_num line "wall_kops" )
-         with
-         | Some level, Some b, Some kops ->
-             Hashtbl.replace baseline (key level (int_of_float b)) kops
-         | _ -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let failures = ref [] in
-    List.iter
-      (fun (level, batch, kops, _, _) ->
-        let k = key level batch in
-        match Hashtbl.find_opt baseline k with
-        | Some base when kops < frac *. base ->
-            failures :=
-              Printf.sprintf "%s: %.2f kops/s < %.0f%% of baseline %.2f" k
-                kops (frac *. 100.) base
-              :: !failures
-        | _ -> ())
-      rows;
-    if !failures <> [] then begin
-      Printf.eprintf
-        "DURABILITY-LAG REGRESSION GATE FAILED (baseline %s):\n%s\n%!"
-        baseline_path
-        (String.concat "\n" (List.rev !failures));
-      exit 1
-    end
-    else
-      Printf.printf "durability-lag gate passed (>= %.0f%% of %s)\n%!"
-        (frac *. 100.) baseline_path
-  end
+  List.map
+    (fun (level, batch, kops, (lag : Load.Metrics.summary), commits) ->
+      Harness.Bench_row.
+        [ str "algorithm" entry.Dq.Registry.name; str "profile" "dimm";
+          str "level" level; int "batch" batch; int "ops" ops;
+          int "trials" trials; num 3 "wall_kops" kops;
+          num 3 "speedup_vs_strict" (kops /. strict_kops);
+          num 1 "p99_lag_us" (lag.Load.Metrics.p99_s *. 1e6);
+          num 1 "mean_lag_us" (lag.Load.Metrics.mean_s *. 1e6);
+          int "commits" commits ])
+    rows

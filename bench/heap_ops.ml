@@ -8,35 +8,15 @@ open Common
    compact instead of growing without bound (as they would in any real
    usage, where fences are never further apart than a batch).
 
-   Writes BENCH_heap.json and, when a committed baseline
-   (bench/heap_baseline.json, or DQ_HEAP_BASELINE) is present, gates:
-   the run fails if Fast single-domain throughput of any op drops below
-   DQ_HEAP_GATE_FRAC (default 0.7) of its baseline.  Knobs:
-   DQ_HEAPOPS_ITERS, DQ_HEAPOPS_TRIALS, DQ_HEAPOPS_DOMAINS (comma
-   list), DQ_HEAPOPS_SMOKE=1 (CI preset: fewer iterations and domain
-   counts), DQ_HEAP_GATE=0 (disable the gate). *)
+   Rows land in BENCH_heap.json, gated by {!Harness.Bench_row.heap_ops}:
+   Fast single-domain throughput per op.  Smoke runs fewer iterations
+   and domain counts. *)
 
-let heap_ops () =
-  let env_int name d =
-    match Sys.getenv_opt name with Some s -> int_of_string s | None -> d
-  in
-  let smoke = Sys.getenv_opt "DQ_HEAPOPS_SMOKE" <> None in
-  let iters = env_int "DQ_HEAPOPS_ITERS" (if smoke then 30_000 else 200_000) in
-  let trials = env_int "DQ_HEAPOPS_TRIALS" (if smoke then 2 else 3) in
-  let domain_counts =
-    match Sys.getenv_opt "DQ_HEAPOPS_DOMAINS" with
-    | Some s -> List.map int_of_string (String.split_on_char ',' s)
-    | None -> if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ]
-  in
+let run ~smoke =
+  let iters = if smoke then 30_000 else 200_000 in
+  let trials = if smoke then 2 else 3 in
+  let domain_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
   let modes = [ (Nvm.Heap.Fast, "fast"); (Nvm.Heap.Checked, "checked") ] in
-  let spin_barrier n =
-    let remaining = Atomic.make n in
-    fun () ->
-      Atomic.decr remaining;
-      while Atomic.get remaining > 0 do
-        Domain.cpu_relax ()
-      done
-  in
   (* One trial: [d] domains, each hammering its own line of its own
      region; returns wall Mops aggregated over the domains. *)
   let trial ~mode ~d op_body =
@@ -75,10 +55,6 @@ let heap_ops () =
     in
     float_of_int (d * iters) /. elapsed /. 1e6
   in
-  let median l =
-    let s = List.sort compare l in
-    List.nth s (List.length s / 2)
-  in
   let ops =
     [
       ("read", fun h a _ -> ignore (Nvm.Heap.read h a));
@@ -112,80 +88,20 @@ let heap_ops () =
      == heap primitive throughput (%d iters/domain, median of %d trials) ==\n"
     iters trials;
   Printf.printf "%10s %10s %10s %14s\n" "op" "mode" "domains" "wall Mops/s";
-  let rows = ref [] in
-  List.iter
+  List.concat_map
     (fun (mode, mode_name) ->
-      List.iter
+      List.concat_map
         (fun d ->
-          List.iter
+          List.map
             (fun (op_name, body) ->
               let mops =
                 median (List.init trials (fun _ -> trial ~mode ~d body))
               in
               Printf.printf "%10s %10s %10d %14.3f\n%!" op_name mode_name d
                 mops;
-              rows := (op_name, mode_name, d, mops) :: !rows)
+              Harness.Bench_row.
+                [ str "op" op_name; str "mode" mode_name; int "domains" d;
+                  int "iters" iters; int "trials" trials; num 3 "mops" mops ])
             ops)
         domain_counts)
-    modes;
-  let rows = List.rev !rows in
-  let oc = open_out "BENCH_heap.json" in
-  output_string oc "[\n";
-  List.iteri
-    (fun i (op, mode, d, mops) ->
-      Printf.fprintf oc
-        "  {\"op\": %S, \"mode\": %S, \"domains\": %d, \"iters\": %d, \
-         \"trials\": %d, \"mops\": %.3f}%s\n"
-        op mode d iters trials mops
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_heap.json\n%!";
-  (* -- Regression gate ---------------------------------------------------- *)
-  let baseline_path =
-    match Sys.getenv_opt "DQ_HEAP_BASELINE" with
-    | Some p -> p
-    | None -> "bench/heap_baseline.json"
-  in
-  let gate_enabled = Sys.getenv_opt "DQ_HEAP_GATE" <> Some "0" in
-  if gate_enabled && Sys.file_exists baseline_path then begin
-    let frac =
-      match Sys.getenv_opt "DQ_HEAP_GATE_FRAC" with
-      | Some s -> float_of_string s
-      | None -> 0.7
-    in
-    let ic = open_in baseline_path in
-    let baseline = Hashtbl.create 16 in
-    (try
-       while true do
-         let line = input_line ic in
-         match (field_str line "op", field_str line "mode", field_num line "domains", field_num line "mops") with
-         | Some op, Some "fast", Some 1., Some mops ->
-             Hashtbl.replace baseline op mops
-         | _ -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let failures = ref [] in
-    List.iter
-      (fun (op, mode, d, mops) ->
-        if mode = "fast" && d = 1 then
-          match Hashtbl.find_opt baseline op with
-          | Some base when mops < frac *. base ->
-              failures :=
-                Printf.sprintf "%s: %.3f Mops/s < %.0f%% of baseline %.3f" op
-                  mops (frac *. 100.) base
-                :: !failures
-          | _ -> ())
-      rows;
-    if !failures <> [] then begin
-      Printf.eprintf
-        "HEAP-OPS REGRESSION GATE FAILED (baseline %s):\n%s\n%!" baseline_path
-        (String.concat "\n" (List.rev !failures));
-      exit 1
-    end
-    else
-      Printf.printf "heap-ops gate passed (>= %.0f%% of %s)\n%!" (frac *. 100.)
-        baseline_path
-  end
+    modes

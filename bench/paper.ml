@@ -42,23 +42,22 @@ let export () =
     (fun workload ->
       let queues, get = collect_workload workload in
       let path = Printf.sprintf "results/fig2-%s.csv" (Harness.Workload.id workload) in
+      let row threads queue (r : Harness.Runner.result) =
+        Harness.Bench_row.
+          [ str "workload" (Harness.Workload.id workload); str "queue" queue;
+            int "threads" threads; num 4 "model_mops" r.model_mops;
+            num 4 "wall_mops" r.mops; int "fences" r.counters.Nvm.Stats.fences;
+            int "postflush" (Nvm.Stats.post_flush_accesses r.counters) ]
+      in
       let oc = open_out path in
-      output_string oc "workload,queue,threads,model_mops,wall_mops,fences,postflush\n";
-      List.iter
-        (fun threads ->
-          List.iter
-            (fun queue ->
-              match get ~threads ~queue with
-              | Some r ->
-                  Printf.fprintf oc "%s,%s,%d,%.4f,%.4f,%d,%d\n"
-                    (Harness.Workload.id workload)
-                    queue threads r.Harness.Runner.model_mops
-                    r.Harness.Runner.mops
-                    r.Harness.Runner.counters.Nvm.Stats.fences
-                    (Nvm.Stats.post_flush_accesses r.Harness.Runner.counters)
-              | None -> ())
-            queues)
-        threads_list;
+      Harness.Bench_row.output_csv oc
+        (List.concat_map
+           (fun threads ->
+             List.filter_map
+               (fun queue ->
+                 Option.map (row threads queue) (get ~threads ~queue))
+               queues)
+           threads_list);
       close_out oc;
       Printf.printf "wrote %s\n%!" path)
     Harness.Workload.all;

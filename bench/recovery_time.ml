@@ -14,20 +14,13 @@ open Common
    double-width-CAS head packs the node pointer into 32 bits, so region
    ids must stay under 256 even at the 100x size.
 
-   Writes BENCH_recovery.json; when a committed baseline
-   (bench/recovery_baseline.json, or DQ_RECOVERY_BASELINE) is present,
-   gates: a row fails if its recover_ms exceeds baseline /
-   DQ_RECOVERY_GATE_FRAC (default 0.7; rows under 0.5 ms of baseline
-   are too noisy to gate).  Knobs: DQ_RECOVERY_SIZE (base size),
-   DQ_RECOVERY_TRIALS, DQ_RECOVERY_SMOKE=1 (CI preset),
-   DQ_RECOVERY_GATE=0 (disable the gate). *)
-let recovery_time () =
-  let env_int name d =
-    match Sys.getenv_opt name with Some s -> int_of_string s | None -> d
-  in
-  let smoke = Sys.getenv_opt "DQ_RECOVERY_SMOKE" <> None in
-  let base = env_int "DQ_RECOVERY_SIZE" (if smoke then 400 else 2_000) in
-  let trials = env_int "DQ_RECOVERY_TRIALS" (if smoke then 2 else 3) in
+   Rows land in BENCH_recovery.json, gated by
+   {!Harness.Bench_row.recovery_time}: recover_ms per (algorithm, size,
+   checkpoint), lower is better, baselines under 0.5 ms too noisy to
+   gate.  Smoke runs a smaller base size and fewer trials. *)
+let run ~smoke =
+  let base = if smoke then 400 else 2_000 in
+  let trials = if smoke then 2 else 3 in
   let window = 64 in
   let sizes = [ base; base * 10; base * 100 ] in
   let queues = [ "UnlinkedQ"; "OptUnlinkedQ" ] in
@@ -68,13 +61,9 @@ let recovery_time () =
         (ms, stats, Nvm.Heap.occupancy heap)
       in
       let run_point entry ~size ~ckpt =
-        let results =
-          List.init trials (fun _ -> trial entry ~size ~ckpt)
-        in
-        let sorted =
-          List.sort (fun (a, _, _) (b, _, _) -> compare a b) results
-        in
-        List.nth sorted (List.length sorted / 2)
+        median_by
+          (fun (ms, _, _) -> ms)
+          (List.init trials (fun _ -> trial entry ~size ~ckpt))
       in
       Printf.printf
         "\n\
@@ -128,83 +117,16 @@ let recovery_time () =
                heap (bound 2x) — compaction is not bounding recovery\n%!"
               name on (big / base))
         queues;
-      let oc = open_out "BENCH_recovery.json" in
-      output_string oc "[\n";
-      List.iteri
-        (fun i (name, size, ckpt, ms, (stats : Dq.Checkpoint.recovery_stats), occ) ->
-          Printf.fprintf oc
-            "  {\"algorithm\": %S, \"size\": %d, \"checkpoint\": %S, \
-             \"window\": %d, \"trials\": %d, \"recover_ms\": %.3f, \
-             \"ckpt_epoch\": %d, \"replayed_items\": %d, \
-             \"scanned_regions\": %d, \"live_regions\": %d, \
-             \"retired_regions\": %d, \"reclaimed_words\": %d}%s\n"
-            name size
-            (if ckpt then "on" else "off")
-            window trials ms stats.Dq.Checkpoint.ckpt_epoch
-            stats.Dq.Checkpoint.replayed_items
-            stats.Dq.Checkpoint.scanned_regions
-            (Nvm.Stats.live_regions occ)
-            occ.Nvm.Stats.regions_retired occ.Nvm.Stats.words_reclaimed
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      output_string oc "]\n";
-      close_out oc;
-      Printf.printf "wrote BENCH_recovery.json\n%!";
-      (* -- Regression gate ------------------------------------------------ *)
-      let baseline_path =
-        match Sys.getenv_opt "DQ_RECOVERY_BASELINE" with
-        | Some p -> p
-        | None -> "bench/recovery_baseline.json"
-      in
-      let gate_enabled = Sys.getenv_opt "DQ_RECOVERY_GATE" <> Some "0" in
-      if gate_enabled && Sys.file_exists baseline_path then begin
-        let frac =
-          match Sys.getenv_opt "DQ_RECOVERY_GATE_FRAC" with
-          | Some s -> float_of_string s
-          | None -> 0.7
-        in
-        let key name size ckpt =
-          Printf.sprintf "%s %d %s" name size (if ckpt then "on" else "off")
-        in
-        let ic = open_in baseline_path in
-        let baseline = Hashtbl.create 16 in
-        (try
-           while true do
-             let line = input_line ic in
-             match
-               ( field_str line "algorithm",
-                 field_num line "size",
-                 field_str line "checkpoint",
-                 field_num line "recover_ms" )
-             with
-             | Some name, Some s, Some c, Some ms ->
-                 Hashtbl.replace baseline
-                   (Printf.sprintf "%s %d %s" name (int_of_float s) c)
-                   ms
-             | _ -> ()
-           done
-         with End_of_file -> ());
-        close_in ic;
-        let failures = ref [] in
-        List.iter
-          (fun (name, size, ckpt, ms, _, _) ->
-            match Hashtbl.find_opt baseline (key name size ckpt) with
-            | Some base_ms when base_ms >= 0.5 && ms > base_ms /. frac ->
-                failures :=
-                  Printf.sprintf
-                    "%s: %.2f ms > baseline %.2f ms / %.2f"
-                    (key name size ckpt) ms base_ms frac
-                  :: !failures
-            | _ -> ())
-          rows;
-        if !failures <> [] then begin
-          Printf.eprintf
-            "RECOVERY-TIME REGRESSION GATE FAILED (baseline %s):\n%s\n%!"
-            baseline_path
-            (String.concat "\n" (List.rev !failures));
-          exit 1
-        end
-        else
-          Printf.printf "recovery-time gate passed (<= baseline/%.2f of %s)\n%!"
-            frac baseline_path
-      end)
+      List.map
+        (fun (name, size, ckpt, ms, (stats : Dq.Checkpoint.recovery_stats), occ) ->
+          Harness.Bench_row.
+            [ str "algorithm" name; int "size" size;
+              str "checkpoint" (if ckpt then "on" else "off");
+              int "window" window; int "trials" trials; num 3 "recover_ms" ms;
+              int "ckpt_epoch" stats.Dq.Checkpoint.ckpt_epoch;
+              int "replayed_items" stats.Dq.Checkpoint.replayed_items;
+              int "scanned_regions" stats.Dq.Checkpoint.scanned_regions;
+              int "live_regions" (Nvm.Stats.live_regions occ);
+              int "retired_regions" occ.Nvm.Stats.regions_retired;
+              int "reclaimed_words" occ.Nvm.Stats.words_reclaimed ])
+        rows)

@@ -4,34 +4,15 @@ open Common
    key stream, a pure-insert load phase then a mixed
    put/lookup/remove phase, per domain count.  All domains share one map
    instance, so multi-domain rows measure the real contended paths
-   (same-key overwrite CASes, SOFT's pnode install).  Writes
-   BENCH_set.json and, when a committed baseline
-   (bench/set_baseline.json, or DQ_SET_BASELINE) is present, gates: the
-   run fails if any single-domain phase drops below DQ_SET_GATE_FRAC
-   (default 0.7) of its baseline.  Knobs: DQ_SETOPS_ITERS,
-   DQ_SETOPS_TRIALS, DQ_SETOPS_DOMAINS (comma list), DQ_SETOPS_KEYS,
-   DQ_SETOPS_SMOKE=1 (CI preset), DQ_SET_GATE=0 (disable the gate). *)
-let set_ops () =
-  let env_int name d =
-    match Sys.getenv_opt name with Some s -> int_of_string s | None -> d
-  in
-  let smoke = Sys.getenv_opt "DQ_SETOPS_SMOKE" <> None in
-  let iters = env_int "DQ_SETOPS_ITERS" (if smoke then 20_000 else 100_000) in
-  let trials = env_int "DQ_SETOPS_TRIALS" (if smoke then 2 else 3) in
-  let key_space = env_int "DQ_SETOPS_KEYS" 4_096 in
-  let domain_counts =
-    match Sys.getenv_opt "DQ_SETOPS_DOMAINS" with
-    | Some s -> List.map int_of_string (String.split_on_char ',' s)
-    | None -> if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ]
-  in
-  let spin_barrier n =
-    let remaining = Atomic.make n in
-    fun () ->
-      Atomic.decr remaining;
-      while Atomic.get remaining > 0 do
-        Domain.cpu_relax ()
-      done
-  in
+   (same-key overwrite CASes, SOFT's pnode install).  Rows land in
+   BENCH_set.json, gated by {!Harness.Bench_row.set_ops}: single-domain
+   throughput per (map, phase).  Smoke runs fewer iterations, trials
+   and domain counts. *)
+let run ~smoke =
+  let iters = if smoke then 20_000 else 100_000 in
+  let trials = if smoke then 2 else 3 in
+  let key_space = 4_096 in
+  let domain_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
   (* One trial: [d] domains over one shared map; returns aggregated wall
      Mops for the load phase and the mixed phase. *)
   let trial (entry : Dq.Registry.map_entry) ~d =
@@ -84,95 +65,27 @@ let set_ops () =
     in
     (mops ls le, mops ms me)
   in
-  let median l =
-    let s = List.sort compare l in
-    List.nth s (List.length s / 2)
-  in
   Printf.printf
     "\n\
      == keyed-store throughput (%d iters/domain, zipf over %d keys, median \
      of %d trials) ==\n"
     iters key_space trials;
   Printf.printf "%14s %8s %10s %14s\n" "map" "phase" "domains" "wall Mops/s";
-  let rows = ref [] in
-  List.iter
+  List.concat_map
     (fun (entry : Dq.Registry.map_entry) ->
-      List.iter
+      List.concat_map
         (fun d ->
           let results = List.init trials (fun _ -> trial entry ~d) in
           let load = median (List.map fst results) in
           let mixed = median (List.map snd results) in
-          List.iter
+          List.map
             (fun (phase, mops) ->
               Printf.printf "%14s %8s %10d %14.3f\n%!" entry.Dq.Registry.m_name
                 phase d mops;
-              rows := (entry.Dq.Registry.m_name, phase, d, mops) :: !rows)
+              Harness.Bench_row.
+                [ str "map" entry.Dq.Registry.m_name; str "phase" phase;
+                  int "domains" d; int "iters" iters; int "trials" trials;
+                  int "keys" key_space; num 3 "mops" mops ])
             [ ("load", load); ("mixed", mixed) ])
         domain_counts)
-    Dq.Registry.maps;
-  let rows = List.rev !rows in
-  let oc = open_out "BENCH_set.json" in
-  output_string oc "[\n";
-  List.iteri
-    (fun i (map, phase, d, mops) ->
-      Printf.fprintf oc
-        "  {\"map\": %S, \"phase\": %S, \"domains\": %d, \"iters\": %d, \
-         \"trials\": %d, \"keys\": %d, \"mops\": %.3f}%s\n"
-        map phase d iters trials key_space mops
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_set.json\n%!";
-  (* -- Regression gate ---------------------------------------------------- *)
-  let baseline_path =
-    match Sys.getenv_opt "DQ_SET_BASELINE" with
-    | Some p -> p
-    | None -> "bench/set_baseline.json"
-  in
-  let gate_enabled = Sys.getenv_opt "DQ_SET_GATE" <> Some "0" in
-  if gate_enabled && Sys.file_exists baseline_path then begin
-    let frac =
-      match Sys.getenv_opt "DQ_SET_GATE_FRAC" with
-      | Some s -> float_of_string s
-      | None -> 0.7
-    in
-    let ic = open_in baseline_path in
-    let baseline = Hashtbl.create 16 in
-    (try
-       while true do
-         let line = input_line ic in
-         match
-           ( field_str line "map",
-             field_str line "phase",
-             field_num line "domains",
-             field_num line "mops" )
-         with
-         | Some map, Some phase, Some 1., Some mops ->
-             Hashtbl.replace baseline (map, phase) mops
-         | _ -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let failures = ref [] in
-    List.iter
-      (fun (map, phase, d, mops) ->
-        if d = 1 then
-          match Hashtbl.find_opt baseline (map, phase) with
-          | Some base when mops < frac *. base ->
-              failures :=
-                Printf.sprintf "%s/%s: %.3f Mops/s < %.0f%% of baseline %.3f"
-                  map phase mops (frac *. 100.) base
-                :: !failures
-          | _ -> ())
-      rows;
-    if !failures <> [] then begin
-      Printf.eprintf "SET-OPS REGRESSION GATE FAILED (baseline %s):\n%s\n%!"
-        baseline_path
-        (String.concat "\n" (List.rev !failures));
-      exit 1
-    end
-    else
-      Printf.printf "set-ops gate passed (>= %.0f%% of %s)\n%!" (frac *. 100.)
-        baseline_path
-  end
+    Dq.Registry.maps

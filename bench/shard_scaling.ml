@@ -22,62 +22,31 @@ open Common
    combining front-end does the same amortization under contention by
    electing one combiner to persist a whole announced batch behind one
    pipelined fence (the split drain keeps the device busy while the
-   combiner collects the next batch).  Results land in BENCH_shard.json
-   and, when a committed baseline (bench/shard_baseline.json, or
-   DQ_SHARD_BASELINE) is present, gate: the run fails if any (profile,
-   frontend, batch, shards) point's wall throughput drops below
-   DQ_SHARD_GATE_FRAC (default 0.7) of its baseline.  Knobs: DQ_SHARDS
-   (comma list), DQ_SHARD_THREADS, DQ_BATCH, DQ_OPS, DQ_DIMM_OPS,
-   DQ_WARMUP, DQ_REPS, DQ_SHARD_SMOKE=1 (CI preset: fewer ops,
-   repetitions and shard counts), DQ_SHARD_GATE=0 (disable the gate). *)
-let shard_scaling () =
-  let smoke = Sys.getenv_opt "DQ_SHARD_SMOKE" <> None in
-  let shard_counts =
-    match Sys.getenv_opt "DQ_SHARDS" with
-    | Some s -> List.map int_of_string (String.split_on_char ',' s)
-    | None -> if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ]
-  in
+   combiner collects the next batch).  Rows land in BENCH_shard.json,
+   gated by {!Harness.Bench_row.shard_scaling}: wall throughput per
+   (profile, frontend, batch, shards) point.  Smoke runs fewer ops,
+   repetitions and shard counts; DQ_OPS and DQ_REPS override the cpu
+   profile's ops per stream and the repetitions. *)
+let run ~smoke =
+  let shard_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
   (* As many producer streams as the largest shard count: a stream is
      pinned to one shard, so with fewer streams than shards the extra
      shards idle and the top of the scaling series measures a tie
      instead of the added device bandwidth. *)
-  let threads =
-    match Sys.getenv_opt "DQ_SHARD_THREADS" with
-    | Some s -> int_of_string s
-    | None -> List.fold_left max 1 shard_counts
-  in
-  let batch =
-    match Sys.getenv_opt "DQ_BATCH" with Some s -> int_of_string s | None -> 8
-  in
+  let threads = List.fold_left max 1 shard_counts in
+  let batch = 8 in
   (* Wall-clock throughput is a measured series here, so the window must
-     be long enough to ride out scheduler and co-tenant noise: unless
-     DQ_OPS pins it, use a larger per-thread count than the modeled-only
-     sections need. *)
-  let ops_per_thread =
-    match Sys.getenv_opt "DQ_OPS" with
-    | Some s -> int_of_string s
-    | None -> if smoke then 4_000 else max 30_000 ops_per_thread
-  in
-  let warmup =
-    match Sys.getenv_opt "DQ_WARMUP" with
-    | Some s -> int_of_string s
-    | None -> max 200 (ops_per_thread / 10)
-  in
+     be long enough to ride out scheduler and co-tenant noise: a larger
+     per-thread count than the modeled-only sections need. *)
+  let ops_per_thread = env_int "DQ_OPS" (if smoke then 4_000 else 30_000) in
+  let warmup = max 200 (ops_per_thread / 10) in
   (* More repetitions than the modeled sections: the wall series keeps
      only each point's fastest rotation, and the more rotations, the
      closer that best sample gets to the host's uncontended speed. *)
-  let reps =
-    match Sys.getenv_opt "DQ_REPS" with
-    | Some s -> int_of_string s
-    | None -> if smoke then 3 else 8
-  in
+  let reps = env_int "DQ_REPS" (if smoke then 3 else 8) in
   (* Device-bound runs sleep out drains of hundreds of microseconds per
      fence, so they need far fewer operations for a stable series. *)
-  let dimm_ops =
-    match Sys.getenv_opt "DQ_DIMM_OPS" with
-    | Some s -> int_of_string s
-    | None -> if smoke then 300 else 1_500
-  in
+  let dimm_ops = if smoke then 300 else 1_500 in
   let cfg =
     { Harness.Sharded.default_config with threads; ops_per_thread; warmup }
   in
@@ -132,90 +101,22 @@ let shard_scaling () =
         r.Harness.Sharded.max_op_fences r.Harness.Sharded.max_batch_fences
         r.Harness.Sharded.max_post_flush)
     rows;
-  let oc = open_out "BENCH_shard.json" in
-  output_string oc "[\n";
-  List.iteri
-    (fun i (pname, (r : Harness.Sharded.result)) ->
-      Printf.fprintf oc
-        "  {\"algorithm\": %S, \"workload\": \"w3-producers\", \"profile\": \
-         %S, \"frontend\": %S, \"threads\": %d, \"shards\": %d, \"batch\": \
-         %d, \"ops\": %d, \"trials\": %d, \"model_mops\": %.4f, \
-         \"wall_mops\": %.4f, \"wall_min_mops\": %.4f, \"wall_max_mops\": \
-         %.4f, \"wall_stddev_mops\": %.4f, \"wall_speedup\": %.4f, \
-         \"fences_per_op\": %.4f, \"post_flush_per_op\": %.4f, \
-         \"max_fences_per_op\": %d, \"max_batch_fences\": %d, \
-         \"max_post_flush_per_op\": %d}%s\n"
-        r.Harness.Sharded.algorithm pname (frontend r)
-        r.Harness.Sharded.threads r.Harness.Sharded.shards
-        r.Harness.Sharded.batch r.Harness.Sharded.total_ops
-        r.Harness.Sharded.trials r.Harness.Sharded.model_mops
-        r.Harness.Sharded.mops r.Harness.Sharded.wall_min_mops
-        r.Harness.Sharded.wall_max_mops r.Harness.Sharded.wall_stddev_mops
-        r.Harness.Sharded.wall_speedup r.Harness.Sharded.fences_per_op
-        r.Harness.Sharded.post_flush_per_op r.Harness.Sharded.max_op_fences
-        r.Harness.Sharded.max_batch_fences r.Harness.Sharded.max_post_flush
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "]\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_shard.json\n%!";
-  (* -- Regression gate ---------------------------------------------------- *)
-  let baseline_path =
-    match Sys.getenv_opt "DQ_SHARD_BASELINE" with
-    | Some p -> p
-    | None -> "bench/shard_baseline.json"
-  in
-  let gate_enabled = Sys.getenv_opt "DQ_SHARD_GATE" <> Some "0" in
-  if gate_enabled && Sys.file_exists baseline_path then begin
-    let frac =
-      match Sys.getenv_opt "DQ_SHARD_GATE_FRAC" with
-      | Some s -> float_of_string s
-      | None -> 0.7
-    in
-    let key p fe b s = Printf.sprintf "%s %s b%d s%d" p fe b s in
-    let ic = open_in baseline_path in
-    let baseline = Hashtbl.create 16 in
-    (try
-       while true do
-         let line = input_line ic in
-         match
-           ( field_str line "profile",
-             field_str line "frontend",
-             field_num line "batch",
-             field_num line "shards",
-             field_num line "wall_mops" )
-         with
-         | Some p, Some fe, Some b, Some s, Some mops ->
-             Hashtbl.replace baseline
-               (key p fe (int_of_float b) (int_of_float s))
-               mops
-         | _ -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let failures = ref [] in
-    List.iter
-      (fun (pname, (r : Harness.Sharded.result)) ->
-        let k =
-          key pname (frontend r) r.Harness.Sharded.batch
-            r.Harness.Sharded.shards
-        in
-        match Hashtbl.find_opt baseline k with
-        | Some base when r.Harness.Sharded.mops < frac *. base ->
-            failures :=
-              Printf.sprintf "%s: %.3f wall Mops/s < %.0f%% of baseline %.3f"
-                k r.Harness.Sharded.mops (frac *. 100.) base
-              :: !failures
-        | _ -> ())
-      rows;
-    if !failures <> [] then begin
-      Printf.eprintf
-        "SHARD-SCALING REGRESSION GATE FAILED (baseline %s):\n%s\n%!"
-        baseline_path
-        (String.concat "\n" (List.rev !failures));
-      exit 1
-    end
-    else
-      Printf.printf "shard-scaling gate passed (>= %.0f%% of %s)\n%!"
-        (frac *. 100.) baseline_path
-  end
+  List.map
+    (fun (pname, (r : Harness.Sharded.result)) ->
+      let open Harness.Sharded in
+      Harness.Bench_row.
+        [ str "algorithm" r.algorithm; str "workload" "w3-producers";
+          str "profile" pname; str "frontend" (frontend r);
+          int "threads" r.threads; int "shards" r.shards; int "batch" r.batch;
+          int "ops" r.total_ops; int "trials" r.trials;
+          num 4 "model_mops" r.model_mops; num 4 "wall_mops" r.mops;
+          num 4 "wall_min_mops" r.wall_min_mops;
+          num 4 "wall_max_mops" r.wall_max_mops;
+          num 4 "wall_stddev_mops" r.wall_stddev_mops;
+          num 4 "wall_speedup" r.wall_speedup;
+          num 4 "fences_per_op" r.fences_per_op;
+          num 4 "post_flush_per_op" r.post_flush_per_op;
+          int "max_fences_per_op" r.max_op_fences;
+          int "max_batch_fences" r.max_batch_fences;
+          int "max_post_flush_per_op" r.max_post_flush ])
+    rows

@@ -1059,6 +1059,7 @@ let soak_cmd =
 
 let load_cmd =
   let run smoke out seed duration shards sla_ms rates bursts no_admission =
+    let frac = Harness.Bench_row.frac_of_env () in
     let mode = if smoke then "smoke" else "full" in
     let base = if smoke then Load.Sweep.smoke_config () else Load.Sweep.full_config () in
     let bursts =
@@ -1103,31 +1104,16 @@ let load_cmd =
     Format.pp_print_flush Format.std_formatter ();
     Load.Sweep.write_json ~path:out res;
     Printf.printf "wrote %s\n%!" out;
-    let gate_on =
-      match Sys.getenv_opt "DQ_LOAD_GATE" with Some "0" -> false | _ -> true
-    in
-    if gate_on then begin
-      let frac =
-        match Sys.getenv_opt "DQ_LOAD_GATE_FRAC" with
-        | Some s -> (
-            match float_of_string_opt s with Some f -> f | None -> 0.7)
-        | None -> 0.7
-      in
-      let baseline =
-        Option.value
-          (Sys.getenv_opt "DQ_LOAD_BASELINE")
-          ~default:(Filename.concat "bench" "load_baseline.json")
-      in
-      if not (Sys.file_exists baseline) then
-        Printf.eprintf "load gate: no baseline at %s, structural checks only\n%!"
-          baseline;
-      match Load.Sweep.gate ~baseline ~frac res with
-      | [] -> Printf.printf "load gate: OK (frac %.2f)\n%!" frac
-      | errs ->
-          List.iter (Printf.eprintf "load gate: %s\n") errs;
-          Printf.eprintf "%!";
-          exit 1
-    end
+    let baseline = Harness.Bench_row.load_points.baseline in
+    if not (Sys.file_exists baseline) then
+      Printf.eprintf "load gate: no baseline at %s, structural checks only\n%!"
+        baseline;
+    match Load.Sweep.gate ~baseline ~frac res with
+    | [] -> Printf.printf "load gate: OK (frac %g)\n%!" frac
+    | errs ->
+        List.iter (Printf.eprintf "load gate: %s\n") errs;
+        Printf.eprintf "%!";
+        exit 1
   in
   let smoke =
     Arg.(
@@ -1195,9 +1181,9 @@ let load_cmd =
           keys, per-tenant acks and quotas) against the admission-fronted \
           broker under the dimm_wall device profile.  Locates the \
           saturation knee, writes one JSON object per point, and gates \
-          against bench/load_baseline.json (DQ_LOAD_GATE_FRAC, \
-          DQ_LOAD_GATE=0 to disable, DQ_LOAD_BASELINE to point \
-          elsewhere).  Exits 1 when the gate fails.")
+          against bench/load_baseline.json at the fraction DQ_GATE_FRAC \
+          (default 0.7; 0 skips the baseline comparison).  Exits 1 when \
+          the gate fails, 2 when DQ_GATE_FRAC is malformed.")
     Term.(
       const run $ smoke $ out $ seed $ duration $ shards $ sla_ms $ rates
       $ bursts $ no_admission)

@@ -166,80 +166,50 @@ let print_map_census (rows : Runner.map_census list) =
 
 (* The first column is "structure" (not "queue"): the same schema now
    carries rows for both the queue tier and the keyed-store tier. *)
-let census_csv_header =
-  "structure,op,flushes_per_op,fences_per_op,movnti_per_op,postflush_per_op,max_flushes,max_fences,max_movnti,max_postflush"
+let census_row structure op (fl, fe, mv, pf) (mfl, mfe, mmv, mpf) =
+  Bench_row.
+    [ str "structure" structure; str "op" op; num 3 "flushes_per_op" fl;
+      num 3 "fences_per_op" fe; num 3 "movnti_per_op" mv;
+      num 3 "postflush_per_op" pf; int "max_flushes" mfl; int "max_fences" mfe;
+      int "max_movnti" mmv; int "max_postflush" mpf ]
 
-let csv_row structure op (fl, fe, mv, pf) (mfl, mfe, mmv, mpf) =
-  Printf.sprintf "%s,%s,%.3f,%.3f,%.3f,%.3f,%d,%d,%d,%d" structure op fl fe mv
-    pf mfl mfe mmv mpf
-
-let census_csv_rows (c : Runner.census) =
-  [ csv_row c.Runner.c_queue "enqueue" c.Runner.enq c.Runner.enq_max;
-    csv_row c.Runner.c_queue "dequeue" c.Runner.deq c.Runner.deq_max ]
-
-let map_census_csv_rows (c : Runner.map_census) =
-  List.map
-    (fun (r : Runner.census_row) ->
-      csv_row c.Runner.mc_map (op_name r.Runner.r_op) r.Runner.r_avg
-        r.Runner.r_max)
-    c.Runner.mc_rows
-
-(* The occupancy table is a second CSV section (blank-line separated,
-   own header): its columns are per-structure, not per-op, so folding
-   them into the op rows would duplicate every value. *)
-let occupancy_csv_header =
-  "structure,live_regions,regions_allocated,regions_retired,live_words,words_reclaimed"
-
-let occupancy_csv_row (c : Runner.census) =
-  let o = c.Runner.c_occupancy in
-  Printf.sprintf "%s,%d,%d,%d,%d,%d" c.Runner.c_queue
-    (Nvm.Stats.live_regions o)
-    o.Nvm.Stats.regions_allocated o.Nvm.Stats.regions_retired
-    (Nvm.Stats.live_words o) o.Nvm.Stats.words_reclaimed
-
-let census_csv ?(maps = []) oc (rows : Runner.census list) =
-  output_string oc (census_csv_header ^ "\n");
-  List.iter
-    (fun c -> List.iter (fun r -> output_string oc (r ^ "\n")) (census_csv_rows c))
-    rows;
-  List.iter
-    (fun c ->
-      List.iter (fun r -> output_string oc (r ^ "\n")) (map_census_csv_rows c))
-    maps;
-  output_string oc ("\n" ^ occupancy_csv_header ^ "\n");
-  List.iter (fun c -> output_string oc (occupancy_csv_row c ^ "\n")) rows
-
-let json_obj structure op (fl, fe, mv, pf) (mfl, mfe, mmv, mpf) =
-  Printf.sprintf
-    "{\"structure\":\"%s\",\"op\":\"%s\",\"flushes_per_op\":%.3f,\"fences_per_op\":%.3f,\"movnti_per_op\":%.3f,\"postflush_per_op\":%.3f,\"max_flushes\":%d,\"max_fences\":%d,\"max_movnti\":%d,\"max_postflush\":%d}"
-    structure op fl fe mv pf mfl mfe mmv mpf
-
-let census_json ?(maps = []) oc (rows : Runner.census list) =
-  let entries =
-    List.concat_map
+(* One row per (structure, op) — queue rows first, then keyed-store
+   rows — and one occupancy row per queue. *)
+let census_rows ~maps (rows : Runner.census list) =
+  ( List.concat_map
       (fun (c : Runner.census) ->
-        [ json_obj c.Runner.c_queue "enqueue" c.Runner.enq c.Runner.enq_max;
-          json_obj c.Runner.c_queue "dequeue" c.Runner.deq c.Runner.deq_max ])
+        [ census_row c.Runner.c_queue "enqueue" c.Runner.enq c.Runner.enq_max;
+          census_row c.Runner.c_queue "dequeue" c.Runner.deq c.Runner.deq_max ])
       rows
     @ List.concat_map
         (fun (c : Runner.map_census) ->
           List.map
             (fun (r : Runner.census_row) ->
-              json_obj c.Runner.mc_map (op_name r.Runner.r_op) r.Runner.r_avg
+              census_row c.Runner.mc_map (op_name r.Runner.r_op) r.Runner.r_avg
                 r.Runner.r_max)
             c.Runner.mc_rows)
-        maps
-    @ List.map
-        (fun (c : Runner.census) ->
-          let o = c.Runner.c_occupancy in
-          Printf.sprintf
-            "{\"structure\":\"%s\",\"op\":\"occupancy\",\"live_regions\":%d,\"regions_allocated\":%d,\"regions_retired\":%d,\"live_words\":%d,\"words_reclaimed\":%d}"
-            c.Runner.c_queue
-            (Nvm.Stats.live_regions o)
-            o.Nvm.Stats.regions_allocated o.Nvm.Stats.regions_retired
-            (Nvm.Stats.live_words o) o.Nvm.Stats.words_reclaimed)
-        rows
-  in
-  output_string oc "[\n  ";
-  output_string oc (String.concat ",\n  " entries);
-  output_string oc "\n]\n"
+        maps,
+    List.map
+      (fun (c : Runner.census) ->
+        let o = c.Runner.c_occupancy in
+        Bench_row.
+          [ str "structure" c.Runner.c_queue; str "op" "occupancy";
+            int "live_regions" (Nvm.Stats.live_regions o);
+            int "regions_allocated" o.Nvm.Stats.regions_allocated;
+            int "regions_retired" o.Nvm.Stats.regions_retired;
+            int "live_words" (Nvm.Stats.live_words o);
+            int "words_reclaimed" o.Nvm.Stats.words_reclaimed ])
+      rows )
+
+(* The occupancy table is a second CSV section (blank-line separated,
+   own header): its columns are per-structure, not per-op, so folding
+   them into the op rows would duplicate every value. *)
+let census_csv ?(maps = []) oc rows =
+  let ops, occupancy = census_rows ~maps rows in
+  Bench_row.output_csv oc ops;
+  output_string oc "\n";
+  Bench_row.output_csv oc (List.map (List.remove_assoc "op") occupancy)
+
+let census_json ?(maps = []) oc rows =
+  let ops, occupancy = census_rows ~maps rows in
+  Bench_row.output oc (ops @ occupancy)

@@ -1,5 +1,5 @@
-(* Rate sweep, knee location, JSON serialization and the baseline
-   regression gate for [dq load]. *)
+(* Rate sweep, knee location, bench rows and the regression gate for
+   [dq load]. *)
 
 type point = { p_mult : float; p_offered_hz : float; p_report : Gen.report }
 
@@ -137,84 +137,35 @@ let run ?mults ~mode (cfg : Gen.config) =
 
 let ms v = v *. 1e3
 
-let to_json_lines res =
-  let point_line p =
+let rows res =
+  let point p =
     let r = p.p_report in
     let t = r.Gen.rep_totals in
     let m = r.Gen.rep_strict_durable in
-    Printf.sprintf
-      "{\"bench\": \"load\", \"kind\": \"point\", \"mode\": \"%s\", \
-       \"mult\": %.2f, \"offered_hz\": %.1f, \"admitted_hz\": %.1f, \
-       \"admit_frac\": %.4f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, \
-       \"p999_ms\": %.3f, \"all_p99_ms\": %.3f, \"deq_p99_ms\": %.3f, \
-       \"degraded\": %d, \"shed_quota\": %d, \"shed_overload\": %d, \
-       \"shed_deadline\": %d, \"rejected\": %d, \"demoted\": %d, \
-       \"sla_ms\": %.1f, \"sla_ok\": %d}"
-      res.sw_mode p.p_mult p.p_offered_hz r.Gen.rep_admitted_hz
-      (admit_frac r) (ms m.Metrics.p50_s) (ms m.Metrics.p99_s)
-      (ms m.Metrics.p999_s)
-      (ms r.Gen.rep_durable.Metrics.p99_s)
-      (ms r.Gen.rep_dequeue.Metrics.p99_s)
-      t.Broker.Admission.a_degraded t.Broker.Admission.a_shed_quota
-      t.Broker.Admission.a_shed_overload t.Broker.Admission.a_shed_deadline
-      t.Broker.Admission.a_rejected r.Gen.rep_demoted (ms r.Gen.rep_sla_s)
-      (if r.Gen.rep_sla_ok then 1 else 0)
+    Harness.Bench_row.
+      [ str "bench" "load"; str "kind" "point"; str "mode" res.sw_mode;
+        num 2 "mult" p.p_mult; num 1 "offered_hz" p.p_offered_hz;
+        num 1 "admitted_hz" r.Gen.rep_admitted_hz;
+        num 4 "admit_frac" (admit_frac r); num 3 "p50_ms" (ms m.Metrics.p50_s);
+        num 3 "p99_ms" (ms m.Metrics.p99_s);
+        num 3 "p999_ms" (ms m.Metrics.p999_s);
+        num 3 "all_p99_ms" (ms r.Gen.rep_durable.Metrics.p99_s);
+        num 3 "deq_p99_ms" (ms r.Gen.rep_dequeue.Metrics.p99_s);
+        int "degraded" t.Broker.Admission.a_degraded;
+        int "shed_quota" t.Broker.Admission.a_shed_quota;
+        int "shed_overload" t.Broker.Admission.a_shed_overload;
+        int "shed_deadline" t.Broker.Admission.a_shed_deadline;
+        int "rejected" t.Broker.Admission.a_rejected;
+        int "demoted" r.Gen.rep_demoted; num 1 "sla_ms" (ms r.Gen.rep_sla_s);
+        int "sla_ok" (if r.Gen.rep_sla_ok then 1 else 0) ]
   in
-  List.map point_line res.sw_points
-  @ [
-      Printf.sprintf
-        "{\"bench\": \"load\", \"kind\": \"knee\", \"mode\": \"%s\", \
-         \"knee_mult\": %.2f, \"knee_hz\": %.1f, \"capacity_hz\": %.1f}"
-        res.sw_mode res.sw_knee_mult res.sw_knee_hz res.sw_capacity_hz;
-    ]
+  List.map point res.sw_points
+  @ [ Harness.Bench_row.
+        [ str "bench" "load"; str "kind" "knee"; str "mode" res.sw_mode;
+          num 2 "knee_mult" res.sw_knee_mult; num 1 "knee_hz" res.sw_knee_hz;
+          num 1 "capacity_hz" res.sw_capacity_hz ] ]
 
-let write_json ~path res =
-  let oc = open_out path in
-  List.iter (fun l -> output_string oc (l ^ "\n")) (to_json_lines res);
-  close_out oc
-
-(* Minimal field extraction from the one-object-per-line format (the
-   CLI links neither Str nor a JSON library). *)
-let field line key =
-  let pat = "\"" ^ key ^ "\":" in
-  let plen = String.length pat and llen = String.length line in
-  let rec find i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-      let start = ref start in
-      while !start < llen && line.[!start] = ' ' do incr start done;
-      let stop = ref !start in
-      while !stop < llen && line.[!stop] <> ',' && line.[!stop] <> '}' do
-        incr stop
-      done;
-      Some (String.trim (String.sub line !start (!stop - !start)))
-
-let field_num line key =
-  Option.bind (field line key) float_of_string_opt
-
-let field_str line key =
-  match field line key with
-  | Some v
-    when String.length v >= 2 && v.[0] = '"' && v.[String.length v - 1] = '"'
-    ->
-      Some (String.sub v 1 (String.length v - 2))
-  | _ -> None
-
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
+let write_json ~path res = Harness.Bench_row.write ~lines:true ~path (rows res)
 
 let gate ~baseline ~frac res =
   let errs = ref [] in
@@ -242,39 +193,13 @@ let gate ~baseline ~frac res =
             p.p_mult (ms strict.Metrics.p99_s) (ms bound)
       end)
     res.sw_points;
-  (if Sys.file_exists baseline then
-     let lines = read_lines baseline in
-     let base_point mult =
-       List.find_opt
-         (fun l ->
-           field_str l "kind" = Some "point"
-           && field_str l "mode" = Some res.sw_mode
-           && match field_num l "mult" with
-              | Some m -> Float.abs (m -. mult) < 0.005
-              | None -> false)
-         lines
-     in
-     List.iter
-       (fun p ->
-         match Option.bind (base_point p.p_mult) (fun l -> field_num l "admitted_hz") with
-         | Some base_hz
-           when p.p_report.Gen.rep_admitted_hz < frac *. base_hz ->
-             err "point %.2fx: admitted %.0f Hz < %.0f%% of baseline %.0f Hz"
-               p.p_mult p.p_report.Gen.rep_admitted_hz (frac *. 100.) base_hz
-         | _ -> ())
-       res.sw_points;
-     let base_knee =
-       List.find_opt
-         (fun l ->
-           field_str l "kind" = Some "knee"
-           && field_str l "mode" = Some res.sw_mode)
-         lines
-     in
-     match Option.bind base_knee (fun l -> field_num l "knee_hz") with
-     | Some base_hz when res.sw_knee_hz < frac *. base_hz ->
-         err "knee %.0f Hz < %.0f%% of baseline %.0f Hz" res.sw_knee_hz
-           (frac *. 100.) base_hz
-     | _ -> ());
+  let rows = rows res in
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun (f : Harness.Bench_row.failure) -> err "%s: %s" f.key f.detail)
+        (Harness.Bench_row.gate ~frac { spec with baseline } rows))
+    [ Harness.Bench_row.load_points; Harness.Bench_row.load_knee ];
   List.rev !errs
 
 let pp ppf res =

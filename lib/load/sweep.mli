@@ -6,9 +6,9 @@
     still admits (essentially) everything and meets the strict-tier
     p99 enqueue→durable SLA.  Points above the knee must show the
     admission layer reacting — shed or rejected work — while the ops
-    it does accept keep a bounded p99.  Results serialize one JSON
-    object per line (the tree's bench format) and gate against a
-    committed baseline via [DQ_LOAD_GATE_FRAC]. *)
+    it does accept keep a bounded p99.  Results are
+    {!Harness.Bench_row} rows, gated against a committed baseline by
+    {!Harness.Bench_row.load_points} and {!Harness.Bench_row.load_knee}. *)
 
 type point = {
   p_mult : float;  (** offered rate as a multiple of the estimate *)
@@ -42,11 +42,12 @@ val run : ?mults:float list -> mode:string -> Gen.config -> result
     [mult * capacity_estimate].  Default multiples:
     [0.4; 0.8; 1.6; 3.0] (smoke) or [0.3; 0.6; 0.9; 1.2; 2.0; 4.0]. *)
 
-val to_json_lines : result -> string list
-(** One object per line: a ["point"] row per sweep point and one
-    ["knee"] row, keyed by (mode, mult) for the gate. *)
+val rows : result -> Harness.Bench_row.t list
+(** A ["point"] row per sweep point and one ["knee"] row, keyed by
+    (mode, mult) and mode for the gate. *)
 
 val write_json : path:string -> result -> unit
+(** {!rows} as JSON lines. *)
 
 val gate : baseline:string -> frac:float -> result -> string list
 (** Regression check; [[]] means pass.  Structural: the knee must be
@@ -54,6 +55,6 @@ val gate : baseline:string -> frac:float -> result -> string list
     while keeping strict p99 within [2 * sla / frac].  Against the
     baseline file (silently skipped when absent): each point's
     admitted rate and the knee rate must stay within [frac] of the
-    committed values. *)
+    committed values, by {!Harness.Bench_row.gate}. *)
 
 val pp : Format.formatter -> result -> unit

@@ -530,7 +530,14 @@ let test_sweep_gate_baseline () =
 
 let test_sweep_json_lines () =
   let res = good_result () in
-  let lines = Load.Sweep.to_json_lines res in
+  let path = Filename.temp_file "dq_load_rows" ".json" in
+  Load.Sweep.write_json ~path res;
+  let lines =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  Sys.remove path;
   Alcotest.(check int) "one line per point plus the knee" 4
     (List.length lines);
   let contains needle hay =
