@@ -13,7 +13,8 @@
      contents and routing consistency (every recovered item must sit on
      the shard its stream is pinned to) — the {!Spec.Durable_check}
      conditions of durable linearizability, per shard;
-   - depth gauges are re-seated from the recovered queue lengths.
+   - depth gauges and strict-tier bounds are re-seated from the
+     recovered queue lengths ({!Shard.reseat}).
 
    The paper's complete-recovery model (one single-threaded recovery per
    queue before operations resume) is preserved per shard: parallelism is
@@ -105,13 +106,11 @@ let validate_shard ~producer_of ~check_unique ~routing shard contents =
    quarantined shard ({!Supervisor.readmit}).  Quiescent use only. *)
 let recheck ?producer_of ?(check_unique = true) service ~shard:i =
   let shard = (Service.shards service).(i) in
-  let contents = Shard.to_list shard in
   let check =
     validate_shard ~producer_of ~check_unique
-      ~routing:(Service.routing service) shard contents
+      ~routing:(Service.routing service) shard (Shard.to_list shard)
   in
-  if Result.is_ok check then
-    Backpressure.reset (Shard.gauge shard) ~depth:(List.length contents);
+  if Result.is_ok check then ignore (Shard.reseat shard);
   check
 
 let check_leakage per_shard_contents =
@@ -166,7 +165,11 @@ let crash_and_recover ?rng ?(policy = Nvm.Crash.Random_evictions)
               in
               let r1 = Unix.gettimeofday () in
               let contents =
-                match check with Ok () -> Shard.to_list shard | Error _ -> []
+                match check with
+                | Ok () -> Shard.reseat shard
+                | Error _ ->
+                    Backpressure.reset (Shard.gauge shard) ~depth:0;
+                    []
               in
               let check =
                 match check with
@@ -175,8 +178,6 @@ let crash_and_recover ?rng ?(policy = Nvm.Crash.Random_evictions)
                       ~routing:(Service.routing service) shard contents
                 | Error _ as e -> e
               in
-              Backpressure.reset (Shard.gauge shard)
-                ~depth:(List.length contents);
               (* Checkpointed recovery statistics: what the committed
                  epoch bought this shard — image replay instead of a full
                  designated-area scan.  Zeros for algorithms without a

@@ -37,7 +37,8 @@ val recheck :
   (unit, string) result
 (** Re-validate one shard's contents in place (uniqueness, and with
     [producer_of] per-stream FIFO + routing consistency) and, on
-    success, re-seat its depth gauge.  The re-admission gate for a
+    success, re-seat its depth gauge and strict-tier bound
+    ({!Shard.reseat}).  The re-admission gate for a
     quarantined shard ({!Supervisor.readmit}).  Quiescent use only. *)
 
 val crash_and_recover :

@@ -164,10 +164,10 @@ let set_stream_acks t ~stream level =
    [set_stream_acks] both validate tier presence). *)
 let tier_enqueue shard level item =
   match level with
-  | Acks_all_synced -> (Shard.queue shard).Dq.Queue_intf.enqueue item; true
+  | Acks_all_synced -> Shard.enqueue shard item; true
   | (Acks_none | Acks_leader) as level -> (
       match Shard.buffered shard with
-      | None -> (Shard.queue shard).Dq.Queue_intf.enqueue item; true
+      | None -> Shard.enqueue shard item; true
       | Some b -> (
           try
             Dq.Buffered_q.enqueue ~join:(level = Acks_leader) b item;

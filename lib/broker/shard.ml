@@ -9,6 +9,12 @@ type t = {
   heap : Nvm.Heap.t;
   queue : Dq.Queue_intf.instance;
   gauge : Backpressure.t;
+  strict_bound : int Atomic.t;
+      (* upper bound on the strict tier's item count, never too low:
+         raised before every strict enqueue, lowered only after the
+         dequeue that removed an item has returned with its persist
+         fenced.  Unlike [gauge] (both tiers), it says which tier holds
+         an item. *)
   combiner : Dq.Combining_q.t option;
       (* the flat-combining enqueue front-end, when the broker was
          created with [~combining:true]; [queue] then routes enqueues
@@ -58,6 +64,7 @@ let create_all ~(entry : Dq.Registry.entry) ~n ~depth_bound ~mode ~latency
         heap;
         queue;
         gauge = Backpressure.create ~bound:depth_bound;
+        strict_bound = Atomic.make 0;
         combiner;
         buffered;
       })
@@ -65,38 +72,77 @@ let create_all ~(entry : Dq.Registry.entry) ~n ~depth_bound ~mode ~latency
 
 let id t = t.id
 let heap t = t.heap
-let queue t = t.queue
 let gauge t = t.gauge
-let combiner t = t.combiner
+let strict_bound t = Atomic.get t.strict_bound
+let combining_idle t = Option.map Dq.Combining_q.idle_slots t.combiner
 let buffered t = t.buffered
 let depth t = Backpressure.depth t.gauge
+
+let raise_bound t n = ignore (Atomic.fetch_and_add t.strict_bound n)
+let lower_bound t n = ignore (Atomic.fetch_and_add t.strict_bound (-n))
+
+(* Enqueue on the strict tier.  The bound is raised first, so a
+   concurrent [dequeue] that reads it after the item is linked cannot
+   skip the item. *)
+let enqueue t item =
+  raise_bound t 1;
+  t.queue.Dq.Queue_intf.enqueue item
+
+let buffered_list t =
+  match t.buffered with
+  | Some b -> (Dq.Buffered_q.instance b).Dq.Queue_intf.to_list ()
+  | None -> []
 
 (* Strict tier first, then the buffered tier's mirror.  A stream's items
    live in exactly one tier (its acks level picks it), so per-stream
    FIFO survives the concatenation. *)
-let to_list t =
-  t.queue.Dq.Queue_intf.to_list ()
-  @ match t.buffered with
-    | Some b -> (Dq.Buffered_q.instance b).Dq.Queue_intf.to_list ()
-    | None -> []
+let to_list t = t.queue.Dq.Queue_intf.to_list () @ buffered_list t
+
+(* Probe the strict tier only while its bound is positive.  At 0 every
+   dequeue that emptied the tier has returned, each having persisted a
+   head index at least as large as the one this failing dequeue would
+   write, and recovery takes the maximum: skipping the probe, with its
+   movnti and fence, leaves the possible crash images unchanged.  The
+   caller lowers the bound for a returned item once its removal is
+   fenced. *)
+let dequeue_strict t =
+  if Atomic.get t.strict_bound > 0 then t.queue.Dq.Queue_intf.dequeue ()
+  else None
+
+let dequeue_buffered t =
+  match t.buffered with Some b -> Dq.Buffered_q.dequeue b | None -> None
 
 (* Consume the strict tier first, then the buffered tier — same order as
-   [to_list], so drains and validations agree. *)
+   [to_list], so drains and validations agree.  A strict dequeue has
+   fenced its persist by the time it returns, so the bound drops at
+   once. *)
 let dequeue t =
-  match t.queue.Dq.Queue_intf.dequeue () with
-  | Some _ as r -> r
-  | None -> (
-      match t.buffered with
-      | Some b -> Dq.Buffered_q.dequeue b
-      | None -> None)
+  match dequeue_strict t with
+  | Some _ as r ->
+      lower_bound t 1;
+      r
+  | None -> dequeue_buffered t
 
 (* Both tiers' recovery procedures, single-threaded, in [to_list] order:
    the strict queue's own recovery, then the buffered tier's journal
    replay — which restores exactly the synced floor (the last issued
    commit's snapshot); the unsynced tail is gone as a unit. *)
 let recover t =
+  (* Until [reseat] counts the rebuilt tier, and for good if recovery
+     raises, every dequeue probes it. *)
+  Atomic.set t.strict_bound (max_int / 2);
   t.queue.Dq.Queue_intf.recover ();
   Option.iter Dq.Buffered_q.recover t.buffered
+
+(* Re-seat the volatile counters from the tiers' contents: the depth
+   gauge counts both tiers, the strict bound the strict tier alone.
+   Returns the contents in [to_list] order. *)
+let reseat t =
+  let strict = t.queue.Dq.Queue_intf.to_list () in
+  let contents = strict @ buffered_list t in
+  Atomic.set t.strict_bound (List.length strict);
+  Backpressure.reset t.gauge ~depth:(List.length contents);
+  contents
 
 let sync t = Option.iter Dq.Buffered_q.sync t.buffered
 
@@ -123,32 +169,49 @@ let durability_lag t =
 let enqueue_batch t items =
   match (t.combiner, items) with
   | _, [] -> ()
-  | Some c, [ item ] -> Dq.Combining_q.enqueue c item
+  | _, [ item ] -> enqueue t item
   | Some c, items ->
       (* The combiner owns batching: the whole list is announced as one
          operation and applied under its combining pass's single fence
          (possibly merged with other producers' announcements). *)
+      raise_bound t (List.length items);
       Dq.Combining_q.enqueue_batch c items
-  | None, [ item ] -> t.queue.Dq.Queue_intf.enqueue item
   | None, items ->
+      raise_bound t (List.length items);
       Nvm.Span.with_span (Nvm.Heap.spans t.heap) Dq.Instrumented.batch_label
         (fun () ->
           Nvm.Heap.with_batched_fences t.heap (fun () ->
               List.iter t.queue.Dq.Queue_intf.enqueue items))
 
 (* Dequeue up to [max] items under one closing fence; stops early on
-   empty.  Items are returned in dequeue (FIFO) order. *)
+   empty.  Items are returned in dequeue (FIFO) order.  The strict
+   dequeues' fences are absorbed, so the bound drops by the strict items
+   taken only after the closing fence: until then a concurrent failing
+   dequeue must still probe, and persist the head index this batch has
+   not yet made durable. *)
 let dequeue_batch t ~max =
-  if max <= 1 then match dequeue t with Some v -> [ v ] | None -> []
-  else
-    Nvm.Span.with_span (Nvm.Heap.spans t.heap) Dq.Instrumented.batch_label
-      (fun () ->
-        Nvm.Heap.with_batched_fences t.heap (fun () ->
-            let rec go n acc =
-              if n = 0 then List.rev acc
-              else
-                match dequeue t with
-                | Some v -> go (n - 1) (v :: acc)
-                | None -> List.rev acc
-            in
-            go max []))
+  if max <= 0 then []
+  else if max = 1 then match dequeue t with Some v -> [ v ] | None -> []
+  else begin
+    let strict = ref 0 in
+    let items =
+      Nvm.Span.with_span (Nvm.Heap.spans t.heap) Dq.Instrumented.batch_label
+        (fun () ->
+          Nvm.Heap.with_batched_fences t.heap (fun () ->
+              let rec go n acc =
+                if n = 0 then List.rev acc
+                else
+                  match dequeue_strict t with
+                  | Some v ->
+                      incr strict;
+                      go (n - 1) (v :: acc)
+                  | None -> (
+                      match dequeue_buffered t with
+                      | Some v -> go (n - 1) (v :: acc)
+                      | None -> List.rev acc)
+              in
+              go max []))
+    in
+    lower_bound t !strict;
+    items
+  end

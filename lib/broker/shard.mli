@@ -1,7 +1,15 @@
 (** One shard: a durable queue instance on its own heap (its own
-    simulated DIMM) plus its volatile depth gauge.  The heap boundary is
-    the unit of persist statistics, fence-drain bandwidth sharing, crash
-    images and recovery. *)
+    simulated DIMM) plus its volatile counters — the depth gauge and the
+    strict tier's occupancy bound.  The heap boundary is the unit of
+    persist statistics, fence-drain bandwidth sharing, crash images and
+    recovery.
+
+    The strict-tier bound is an upper bound on the strict queue's item
+    count: every strict enqueue raises it first ({!enqueue},
+    {!enqueue_batch}), and a dequeue lowers it only after the removal's
+    persist is fenced.  Every enqueue onto the strict tier goes through
+    this module, so the bound is never below the tier's length; at
+    quiescence the two are equal. *)
 
 type t
 
@@ -22,12 +30,16 @@ val create_all :
 
 val id : t -> int
 val heap : t -> Nvm.Heap.t
-val queue : t -> Dq.Queue_intf.instance
 val gauge : t -> Backpressure.t
 
-val combiner : t -> Dq.Combining_q.t option
-(** The shard's combining front-end, when created with
-    [~combining:true] (combining statistics live there). *)
+val strict_bound : t -> int
+(** The strict tier's occupancy bound: never below the strict queue's
+    item count, and equal to it at quiescence. *)
+
+val combining_idle : t -> bool option
+(** [Some idle] when created with [~combining:true]: whether every
+    announce slot of the combining front-end is idle (a quiescent audit
+    for leaked announcements).  [None] without the front-end. *)
 
 val buffered : t -> Dq.Buffered_q.t option
 (** The shard's buffered-durability tier, when created with
@@ -41,14 +53,31 @@ val to_list : t -> int list
     use only.  A stream's items live in one tier, so per-stream FIFO
     survives the concatenation. *)
 
+val enqueue : t -> int -> unit
+(** Enqueue on the strict tier (through the combining front-end when
+    there is one), durable on return.  Raises the strict bound first.
+    Capacity must have been acquired by the caller. *)
+
 val dequeue : t -> int option
 (** Consume: strict tier first, then the buffered tier (the [to_list]
-    order). *)
+    order).  The strict queue is probed only while the strict bound is
+    positive.  At 0 every dequeue that emptied the tier has returned
+    having persisted its head index, so the skipped failing dequeue would
+    persist nothing new: an empty strict tier costs no movnti and no
+    fence.  A buffered dequeue costs no fence either. *)
 
 val recover : t -> unit
 (** Both tiers' recovery, single-threaded: the strict queue's own
     procedure, then the buffered tier's journal replay — exactly the
-    synced floor; the unsynced tail is dropped as a unit. *)
+    synced floor; the unsynced tail is dropped as a unit.  Until
+    {!reseat} follows, the strict bound is left high, so every dequeue
+    probes the strict tier. *)
+
+val reseat : t -> int list
+(** Re-seat the volatile counters from the tiers' contents — the depth
+    gauge from both tiers, the strict bound from the strict tier — and
+    return the contents in [to_list] order.  Quiescent use only: after
+    recovery, or when a quarantined shard is re-admitted. *)
 
 val sync : t -> unit
 (** Group-commit the buffered tier and join its drain (no-op without
@@ -69,10 +98,14 @@ val occupancy : t -> Nvm.Stats.occupancy
     checkpoint compaction. *)
 
 val enqueue_batch : t -> int list -> unit
-(** Enqueue a batch under one closing fence
+(** Enqueue a batch on the strict tier under one closing fence
     ({!Nvm.Heap.with_batched_fences}): durability at batch granularity.
-    Capacity must have been acquired by the caller. *)
+    Raises the strict bound by the batch length first.  Capacity must
+    have been acquired by the caller. *)
 
 val dequeue_batch : t -> max:int -> int list
 (** Dequeue up to [max] items under one closing fence, in FIFO order;
-    stops early on empty.  Gauge release is the caller's. *)
+    stops early on empty, and returns [[]] without touching either tier
+    when [max <= 0].  The strict dequeues' fences are absorbed, so the
+    strict bound drops by the strict items taken only after the closing
+    fence.  Gauge release is the caller's. *)

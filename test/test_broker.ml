@@ -229,9 +229,8 @@ let test_crash_mid_batch () =
                                        ~stream:1)
   in
   let heap = Broker.Shard.heap victim in
-  let q = Broker.Shard.queue victim in
   Nvm.Heap.with_batched_fences heap (fun () ->
-      List.iter q.Dq.Queue_intf.enqueue pending;
+      List.iter (Broker.Shard.enqueue victim) pending;
       Nvm.Crash.crash ~policy:Nvm.Crash.Only_persisted heap);
   let report =
     Broker.Recovery.crash_and_recover ~policy:Nvm.Crash.Only_persisted
@@ -523,11 +522,8 @@ let test_quarantine_flapping () =
   (* Quiescent audit: no announce slot leaked across the flapping. *)
   Array.iter
     (fun sh ->
-      match Broker.Shard.combiner sh with
-      | Some c ->
-          Alcotest.(check bool) "combining slots all idle" true
-            (Dq.Combining_q.idle_slots c)
-      | None -> Alcotest.fail "combining front-end missing")
+      Alcotest.(check (option bool)) "combining slots all idle" (Some true)
+        (Broker.Shard.combining_idle sh))
     (Broker.Service.shards service);
   (* Conservation and order: every accepted item is still there, FIFO
      per stream. *)
@@ -544,6 +540,408 @@ let test_quarantine_flapping () =
            (fun v -> Spec.Durable_check.producer_of v = stream)
            contents.(Broker.Service.shard_of_stream service ~stream)))
     live
+
+(* -- consumer fence budget ---------------------------------------------------- *)
+
+let accept what v =
+  if v <> Broker.Backpressure.Accepted then
+    Alcotest.failf "%s: %s" what (Broker.Backpressure.verdict_name v)
+
+let service_fences service =
+  Array.fold_left
+    (fun acc s ->
+      acc
+      + (Nvm.Stats.total (Nvm.Heap.stats (Broker.Shard.heap s)))
+          .Nvm.Stats.fences)
+    0 (Broker.Service.shards service)
+
+let fences_during service f =
+  let f0 = service_fences service in
+  f ();
+  service_fences service - f0
+
+let publish service ~stream n =
+  for seq = 1 to n do
+    accept "publish"
+      (Broker.Service.enqueue service ~stream (enc ~producer:stream ~seq))
+  done
+
+let consume service ~stream n =
+  for _ = 1 to n do
+    match Broker.Service.dequeue service ~stream with
+    | Broker.Service.Item _ -> ()
+    | _ -> Alcotest.fail "expected an item"
+  done
+
+(* Blocking fences a consumer pays.  A strict dequeue persists its
+   removal behind one fence; a buffered dequeue persists nothing, and
+   neither does a probe of a strict tier that every earlier emptying
+   dequeue has already persisted — so neither may fence. *)
+let test_consumer_fence_budget () =
+  fresh_tid ();
+  let leader =
+    Broker.Service.create ~shards:1 ~acks:Broker.Service.Acks_leader ()
+  in
+  publish leader ~stream:0 10;
+  Broker.Service.sync_all leader;
+  Alcotest.(check int) "10 buffered dequeues: no fence" 0
+    (fences_during leader (fun () -> consume leader ~stream:0 10));
+  fresh_tid ();
+  let strict = Broker.Service.create ~shards:1 () in
+  publish strict ~stream:0 10;
+  Alcotest.(check int) "10 strict dequeues: one fence each" 10
+    (fences_during strict (fun () -> consume strict ~stream:0 10));
+  Alcotest.(check int) "strict-only dequeue after a returned emptying one" 0
+    (fences_during strict (fun () ->
+         match Broker.Service.dequeue strict ~stream:0 with
+         | Broker.Service.Empty -> ()
+         | _ -> Alcotest.fail "expected Empty"));
+  fresh_tid ();
+  let empty = Broker.Service.create ~shards:2 ~buffered:true () in
+  Alcotest.(check int) "dequeue_any over two empty shards: no fence" 0
+    (fences_during empty (fun () ->
+         for _ = 1 to 4 do
+           match Broker.Service.dequeue_any empty with
+           | Broker.Service.Empty -> ()
+           | _ -> Alcotest.fail "expected Empty"
+         done))
+
+(* [max <= 0] asks for nothing: no item leaves either tier. *)
+let test_dequeue_batch_max_zero () =
+  fresh_tid ();
+  let service = Broker.Service.create ~shards:1 () in
+  publish service ~stream:0 2;
+  List.iter
+    (fun max ->
+      match Broker.Service.dequeue_batch service ~stream:0 ~max with
+      | Broker.Service.Items [] -> ()
+      | Broker.Service.Items l ->
+          Alcotest.failf "max:%d removed %d items" max (List.length l)
+      | Broker.Service.Busy_batch | Broker.Service.Unavailable_batch ->
+          Alcotest.fail "unexpected verdict")
+    [ 0; -1 ];
+  Alcotest.(check int) "depth" 2 (Broker.Service.total_depth service);
+  Alcotest.(check (list int)) "contents"
+    [ enc ~producer:0 ~seq:1; enc ~producer:0 ~seq:2 ]
+    (Broker.Service.to_lists service).(0)
+
+(* -- the empty-tier skip is crash-safe ---------------------------------------- *)
+
+type _ Effect.t += Power_cut : unit Effect.t
+
+(* Run [f] until it performs [Power_cut].  The continuation is dropped,
+   so the interrupted thread never runs another step — not even its
+   unwinders (the batch's closing fence among them).  Returns whether
+   the cut happened. *)
+let run_until_power_cut f =
+  Effect.Deep.match_with f ()
+    {
+      retc = (fun _ -> false);
+      exnc = raise;
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | Power_cut ->
+              Some (fun (_ : (a, bool) Effect.Deep.continuation) -> true)
+          | _ -> None);
+    }
+
+(* A batch takes the strict tier's last item x, and the power fails
+   before its closing fence: x's removal is not yet durable.  A second
+   consumer that meanwhile found the tier empty has returned, so its
+   empty verdict must survive the crash — x must not come back.  The
+   batch must therefore keep the bound positive until its closing fence,
+   so the second consumer probes and persists the head index itself. *)
+let test_skip_crash_safe_batch () =
+  fresh_tid ();
+  let service = Broker.Service.create ~shards:1 () in
+  let shard = (Broker.Service.shards service).(0) in
+  let heap = Broker.Shard.heap shard in
+  let x = enc ~producer:0 ~seq:1 in
+  accept "enqueue x" (Broker.Service.enqueue service ~stream:0 x);
+  let spans = Nvm.Heap.spans heap in
+  let dequeues () =
+    match Nvm.Span.find_aggregate spans Dq.Instrumented.deq_label with
+    | Some a -> a.Nvm.Span.count
+    | None -> 0
+  in
+  let d0 = dequeues () and cut = ref false in
+  (* Cut at the batch's first memory step after the dequeue that took x
+     returned: its next probe, or its closing fence. *)
+  Nvm.Heap.set_step_hook heap
+    (Some
+       (fun () ->
+         if (not !cut) && dequeues () > d0 then begin
+           cut := true;
+           Effect.perform Power_cut
+         end));
+  let stopped =
+    run_until_power_cut (fun () -> Broker.Shard.dequeue_batch shard ~max:2)
+  in
+  Nvm.Heap.set_step_hook heap None;
+  Alcotest.(check bool) "batch cut before its closing fence" true stopped;
+  Nvm.Tid.set (Nvm.Tid.get () + 1);
+  let second = Broker.Shard.dequeue shard in
+  Alcotest.(check (option int)) "second consumer finds the tier empty" None
+    second;
+  let report =
+    Broker.Recovery.crash_and_recover ~policy:Nvm.Crash.Only_persisted
+      ~domains:1 ~producer_of:Spec.Durable_check.producer_of service
+  in
+  Alcotest.(check bool) "report ok" true (Broker.Recovery.ok report);
+  Alcotest.(check (list int)) "x stays dequeued" []
+    (Broker.Shard.to_list shard);
+  Alcotest.(check int) "bound re-seated" 0 (Broker.Shard.strict_bound shard)
+
+(* Random sequential schedules on 2 two-tier shards against an exact
+   model, enqueueing singly and in batches.  Streams 0 and 1 publish at
+   acks=all-synced, 2 and 3 at acks=leader; Round_robin pins stream s to
+   shard s mod 2, so each shard holds one stream per tier.  Between
+   crashes every operation's outcome is exact: strict first, FIFO per
+   tier, [dequeue_any] sweeping from its rotating cursor.  A crash must
+   keep the strict tier exactly (no acknowledged item lost, no delivered
+   one back) and revert the buffered tier to some commit's snapshot no
+   older than the last sync.  At every quiescent point the strict bound
+   equals the strict tier's length. *)
+type tier_model = {
+  strict : int Queue.t;
+  mutable journal : int list;  (* buffered items since the last recovery *)
+  mutable consumed : int;  (* journal items dequeued *)
+  mutable synced_floor : int;  (* journal length at the last sync *)
+  mutable synced_consumed : int;
+}
+
+let strict_stream stream = stream < 2
+
+let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l)
+
+let take_model m =
+  if not (Queue.is_empty m.strict) then Some (Queue.pop m.strict)
+  else if m.consumed < List.length m.journal then begin
+    let v = List.nth m.journal m.consumed in
+    m.consumed <- m.consumed + 1;
+    Some v
+  end
+  else None
+
+let model_contents m =
+  List.of_seq (Queue.to_seq m.strict) @ drop m.consumed m.journal
+
+(* The recovered buffered tier is a commit's snapshot: the journal slice
+   [c, f) with c and f no older than the last sync and no newer than
+   now. *)
+let check_cut m recovered =
+  let n = List.length m.journal and k = List.length recovered in
+  let fits c =
+    c >= m.synced_consumed && c <= m.consumed
+    && c + k >= m.synced_floor && c + k <= n
+    && List.filteri (fun i _ -> i >= c && i < c + k) m.journal = recovered
+  in
+  List.exists fits (List.init (n + 1) Fun.id)
+
+let run_schedule ~seed ~steps =
+  fresh_tid ();
+  let rng = Random.State.make [| seed |] in
+  let service = Broker.Service.create ~shards:2 ~buffered:true () in
+  for stream = 0 to 3 do
+    ignore (Broker.Service.shard_of_stream service ~stream);
+    if not (strict_stream stream) then
+      Broker.Service.set_stream_acks service ~stream
+        Broker.Service.Acks_leader
+  done;
+  let models =
+    Array.init 2 (fun _ ->
+        {
+          strict = Queue.create ();
+          journal = [];
+          consumed = 0;
+          synced_floor = 0;
+          synced_consumed = 0;
+        })
+  in
+  let seqs = Array.make 4 0 and sweeps = ref 0 in
+  let shard_of stream = Broker.Service.shard_of_stream service ~stream in
+  let fail fmt = QCheck.Test.fail_reportf ("seed %d: " ^^ fmt) seed in
+  let expect what exp got =
+    if exp <> got then
+      fail "%s: expected [%s], got [%s]" what
+        (String.concat ";" (List.map string_of_int exp))
+        (String.concat ";" (List.map string_of_int got))
+  in
+  for step = 1 to steps do
+    let stream = Random.State.int rng 4 in
+    let m = models.(shard_of stream) in
+    (match Random.State.int rng 100 with
+    | r when r < 35 ->
+        let n = 1 + Random.State.int rng 3 in
+        let items =
+          List.init n (fun i ->
+              enc ~producer:stream ~seq:(seqs.(stream) + 1 + i))
+        in
+        seqs.(stream) <- seqs.(stream) + n;
+        (match items with
+        | [ v ] -> accept "enqueue" (Broker.Service.enqueue service ~stream v)
+        | _ ->
+            let k, v = Broker.Service.enqueue_batch service ~stream items in
+            accept "enqueue_batch" v;
+            if k <> n then fail "enqueue_batch took %d of %d" k n);
+        if strict_stream stream then
+          List.iter (fun v -> Queue.push v m.strict) items
+        else m.journal <- m.journal @ items
+    | r when r < 55 ->
+        let got =
+          match Broker.Service.dequeue service ~stream with
+          | Broker.Service.Item v -> [ v ]
+          | _ -> []
+        in
+        expect "dequeue" (Option.to_list (take_model m)) got
+    | r when r < 70 ->
+        let max = Random.State.int rng 6 - 1 in
+        let exp =
+          List.filter_map take_model (List.init (Int.max max 0) (fun _ -> m))
+        in
+        let got =
+          match Broker.Service.dequeue_batch service ~stream ~max with
+          | Broker.Service.Items l -> l
+          | _ -> fail "dequeue_batch refused"
+        in
+        expect (Printf.sprintf "dequeue_batch ~max:%d" max) exp got
+    | r when r < 80 ->
+        let start = !sweeps in
+        incr sweeps;
+        let exp =
+          List.find_map
+            (fun i -> take_model models.((start + i) mod 2))
+            [ 0; 1 ]
+        in
+        let got =
+          match Broker.Service.dequeue_any service with
+          | Broker.Service.Item v -> [ v ]
+          | _ -> []
+        in
+        expect "dequeue_any" (Option.to_list exp) got
+    | r when r < 90 ->
+        Broker.Service.sync_all service;
+        Array.iter
+          (fun m ->
+            m.synced_floor <- List.length m.journal;
+            m.synced_consumed <- m.consumed)
+          models
+    | _ ->
+        let policy =
+          if Random.State.bool rng then Nvm.Crash.Only_persisted
+          else Nvm.Crash.Random_evictions
+        in
+        let report =
+          Broker.Recovery.crash_and_recover
+            ~rng:(Random.State.make [| seed; step |])
+            ~policy ~domains:1 ~producer_of:Spec.Durable_check.producer_of
+            service
+        in
+        if not (Broker.Recovery.ok report) then
+          fail "step %d: recovery check failed" step;
+        Array.iteri
+          (fun i sh ->
+            let m = models.(i) in
+            let contents = Broker.Shard.to_list sh in
+            (match
+               Spec.Durable_check.check_producer_order "recovered" contents
+             with
+            | Ok () -> ()
+            | Error e -> fail "step %d: %s" step e);
+            let strict, buffered =
+              List.partition
+                (fun v -> strict_stream (Spec.Durable_check.producer_of v))
+                contents
+            in
+            expect "tier order" (strict @ buffered) contents;
+            expect
+              (Printf.sprintf "step %d: shard %d strict tier after %s" step i
+                 (Nvm.Crash.policy_name policy))
+              (List.of_seq (Queue.to_seq m.strict))
+              strict;
+            if not (check_cut m buffered) then
+              fail "step %d: shard %d buffered tier is no synced snapshot"
+                step i;
+            m.journal <- buffered;
+            m.consumed <- 0;
+            m.synced_floor <- List.length buffered;
+            m.synced_consumed <- 0)
+          (Broker.Service.shards service));
+    Array.iteri
+      (fun i sh ->
+        let m = models.(i) in
+        expect (Printf.sprintf "step %d: shard %d contents" step i)
+          (model_contents m) (Broker.Shard.to_list sh);
+        if Broker.Shard.strict_bound sh <> Queue.length m.strict then
+          fail "step %d: shard %d bound %d, strict tier %d" step i
+            (Broker.Shard.strict_bound sh) (Queue.length m.strict))
+      (Broker.Service.shards service)
+  done;
+  true
+
+let prop_bound_schedules =
+  QCheck.Test.make ~count:60
+    ~name:"random two-tier schedules with crashes keep the strict bound exact"
+    QCheck.(
+      make
+        ~print:(fun (seed, steps) ->
+          Printf.sprintf "seed=%d steps=%d" seed steps)
+        Gen.(pair (int_bound 100_000) (int_range 10 60)))
+    (fun (seed, steps) -> run_schedule ~seed ~steps)
+
+(* A quarantined shard keeps its strict items; once re-admitted (after a
+   drill alone, and after a crash recovered while it was fenced off) it
+   must deliver them, strict tier first. *)
+let test_readmit_delivers_strict () =
+  fresh_tid ();
+  let service = Broker.Service.create ~shards:2 ~buffered:true () in
+  ignore (Broker.Service.shard_of_stream service ~stream:0);
+  ignore (Broker.Service.shard_of_stream service ~stream:1);
+  Broker.Service.set_stream_acks service ~stream:2 Broker.Service.Acks_leader;
+  let victim = Broker.Service.shard_of_stream service ~stream:0 in
+  Alcotest.(check int) "leader stream shares the shard" victim
+    (Broker.Service.shard_of_stream service ~stream:2);
+  publish service ~stream:2 3;
+  publish service ~stream:0 6;
+  Broker.Service.sync_all service;
+  consume service ~stream:0 2;
+  let readmit () =
+    match
+      Broker.Supervisor.readmit ~producer_of:Spec.Durable_check.producer_of
+        service ~shard:victim
+    with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "readmit failed: %s" e
+  in
+  let deliver what seqs =
+    List.iter
+      (fun seq ->
+        match Broker.Service.dequeue service ~stream:0 with
+        | Broker.Service.Item v ->
+            Alcotest.(check int) what (enc ~producer:0 ~seq) v
+        | _ -> Alcotest.failf "%s: seq %d not delivered" what seq)
+      seqs
+  in
+  Broker.Supervisor.force_quarantine service ~shard:victim ~reason:"drill";
+  readmit ();
+  deliver "after a drill" [ 3; 4 ];
+  Broker.Supervisor.force_quarantine service ~shard:victim ~reason:"again";
+  let report =
+    Broker.Recovery.crash_and_recover ~policy:Nvm.Crash.Only_persisted
+      ~domains:1 ~producer_of:Spec.Durable_check.producer_of service
+  in
+  Alcotest.(check bool) "report ok" true (Broker.Recovery.ok report);
+  Alcotest.(check bool) "still quarantined" true
+    (Broker.Service.shard_quarantined service ~shard:victim);
+  readmit ();
+  let shard = (Broker.Service.shards service).(victim) in
+  Alcotest.(check int) "bound re-seated" 2 (Broker.Shard.strict_bound shard);
+  deliver "after a crash" [ 5; 6 ];
+  match Broker.Service.dequeue service ~stream:0 with
+  | Broker.Service.Item v ->
+      Alcotest.(check int) "then the buffered tier" (enc ~producer:2 ~seq:1) v
+  | _ -> Alcotest.fail "buffered items stranded"
 
 (* -- sharded harness runner ---------------------------------------------------- *)
 
@@ -616,6 +1014,20 @@ let () =
             test_supervisor_quarantine_readmit;
           Alcotest.test_case "flapping under live combining load" `Slow
             test_quarantine_flapping;
+        ] );
+      ( "consumer",
+        [
+          Alcotest.test_case "fence budget" `Quick test_consumer_fence_budget;
+          Alcotest.test_case "dequeue_batch ~max:0 removes nothing" `Quick
+            test_dequeue_batch_max_zero;
+        ] );
+      ( "empty-skip",
+        [
+          Alcotest.test_case "batch cut before its closing fence" `Quick
+            test_skip_crash_safe_batch;
+          QCheck_alcotest.to_alcotest prop_bound_schedules;
+          Alcotest.test_case "readmitted shard delivers strict items" `Quick
+            test_readmit_delivers_strict;
         ] );
       ( "harness",
         [
