@@ -22,9 +22,10 @@
      backlogs turn into collapse.
 
    Demotion is one-way while traffic flows: moving a stream back to the
-   strict tier reorders it against its undrained buffered suffix, so
-   restoration is an explicit quiescent-point call
-   ([restore_demoted]) — the storm makes it between cycles.
+   strict tier reorders it against whatever of it the shard's buffered
+   tier still holds, synced or not, so restoration is an explicit call
+   ([restore_demoted]) that is safe only once that tier is drained.  No
+   broker path makes it; the storm keeps its demotions.
 
    One mutex guards the buckets, counters and demotion table.  The
    serialization is deliberate: admission decisions are a few dozen
@@ -158,14 +159,13 @@ let tenant_config t ~tenant =
 (* -- Watermarks -------------------------------------------------------------- *)
 
 (* Read the target shard's congestion state.  Depth comes from the
-   backpressure gauge (bound included); lag from the buffered tier.
+   shard's depth gauge (bound included); lag from the buffered tier.
    Lock-free reads of monotonic-ish counters: a slightly stale level is
    fine — watermarks are thresholds, not invariants. *)
 let shard_level t ~shard =
   let sh = (Service.shards t.svc).(shard) in
-  let g = Shard.gauge sh in
   let frac =
-    float_of_int (Backpressure.depth g) /. float_of_int (Backpressure.bound g)
+    float_of_int (Shard.depth sh) /. float_of_int (Shard.depth_bound sh)
   in
   let lag = Shard.durability_lag sh in
   if frac >= t.wm.red_depth || lag >= t.wm.red_lag then Red
@@ -177,8 +177,7 @@ let stream_level t ~stream =
 
 let red_reason t ~shard =
   let sh = (Service.shards t.svc).(shard) in
-  let g = Shard.gauge sh in
-  let depth = Backpressure.depth g and bound = Backpressure.bound g in
+  let depth = Shard.depth sh and bound = Shard.depth_bound sh in
   let lag = Shard.durability_lag sh in
   if lag >= t.wm.red_lag then
     Printf.sprintf "shard %d durability lag %d >= %d" shard lag t.wm.red_lag
@@ -215,8 +214,7 @@ let refund_locked s n =
 (* The demotion a yellow watermark buys: an all-synced tenant's stream
    moves onto the buffered leader tier — group commits instead of a
    full drain per op, durability lag bounded by the watermark.  One-way
-   under live traffic (see the header comment); [restore_demoted]
-   lifts it at quiescence. *)
+   under live traffic (see the header comment). *)
 let demote_locked t ~stream ~requested =
   if Hashtbl.mem t.demoted stream then Service.Acks_leader
   else begin
@@ -346,7 +344,8 @@ let enqueue_batch t ~tenant ~stream ?arrival items =
                   (n, Shed Quota_exceeded)
               | Backpressure.Accepted -> (n, Admitted effective)
               | v ->
-                  s.rejected <- s.rejected + (want - n);
+                  s.shed_quota <- s.shed_quota + (want - granted);
+                  s.rejected <- s.rejected + (granted - n);
                   (n, Rejected v))
 
 let enqueue t ~tenant ~stream ?arrival item =

@@ -111,7 +111,10 @@ val enqueue_batch :
 (** Batched admission: (items enqueued, decision).  Quota is granted as
     a prefix — with [k] tokens left, the first [k] items are admitted
     and the remainder reports [Shed Quota_exceeded]; service-side
-    partial acceptance refunds the unused tokens. *)
+    partial acceptance refunds the unused tokens.  The items the quota
+    turned away count as [a_shed_quota] whatever the service then does
+    with the prefix; only prefix items it refuses count as
+    [a_rejected]. *)
 
 val demoted_streams : t -> int list
 (** Streams currently demoted below their tenant's requested level,
@@ -119,10 +122,12 @@ val demoted_streams : t -> int list
 
 val restore_demoted : t -> int list
 (** Lift every demotion, restoring each stream's requested acks level,
-    and return the restored streams.  Quiescent use only: moving a live
-    stream back to the strict tier reorders it against its undrained
-    buffered suffix (see {!Service.set_stream_acks}), so call this at a
-    drained/synced point — the storm does it between cycles. *)
+    and return the restored streams.  Safe only once each restored
+    stream's shard has drained its buffered tier: a synced tier is not
+    enough, since moving a stream back to the strict tier reorders it
+    against whatever of it the buffered tier still holds (see
+    {!Service.set_stream_acks}).  No broker path calls it; the storm
+    keeps its demotions. *)
 
 (** {1 Accounting} *)
 

@@ -1,11 +1,12 @@
 (* Bounded-depth backpressure.
 
    Each shard carries a depth gauge: an approximate count of items
-   resident in its queue.  Enqueues acquire room before touching the
-   queue; dequeues release it after removing an item.  The gauge is
-   volatile and advisory — it bounds memory growth and surfaces overload
-   to callers, it is not part of the durability story (after a crash the
-   orchestrator re-seats it from the recovered queue lengths).
+   resident in its queue.  {!Shard} is its only user: enqueues acquire
+   room before touching the queue; dequeues release it after removing
+   an item.  The gauge is volatile and advisory — it bounds memory
+   growth and surfaces overload to callers, it is not part of the
+   durability story (after a crash the shard re-seats it from the
+   recovered queue lengths).
 
    Callers see the verdict:
 

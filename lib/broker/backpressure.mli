@@ -31,4 +31,4 @@ val release : t -> int -> unit
 (** Return room for [n] items (dequeues, or failed enqueue rollback). *)
 
 val reset : t -> depth:int -> unit
-(** Re-seat the gauge (recovery orchestrator). *)
+(** Re-seat the gauge ({!Shard.recover}, {!Shard.reseat}). *)

@@ -165,11 +165,7 @@ let crash_and_recover ?rng ?(policy = Nvm.Crash.Random_evictions)
               in
               let r1 = Unix.gettimeofday () in
               let contents =
-                match check with
-                | Ok () -> Shard.reseat shard
-                | Error _ ->
-                    Backpressure.reset (Shard.gauge shard) ~depth:0;
-                    []
+                match check with Ok () -> Shard.reseat shard | Error _ -> []
               in
               let check =
                 match check with

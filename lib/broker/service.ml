@@ -5,23 +5,25 @@
 
    - routing: a stream id (producer id / partition key) is pinned to one
      shard ({!Routing}), preserving per-producer FIFO order;
+   - one gate: every per-stream operation checks Serving and the
+     stream's shard quarantine once, then makes one {!Shard} call;
    - batching: [enqueue_batch]/[dequeue_batch] amortize the queue's
      one-fence-per-operation persist cost to one fence per batch per
      shard ({!Nvm.Heap.with_batched_fences});
-   - backpressure: per-shard bounded depth with caller-visible
-     {!Backpressure.verdict}s — [Overflow] at the bound, [Retry] while a
-     crash recovery is in progress;
+   - backpressure: per-shard bounded depth, kept by {!Shard}, with
+     caller-visible {!Backpressure.verdict}s — [Overflow] at the bound,
+     [Retry] while a crash recovery is in progress;
    - recovery: {!Recovery.crash_and_recover} quiesces the service,
      snapshots every shard's NVM image and re-runs all shard recovery
      procedures in parallel, validating each ({!Recovery});
-   - durability levels: each stream publishes at an acks level mapping
-     onto one of two queue tiers per shard — acks=all-synced onto the
-     strict queue (durable before the enqueue returns, today's
-     default), acks=none/leader onto the buffered group-commit tier
-     ({!Dq.Buffered_q}), leader additionally joining the drain of any
-     commit its enqueue trips (bounded durability lag, producer paced
-     to the device) where none is fire-and-forget until [sync_stream]/
-     [sync_all].
+   - durability levels: each stream publishes at an acks level, which
+     {!Shard.enqueue} maps onto one of two queue tiers per shard —
+     acks=all-synced onto the strict queue (durable before the enqueue
+     returns, today's default), acks=none/leader onto the buffered
+     group-commit tier ({!Dq.Buffered_q}), leader additionally joining
+     the drain of any commit its enqueue trips (bounded durability lag,
+     producer paced to the device) where none is fire-and-forget until
+     [sync_stream]/[sync_all].
 
    Durable linearizability composes: each shard is durably linearizable
    on its own heap, shards share no NVM state, and every stream's
@@ -32,13 +34,7 @@
 
 type state = Serving | Recovering
 
-(* Per-stream durability level: what an accepted enqueue promises. *)
-type acks =
-  | Acks_none  (* buffered tier, fire-and-forget: durable at the next
-                  watermark commit or explicit sync *)
-  | Acks_leader  (* buffered tier, commit drains joined: durability lag
-                    bounded by the watermark *)
-  | Acks_all_synced  (* strict tier: durable before the call returns *)
+type acks = Shard.acks = Acks_none | Acks_leader | Acks_all_synced
 
 let acks_name = function
   | Acks_none -> "none"
@@ -156,23 +152,6 @@ let set_stream_acks t ~stream level =
   else Hashtbl.replace t.stream_acks stream level;
   Mutex.unlock t.acks_mu
 
-(* Route one item onto the shard tier its level names.  Returns [false]
-   when the buffered journal is full (the caller releases its gauge
-   grant and reports Overflow).  A weak level without a tier degrades to
-   the strict queue — strictly more durable than promised, never
-   less (unreachable through the public API: [create] and
-   [set_stream_acks] both validate tier presence). *)
-let tier_enqueue shard level item =
-  match level with
-  | Acks_all_synced -> Shard.enqueue shard item; true
-  | (Acks_none | Acks_leader) as level -> (
-      match Shard.buffered shard with
-      | None -> Shard.enqueue shard item; true
-      | Some b -> (
-          try
-            Dq.Buffered_q.enqueue ~join:(level = Acks_leader) b item;
-            true
-          with Dq.Buffered_q.Journal_full -> false))
 let offsets t = t.offsets
 let shard_count t = Array.length t.shards
 let shards t = t.shards
@@ -211,40 +190,44 @@ let quarantined_shards t =
   |> List.mapi (fun i q -> (i, Atomic.get q))
   |> List.filter_map (fun (i, q) -> if q = None then None else Some i)
 
-(* -- Single operations ----------------------------------------------------- *)
+(* -- The gate ---------------------------------------------------------------- *)
 
-let enqueue t ~stream item : Backpressure.verdict =
-  if not (serving t) then Backpressure.Retry
-  else begin
+(* Every per-stream operation passes here first: [Retry] while
+   recovering, [Unavailable] when the stream's shard is quarantined,
+   else the shard's index. *)
+let gate t ~stream : (int, Backpressure.verdict) result =
+  if not (serving t) then Error Backpressure.Retry
+  else
     let s = Routing.shard_for t.routing ~stream in
-    if Atomic.get t.quarantined.(s) <> None then Backpressure.Unavailable
-    else begin
-      let shard = t.shards.(s) in
-      if Backpressure.try_acquire (Shard.gauge shard) 1 = 0 then
-        Backpressure.Overflow
-      else if tier_enqueue shard (acks_for t ~stream) item then
-        Backpressure.Accepted
-      else begin
-        Backpressure.release (Shard.gauge shard) 1;
-        Backpressure.Overflow
-      end
-    end
-  end
+    if Atomic.get t.quarantined.(s) <> None then Error Backpressure.Unavailable
+    else Ok s
+
+(* -- Enqueue ----------------------------------------------------------------- *)
+
+(* The accepted prefix is enqueued in stream order on the stream's shard
+   ({!Shard.enqueue} takes the room and picks the tier); the rest is
+   reported via the verdict. *)
+let enqueue_batch t ~stream items : int * Backpressure.verdict =
+  match gate t ~stream with
+  | Error v -> (0, v)
+  | Ok s ->
+      let k = Shard.enqueue t.shards.(s) ~acks:(acks_for t ~stream) items in
+      ( k,
+        if k = List.length items then Backpressure.Accepted
+        else Backpressure.Overflow )
+
+let enqueue t ~stream item = snd (enqueue_batch t ~stream [ item ])
+
+(* -- Dequeue ----------------------------------------------------------------- *)
 
 type deq_result = Item of int | Empty | Busy | Unavailable
 
 let dequeue t ~stream : deq_result =
-  if not (serving t) then Busy
-  else
-    let s = Routing.shard_for t.routing ~stream in
-    if Atomic.get t.quarantined.(s) <> None then Unavailable
-    else
-      let shard = t.shards.(s) in
-      match Shard.dequeue shard with
-      | Some v ->
-          Backpressure.release (Shard.gauge shard) 1;
-          Item v
-      | None -> Empty
+  match gate t ~stream with
+  | Error Backpressure.Retry -> Busy
+  | Error _ -> Unavailable
+  | Ok s -> (
+      match Shard.dequeue t.shards.(s) with Some v -> Item v | None -> Empty)
 
 (* Consume from any shard: sweep from a rotating cursor so concurrent
    consumers spread over the shards instead of convoying on shard 0.
@@ -260,11 +243,8 @@ let dequeue_any t : deq_result =
         let si = (start + i) mod n in
         if Atomic.get t.quarantined.(si) <> None then sweep (i + 1)
         else
-          let shard = t.shards.(si) in
-          match Shard.dequeue shard with
-          | Some v ->
-              Backpressure.release (Shard.gauge shard) 1;
-              Item v
+          match Shard.dequeue t.shards.(si) with
+          | Some v -> Item v
           | None -> sweep (i + 1)
     in
     sweep 0
@@ -304,30 +284,18 @@ type once_result = Enqueued | Duplicate | Rejected of Backpressure.verdict
 
 let enqueue_once t ~stream item : once_result =
   let off = require_offsets t "enqueue_once" in
-  if not (serving t) then Rejected Backpressure.Retry
-  else begin
-    let s = Routing.shard_for t.routing ~stream in
-    if Atomic.get t.quarantined.(s) <> None then
-      Rejected Backpressure.Unavailable
-    else begin
+  match gate t ~stream with
+  | Error v -> Rejected v
+  | Ok s ->
       let producer = Spec.Durable_check.producer_of item in
       let seq = Spec.Durable_check.seq_of item in
       if seq <= Offsets.last_published off ~shard:s ~producer then Duplicate
+      else if Shard.enqueue t.shards.(s) ~acks:(acks_for t ~stream) [ item ] = 0
+      then Rejected Backpressure.Overflow
       else begin
-        let shard = t.shards.(s) in
-        if Backpressure.try_acquire (Shard.gauge shard) 1 = 0 then
-          Rejected Backpressure.Overflow
-        else if tier_enqueue shard (acks_for t ~stream) item then begin
-          Offsets.record_published off ~shard:s ~producer ~seq;
-          Enqueued
-        end
-        else begin
-          Backpressure.release (Shard.gauge shard) 1;
-          Rejected Backpressure.Overflow
-        end
+        Offsets.record_published off ~shard:s ~producer ~seq;
+        Enqueued
       end
-    end
-  end
 
 (* Deliver the stream's next uncommitted item to [group], advancing the
    group's durable commit offset before returning it.  Queue-level
@@ -351,162 +319,15 @@ let rec dequeue_committed t ~stream ~group : deq_result =
       end
   | other -> other
 
-(* -- Batched operations ----------------------------------------------------- *)
-
-(* Append [(value, join)] pairs to the buffered tier one by one — the
-   journal's watermark commit is the batch amortization, so no fence
-   scope is needed.  Returns the count actually appended; Journal_full
-   stops the list (the caller releases the unused gauge grant). *)
-let buffered_append b items =
-  let appended = ref 0 in
-  (try
-     List.iter
-       (fun (v, join) ->
-         Dq.Buffered_q.enqueue ~join b v;
-         incr appended)
-       items
-   with Dq.Buffered_q.Journal_full -> ());
-  !appended
-
-(* Enqueue a stream's batch on its shard with the fence cost amortized to
-   one per call.  Capacity is acquired up front for as much of the batch
-   as fits: the accepted prefix is enqueued (preserving stream order),
-   the rest is reported via the verdict. *)
-let enqueue_batch t ~stream items : int * Backpressure.verdict =
-  if not (serving t) then (0, Backpressure.Retry)
-  else
-    let s = Routing.shard_for t.routing ~stream in
-    if Atomic.get t.quarantined.(s) <> None then (0, Backpressure.Unavailable)
-    else
-    match items with
-    | [] -> (0, Backpressure.Accepted)
-    | [ item ] ->
-        (* Singleton fast path: no counting or prefix split — an unbatched
-           producer stream hits this on every operation. *)
-        let shard = t.shards.(s) in
-        if Backpressure.try_acquire (Shard.gauge shard) 1 = 0 then
-          (0, Backpressure.Overflow)
-        else if tier_enqueue shard (acks_for t ~stream) item then
-          (1, Backpressure.Accepted)
-        else begin
-          Backpressure.release (Shard.gauge shard) 1;
-          (0, Backpressure.Overflow)
-        end
-    | items ->
-        let n = List.length items in
-        let shard = t.shards.(s) in
-        let granted = Backpressure.try_acquire (Shard.gauge shard) n in
-        if granted = 0 then (0, Backpressure.Overflow)
-        else begin
-          let accepted =
-            if granted = n then items
-            else List.filteri (fun i _ -> i < granted) items
-          in
-          let enqueued =
-            match acks_for t ~stream with
-            | Acks_all_synced ->
-                Shard.enqueue_batch shard accepted;
-                granted
-            | (Acks_none | Acks_leader) as level -> (
-                match Shard.buffered shard with
-                | None ->
-                    Shard.enqueue_batch shard accepted;
-                    granted
-                | Some b ->
-                    buffered_append b
-                      (List.map
-                         (fun v -> (v, level = Acks_leader))
-                         accepted))
-          in
-          if enqueued < granted then
-            Backpressure.release (Shard.gauge shard) (granted - enqueued);
-          ( enqueued,
-            if enqueued = n then Backpressure.Accepted
-            else Backpressure.Overflow )
-        end
-
-(* Enqueue (stream, item) pairs, grouped so each shard sees one batch
-   under one closing fence.  Relative order is preserved within each
-   stream (a stream's items all land on its one shard, in list order). *)
-let enqueue_batch_keyed t pairs : int * Backpressure.verdict =
-  if not (serving t) then (0, Backpressure.Retry)
-  else begin
-    let n = Array.length t.shards in
-    let groups = Array.make n [] in
-    List.iter
-      (fun (stream, item) ->
-        let s = Routing.shard_for t.routing ~stream in
-        groups.(s) <- (item, acks_for t ~stream) :: groups.(s))
-      pairs;
-    let accepted = ref 0 and overflowed = ref false and unavailable = ref false in
-    Array.iteri
-      (fun s items ->
-        match List.rev items with
-        | [] -> ()
-        | items ->
-            if Atomic.get t.quarantined.(s) <> None then unavailable := true
-            else begin
-              let shard = t.shards.(s) in
-              let want = List.length items in
-              let granted = Backpressure.try_acquire (Shard.gauge shard) want in
-              if granted < want then overflowed := true;
-              if granted > 0 then begin
-                let taken = List.filteri (fun i _ -> i < granted) items in
-                (* Split the accepted prefix by tier.  A stream's items
-                   all carry one level, so per-stream order survives the
-                   split even though the tiers interleave globally. *)
-                let buffered = Shard.buffered shard in
-                let strict =
-                  match buffered with
-                  | None -> List.map fst taken
-                  | Some _ ->
-                      List.filter_map
-                        (fun (v, l) ->
-                          if l = Acks_all_synced then Some v else None)
-                        taken
-                in
-                if strict <> [] then Shard.enqueue_batch shard strict;
-                let weak_done =
-                  match buffered with
-                  | None -> 0
-                  | Some b ->
-                      buffered_append b
-                        (List.filter_map
-                           (fun (v, l) ->
-                             match l with
-                             | Acks_all_synced -> None
-                             | l -> Some (v, l = Acks_leader))
-                           taken)
-                in
-                let enqueued = List.length strict + weak_done in
-                if enqueued < granted then begin
-                  overflowed := true;
-                  Backpressure.release (Shard.gauge shard) (granted - enqueued)
-                end;
-                accepted := !accepted + enqueued
-              end
-            end)
-      groups;
-    ( !accepted,
-      if !unavailable then Backpressure.Unavailable
-      else if !overflowed then Backpressure.Overflow
-      else Backpressure.Accepted )
-  end
+(* -- Batched dequeue --------------------------------------------------------- *)
 
 type deq_batch = Items of int list | Busy_batch | Unavailable_batch
 
 let dequeue_batch t ~stream ~max : deq_batch =
-  if not (serving t) then Busy_batch
-  else begin
-    let s = Routing.shard_for t.routing ~stream in
-    if Atomic.get t.quarantined.(s) <> None then Unavailable_batch
-    else begin
-      let shard = t.shards.(s) in
-      let items = Shard.dequeue_batch shard ~max in
-      Backpressure.release (Shard.gauge shard) (List.length items);
-      Items items
-    end
-  end
+  match gate t ~stream with
+  | Error Backpressure.Retry -> Busy_batch
+  | Error _ -> Unavailable_batch
+  | Ok s -> Items (Shard.dequeue_batch t.shards.(s) ~max)
 
 (* -- Sync boundaries --------------------------------------------------------- *)
 
@@ -515,14 +336,11 @@ let dequeue_batch t ~stream ~max : deq_batch =
    later crash.  No-ops (Accepted) for all-synced streams — their
    operations were durable at return. *)
 let sync_stream t ~stream : Backpressure.verdict =
-  if not (serving t) then Backpressure.Retry
-  else
-    let s = Routing.shard_for t.routing ~stream in
-    if Atomic.get t.quarantined.(s) <> None then Backpressure.Unavailable
-    else begin
+  match gate t ~stream with
+  | Error v -> v
+  | Ok s ->
       Shard.sync t.shards.(s);
       Backpressure.Accepted
-    end
 
 (* Commit every live shard's buffered tier; quarantined shards are
    skipped (their heaps wait for re-admission, like every other

@@ -4,6 +4,13 @@
     bounded-depth backpressure and orchestrated crash recovery
     ({!Recovery}).
 
+    The service owns routing, the one Serving/quarantine gate every
+    per-stream operation passes, per-stream acks levels and the
+    exactly-once offsets; past the gate each operation is one {!Shard}
+    call.  {!Shard} owns the depth gauge and the choice of tier, so
+    [enqueue], [enqueue_once] and [enqueue_batch] share one admission
+    path ({!Shard.enqueue}).
+
     Contract: per-stream durably-linearizable FIFO, at the stream's
     {e acks level}: all-synced streams are durable at operation return
     (strict durable linearizability), none/leader streams are buffered
@@ -16,15 +23,9 @@
 
 type state = Serving | Recovering
 
-(** Per-stream durability level: what an accepted enqueue promises. *)
-type acks =
-  | Acks_none
-      (** buffered tier, fire-and-forget: durable at the next watermark
-          commit or explicit sync *)
-  | Acks_leader
-      (** buffered tier, commit drains joined: durability lag bounded by
-          the group-commit watermark, producer paced to the device *)
-  | Acks_all_synced  (** strict tier: durable before the call returns *)
+(** Per-stream durability level: what an accepted enqueue promises
+    (see {!Shard.acks}). *)
+type acks = Shard.acks = Acks_none | Acks_leader | Acks_all_synced
 
 val acks_name : acks -> string
 (** ["none"] / ["leader"] / ["all-synced"] (the CLI vocabulary). *)
@@ -113,13 +114,15 @@ val quarantined_shards : t -> int list
 
 (** {1 Durability levels}
 
-    A stream's level picks the shard tier its enqueues land on; its
-    items live in exactly one tier, so per-stream FIFO is preserved.
-    Changing a live stream's level mid-run moves {e future} items to
-    the other tier while earlier ones drain from the old — cross-tier
-    FIFO between the two epochs is not preserved (the strict tier
-    always drains first).  Set levels before publishing, or quiesce the
-    stream around the change. *)
+    A stream's level picks the shard tier its enqueues land on
+    ({!Shard.enqueue}); its items live in exactly one tier, so per-stream
+    FIFO is preserved.  Changing a live stream's level mid-run moves
+    {e future} items to the other tier while earlier ones drain from the
+    old, and the strict tier always drains first.  A demotion (strict to
+    buffered) therefore keeps the stream's FIFO; a promotion (buffered to
+    strict) while the shard's buffered tier still holds the stream's
+    items reorders them — synced or not.  Set levels before publishing,
+    or promote only once the shard's buffered tier is drained. *)
 
 val stream_acks : t -> stream:int -> acks
 (** The stream's effective level (its override, else the default). *)
@@ -203,11 +206,8 @@ val dequeue_committed : t -> stream:int -> group:int -> deq_result
 
 val enqueue_batch : t -> stream:int -> int list -> int * Backpressure.verdict
 (** Returns (items accepted, verdict).  On [Overflow] the accepted
-    count is the prefix that fit the shard's depth bound. *)
-
-val enqueue_batch_keyed : t -> (int * int) list -> int * Backpressure.verdict
-(** [(stream, item)] pairs grouped into one batch (one fence) per shard;
-    within each stream, list order is preserved. *)
+    count is the prefix that fit the shard's depth bound and, on the
+    buffered tier, its journal. *)
 
 type deq_batch = Items of int list | Busy_batch | Unavailable_batch
 

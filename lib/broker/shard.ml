@@ -4,6 +4,8 @@
    statistics, fence-drain bandwidth sharing, crash images and recovery
    all stay per-shard. *)
 
+type acks = Acks_none | Acks_leader | Acks_all_synced
+
 type t = {
   id : int;
   heap : Nvm.Heap.t;
@@ -72,21 +74,78 @@ let create_all ~(entry : Dq.Registry.entry) ~n ~depth_bound ~mode ~latency
 
 let id t = t.id
 let heap t = t.heap
-let gauge t = t.gauge
 let strict_bound t = Atomic.get t.strict_bound
 let combining_idle t = Option.map Dq.Combining_q.idle_slots t.combiner
 let buffered t = t.buffered
 let depth t = Backpressure.depth t.gauge
+let depth_bound t = Backpressure.bound t.gauge
 
 let raise_bound t n = ignore (Atomic.fetch_and_add t.strict_bound n)
 let lower_bound t n = ignore (Atomic.fetch_and_add t.strict_bound (-n))
 
 (* Enqueue on the strict tier.  The bound is raised first, so a
-   concurrent [dequeue] that reads it after the item is linked cannot
-   skip the item. *)
-let enqueue t item =
-  raise_bound t 1;
-  t.queue.Dq.Queue_intf.enqueue item
+   concurrent [dequeue] that reads it after an item is linked cannot
+   skip the item.  One item keeps the plain per-op persist shape.  A
+   longer list costs one fence: the combiner announces it as one
+   operation and applies it under its pass's single fence (possibly
+   merged with other producers' announcements); without one, the
+   queue's per-op sfences are absorbed and one closing fence drains the
+   batch, inside a "batch" span that owns that fence while the op spans
+   inside it observe zero — the shape the per-op fence audit asserts. *)
+let enqueue_strict t items =
+  raise_bound t (List.length items);
+  match (t.combiner, items) with
+  | _, [ item ] -> t.queue.Dq.Queue_intf.enqueue item
+  | Some c, items -> Dq.Combining_q.enqueue_batch c items
+  | None, items ->
+      Nvm.Span.with_span (Nvm.Heap.spans t.heap) Dq.Instrumented.batch_label
+        (fun () ->
+          Nvm.Heap.with_batched_fences t.heap (fun () ->
+              List.iter t.queue.Dq.Queue_intf.enqueue items))
+
+(* Append to the buffered tier one by one — the journal's watermark
+   commit is the batch amortization, so no fence scope is needed.
+   Returns the count appended; a full journal stops the list. *)
+let enqueue_buffered b ~join items =
+  let rec go n = function
+    | [] -> n
+    | v :: rest -> (
+        match Dq.Buffered_q.enqueue ~join b v with
+        | () -> go (n + 1) rest
+        | exception Dq.Buffered_q.Journal_full -> n)
+  in
+  go 0 items
+
+(* The one place a level picks a tier, and the one place room is taken
+   from the gauge.  The tier is settled before any room is taken, so a
+   level the shard cannot serve raises with the gauge untouched.  The
+   granted prefix keeps the caller's order; what it could not place goes
+   back to the gauge. *)
+let enqueue t ~acks items =
+  let buffered =
+    match (acks, t.buffered) with
+    | Acks_all_synced, _ -> None
+    | (Acks_none | Acks_leader), (Some _ as b) -> b
+    | (Acks_none | Acks_leader), None ->
+        invalid_arg "Shard.enqueue: weak acks level without a buffered tier"
+  in
+  let n = List.length items in
+  let granted = Backpressure.try_acquire t.gauge n in
+  if granted = 0 then 0
+  else begin
+    let items =
+      if granted = n then items else List.filteri (fun i _ -> i < granted) items
+    in
+    let enqueued =
+      match buffered with
+      | None ->
+          enqueue_strict t items;
+          granted
+      | Some b -> enqueue_buffered b ~join:(acks = Acks_leader) items
+    in
+    Backpressure.release t.gauge (granted - enqueued);
+    enqueued
+  end
 
 let buffered_list t =
   match t.buffered with
@@ -117,20 +176,25 @@ let dequeue_buffered t =
    fenced its persist by the time it returns, so the bound drops at
    once. *)
 let dequeue t =
-  match dequeue_strict t with
-  | Some _ as r ->
-      lower_bound t 1;
-      r
-  | None -> dequeue_buffered t
+  let r =
+    match dequeue_strict t with
+    | Some _ as r ->
+        lower_bound t 1;
+        r
+    | None -> dequeue_buffered t
+  in
+  if Option.is_some r then Backpressure.release t.gauge 1;
+  r
 
 (* Both tiers' recovery procedures, single-threaded, in [to_list] order:
    the strict queue's own recovery, then the buffered tier's journal
    replay — which restores exactly the synced floor (the last issued
    commit's snapshot); the unsynced tail is gone as a unit. *)
 let recover t =
-  (* Until [reseat] counts the rebuilt tier, and for good if recovery
-     raises, every dequeue probes it. *)
+  (* Until [reseat] counts the rebuilt tiers, and for good if recovery
+     raises, every dequeue probes the strict tier and the gauge reads 0. *)
   Atomic.set t.strict_bound (max_int / 2);
+  Backpressure.reset t.gauge ~depth:0;
   t.queue.Dq.Queue_intf.recover ();
   Option.iter Dq.Buffered_q.recover t.buffered
 
@@ -158,30 +222,6 @@ let occupancy t = Nvm.Heap.occupancy t.heap
 
 let durability_lag t =
   match t.buffered with Some b -> Dq.Buffered_q.durability_lag b | None -> 0
-
-(* Enqueue [items] with the fence cost amortized across the batch: the
-   queue's per-operation sfences are absorbed and one closing fence
-   drains every flush the batch issued on this shard's heap.  Durability
-   is promised when the call returns, at batch granularity.  The whole
-   scope runs in a "batch" span, which therefore owns the single closing
-   fence while the op spans inside it observe zero — exactly the shape
-   the per-op fence audit asserts. *)
-let enqueue_batch t items =
-  match (t.combiner, items) with
-  | _, [] -> ()
-  | _, [ item ] -> enqueue t item
-  | Some c, items ->
-      (* The combiner owns batching: the whole list is announced as one
-         operation and applied under its combining pass's single fence
-         (possibly merged with other producers' announcements). *)
-      raise_bound t (List.length items);
-      Dq.Combining_q.enqueue_batch c items
-  | None, items ->
-      raise_bound t (List.length items);
-      Nvm.Span.with_span (Nvm.Heap.spans t.heap) Dq.Instrumented.batch_label
-        (fun () ->
-          Nvm.Heap.with_batched_fences t.heap (fun () ->
-              List.iter t.queue.Dq.Queue_intf.enqueue items))
 
 (* Dequeue up to [max] items under one closing fence; stops early on
    empty.  Items are returned in dequeue (FIFO) order.  The strict
@@ -213,5 +253,6 @@ let dequeue_batch t ~max =
               go max []))
     in
     lower_bound t !strict;
+    Backpressure.release t.gauge (List.length items);
     items
   end

@@ -4,12 +4,28 @@
     persist statistics, fence-drain bandwidth sharing, crash images and
     recovery.
 
+    This module is the one place an item is admitted and placed on a
+    tier: {!enqueue} takes room in the depth gauge for as much of a list
+    as the bound allows and puts that prefix on the tier the acks level
+    picks, {!dequeue} and {!dequeue_batch} give the room back, and
+    {!recover}/{!reseat} re-seat both counters.
+
     The strict-tier bound is an upper bound on the strict queue's item
-    count: every strict enqueue raises it first ({!enqueue},
-    {!enqueue_batch}), and a dequeue lowers it only after the removal's
-    persist is fenced.  Every enqueue onto the strict tier goes through
-    this module, so the bound is never below the tier's length; at
-    quiescence the two are equal. *)
+    count: every strict enqueue raises it first, and a dequeue lowers it
+    only after the removal's persist is fenced.  Every enqueue onto the
+    strict tier goes through {!enqueue}, so the bound is never below the
+    tier's length; at quiescence the two are equal. *)
+
+(** Per-stream durability level: what an accepted enqueue promises, and
+    so the tier it lands on. *)
+type acks =
+  | Acks_none
+      (** buffered tier, fire-and-forget: durable at the next watermark
+          commit or explicit sync *)
+  | Acks_leader
+      (** buffered tier, commit drains joined: durability lag bounded by
+          the group-commit watermark, producer paced to the device *)
+  | Acks_all_synced  (** strict tier: durable before the call returns *)
 
 type t
 
@@ -30,7 +46,6 @@ val create_all :
 
 val id : t -> int
 val heap : t -> Nvm.Heap.t
-val gauge : t -> Backpressure.t
 
 val strict_bound : t -> int
 (** The strict tier's occupancy bound: never below the strict queue's
@@ -47,31 +62,50 @@ val buffered : t -> Dq.Buffered_q.t option
     live there). *)
 
 val depth : t -> int
+(** Items admitted and not yet dequeued, over both tiers: a volatile,
+    advisory gauge, re-seated from the recovered contents by {!reseat}. *)
+
+val depth_bound : t -> int
+(** The gauge's bound: {!enqueue} admits nothing past it. *)
 
 val to_list : t -> int list
 (** Front-to-rear contents, strict tier then buffered mirror; quiescent
     use only.  A stream's items live in one tier, so per-stream FIFO
     survives the concatenation. *)
 
-val enqueue : t -> int -> unit
-(** Enqueue on the strict tier (through the combining front-end when
-    there is one), durable on return.  Raises the strict bound first.
-    Capacity must have been acquired by the caller. *)
+val enqueue : t -> acks:acks -> int list -> int
+(** Admit [items] and place them on the tier [acks] picks; returns how
+    many were enqueued, always a prefix of [items] (0 at the depth
+    bound).  Room is taken for as long a prefix as the bound allows, and
+    whatever of it goes unused is given back before the call returns.
+
+    - [Acks_all_synced]: the strict tier (through the combining
+      front-end when there is one), durable on return.  A single item is
+      a plain per-op enqueue; a longer prefix is one batch under one
+      closing fence ({!Nvm.Heap.with_batched_fences}, or the combiner's
+      pass).  The strict bound is raised by the prefix length first.
+    - [Acks_leader] / [Acks_none]: appended to the buffered tier one by
+      one, [Acks_leader] joining the drain of any commit an append
+      trips.  A full journal stops the list there.
+
+    Raises [Invalid_argument] for a weak level on a shard without the
+    buffered tier, before any room is taken. *)
 
 val dequeue : t -> int option
 (** Consume: strict tier first, then the buffered tier (the [to_list]
-    order).  The strict queue is probed only while the strict bound is
-    positive.  At 0 every dequeue that emptied the tier has returned
-    having persisted its head index, so the skipped failing dequeue would
-    persist nothing new: an empty strict tier costs no movnti and no
-    fence.  A buffered dequeue costs no fence either. *)
+    order), giving the item's room back to the depth gauge.  The strict
+    queue is probed only while the strict bound is positive.  At 0 every
+    dequeue that emptied the tier has returned having persisted its head
+    index, so the skipped failing dequeue would persist nothing new: an
+    empty strict tier costs no movnti and no fence.  A buffered dequeue
+    costs no fence either. *)
 
 val recover : t -> unit
 (** Both tiers' recovery, single-threaded: the strict queue's own
     procedure, then the buffered tier's journal replay — exactly the
     synced floor; the unsynced tail is dropped as a unit.  Until
-    {!reseat} follows, the strict bound is left high, so every dequeue
-    probes the strict tier. *)
+    {!reseat} follows, the depth gauge reads 0 and the strict bound is
+    left high, so every dequeue probes the strict tier. *)
 
 val reseat : t -> int list
 (** Re-seat the volatile counters from the tiers' contents — the depth
@@ -97,15 +131,9 @@ val occupancy : t -> Nvm.Stats.occupancy
 (** This shard heap's occupancy: regions and words live vs reclaimed by
     checkpoint compaction. *)
 
-val enqueue_batch : t -> int list -> unit
-(** Enqueue a batch on the strict tier under one closing fence
-    ({!Nvm.Heap.with_batched_fences}): durability at batch granularity.
-    Raises the strict bound by the batch length first.  Capacity must
-    have been acquired by the caller. *)
-
 val dequeue_batch : t -> max:int -> int list
 (** Dequeue up to [max] items under one closing fence, in FIFO order;
     stops early on empty, and returns [[]] without touching either tier
     when [max <= 0].  The strict dequeues' fences are absorbed, so the
     strict bound drops by the strict items taken only after the closing
-    fence.  Gauge release is the caller's. *)
+    fence; the items' room goes back to the depth gauge. *)

@@ -10,6 +10,10 @@ let fresh_tid () =
 
 let enc = Spec.Durable_check.encode
 
+let accept what v =
+  if v <> Broker.Backpressure.Accepted then
+    Alcotest.failf "%s: %s" what (Broker.Backpressure.verdict_name v)
+
 (* Fill [per_stream] items on each of [streams] streams, batched. *)
 let fill service ~streams ~per_stream ~batch =
   for stream = 0 to streams - 1 do
@@ -119,6 +123,142 @@ let test_retry_while_recovering () =
   Alcotest.(check bool) "serving again" true
     (Broker.Service.enqueue service ~stream:0 1 = Broker.Backpressure.Accepted)
 
+(* Every refusal leaves the depth gauge where it was.  Each operation
+   runs against a 1-shard service refusing it for one reason: mid-
+   recovery, quarantined, or at the depth bound (where dequeues are not
+   refused, so only the enqueue side and the sync boundary run). *)
+let outcome_of_deq = function
+  | Broker.Service.Item _ -> "item"
+  | Broker.Service.Empty -> "empty"
+  | Broker.Service.Busy -> "busy"
+  | Broker.Service.Unavailable -> "unavailable"
+
+let refusal_ops =
+  [
+    ( "enqueue",
+      fun svc ->
+        Broker.Backpressure.verdict_name
+          (Broker.Service.enqueue svc ~stream:0 (enc ~producer:0 ~seq:100)) );
+    ( "enqueue_batch",
+      fun svc ->
+        let n, v =
+          Broker.Service.enqueue_batch svc ~stream:0
+            [ enc ~producer:0 ~seq:100; enc ~producer:0 ~seq:101 ]
+        in
+        Printf.sprintf "%d %s" n (Broker.Backpressure.verdict_name v) );
+    ( "enqueue_once",
+      fun svc ->
+        match
+          Broker.Service.enqueue_once svc ~stream:0 (enc ~producer:0 ~seq:100)
+        with
+        | Broker.Service.Enqueued -> "enqueued"
+        | Broker.Service.Duplicate -> "duplicate"
+        | Broker.Service.Rejected v -> Broker.Backpressure.verdict_name v );
+    ("dequeue", fun svc -> outcome_of_deq (Broker.Service.dequeue svc ~stream:0));
+    ("dequeue_any", fun svc -> outcome_of_deq (Broker.Service.dequeue_any svc));
+    ( "dequeue_batch",
+      fun svc ->
+        match Broker.Service.dequeue_batch svc ~stream:0 ~max:4 with
+        | Broker.Service.Items l -> Printf.sprintf "%d items" (List.length l)
+        | Broker.Service.Busy_batch -> "busy"
+        | Broker.Service.Unavailable_batch -> "unavailable" );
+    ( "sync_stream",
+      fun svc ->
+        Broker.Backpressure.verdict_name
+          (Broker.Service.sync_stream svc ~stream:0) );
+  ]
+
+let test_refusals_keep_depth () =
+  let depth_bound = 4 in
+  let states =
+    [
+      ( "recovering",
+        Broker.Service.quiesce,
+        [
+          ("enqueue", "retry");
+          ("enqueue_batch", "0 retry");
+          ("enqueue_once", "retry");
+          ("dequeue", "busy");
+          ("dequeue_any", "busy");
+          ("dequeue_batch", "busy");
+          ("sync_stream", "retry");
+        ] );
+      ( "quarantined",
+        (fun svc -> Broker.Service.quarantine svc ~shard:0 ~reason:"test"),
+        [
+          ("enqueue", "unavailable");
+          ("enqueue_batch", "0 unavailable");
+          ("enqueue_once", "unavailable");
+          ("dequeue", "unavailable");
+          ("dequeue_any", "empty");
+          ("dequeue_batch", "unavailable");
+          ("sync_stream", "unavailable");
+        ] );
+      ( "at the bound",
+        (fun svc ->
+          for seq = 3 to depth_bound do
+            accept "fill"
+              (Broker.Service.enqueue svc ~stream:0 (enc ~producer:0 ~seq))
+          done),
+        [
+          ("enqueue", "overflow");
+          ("enqueue_batch", "0 overflow");
+          ("enqueue_once", "overflow");
+          ("sync_stream", "accepted");
+        ] );
+    ]
+  in
+  List.iter
+    (fun (state, enter, expected) ->
+      List.iter
+        (fun (op, want) ->
+          fresh_tid ();
+          let svc =
+            Broker.Service.create ~shards:1 ~depth_bound ~offsets:true
+              ~buffered:true ()
+          in
+          List.iter
+            (fun seq ->
+              accept "setup"
+                (Broker.Service.enqueue svc ~stream:0 (enc ~producer:0 ~seq)))
+            [ 1; 2 ];
+          enter svc;
+          let before = Broker.Service.depths svc in
+          let what = Printf.sprintf "%s: %s" state op in
+          Alcotest.(check string) what want ((List.assoc op refusal_ops) svc);
+          Alcotest.(check (array int)) (what ^ " keeps the depth") before
+            (Broker.Service.depths svc))
+        expected)
+    states
+
+(* A full buffered journal is an Overflow like a full gauge, and the
+   room taken for the refused items goes back: the gauge keeps counting
+   exactly the items the journal holds. *)
+let test_journal_full_keeps_depth () =
+  fresh_tid ();
+  let svc =
+    Broker.Service.create ~shards:1 ~acks:Broker.Service.Acks_none
+      ~mode:Nvm.Heap.Fast ()
+  in
+  let capacity = 1 lsl 16 in
+  for seq = 1 to capacity do
+    accept "fill" (Broker.Service.enqueue svc ~stream:0 (enc ~producer:0 ~seq))
+  done;
+  Alcotest.(check string) "journal full" "overflow"
+    (Broker.Backpressure.verdict_name
+       (Broker.Service.enqueue svc ~stream:0
+          (enc ~producer:0 ~seq:(capacity + 1))));
+  Alcotest.(check (array int)) "depth after a refused enqueue" [| capacity |]
+    (Broker.Service.depths svc);
+  let n, v =
+    Broker.Service.enqueue_batch svc ~stream:0
+      [ enc ~producer:0 ~seq:(capacity + 1); enc ~producer:0 ~seq:(capacity + 2) ]
+  in
+  Alcotest.(check (pair int string)) "batch refused" (0, "overflow")
+    (n, Broker.Backpressure.verdict_name v);
+  Alcotest.(check (array int)) "depth after a refused batch" [| capacity |]
+    (Broker.Service.depths svc)
+
 (* -- batched-fence amortization ----------------------------------------------- *)
 
 (* A batch of n enqueues (or dequeues) over a 1-fence-per-op shard costs
@@ -147,37 +287,6 @@ let test_batch_one_fence () =
   | Broker.Service.Busy_batch | Broker.Service.Unavailable_batch ->
       Alcotest.fail "unexpected Busy");
   Alcotest.(check int) "32 dequeues, one fence" 1 (fences () - f1)
-
-let test_keyed_batch_one_fence_per_shard () =
-  fresh_tid ();
-  let service = Broker.Service.create ~algorithm:"OptUnlinkedQ" ~shards:4 () in
-  let fences () =
-    Array.fold_left
-      (fun acc s ->
-        acc
-        + (Nvm.Stats.total (Nvm.Heap.stats (Broker.Shard.heap s)))
-            .Nvm.Stats.fences)
-      0 (Broker.Service.shards service)
-  in
-  (* 8 streams spread over all 4 shards; 5 items per stream, interleaved. *)
-  let pairs =
-    List.concat_map
-      (fun seq -> List.init 8 (fun stream -> (stream, enc ~producer:stream ~seq)))
-      [ 1; 2; 3; 4; 5 ]
-  in
-  let f0 = fences () in
-  let accepted, v = Broker.Service.enqueue_batch_keyed service pairs in
-  Alcotest.(check bool) "keyed batch accepted" true
-    (v = Broker.Backpressure.Accepted);
-  Alcotest.(check int) "all accepted" 40 accepted;
-  Alcotest.(check int) "one fence per touched shard" 4 (fences () - f0);
-  (* Per-stream order survived the grouping. *)
-  Array.iter
-    (fun items ->
-      match Spec.Durable_check.check_producer_order "shard contents" items with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e)
-    (Broker.Service.to_lists service)
 
 (* -- crash recovery ----------------------------------------------------------- *)
 
@@ -230,7 +339,12 @@ let test_crash_mid_batch () =
   in
   let heap = Broker.Shard.heap victim in
   Nvm.Heap.with_batched_fences heap (fun () ->
-      List.iter (Broker.Shard.enqueue victim) pending;
+      List.iter
+        (fun v ->
+          ignore
+            (Broker.Shard.enqueue victim ~acks:Broker.Shard.Acks_all_synced
+               [ v ]))
+        pending;
       Nvm.Crash.crash ~policy:Nvm.Crash.Only_persisted heap);
   let report =
     Broker.Recovery.crash_and_recover ~policy:Nvm.Crash.Only_persisted
@@ -543,10 +657,6 @@ let test_quarantine_flapping () =
 
 (* -- consumer fence budget ---------------------------------------------------- *)
 
-let accept what v =
-  if v <> Broker.Backpressure.Accepted then
-    Alcotest.failf "%s: %s" what (Broker.Backpressure.verdict_name v)
-
 let service_fences service =
   Array.fold_left
     (fun acc s ->
@@ -702,7 +812,8 @@ let test_skip_crash_safe_batch () =
    keep the strict tier exactly (no acknowledged item lost, no delivered
    one back) and revert the buffered tier to some commit's snapshot no
    older than the last sync.  At every quiescent point the strict bound
-   equals the strict tier's length. *)
+   equals the strict tier's length and the depth gauge the shard's item
+   count. *)
 type tier_model = {
   strict : int Queue.t;
   mutable journal : int list;  (* buffered items since the last recovery *)
@@ -875,7 +986,11 @@ let run_schedule ~seed ~steps =
           (model_contents m) (Broker.Shard.to_list sh);
         if Broker.Shard.strict_bound sh <> Queue.length m.strict then
           fail "step %d: shard %d bound %d, strict tier %d" step i
-            (Broker.Shard.strict_bound sh) (Queue.length m.strict))
+            (Broker.Shard.strict_bound sh) (Queue.length m.strict);
+        let items = List.length (model_contents m) in
+        if Broker.Shard.depth sh <> items then
+          fail "step %d: shard %d depth %d, %d items" step i
+            (Broker.Shard.depth sh) items)
       (Broker.Service.shards service)
   done;
   true
@@ -943,6 +1058,39 @@ let test_readmit_delivers_strict () =
       Alcotest.(check int) "then the buffered tier" (enc ~producer:2 ~seq:1) v
   | _ -> Alcotest.fail "buffered items stranded"
 
+(* Demoting a live stream (strict to buffered) keeps its FIFO: its older
+   items sit on the strict tier, which drains first.  Singles and a batch
+   after the demotion, then a crash that keeps only what was persisted,
+   must still deliver 1..8 in order. *)
+let test_demotion_keeps_fifo () =
+  fresh_tid ();
+  let service = Broker.Service.create ~shards:1 ~buffered:true () in
+  publish service ~stream:0 3;
+  Broker.Service.set_stream_acks service ~stream:0 Broker.Service.Acks_leader;
+  List.iter
+    (fun seq ->
+      accept "leader enqueue"
+        (Broker.Service.enqueue service ~stream:0 (enc ~producer:0 ~seq)))
+    [ 4; 5; 6 ];
+  let n, v =
+    Broker.Service.enqueue_batch service ~stream:0
+      [ enc ~producer:0 ~seq:7; enc ~producer:0 ~seq:8 ]
+  in
+  accept "leader batch" v;
+  Alcotest.(check int) "batch taken whole" 2 n;
+  Broker.Service.sync_all service;
+  let report =
+    Broker.Recovery.crash_and_recover ~policy:Nvm.Crash.Only_persisted
+      ~domains:1 ~producer_of:Spec.Durable_check.producer_of service
+  in
+  Alcotest.(check bool) "report ok" true (Broker.Recovery.ok report);
+  let rec drain acc =
+    match Broker.Service.dequeue service ~stream:0 with
+    | Broker.Service.Item v -> drain (Spec.Durable_check.seq_of v :: acc)
+    | _ -> List.rev acc
+  in
+  Alcotest.(check (list int)) "1..8 in order" (List.init 8 succ) (drain [])
+
 (* -- sharded harness runner ---------------------------------------------------- *)
 
 let test_sharded_runner_smoke () =
@@ -983,12 +1131,14 @@ let () =
             test_service_overflow;
           Alcotest.test_case "retry while recovering" `Quick
             test_retry_while_recovering;
+          Alcotest.test_case "refusals keep the depth" `Quick
+            test_refusals_keep_depth;
+          Alcotest.test_case "a full journal keeps the depth" `Quick
+            test_journal_full_keeps_depth;
         ] );
       ( "batching",
         [
           Alcotest.test_case "one fence per batch" `Quick test_batch_one_fence;
-          Alcotest.test_case "keyed batch: one fence per shard" `Quick
-            test_keyed_batch_one_fence_per_shard;
         ] );
       ( "recovery",
         [
@@ -1028,6 +1178,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_bound_schedules;
           Alcotest.test_case "readmitted shard delivers strict items" `Quick
             test_readmit_delivers_strict;
+        ] );
+      ( "acks-levels",
+        [
+          Alcotest.test_case "demotion keeps FIFO across a crash" `Quick
+            test_demotion_keeps_fifo;
         ] );
       ( "harness",
         [

@@ -188,7 +188,29 @@ let test_admission_batch_prefix () =
   Alcotest.(check int) "admitted counts the prefix" 2
     t.Broker.Admission.a_admitted;
   Alcotest.(check int) "shed counts the rest" 2
-    t.Broker.Admission.a_shed_quota
+    t.Broker.Admission.a_shed_quota;
+  (* The shard then refuses part of the granted prefix: the items the
+     quota turned away stay quota sheds, and only the granted items the
+     shard refused count as rejected. *)
+  let _clock, _service, adm = adm_fixture ~depth_bound:1 () in
+  Broker.Admission.set_tenant adm ~tenant:0
+    {
+      (Broker.Admission.unlimited ()) with
+      Broker.Admission.rate_hz = 1.;
+      burst = 2.;
+    };
+  let items = List.init 5 (fun i -> enc ~producer:0 ~seq:(i + 1)) in
+  let n, d = Broker.Admission.enqueue_batch adm ~tenant:0 ~stream:0 items in
+  Alcotest.(check int) "shard room" 1 n;
+  Alcotest.(check string) "service verdict" "rejected:overflow"
+    (Broker.Admission.decision_name d);
+  let t = Broker.Admission.totals adm in
+  Alcotest.(check (list int)) "admitted, shed_quota, rejected" [ 1; 3; 1 ]
+    [
+      t.Broker.Admission.a_admitted;
+      t.Broker.Admission.a_shed_quota;
+      t.Broker.Admission.a_rejected;
+    ]
 
 let test_admission_deadline () =
   let clock, _service, adm = adm_fixture () in
