@@ -34,8 +34,8 @@ let figure2_workload ?latency workload =
   let queues, get = collect_workload ?latency workload in
   Harness.Report.print_throughput ~workload ~threads_list ~queues ~get
 
-(* Machine-readable export: one CSV per Figure-2 workload plus the census,
-   under results/. *)
+(* Machine-readable export: one CSV per Figure-2 workload, under
+   results/.  The census CSV has one writer, [dq census --csv]. *)
 let export () =
   (try Unix.mkdir "results" 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   List.iter
@@ -60,14 +60,7 @@ let export () =
            threads_list);
       close_out oc;
       Printf.printf "wrote %s\n%!" path)
-    Harness.Workload.all;
-  let oc = open_out "results/census.csv" in
-  Harness.Report.census_csv oc
-    (List.map
-       (fun e -> Harness.Runner.run_census e ~ops:2_000)
-       Dq.Registry.durable);
-  close_out oc;
-  Printf.printf "wrote results/census.csv\n%!"
+    Harness.Workload.all
 
 let census () =
   let rows =

@@ -26,7 +26,6 @@ let () =
 
   (* Four producer streams publish batches; streams 0-3 pin to shards
      round-robin, so each stream's items stay FIFO on its shard. *)
-  let before = Broker.Census.snapshot service in
   let per_stream = 96 and batch = 8 in
   for stream = 0 to 3 do
     let seq = ref 1 in
@@ -42,10 +41,13 @@ let () =
     done
   done;
   let ops = 4 * per_stream in
-  let census = Broker.Census.since service before in
+  let census = Broker.Census.span_census service in
   Printf.printf "published %d messages on 4 streams: %.3f fences/op\n" ops
-    (Broker.Census.fences_per_op census ~ops);
-  assert (Result.is_ok (Broker.Census.audit census ~ops));
+    (float_of_int
+       (census.Broker.Census.op_fences_total
+       + census.Broker.Census.batch_fences_total)
+    /. float_of_int ops);
+  assert (Result.is_ok (Broker.Census.strict_audit service));
 
   (* Backpressure: stream 4 pins to shard 0 (round-robin wraps) and hits
      its 256-slot bound. *)

@@ -1,82 +1,18 @@
 (* Broker-level persist-instruction census.
 
-   Each shard heap keeps exact per-thread counters ({!Nvm.Stats}); the
-   census aggregates them across shards so the paper's per-queue
-   invariants stay auditable end-to-end through the broker: with
-   1-fence/op queues the broker must execute at most one blocking fence
-   per operation — and, batched, at most one per batch per shard — and,
-   over the Opt queues, zero accesses to flushed content. *)
-
-type snapshot = Nvm.Stats.t array  (* one per shard, same order *)
-
-let snapshot service =
-  Array.map
-    (fun s -> Nvm.Stats.snapshot (Nvm.Heap.stats (Shard.heap s)))
-    (Service.shards service)
-
-type t = {
-  per_shard : Nvm.Stats.counters array;
-  total : Nvm.Stats.counters;
-}
-
-(* Counters accumulated per shard (and in total) since [since]. *)
-let since service (s0 : snapshot) =
-  let shards = Service.shards service in
-  let per_shard =
-    Array.mapi
-      (fun i sh ->
-        Nvm.Stats.diff_total (Nvm.Heap.stats (Shard.heap sh)) ~since:s0.(i))
-      shards
-  in
-  let total = Nvm.Stats.zero () in
-  Array.iter
-    (fun (c : Nvm.Stats.counters) ->
-      total.Nvm.Stats.reads <- total.Nvm.Stats.reads + c.Nvm.Stats.reads;
-      total.Nvm.Stats.writes <- total.Nvm.Stats.writes + c.Nvm.Stats.writes;
-      total.Nvm.Stats.cas <- total.Nvm.Stats.cas + c.Nvm.Stats.cas;
-      total.Nvm.Stats.flushes <- total.Nvm.Stats.flushes + c.Nvm.Stats.flushes;
-      total.Nvm.Stats.fences <- total.Nvm.Stats.fences + c.Nvm.Stats.fences;
-      total.Nvm.Stats.movntis <- total.Nvm.Stats.movntis + c.Nvm.Stats.movntis;
-      total.Nvm.Stats.post_flush_reads <-
-        total.Nvm.Stats.post_flush_reads + c.Nvm.Stats.post_flush_reads;
-      total.Nvm.Stats.post_flush_writes <-
-        total.Nvm.Stats.post_flush_writes + c.Nvm.Stats.post_flush_writes;
-      total.Nvm.Stats.modelled_ns <-
-        total.Nvm.Stats.modelled_ns + c.Nvm.Stats.modelled_ns)
-    per_shard;
-  { per_shard; total }
-
-let fences_per_op t ~ops =
-  if ops = 0 then 0. else float_of_int t.total.Nvm.Stats.fences /. float_of_int ops
-
-let post_flush_per_op t ~ops =
-  if ops = 0 then 0.
-  else
-    float_of_int (Nvm.Stats.post_flush_accesses t.total) /. float_of_int ops
-
-(* The end-to-end invariant audit: over 1-fence/op queues the broker must
-   not add blocking fences (≤ 1 per operation; strictly fewer when
-   batching amortizes), nor introduce accesses to flushed content over
-   the Opt queues. *)
-let audit ?(zero_post_flush = true) t ~ops =
-  let fpo = fences_per_op t ~ops in
-  let pfo = post_flush_per_op t ~ops in
-  if fpo > 1. +. 1e-9 then
-    Error
-      (Printf.sprintf "broker census: %.4f fences per operation (bound 1)" fpo)
-  else if zero_post_flush && pfo > 1e-9 then
-    Error
-      (Printf.sprintf "broker census: %.4f post-flush accesses per operation"
-         pfo)
-  else Ok ()
+   Each shard heap keeps exact per-operation span aggregates
+   ({!Nvm.Span}); the census merges them across shards so the paper's
+   per-queue invariants stay auditable end-to-end through the broker:
+   with 1-fence/op queues the broker must execute at most one blocking
+   fence per operation — and, batched, at most one per batch per shard —
+   and, over the Opt queues, zero accesses to flushed content. *)
 
 (* -- Span census ----------------------------------------------------------- *)
 
 (* The shard instances are span-instrumented ({!Shard.create_all}), so
    each shard heap carries exact per-operation deltas with worst-case
-   (max) columns — the per-op shape of the same invariants, stronger
-   than the average-based [audit] above: one violating operation fails
-   it even in a sea of compliant ones. *)
+   (max) columns — the per-op shape of the invariants: one violating
+   operation fails the audit even in a sea of compliant ones. *)
 
 type per_op = {
   ops : int;  (* enq + deq spans *)
@@ -174,22 +110,20 @@ let per_op_of_aggregates (aggs : Nvm.Span.agg list) : per_op =
 
 let span_census service = per_op_of_aggregates (span_aggregates service)
 
-(* The strict per-op audit: every operation span (and every batch span)
-   individually within the paper's bound for this service's algorithm —
-   and, when the durable offset tier is attached, every map operation
-   span within its variant's bound on the same shard heaps. *)
+(* The strict per-span audit: every operation span (and every batch and
+   checkpoint-flip span) individually within its bound for this
+   service's algorithm — and, when the durable offset tier is attached,
+   every map operation span within its variant's bound on the same
+   shard heaps. *)
 let strict_audit service =
   let aggs = span_aggregates service in
-  match
-    Spec.Fence_audit.check_aggregates ~queue:(Service.algorithm service) aggs
-  with
-  | Error _ as e -> e
-  | Ok () -> (
+  Result.bind
+    (Spec.Fence_audit.check_aggregates ~name:(Service.algorithm service) aggs)
+    (fun () ->
       match Service.offsets service with
       | None -> Ok ()
       | Some off ->
-          Spec.Fence_audit.check_map_aggregates ~map:(Offsets.map_name off)
-            aggs)
+          Spec.Fence_audit.check_aggregates ~name:(Offsets.map_name off) aggs)
 
 (* -- Durability census ------------------------------------------------------- *)
 
@@ -309,29 +243,20 @@ let pp_occupancy ppf service =
     (sum (fun r -> r.o_retired_regions))
     (sum (fun r -> r.o_reclaimed_words))
 
+(* End to end: batch spans own the fences their op spans elide. *)
 let pp_per_op ppf p =
   Format.fprintf ppf
-    "span census over %d ops (%d batches): fences/op %.4f (max %d), \
-     flushes/op %.4f (max %d), movnti/op %.4f (max %d), post-flush/op %.4f \
-     (max %d), max batch fences %d, setup fences %d@."
-    p.ops p.batches p.op_fences p.max_op_fences p.op_flushes p.max_op_flushes
+    "span census over %d ops (%d batches): fences/op %.4f (max %d per op, \
+     %d per batch), flushes/op %.4f (max %d), movnti/op %.4f (max %d), \
+     post-flush/op %.4f (max %d), setup fences %d@."
+    p.ops p.batches
+    (if p.ops = 0 then 0.
+     else
+       float_of_int (p.op_fences_total + p.batch_fences_total)
+       /. float_of_int p.ops)
+    p.max_op_fences p.max_batch_fences p.op_flushes p.max_op_flushes
     p.op_movntis p.max_op_movntis p.op_post_flush p.max_op_post_flush
-    p.max_batch_fences p.setup_fences
-
-let pp ppf t ~ops =
-  Format.fprintf ppf
-    "broker census over %d ops: %.4f fences/op, %.4f flushes/op, %.4f \
-     movnti/op, %.4f post-flush/op@."
-    ops (fences_per_op t ~ops)
-    (if ops = 0 then 0.
-     else float_of_int t.total.Nvm.Stats.flushes /. float_of_int ops)
-    (if ops = 0 then 0.
-     else float_of_int t.total.Nvm.Stats.movntis /. float_of_int ops)
-    (post_flush_per_op t ~ops);
-  Array.iteri
-    (fun i (c : Nvm.Stats.counters) ->
-      Format.fprintf ppf "  shard %d: %a@." i Nvm.Stats.pp c)
-    t.per_shard
+    p.setup_fences
 
 (* -- Admission census -------------------------------------------------------- *)
 

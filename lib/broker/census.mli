@@ -1,32 +1,7 @@
-(** Broker-level aggregation of per-shard persist-instruction counters
-    ({!Nvm.Stats}), keeping the paper's per-queue invariants auditable
-    end-to-end: ≤ 1 blocking fence per operation (and, batched, ≤ 1 per
-    batch per shard), zero accesses to flushed content over the Opt
-    queues. *)
-
-type snapshot
-
-val snapshot : Service.t -> snapshot
-(** Capture every shard heap's counters. *)
-
-type t = {
-  per_shard : Nvm.Stats.counters array;
-  total : Nvm.Stats.counters;
-}
-
-val since : Service.t -> snapshot -> t
-(** Counters accumulated per shard (and in total) since the snapshot. *)
-
-val fences_per_op : t -> ops:int -> float
-val post_flush_per_op : t -> ops:int -> float
-
-val audit : ?zero_post_flush:bool -> t -> ops:int -> (unit, string) result
-(** Check the end-to-end invariants: at most one blocking fence per
-    operation, and (unless [zero_post_flush] is [false], e.g. for the
-    non-Opt algorithms) zero post-flush accesses.  Average-based legacy
-    audit; prefer {!strict_audit}. *)
-
-val pp : Format.formatter -> t -> ops:int -> unit
+(** Broker-level aggregation of per-shard persist spans ({!Nvm.Span}),
+    keeping the paper's per-queue invariants auditable end-to-end: ≤ 1
+    blocking fence per operation (and, batched, ≤ 1 per batch per
+    shard), zero accesses to flushed content over the Opt queues. *)
 
 (** {1 Span census}
 
@@ -65,11 +40,13 @@ val span_census : Service.t -> per_op
 
 val strict_audit : Service.t -> (unit, string) result
 (** {!Spec.Fence_audit.check_aggregates} over {!span_aggregates} for
-    this service's algorithm: every op span within the paper's per-op
-    bound, every batch span owning at most one fence.  [Ok ()] for
-    algorithms without an audited bound. *)
+    this service's algorithm and, when attached, its offset map: every
+    op span within the paper's per-op bound, every batch span owning at
+    most one fence, every checkpoint flip one fence and no flush. *)
 
 val pp_per_op : Format.formatter -> per_op -> unit
+(** One line; fences/op is end to end — op and batch span fences over
+    [ops] — so a batched run reads [1 / batch]. *)
 
 (** {1 Durability census}
 

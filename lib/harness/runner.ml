@@ -202,7 +202,7 @@ let run_census_checked ?(combining = false) (entry : Dq.Registry.entry) ~ops :
   let enq, enq_max = census_row spans Dq.Instrumented.enq_label ~ops in
   let deq, deq_max = census_row spans Dq.Instrumented.deq_label ~ops in
   let verdict =
-    Spec.Fence_audit.check_aggregates ~queue:entry.Dq.Registry.name
+    Spec.Fence_audit.check_aggregates ~name:entry.Dq.Registry.name
       (Nvm.Span.aggregates spans)
   in
   ( {
@@ -270,7 +270,7 @@ let run_map_census_checked (entry : Dq.Registry.map_entry) ~ops :
     ]
   in
   let verdict =
-    Spec.Fence_audit.check_map_aggregates ~map:entry.Dq.Registry.m_name
+    Spec.Fence_audit.check_aggregates ~name:entry.Dq.Registry.m_name
       (Nvm.Span.aggregates spans)
   in
   ({ mc_map = entry.Dq.Registry.m_name; mc_rows }, verdict)

@@ -91,6 +91,6 @@ val run_map_census : Dq.Registry.map_entry -> ops:int -> map_census
 val run_map_census_checked :
   Dq.Registry.map_entry -> ops:int -> map_census * (unit, string) Stdlib.result
 (** The census plus the strict verdict
-    ({!Spec.Fence_audit.check_map_aggregates}): at most one fence per
+    ({!Spec.Fence_audit.check_aggregates}): at most one fence per
     insert on both variants, one per link-free delete/lookup, zero
     flushes and fences on SOFT delete/lookup. *)

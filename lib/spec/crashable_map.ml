@@ -4,20 +4,20 @@
 
    The dfy spec keeps a sequence of views: the ephemeral view is what
    operations act on, the persistent view is what a crash falls back to,
-   and [sync] collapses the two.  Its authors anticipate relaxing the
-   "every intermediate view" guarantee; this checker is exactly that
-   anticipated relaxation, made per key: SOFT's lazy removals mean a
-   post-crash state need not be a single prefix of the applied-op
-   sequence globally (an unpersisted remove of one key can coexist with
-   a later persisted put of another), but per key the recovered value
-   must be the result of a prefix of that key's operations no older than
-   the key's persistence floor.
+   and [sync] collapses the two; a crash exposes some view between the
+   last durable point and the latest ({!Lin_check.views}).  Its authors
+   anticipate relaxing the "every intermediate view" guarantee; this
+   checker is exactly that anticipated relaxation, made per key: SOFT's
+   lazy removals mean a post-crash state need not be a single prefix of
+   the applied-op sequence globally (an unpersisted remove of one key can
+   coexist with a later persisted put of another), so the view rule is
+   applied to each key's register on its own.
 
-   Per-key floor rules, from each variant's persistence discipline:
-   - put is durable on return for both variants (floor advances to it);
-   - remove advances the floor for the link-free map (one fence before
+   Durability, from each variant's persistence discipline:
+   - a put is durable on return for both variants;
+   - a remove is durable for the link-free map (one fence before
      returning) but not for SOFT ([lazy_remove]);
-   - sync advances every key's floor to its latest operation.
+   - a sync makes every key's latest operation durable.
 
    An operation pending at the crash (its thread died mid-call) may
    additionally have taken effect; every policy in {!Nvm.Crash} — the
@@ -38,105 +38,71 @@ let pp_script ops = String.concat " " (List.map pp_op ops)
 
 (* {1 The admissibility check} *)
 
-type key_track = {
-  mutable states : int option list;  (* newest first; last = initial None *)
-  mutable n : int;  (* List.length states *)
-  mutable floor : int;  (* 0-based index from the OLDEST state *)
-}
+let key_of = function Put (k, _) | Remove k -> Some k | Sync -> None
+
+(* One key's register: its value, or [None] when absent. *)
+let apply_register s = function
+  | Put (_, v) -> Some v
+  | Remove _ -> None
+  | Sync -> s
 
 let check_recovered ~lazy_remove ~applied ?pending ~recovered () =
-  let tbl : (int, key_track) Hashtbl.t = Hashtbl.create 32 in
-  let track k =
-    match Hashtbl.find_opt tbl k with
-    | Some t -> t
-    | None ->
-        let t = { states = [ None ]; n = 1; floor = 0 } in
-        Hashtbl.add tbl k t;
-        t
+  (* Each written key's operations, newest first, flagged durable. *)
+  let ops : (int, (op * bool) list) Hashtbl.t = Hashtbl.create 32 in
+  let add k entry =
+    Hashtbl.replace ops k
+      (entry :: Option.value ~default:[] (Hashtbl.find_opt ops k))
   in
   List.iter
     (fun op ->
       match op with
-      | Put (k, v) ->
-          let t = track k in
-          t.states <- Some v :: t.states;
-          t.n <- t.n + 1;
-          (* puts are durable on return for both variants *)
-          t.floor <- t.n - 1
-      | Remove k ->
-          let t = track k in
-          t.states <- None :: t.states;
-          t.n <- t.n + 1;
-          if not lazy_remove then t.floor <- t.n - 1
-      | Sync -> Hashtbl.iter (fun _ t -> t.floor <- t.n - 1) tbl)
+      | Put (k, _) -> add k (op, true)
+      | Remove k -> add k (op, not lazy_remove)
+      | Sync ->
+          Hashtbl.filter_map_inplace
+            (fun _ -> function
+              | (latest, _) :: older -> Some ((latest, true) :: older)
+              | [] -> Some [])
+            ops)
     applied;
-  (* Admissible recovered values per key: every state from the floor to
-     the latest, plus the effect of the pending operation (if any). *)
-  let admissible k =
-    let base =
-      match Hashtbl.find_opt tbl k with
-      | Some t ->
-          (* newest-first list: indices n-1 (newest) down to 0 (oldest);
-             keep those >= floor *)
-          let rec take i = function
-            | [] -> []
-            | s :: rest -> if i < t.floor then [] else s :: take (i - 1) rest
-          in
-          take (t.n - 1) t.states
-      | None -> [ None ]
-    in
-    let extra =
-      match pending with
-      | Some (Put (k', v)) when k' = k -> [ Some v ]
-      | Some (Remove k') when k' = k -> [ None ]
-      | _ -> []
-    in
-    extra @ base
+  let views k =
+    Lin_check.views ~init:None ~apply:apply_register
+      ?pending:(Option.bind pending (fun op ->
+                    if key_of op = Some k then Some op else None))
+      (List.rev (Option.value ~default:[] (Hashtbl.find_opt ops k)))
   in
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  (* recovered must be duplicate-free *)
+  (* Recovered keys: each once, each holding one of its views (a key
+     never written has the single view "absent"). *)
   let seen = Hashtbl.create 32 in
   List.iter
     (fun (k, v) ->
       if Hashtbl.mem seen k then err "key %d recovered twice" k
       else begin
-        Hashtbl.add seen k v;
-        if not (List.mem (Some v) (admissible k)) then
-          err "key %d recovered as %d, not an admissible value" k v
+        Hashtbl.add seen k ();
+        if not (List.mem (Some v) (views k)) then
+          err "key %d recovered as %d, not one of its views" k v
       end)
     recovered;
-  (* keys whose admissible set excludes "absent" must be present *)
-  let pending_key =
-    match pending with
-    | Some (Put (k, _)) | Some (Remove k) -> Some k
-    | _ -> None
-  in
+  (* Missing keys: "absent" must be one of their views. *)
   Hashtbl.iter
     (fun k _ ->
-      if not (Hashtbl.mem seen k) && not (List.mem None (admissible k))
-      then err "key %d missing after recovery (its floor requires it)" k)
-    tbl;
-  (* untouched keys must not materialise *)
-  Hashtbl.iter
-    (fun k _ ->
-      if (not (Hashtbl.mem tbl k)) && Some k <> pending_key then
-        err "key %d recovered but never written" k)
-    seen;
+      if not (Hashtbl.mem seen k || List.mem None (views k)) then
+        err "key %d missing after recovery (a durable op requires it)" k)
+    ops;
   match !errors with
   | [] -> Ok ()
   | es -> Error (String.concat "; " es)
 
 (* {1 Crash exploration over real map instances} *)
 
-exception Crash_now
-
 (* One execution: run [script]'s first [crash_after] operations on a
-   fresh instance of [entry], crash (optionally mid-operation, after
-   [step] heap primitives of the next op), recover, and check the
-   recovered contents against the admissible set.  The instance is
-   warmed first so designated areas exist before the step hook arms —
-   an abort inside area creation would poison allocator locks. *)
+   fresh instance of [entry]; optionally run the next one through the
+   crash driver, cut after [step] of its heap primitives; crash, recover,
+   and check the recovered contents against the admissible set.  The
+   instance is warmed first so designated areas exist before the driver
+   runs — a cut inside area creation would poison allocator locks. *)
 let run_to_crash (entry : Dq.Registry.map_entry) ~script ~crash_after ?step
     ~policy ~seed () =
   Nvm.Tid.reset ();
@@ -154,41 +120,24 @@ let run_to_crash (entry : Dq.Registry.map_entry) ~script ~crash_after ?step
     | Sync -> inst.Dset.Map_intf.sync ()
   in
   let crash_after = min crash_after (List.length script) in
-  let completed = ref [] in
-  List.iteri
-    (fun i op ->
-      if i < crash_after then begin
-        apply op;
-        completed := op :: !completed
-      end)
-    script;
-  (* Optionally abort inside the next operation after [step] primitives. *)
-  let pending =
+  let prefix = List.filteri (fun i _ -> i < crash_after) script in
+  List.iter apply prefix;
+  let completed, pending =
     match (step, List.nth_opt script crash_after) with
     | Some s, Some op ->
-        let left = ref s in
-        Nvm.Heap.set_step_hook heap
-          (Some
-             (fun () ->
-               decr left;
-               if !left < 0 then raise Crash_now));
-        let r =
-          match apply op with
-          | () ->
-              (* the op finished before the countdown: boundary crash *)
-              completed := op :: !completed;
-              None
-          | exception Crash_now -> Some op
-        in
-        Nvm.Heap.set_step_hook heap None;
-        r
-    | _ -> None
+        (* One fiber: the scheduling rng is its own, so the crash rng
+           below draws the same values whatever the cut. *)
+        if
+          Explore.run ~heap ~rng:(Random.State.make [| seed |])
+            ~crash_at:(Some (s + 1))
+            [| (fun () -> apply op) |]
+        then (prefix, Some op)
+        else (prefix @ [ op ], None) (* finished first: boundary crash *)
+    | _ -> (prefix, None)
   in
-  let applied = warm @ List.rev !completed in
-  Nvm.Crash.crash_seeded ~seed ~policy heap;
-  Nvm.Tid.reset ();
-  ignore (Nvm.Tid.register ());
-  inst.Dset.Map_intf.recover ();
+  let applied = warm @ completed in
+  Explore.crash_and_recover ~heap ~rng:(Random.State.make [| seed |]) ~policy
+    inst.Dset.Map_intf.recover;
   let recovered = inst.Dset.Map_intf.to_alist () in
   let ctx msg =
     Printf.sprintf
@@ -237,32 +186,21 @@ let default_policies =
 
 (* Crash at every operation boundary of [script], under every policy. *)
 let exhaustive ?(policies = default_policies) entry ~script ~seed =
-  let n = List.length script in
-  let rec at i =
-    if i > n then Ok ()
-    else
-      let rec pol = function
-        | [] -> at (i + 1)
-        | p :: rest -> (
-            match
-              run_to_crash entry ~script ~crash_after:i ~policy:p
-                ~seed:(seed + i) ()
-            with
-            | Ok () -> pol rest
-            | Error _ as e -> e)
-      in
-      pol policies
-  in
-  at 0
+  let np = List.length policies in
+  Explore.rounds
+    ((List.length script + 1) * np)
+    (fun j ->
+      let i = j / np in
+      run_to_crash entry ~script ~crash_after:i
+        ~policy:(List.nth policies (j mod np))
+        ~seed:(seed + i) ())
 
 (* Randomized campaign: random scripts, random crash points, two rounds
-   in three aborting mid-operation after a random number of primitives,
+   in three cutting mid-operation after a random number of primitives,
    cycling through the policies.  Failures carry the script, crash
    point, policy and seed for replay. *)
 let campaign ?(policies = default_policies) entry ~rounds =
-  let rec round r =
-    if r >= rounds then Ok ()
-    else begin
+  Explore.rounds rounds (fun r ->
       let rng = Random.State.make [| 0xC4A5; r |] in
       let len = 8 + Random.State.int rng 16 in
       let script =
@@ -278,11 +216,4 @@ let campaign ?(policies = default_policies) entry ~rounds =
         if r mod 3 = 0 then None else Some (Random.State.int rng 48)
       in
       let policy = List.nth policies (r mod List.length policies) in
-      match
-        run_to_crash entry ~script ~crash_after ?step ~policy ~seed:r ()
-      with
-      | Ok () -> round (r + 1)
-      | Error _ as e -> e
-    end
-  in
-  round 0
+      run_to_crash entry ~script ~crash_after ?step ~policy ~seed:r ())

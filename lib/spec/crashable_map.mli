@@ -3,15 +3,15 @@
 
     The dfy spec models an ephemeral view (what operations act on), a
     persistent view (what a crash falls back to) and [sync] (which
-    collapses the two).  This checker is the per-key relaxation its
-    authors anticipate: after a crash, each key's recovered value must
-    result from a prefix of that key's applied operations no older than
-    the key's persistence floor — puts advance the floor on return for
+    collapses the two): a crash exposes some view between the last
+    durable point and the latest ({!Lin_check.views}).  This checker
+    applies that rule per key, to a register model — the per-key
+    relaxation its authors anticipate: puts are durable on return for
     both variants, removes only for the link-free map (SOFT removes are
-    lazy until [sync]), and [sync] advances every key's floor to its
-    latest operation.  An operation pending at the crash may
-    additionally have taken effect.  Under [All_flushed] with nothing
-    pending, recovery must equal the ephemeral view exactly. *)
+    lazy until [sync]), and [sync] makes every key's latest operation
+    durable.  An operation pending at the crash may additionally have
+    taken effect.  Under [All_flushed] with nothing pending, recovery
+    must equal the ephemeral view exactly. *)
 
 type op = Put of int * int  (** key, value *) | Remove of int | Sync
 
@@ -40,8 +40,9 @@ val run_to_crash :
   (unit, string) result
 (** Execute [script]'s first [crash_after] operations on a fresh
     instance, crash under [policy] (mid-operation after [step] heap
-    primitives of the next op, when given), recover, check.  Also
-    verifies the recovered map accepts new operations. *)
+    primitives of the next op, when given, through {!Explore.run}),
+    recover, check.  Also verifies the recovered map accepts new
+    operations. *)
 
 val default_policies : Nvm.Crash.policy list
 (** [All_flushed; Only_persisted; Torn_prefix]. *)
@@ -60,5 +61,5 @@ val campaign :
   rounds:int ->
   (unit, string) result
 (** Randomized campaign: random scripts and crash points, two rounds in
-    three aborting mid-operation ({!Nvm.Heap.set_step_hook}).  Errors
-    carry the script, crash point, policy and seed for replay. *)
+    three cut mid-operation.  Errors carry the script, crash point,
+    policy and seed for replay. *)

@@ -2,14 +2,13 @@
 
    The crash-recovery test suites crash at operation boundaries; the
    white-box tests replay specific mid-operation states by hand.  This
-   module closes the gap mechanically: queue operations run as effect-based
-   fibers that yield at *every* simulated-NVRAM access (the step hook of
-   {!Nvm.Heap}), a seeded scheduler drives an arbitrary interleaving, and a
-   crash can be injected at any yield point — i.e. between any two persist-
-   relevant instructions of the real algorithm code.  After recovery the
-   queue is drained and the complete history (completed operations, the
-   operations pending at the crash, the post-recovery drain) is submitted
-   to the exact durable-linearizability checker.
+   module closes the gap mechanically: code under test runs as
+   effect-based fibers that yield at *every* simulated-NVRAM access (the
+   step hook of {!Nvm.Heap}), a seeded scheduler drives an arbitrary
+   interleaving, and a crash can be injected at any yield point — i.e.
+   between any two persist-relevant instructions of the real algorithm
+   code.  A crash drops the unfinished fibers' continuations: a dead
+   thread runs no further step, not even its unwinders.
 
    Lock-free queues only: algorithms that spin on volatile ownership words
    (the PTM queues, ONLL) have schedules in which the single-threaded
@@ -20,29 +19,79 @@ open Effect.Deep
 
 type _ Effect.t += Step : unit Effect.t
 
-type fiber_status = Done | Paused of (unit, fiber_status) continuation
+(* Yield to the scheduler.  Spin loops — the combiner's waiters, the
+   buffered wrapper's append lock — poll volatile words the heap step
+   hook never sees, so they must yield themselves or a fiber scheduled
+   before the lock holder would spin the scheduler forever.  Outside a
+   fiber (the post-crash drain) the perform is unhandled and the yield
+   is a no-op. *)
+let yield () = try perform Step with Effect.Unhandled _ -> ()
 
-let spawn f =
-  match_with f ()
-    {
-      retc = (fun () -> Done);
-      exnc = raise;
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Step ->
-              Some (fun (k : (a, fiber_status) continuation) -> Paused k)
-          | _ -> None);
-    }
+type fiber =
+  | Unstarted of (unit -> unit)
+  | Paused of (unit, fiber) continuation
+  | Finished
+
+let resume = function
+  | Unstarted f ->
+      match_with f ()
+        {
+          retc = (fun () -> Finished);
+          exnc = raise;
+          effc =
+            (fun (type a) (eff : a Effect.t) ->
+              match eff with
+              | Step -> Some (fun (k : (a, fiber) continuation) -> Paused k)
+              | _ -> None);
+        }
+  | Paused k -> continue k ()
+  | Finished -> Finished
+
+let run ~heap ~rng ~crash_at bodies =
+  let fibers = Array.map (fun f -> Unstarted f) bodies in
+  Nvm.Heap.set_step_hook heap (Some yield);
+  let rec schedule steps =
+    let alive =
+      List.filter
+        (fun i -> match fibers.(i) with Finished -> false | _ -> true)
+        (List.init (Array.length fibers) Fun.id)
+    in
+    if alive = [] then false
+    else if match crash_at with Some c -> steps >= c | None -> false then
+      true
+    else begin
+      let i = List.nth alive (Random.State.int rng (List.length alive)) in
+      Nvm.Tid.set i;
+      fibers.(i) <- resume fibers.(i);
+      schedule (steps + 1)
+    end
+  in
+  let cut = schedule 0 in
+  Nvm.Heap.set_step_hook heap None;
+  cut
+
+let crash_and_recover ~heap ~rng ~policy recover =
+  Nvm.Crash.crash ~rng ~policy heap;
+  Nvm.Tid.reset ();
+  ignore (Nvm.Tid.register ());
+  recover ()
+
+let rounds n f =
+  let rec go i =
+    if i >= n then Ok () else Result.bind (f i) (fun () -> go (i + 1))
+  in
+  go 0
+
+let audit ~name heap =
+  Fence_audit.check_aggregates ~name (Nvm.Span.aggregates (Nvm.Heap.spans heap))
 
 type op = Enq of int | Deq | Sync
-
-type status = Fiber_unstarted of (unit -> unit) | Fiber_paused of (unit, fiber_status) continuation | Fiber_done
 
 (* Run one exploration: [plans.(i)] is fiber [i]'s operation sequence;
    [crash_at = Some s] injects a full-system crash after [s] scheduler
    steps (if the run lasts that long).  Returns the linearizability
-   verdict over the full history. *)
+   verdict over the full history, then the persist-bound audit of the
+   run's spans. *)
 let explore_once ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
     ?(buffered = false) (entry : Dq.Registry.entry) ~seed ~plans ~crash_at :
     (unit, string) result =
@@ -50,37 +99,18 @@ let explore_once ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
   Nvm.Tid.reset ();
   Nvm.Tid.set n (* the orchestrating thread sits after the fibers *);
   let heap = Nvm.Heap.create ~mode:Nvm.Heap.Checked ~latency:Nvm.Latency.off () in
-  (* Instrument the instance and audit every explored schedule against
-     the paper's per-operation persist bounds: a schedule in which some
-     interleaving makes an operation fence twice fails the exploration
-     even if the history linearizes.  Buffered variants are exempt by
-     name (the wrapper's op spans legitimately own a whole commit's
-     fences when they trip the watermark). *)
-  let audit =
-    Fence_audit.create
-      ~queue:
-        (entry.Dq.Registry.name
-        ^ if buffered then Dq.Buffered_q.name_suffix else "")
-  in
-  (match audit with
-  | Some a -> Fence_audit.attach a (Nvm.Heap.spans heap)
-  | None -> ());
-  (* All spin loops — the combiner's waiters, the buffered wrapper's
-     append lock — poll volatile words the heap step hook never sees, so
-     they must yield through the fiber scheduler themselves or a fiber
-     scheduled before the lock holder would spin the single-threaded
-     scheduler forever.  Outside a fiber (the post-crash drain) the
-     perform is unhandled and the yield is a no-op. *)
-  let fiber_yield () = try perform Step with Effect.Unhandled _ -> () in
   (* Under [buffered], wrap the *raw* instance in the group-commit tier
      (a small watermark so commits trip mid-plan) and keep the concrete
-     handle for persist-stamping; instrumentation goes on top. *)
+     handle for persist-stamping; instrumentation goes on top.  The
+     suffixed name has no row in the bounds table: the wrapper's op
+     spans legitimately own a whole commit's fences when they trip the
+     watermark. *)
   let buf =
     if buffered then
       Some
         (Nvm.Span.with_span ~exclude:true (Nvm.Heap.spans heap)
            Dq.Instrumented.create_label (fun () ->
-             Dq.Buffered_q.create ~watermark:4 ~yield:fiber_yield heap
+             Dq.Buffered_q.create ~watermark:4 ~yield heap
                entry.Dq.Registry.make))
     else None
   in
@@ -91,8 +121,7 @@ let explore_once ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
   in
   let q =
     if combining then
-      Dq.Combining_q.instance
-        (Dq.Combining_q.create ~yield:fiber_yield heap q0)
+      Dq.Combining_q.instance (Dq.Combining_q.create ~yield heap q0)
     else q0
   in
   (* Persist-stamp ledger (buffered mode): each group commit covers a
@@ -120,19 +149,10 @@ let explore_once ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
              stamped_consumed := max !stamped_consumed consumed))
   | None -> ());
   let rng = Random.State.make [| seed; 0x5EED |] in
-  let clock = ref 0 in
-  let tick () =
-    let v = !clock in
-    incr clock;
-    v
-  in
-  let next_id = ref 0 in
-  let ops : History.op list ref = ref [] in
-  let current = Array.make n None in
-  let fiber_body i () =
+  let h = History.create () in
+  let body i () =
     List.iter
-      (fun op ->
-        match op with
+      (function
         | Sync ->
             (* The explicit persistence boundary: a group commit + drain
                over the buffered tier, a no-op over strict queues.  Not a
@@ -140,96 +160,33 @@ let explore_once ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
                is the persist stamps of the operations it covers. *)
             q.Dq.Queue_intf.sync ()
         | Enq v ->
-            let id = !next_id in
-            incr next_id;
-            let inv = tick () in
-            current.(i) <- Some (id, History.Enqueue v, inv);
-            q.Dq.Queue_intf.enqueue v;
-            ops :=
-              { History.id; tid = i; kind = History.Enqueue v; inv;
-                res = Some (tick ()); persist = None }
-              :: !ops;
-            current.(i) <- None
+            History.record_enqueue h ~tid:i v (fun () ->
+                q.Dq.Queue_intf.enqueue v)
         | Deq ->
-            let id = !next_id in
-            incr next_id;
-            let inv = tick () in
-            current.(i) <- Some (id, History.Dequeue None, inv);
-            let r = q.Dq.Queue_intf.dequeue () in
-            ops :=
-              { History.id; tid = i; kind = History.Dequeue r; inv;
-                res = Some (tick ()); persist = None }
-              :: !ops;
-            current.(i) <- None)
+            ignore (History.record_dequeue h ~tid:i q.Dq.Queue_intf.dequeue))
       plans.(i)
   in
-  let fibers = Array.init n (fun i -> ref (Fiber_unstarted (fiber_body i))) in
-  Nvm.Heap.set_step_hook heap
-    (Some (fun () -> try perform Step with Effect.Unhandled _ -> ()));
-  let steps = ref 0 in
-  let crashed = ref false in
-  let rec schedule () =
-    let alive =
-      List.filter
-        (fun i -> match !(fibers.(i)) with Fiber_done -> false | _ -> true)
-        (List.init n Fun.id)
-    in
-    if alive = [] then ()
-    else if match crash_at with Some c -> !steps >= c | None -> false then
-      crashed := true
-    else begin
-      let i = List.nth alive (Random.State.int rng (List.length alive)) in
-      Nvm.Tid.set i;
-      let st =
-        match !(fibers.(i)) with
-        | Fiber_unstarted f -> spawn f
-        | Fiber_paused k -> continue k ()
-        | Fiber_done -> assert false
-      in
-      (fibers.(i) :=
-         match st with Done -> Fiber_done | Paused k -> Fiber_paused k);
-      incr steps;
-      schedule ()
-    end
-  in
-  schedule ();
-  Nvm.Heap.set_step_hook heap None;
-  if !crashed then begin
-    (* Operations in flight at the crash become pending in the history;
-       the checker may linearize or drop them. *)
-    Array.iteri
-      (fun i cur ->
-        match cur with
-        | Some (id, kind, inv) ->
-            ops :=
-              { History.id; tid = i; kind; inv; res = None; persist = None }
-              :: !ops
-        | None -> ())
-      current;
+  let crashed = run ~heap ~rng ~crash_at (Array.init n body) in
+  if crashed then begin
     (* Buffered mode: stamp every operation the issued commits covered —
        by value, from the on-commit ledger — before the image is cut.
        (Pending dequeues carry no value and stay unstamped; the checker
        may still linearize them to reach the recovered state.) *)
-    (match buf with
-    | Some _ ->
-        List.iter
-          (fun (o : History.op) ->
-            let stamp table v =
-              match Hashtbl.find_opt table v with
-              | Some p when o.History.persist = None ->
-                  o.History.persist <- Some p
-              | _ -> ()
-            in
-            match o.History.kind with
-            | History.Enqueue v -> stamp enq_stamp v
-            | History.Dequeue (Some v) -> stamp deq_stamp v
-            | History.Dequeue None -> ())
-          !ops
-    | None -> ());
-    Nvm.Crash.crash ~rng ~policy heap;
-    Nvm.Tid.reset ();
-    ignore (Nvm.Tid.register ());
-    q.Dq.Queue_intf.recover ()
+    if buffered then
+      List.iter
+        (fun (o : History.op) ->
+          let stamp table v =
+            match Hashtbl.find_opt table v with
+            | Some p when o.History.persist = None ->
+                o.History.persist <- Some p
+            | _ -> ()
+          in
+          match o.History.kind with
+          | History.Enqueue v -> stamp enq_stamp v
+          | History.Dequeue (Some v) -> stamp deq_stamp v
+          | History.Dequeue None -> ())
+        (History.ops h);
+    crash_and_recover ~heap ~rng ~policy q.Dq.Queue_intf.recover
   end
   else Nvm.Tid.set n;
   (* Drain the queue.  Strict mode (and crash-free runs): the drain's
@@ -239,34 +196,25 @@ let explore_once ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
      crash-cut checker — persistence lagged execution, so the strict
      checker's pending-only latitude would reject legitimately dropped
      unsynced suffixes. *)
-  let buffered_crash = !crashed && buf <> None in
-  let recovered = ref [] in
-  let rec drain () =
-    let id = !next_id in
-    incr next_id;
-    let inv = tick () in
-    let r = q.Dq.Queue_intf.dequeue () in
-    (if buffered_crash then
-       match r with
-       | Some v -> recovered := v :: !recovered
-       | None -> ()
-     else
-       ops :=
-         { History.id; tid = n; kind = History.Dequeue r; inv;
-           res = Some (tick ()); persist = None }
-         :: !ops);
-    if r <> None then drain ()
+  let buffered_crash = crashed && buffered in
+  let rec drain acc =
+    let r =
+      if buffered_crash then q.Dq.Queue_intf.dequeue ()
+      else History.record_dequeue h ~tid:n q.Dq.Queue_intf.dequeue
+    in
+    match r with Some v -> drain (v :: acc) | None -> List.rev acc
   in
-  drain ();
+  let recovered = drain [] in
   let verdict =
     if buffered_crash then
-      Lin_check.check_crash_cut_report (List.rev !ops)
-        ~recovered:(List.rev !recovered)
-    else Lin_check.check_report (List.rev !ops)
+      Lin_check.check_crash_cut_report (History.ops h) ~recovered
+    else Lin_check.check_report (History.ops h)
   in
-  match verdict with
-  | Error _ as e -> e
-  | Ok () -> ( match audit with Some a -> Fence_audit.check a | None -> Ok ())
+  Result.bind verdict (fun () ->
+      audit heap
+        ~name:
+          (entry.Dq.Registry.name
+          ^ if buffered then Dq.Buffered_q.name_suffix else ""))
 
 (* A randomized campaign over one queue: [rounds] seeds, each with a
    random 2-3 fiber plan of enqueues/dequeues and a crash at a random
@@ -276,16 +224,14 @@ let explore_once ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
    the "nothing beyond explicit persists" corner is explored on every
    run, not only when the random policy happens to land there. *)
 let campaign ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
-    ?(buffered = false) (entry : Dq.Registry.entry) ~rounds :
+    ?(buffered = false) (entry : Dq.Registry.entry) ~rounds:n :
     (unit, string) result =
   let shown_name =
     entry.Dq.Registry.name
     ^ (if buffered then Dq.Buffered_q.name_suffix else "")
     ^ if combining then Dq.Combining_q.name_suffix else ""
   in
-  let rec go seed =
-    if seed >= rounds then Ok ()
-    else begin
+  rounds n (fun seed ->
       let rng = Random.State.make [| seed; 0xCA4 |] in
       let nfibers = 2 + Random.State.int rng 2 in
       let value = ref 0 in
@@ -305,24 +251,16 @@ let campaign ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
                 else Deq))
       in
       let crash_at =
-        if seed mod 3 = 2 then None
-        else Some (1 + Random.State.int rng 60)
+        if seed mod 3 = 2 then None else Some (1 + Random.State.int rng 60)
       in
-      match
-        explore_once ~policy ~combining ~buffered entry ~seed ~plans ~crash_at
-      with
-      | Ok () -> go (seed + 1)
-      | Error e ->
-          Error
-            (Printf.sprintf "%s: seed %d (crash_at %s, policy %s): %s"
-               shown_name seed
-               (match crash_at with
-               | Some c -> string_of_int c
-               | None -> "none")
-               (Nvm.Crash.policy_name policy) e)
-    end
-  in
-  go 0
+      explore_once ~policy ~combining ~buffered entry ~seed ~plans ~crash_at
+      |> Result.map_error
+           (Printf.sprintf "%s: seed %d (crash_at %s, policy %s): %s"
+              shown_name seed
+              (match crash_at with
+              | Some c -> string_of_int c
+              | None -> "none")
+              (Nvm.Crash.policy_name policy)))
 
 (* -- Directed checkpoint-flip boundary campaign ---------------------------
 
@@ -331,31 +269,28 @@ let campaign ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
    fence ({!Dq.Checkpoint}).  The randomized campaign above crashes
    inside *operations*; this one crashes inside {!Dq.Checkpoint.run}
    itself, at every persist-relevant instruction — through the image
-   stream, across the flip, and into retirement — and requires the
-   queue's contents to be exactly invariant: a checkpoint is
+   stream, across the flip, into retirement, and after the run returns
+   (when the previous epoch's regions are already freed) — and requires
+   the queue's contents to be exactly invariant: a checkpoint is
    contents-neutral, so whatever side of the flip the crash lands on,
    recovery must reproduce the same items from either the previous
    committed epoch (or native scan) or the fresh image. *)
 
-exception Crash_now
-
 (* One run: quiescent churn, a committed predecessor checkpoint (so a
    crash inside the next run must fall back to a *previous epoch*, not
-   to an empty history), more churn, then [Checkpoint.run] with a crash
-   injected at NVM step [crash_at].  Returns [Ok None] when the crash
-   fired and the recovered contents matched, [Ok (Some steps)] when the
-   run completed un-crashed in [steps] — the sweep's termination signal,
-   at which point the flip span's persist cost is audited (movnti-only,
-   at most one fence). *)
+   to an empty history), more churn, then [Checkpoint.run] cut after
+   [crash_at] steps, and the crash. *)
 let checkpoint_flip_once ?(policy = Nvm.Crash.Only_persisted)
-    (entry : Dq.Registry.entry) ~seed ~crash_at : (int option, string) result
-    =
+    (entry : Dq.Registry.entry) ~seed ~crash_at : (bool, string) result =
   Nvm.Tid.reset ();
   ignore (Nvm.Tid.register ());
   let heap =
     Nvm.Heap.create ~mode:Nvm.Heap.Checked ~latency:Nvm.Latency.off ()
   in
-  let q = (Dq.Registry.instrumented entry).Dq.Registry.make heap in
+  (* Uninstrumented: the checkpoint records its own [ckpt:*] spans, so
+     the audit below bounds the flip, not the churn's operations (the
+     campaigns above audit those). *)
+  let q = entry.Dq.Registry.make heap in
   match q.Dq.Queue_intf.checkpoint with
   | None -> Error (entry.Dq.Registry.name ^ ": no checkpoint handle")
   | Some ck ->
@@ -374,69 +309,41 @@ let checkpoint_flip_once ?(policy = Nvm.Crash.Only_persisted)
       ignore (Dq.Checkpoint.run ck);
       churn (8 + Random.State.int rng 8);
       let expected = q.Dq.Queue_intf.to_list () in
-      let steps = ref 0 in
-      let crashed = ref false in
-      Nvm.Heap.set_step_hook heap
-        (Some
-           (fun () ->
-             if !steps >= crash_at then raise Crash_now;
-             incr steps));
-      (try ignore (Dq.Checkpoint.run ck) with Crash_now -> crashed := true);
-      Nvm.Heap.set_step_hook heap None;
-      if not !crashed then begin
-        (* Terminal: the sweep passed the last persist instruction.  The
-           completed run must still be contents-neutral, and the flip
-           span must have paid at most one fence and no flush (the
-           commit word goes out with movnti). *)
-        if q.Dq.Queue_intf.to_list () <> expected then
-          Error "completed checkpoint changed the queue contents"
-        else
-          let flip =
-            Nvm.Span.aggregates (Nvm.Heap.spans heap)
-            |> List.find_opt (fun (a : Nvm.Span.agg) ->
-                   a.Nvm.Span.agg_label = Dq.Checkpoint.flip_label)
-          in
-          match flip with
-          | None -> Error "no ckpt:flip span recorded"
-          | Some a ->
-              if a.Nvm.Span.max_fences > 1 then
-                Error
-                  (Printf.sprintf "epoch flip paid %d fences (bound 1)"
-                     a.Nvm.Span.max_fences)
-              else if a.Nvm.Span.sum.Nvm.Stats.flushes > 0 then
-                Error
-                  (Printf.sprintf "epoch flip issued %d flushes (bound 0)"
-                     a.Nvm.Span.sum.Nvm.Stats.flushes)
-              else Ok (Some !steps)
-      end
+      (* One fiber: its scheduling draws from an rng of its own, so the
+         crash adversary's draws do not depend on the crash point. *)
+      let finished =
+        not
+          (run ~heap ~rng:(Random.State.make [| seed |])
+             ~crash_at:(Some crash_at)
+             [| (fun () -> ignore (Dq.Checkpoint.run ck)) |])
+      in
+      if finished && q.Dq.Queue_intf.to_list () <> expected then
+        Error "completed checkpoint changed the queue contents"
       else begin
-        Nvm.Crash.crash ~rng ~policy heap;
-        Nvm.Tid.reset ();
-        ignore (Nvm.Tid.register ());
-        q.Dq.Queue_intf.recover ();
+        crash_and_recover ~heap ~rng ~policy q.Dq.Queue_intf.recover;
         let got = q.Dq.Queue_intf.to_list () in
         if got <> expected then
           Error
             (Printf.sprintf
                "contents changed across crash: expected %d items, got %d"
                (List.length expected) (List.length got))
-        else Ok None
+        else
+          Result.map (fun () -> finished)
+            (audit ~name:entry.Dq.Registry.name heap)
       end
 
-(* Sweep every crash point of the flip boundary for [seeds] seeds. *)
+(* Sweep every crash point of the flip boundary, through the point after
+   the run returns, for [seeds] seeds. *)
 let checkpoint_flip_campaign ?policy (entry : Dq.Registry.entry) ~seeds :
     (unit, string) result =
-  let rec sweep seed k =
-    match checkpoint_flip_once ?policy entry ~seed ~crash_at:k with
-    | Ok (Some _) -> Ok () (* completed: every earlier step was crashed *)
-    | Ok None -> sweep seed (k + 1)
-    | Error e ->
-        Error
-          (Printf.sprintf "%s: seed %d, crash at checkpoint step %d: %s"
-             entry.Dq.Registry.name seed k e)
-  in
-  let rec go seed =
-    if seed >= seeds then Ok ()
-    else match sweep seed 0 with Ok () -> go (seed + 1) | Error _ as e -> e
-  in
-  go 0
+  rounds seeds (fun seed ->
+      let rec sweep k =
+        match checkpoint_flip_once ?policy entry ~seed ~crash_at:k with
+        | Ok true -> Ok ()
+        | Ok false -> sweep (k + 1)
+        | Error e ->
+            Error
+              (Printf.sprintf "%s: seed %d, crash at checkpoint step %d: %s"
+                 entry.Dq.Registry.name seed k e)
+      in
+      sweep 1)

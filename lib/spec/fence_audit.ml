@@ -1,228 +1,75 @@
-(* Per-operation persist-bound audit over closed spans.  See the mli. *)
+(* Per-span persist-bound audit over a run's span aggregates.  See the
+   mli. *)
 
-type bounds = {
-  b_max_fences : int;
-  b_max_post_flush : int option;
+type bound = {
+  max_fences : int;
+  max_flushes : int option;
+  max_post_flush : int option;
 }
 
 (* The combining front-end ({!Dq.Combining_q}) suffixes instance and
    registry names; its per-op and per-batch bounds are the wrapped
    queue's (combine spans own batch fences, op spans inside observe
    zero), so bounds are looked up under the base name. *)
-let base_queue name =
+let base_name name =
   let sfx = Dq.Combining_q.name_suffix in
   let n = String.length name and k = String.length sfx in
   if n > k && String.sub name (n - k) k = sfx then String.sub name 0 (n - k)
   else name
 
-(* The paper's per-operation worst cases.  ONLL-Q fences once per update
-   too; only the Opt variants additionally promise zero accesses to
-   flushed content (the second amendment).  Everything else — the
-   compared prior work and the ablation variants — is deliberately
-   unbounded here: the audit proves our claims, not theirs. *)
-let bounds_for name =
-  match base_queue name with
-  | "UnlinkedQ" | "LinkedQ" | "ONLL-Q" ->
-      Some { b_max_fences = 1; b_max_post_flush = None }
-  | "OptUnlinkedQ" | "OptLinkedQ" ->
-      Some { b_max_fences = 1; b_max_post_flush = Some 0 }
+let fences n =
+  Some { max_fences = n; max_flushes = None; max_post_flush = None }
+
+(* The paper's per-operation worst cases: ONLL-Q fences once per update
+   too, and only the Opt variants additionally promise zero accesses to
+   flushed content (the second amendment).  The maps follow Zuriel et
+   al. as mirrored by lib/dset: both insert with one fence, link-free
+   bounds delete and lookup by one fence (flush-on-traversal-dependence),
+   SOFT's delete and lookup are persistence-free.  Post-flush accesses
+   are unbounded for maps: reading a persisted SOFT node is a post-flush
+   read by design. *)
+let bound ~name ~label =
+  let queue_op = List.mem label Dq.Instrumented.op_labels in
+  let batch = List.mem label Dq.Instrumented.batch_labels in
+  let map_op = List.mem label Dset.Instrumented.op_labels in
+  match base_name name with
+  | _ when label = Dq.Checkpoint.flip_label ->
+      Some { max_fences = 1; max_flushes = Some 0; max_post_flush = None }
+  | ("UnlinkedQ" | "LinkedQ" | "ONLL-Q") when queue_op || batch -> fences 1
+  | "OptUnlinkedQ" | "OptLinkedQ" when queue_op ->
+      Some { max_fences = 1; max_flushes = None; max_post_flush = Some 0 }
+  | "OptUnlinkedQ" | "OptLinkedQ" when batch -> fences 1
+  | "LinkFreeMap" when map_op -> fences 1
+  | "SOFTMap" when label = Dset.Instrumented.ins_label -> fences 1
+  | "SOFTMap" when map_op ->
+      Some { max_fences = 0; max_flushes = Some 0; max_post_flush = None }
   | _ -> None
 
-let audited name = bounds_for name <> None
-
-let is_op label = List.mem label Dq.Instrumented.op_labels
-
-(* Both batch-granularity spans — the broker's "batch" and the
-   combiner's "combine" — own one closing fence apiece. *)
-let is_batch label = List.mem label Dq.Instrumented.batch_labels
-
-let max_violations_kept = 8
-
-type t = {
-  queue : string;
-  bounds : bounds;
-  mu : Mutex.t;  (* spans close on every worker thread *)
-  mutable n_ops : int;
-  mutable n_batches : int;
-  mutable worst_op_fences : int;
-  mutable worst_batch_fences : int;
-  mutable worst_post_flush : int;
-  mutable n_violations : int;
-  mutable violations : string list;  (* first few, newest first *)
-}
-
-let create ~queue =
-  match bounds_for queue with
-  | None -> None
-  | Some bounds ->
-      Some
-        {
-          queue;
-          bounds;
-          mu = Mutex.create ();
-          n_ops = 0;
-          n_batches = 0;
-          worst_op_fences = 0;
-          worst_batch_fences = 0;
-          worst_post_flush = 0;
-          n_violations = 0;
-          violations = [];
-        }
-
-let violation t msg =
-  t.n_violations <- t.n_violations + 1;
-  if List.length t.violations < max_violations_kept then
-    t.violations <- msg :: t.violations
-
-let describe (sp : Nvm.Span.closed) =
-  Printf.sprintf "%s span (tid %d, seq %d)" sp.Nvm.Span.label
-    sp.Nvm.Span.tid sp.Nvm.Span.seq
-
-let observe t (sp : Nvm.Span.closed) =
-  let label = sp.Nvm.Span.label in
-  if is_op label || is_batch label then begin
-    let d = sp.Nvm.Span.delta in
-    let fences = d.Nvm.Stats.fences in
-    let post_flush = Nvm.Stats.post_flush_accesses d in
-    Mutex.lock t.mu;
-    if is_batch label then begin
-      t.n_batches <- t.n_batches + 1;
-      t.worst_batch_fences <- max t.worst_batch_fences fences;
-      if fences > 1 then
-        violation t
-          (Printf.sprintf "%s: %s issued %d fences (bound: 1 per batch)"
-             t.queue (describe sp) fences)
-    end
-    else begin
-      t.n_ops <- t.n_ops + 1;
-      t.worst_op_fences <- max t.worst_op_fences fences;
-      t.worst_post_flush <- max t.worst_post_flush post_flush;
-      if fences > t.bounds.b_max_fences then
-        violation t
-          (Printf.sprintf "%s: %s issued %d fences (bound: %d)" t.queue
-             (describe sp) fences t.bounds.b_max_fences);
-      match t.bounds.b_max_post_flush with
-      | Some b when post_flush > b ->
-          violation t
-            (Printf.sprintf
-               "%s: %s made %d post-flush accesses (bound: %d)" t.queue
-               (describe sp) post_flush b)
-      | _ -> ()
-    end;
-    Mutex.unlock t.mu
-  end
-
-let attach t spans = Nvm.Span.set_sink spans (Some (observe t))
-
-let ops t = t.n_ops
-let batches t = t.n_batches
-let max_op_fences t = t.worst_op_fences
-let max_batch_fences t = t.worst_batch_fences
-let max_post_flush t = t.worst_post_flush
-
-let check t =
-  Mutex.lock t.mu;
-  let r =
-    if t.n_violations = 0 then Ok ()
-    else
-      Error
-        (Printf.sprintf "%d per-op bound violation(s): %s" t.n_violations
-           (String.concat "; " (List.rev t.violations)))
-  in
-  Mutex.unlock t.mu;
-  r
-
-(* {1 Map bounds}
-
-   The keyed-store tier's per-operation claims (Zuriel et al., mirrored
-   by lib/dset): both variants insert with at most one fence; link-free
-   additionally bounds delete and lookup by one fence (the
-   flush-on-traversal-dependence case), while SOFT's delete and lookup
-   are persistence-free — zero flushes AND zero fences.  Post-flush
-   accesses are unbounded for maps (reading a persisted SOFT node is a
-   post-flush read by design). *)
-
-type map_bounds = {
-  mb_max_fences : int;
-  mb_max_flushes : int option;  (* None = unbounded *)
-}
-
-let map_bounds_for ~map ~label =
-  let ins = label = Dset.Instrumented.ins_label in
-  let del = label = Dset.Instrumented.del_label in
-  let get = label = Dset.Instrumented.get_label in
-  match map with
-  | "LinkFreeMap" when ins || del || get ->
-      Some { mb_max_fences = 1; mb_max_flushes = None }
-  | "SOFTMap" when ins -> Some { mb_max_fences = 1; mb_max_flushes = None }
-  | "SOFTMap" when del || get ->
-      Some { mb_max_fences = 0; mb_max_flushes = Some 0 }
-  | _ -> None
-
-let map_audited map =
+let audited name =
   List.exists
-    (fun label -> map_bounds_for ~map ~label <> None)
-    Dset.Instrumented.op_labels
+    (fun label -> bound ~name ~label <> None)
+    (Dq.Instrumented.op_labels @ Dset.Instrumented.op_labels)
 
-let check_map_aggregates ~map aggs =
+let check_aggregates ~name aggs =
   let problems =
-    List.filter_map
+    List.concat_map
       (fun (a : Nvm.Span.agg) ->
-        match map_bounds_for ~map ~label:a.Nvm.Span.agg_label with
-        | None -> None
+        let label = a.Nvm.Span.agg_label in
+        let over what worst = function
+          | Some limit when worst > limit ->
+              [
+                Printf.sprintf "%s: worst %s span made %d %s (bound: %d)"
+                  name label worst what limit;
+              ]
+          | _ -> []
+        in
+        match bound ~name ~label with
+        | None -> []
         | Some b ->
-            if a.Nvm.Span.max_fences > b.mb_max_fences then
-              Some
-                (Printf.sprintf
-                   "%s: worst %s span issued %d fences (bound: %d)" map
-                   a.Nvm.Span.agg_label a.Nvm.Span.max_fences
-                   b.mb_max_fences)
-            else begin
-              match b.mb_max_flushes with
-              | Some bound when a.Nvm.Span.max_flushes > bound ->
-                  Some
-                    (Printf.sprintf
-                       "%s: worst %s span issued %d flushes (bound: %d)"
-                       map a.Nvm.Span.agg_label a.Nvm.Span.max_flushes
-                       bound)
-              | _ -> None
-            end)
+            over "fences" a.Nvm.Span.max_fences (Some b.max_fences)
+            @ over "flushes" a.Nvm.Span.max_flushes b.max_flushes
+            @ over "post-flush accesses" a.Nvm.Span.max_post_flush
+                b.max_post_flush)
       aggs
   in
   if problems = [] then Ok () else Error (String.concat "; " problems)
-
-(* Offline: the same bounds checked against the worst-case columns of a
-   merged span aggregation. *)
-let check_aggregates ~queue aggs =
-  match bounds_for queue with
-  | None -> Ok ()
-  | Some b ->
-      let problems =
-        List.filter_map
-          (fun (a : Nvm.Span.agg) ->
-            let label = a.Nvm.Span.agg_label in
-            if is_op label then
-              if a.Nvm.Span.max_fences > b.b_max_fences then
-                Some
-                  (Printf.sprintf
-                     "%s: worst %s span issued %d fences (bound: %d)" queue
-                     label a.Nvm.Span.max_fences b.b_max_fences)
-              else begin
-                match b.b_max_post_flush with
-                | Some bound when a.Nvm.Span.max_post_flush > bound ->
-                    Some
-                      (Printf.sprintf
-                         "%s: worst %s span made %d post-flush accesses \
-                          (bound: %d)"
-                         queue label a.Nvm.Span.max_post_flush bound)
-                | _ -> None
-              end
-            else if is_batch label && a.Nvm.Span.max_fences > 1 then
-              Some
-                (Printf.sprintf
-                   "%s: worst batch span issued %d fences (bound: 1)" queue
-                   a.Nvm.Span.max_fences)
-            else None)
-          aggs
-      in
-      if problems = [] then Ok () else Error (String.concat "; " problems)

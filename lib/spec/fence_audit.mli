@@ -1,89 +1,45 @@
-(** Per-operation persist-bound audit.
+(** Per-span persist-bound audit: one bounds table, checked against a
+    run's span aggregates.
 
     The paper's headline claims are worst-case bounds per operation, not
     averages: each of UnlinkedQ, LinkedQ, OptUnlinkedQ, OptLinkedQ and
     ONLL-Q issues at most one SFENCE per enqueue/dequeue, and the Opt
-    variants never touch flushed content.  This module consumes closed
-    {!Nvm.Span} spans (from instrumented instances,
-    {!Dq.Registry.instrumented}) and checks those bounds on every single
-    operation span — one violating op fails the audit even if the
-    average is perfect.
-
-    Two modes: an online auditor ({!create}/{!attach}) checks each span
-    as it closes (the interleaving explorer attaches one so model-checked
-    schedules are audited too), and {!check_aggregates} checks the
-    worst-case columns of a finished run's span aggregation (censuses,
-    CI strict mode).
+    variants never touch flushed content.  The keyed-store tier makes
+    the same kind of claim per map operation, and the checkpoint's epoch
+    flip publishes with one movnti and one fence.  {!bound} holds every
+    such bound; {!check_aggregates} checks the worst-case columns of a
+    finished run's {!Nvm.Span} aggregation against it, so one violating
+    span fails the audit even if the average is perfect.
 
     Batch semantics: under {!Nvm.Heap.with_batched_fences} the per-op
-    spans inside a ["batch"] span observe zero fences and the batch span
-    owns exactly one closing fence — audited as [max_fences <= 1] on the
-    batch label.  ["recover"] and ["setup:*"] spans are exempt (recovery
-    and designated-area setup may persist freely). *)
+    spans inside a ["batch"] (or ["combine"]) span observe zero fences
+    and the batch span owns exactly one closing fence.  Labels without a
+    row — ["recover"], ["setup:*"], ["sync"] — are exempt. *)
 
-type bounds = {
-  b_max_fences : int;  (** per op span, and per batch span *)
-  b_max_post_flush : int option;  (** [None] = unbounded *)
+type bound = {
+  max_fences : int;
+  max_flushes : int option;  (** [None] = unbounded *)
+  max_post_flush : int option;  (** [None] = unbounded *)
 }
 
-val bounds_for : string -> bounds option
-(** The audited bound for a queue name; [None] for queues the paper does
-    not bound per-op (DurableMSQ, the PTM queues, ablation variants...). *)
+val bound : name:string -> label:string -> bound option
+(** The bound on every span labelled [label] in a run of the queue or
+    map [name] (a combining front-end's suffixed name reads its base
+    queue's rows).  The table:
+    - queue [enq]/[deq] spans of the five bounded queues: one fence, and
+      zero post-flush accesses for the Opt pair;
+    - their [batch]/[combine] spans: one fence;
+    - LinkFreeMap [ins]/[del]/[get] and SOFTMap [ins]: one fence;
+      SOFTMap [del]/[get]: no fence and no flush;
+    - [ckpt:flip] under any name: one fence, no flush.
+
+    [None] for everything else — the compared prior work and ablation
+    variants are deliberately unbounded: the audit proves our claims,
+    not theirs. *)
 
 val audited : string -> bool
+(** Whether [name] bounds some operation label (queue or map). *)
 
-(** {1 Online audit} *)
-
-type t
-
-val create : queue:string -> t option
-(** An auditor for [queue]; [None] when the queue has no audited bound.
-    Thread-safe: may observe spans from many closing threads. *)
-
-val attach : t -> Nvm.Span.t -> unit
-(** Install the auditor as [spans]' sink (replacing any previous sink). *)
-
-val observe : t -> Nvm.Span.closed -> unit
-(** Check one closed span against the bounds.  Op spans ([enq]/[deq])
-    and [batch] spans are audited; everything else is ignored. *)
-
-val ops : t -> int
-(** Operation spans observed. *)
-
-val batches : t -> int
-val max_op_fences : t -> int
-val max_batch_fences : t -> int
-val max_post_flush : t -> int
-
-val check : t -> (unit, string) result
-(** [Ok ()] iff no observed span violated its bound; the error lists the
-    first violations. *)
-
-(** {1 Offline audit} *)
-
-val check_aggregates :
-  queue:string -> Nvm.Span.agg list -> (unit, string) result
-(** Check a run's merged span aggregation: op labels must satisfy the
-    queue's per-span worst-case bounds, the [batch] label must show at
-    most one fence per span.  [Ok ()] for unaudited queues. *)
-
-(** {1 Map bounds}
-
-    The keyed-store tier's per-operation claims: both map variants
-    insert with at most one fence; LinkFreeMap bounds delete and lookup
-    by one fence too (flush-on-traversal-dependence), and SOFTMap's
-    delete and lookup are persistence-free (zero flushes, zero fences).
-    Labels are {!Dset.Instrumented.op_labels} ([ins]/[del]/[get]). *)
-
-type map_bounds = {
-  mb_max_fences : int;
-  mb_max_flushes : int option;  (** [None] = unbounded *)
-}
-
-val map_bounds_for : map:string -> label:string -> map_bounds option
-val map_audited : string -> bool
-
-val check_map_aggregates :
-  map:string -> Nvm.Span.agg list -> (unit, string) result
-(** Check a run's merged span aggregation against the map bounds.
-    [Ok ()] for unaudited names. *)
+val check_aggregates : name:string -> Nvm.Span.agg list -> (unit, string) result
+(** Check every aggregated label's worst span against {!bound}; the
+    error lists each violation. *)

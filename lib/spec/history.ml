@@ -4,17 +4,19 @@
    global logical clock.  Crashes cut a history into eras; under durable
    linearizability the history with crash events omitted must be
    linearizable, with operations pending at a crash allowed to take effect
-   or vanish — which is exactly how {!Lin_check} treats pending operations,
-   so the recorder only needs to mark operations that never responded. *)
+   or vanish — which is exactly how {!Lin_check} treats pending operations.
+   An operation is entered at invocation and completed at response, so
+   one whose thread died mid-call (an exception, or a fiber the crash
+   explorer never resumes) is pending with no further bookkeeping. *)
 
 type kind = Enqueue of int | Dequeue of int option
 
 type op = {
   id : int;
   tid : int;
-  kind : kind;
+  mutable kind : kind;
   inv : int;  (* invocation timestamp *)
-  res : int option;  (* response timestamp; None = pending at a crash *)
+  mutable res : int option;  (* response timestamp; None = pending *)
   mutable persist : int option;
       (* persist-point stamp: the global persist clock at the group
          commit that covered this operation, [None] while (or if never)
@@ -39,61 +41,28 @@ let create () =
     ops = [];
   }
 
-let push t op =
-  Mutex.lock t.lock;
-  t.ops <- op :: t.ops;
-  Mutex.unlock t.lock
-
 let tick t = Atomic.fetch_and_add t.clock 1
 
-(* Run [f], recording it as an enqueue of [v] by thread [tid].  If [f]
-   raises (used by tests to simulate a thread dying at a crash), the
-   operation is recorded as pending. *)
-let record_enqueue t ~tid v f =
+(* Enter an operation at its invocation, still pending. *)
+let invoke t ~tid kind =
   let id = Atomic.fetch_and_add t.next_id 1 in
-  let inv = tick t in
-  match f () with
-  | () ->
-      push t
-        { id; tid; kind = Enqueue v; inv; res = Some (tick t); persist = None }
-  | exception e ->
-      push t { id; tid; kind = Enqueue v; inv; res = None; persist = None };
-      raise e
+  let o = { id; tid; kind; inv = tick t; res = None; persist = None } in
+  Mutex.lock t.lock;
+  t.ops <- o :: t.ops;
+  Mutex.unlock t.lock;
+  o
+
+let record_enqueue t ~tid v f =
+  let o = invoke t ~tid (Enqueue v) in
+  f ();
+  o.res <- Some (tick t)
 
 let record_dequeue t ~tid f =
-  let id = Atomic.fetch_and_add t.next_id 1 in
-  let inv = tick t in
-  match f () with
-  | result ->
-      push t
-        {
-          id;
-          tid;
-          kind = Dequeue result;
-          inv;
-          res = Some (tick t);
-          persist = None;
-        };
-      result
-  | exception e ->
-      push t { id; tid; kind = Dequeue None; inv; res = None; persist = None };
-      raise e
-
-(* Mark an operation as pending explicitly (crash injection). *)
-let record_pending t ~tid kind =
-  let id = Atomic.fetch_and_add t.next_id 1 in
-  let inv = tick t in
-  push t { id; tid; kind; inv; res = None; persist = None }
-
-(* Stamp an already-recorded operation as covered by a group commit at
-   persist-clock [persist].  The first commit covering an operation wins:
-   re-stamping would move the stamp later, claiming less than is true. *)
-let stamp_persist t ~id ~persist =
-  Mutex.lock t.lock;
-  List.iter
-    (fun o -> if o.id = id && o.persist = None then o.persist <- Some persist)
-    t.ops;
-  Mutex.unlock t.lock
+  let o = invoke t ~tid (Dequeue None) in
+  let result = f () in
+  o.kind <- Dequeue result;
+  o.res <- Some (tick t);
+  result
 
 let ops t =
   Mutex.lock t.lock;

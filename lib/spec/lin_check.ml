@@ -118,6 +118,20 @@ let check_crash_cut (ops : History.op list) ~(recovered : int list) : bool =
       && Seq_queue.to_list q = recovered
       && subset_done ops ~which:required mask)
 
+(* The view rule: fold the states forward, restarting the admissible set
+   at every durable operation. *)
+let views ~init ~apply ?pending ops =
+  let latest, since_durable =
+    List.fold_left
+      (fun (s, acc) (op, durable) ->
+        let s' = apply s op in
+        (s', if durable then [ s' ] else s' :: acc))
+      (init, [ init ]) ops
+  in
+  match pending with
+  | Some op -> apply latest op :: since_durable
+  | None -> since_durable
+
 (* Convenience: check and render a counterexample message. *)
 let check_report ops =
   if check ops then Ok ()

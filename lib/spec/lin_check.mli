@@ -29,6 +29,16 @@ val check_crash_cut : History.op list -> recovered:int list -> bool
     tail vanishes as a unit.
     @raise Invalid_argument beyond {!max_ops} operations. *)
 
+val views :
+  init:'s -> apply:('s -> 'op -> 's) -> ?pending:'op -> ('op * bool) list ->
+  's list
+(** The crash view rule (CrashableMap.dfy's: a crash exposes some view
+    between the last durable point and the latest).  [ops] are the
+    applied operations in order, each flagged durable or not; the
+    result is every state from the one after the last durable operation
+    (or [init], when none is durable) up to the latest, plus the
+    [pending] operation's effect on the latest. *)
+
 val check_report : History.op list -> (unit, string) result
 (** Like {!check}, rendering the history on failure. *)
 

@@ -176,8 +176,8 @@ let prop_combined_batches =
 (* The fiber explorer with enqueues routed through the front-end: the
    injected crash lands inside combine passes — after announce but
    before the batch's fence, or between fence issue and release — and
-   the durable-linearizability checker plus the online fence audit must
-   both stay green under every crash adversary. *)
+   the durable-linearizability checker plus the fence audit of the run's
+   span aggregates must both stay green under every crash adversary. *)
 let explorable_combining = [ "UnlinkedQ"; "OptUnlinkedQ"; "OptLinkedQ" ]
 
 let test_combining_campaign ?policy ?(rounds = 40) name () =

@@ -77,7 +77,7 @@ let test_fence_bounds (entry : Dq.Registry.map_entry) () =
   in
   check_ok
     (entry.m_name ^ " per-op bounds")
-    (Spec.Fence_audit.check_map_aggregates ~map:entry.m_name aggs);
+    (Spec.Fence_audit.check_aggregates ~name:entry.m_name aggs);
   (* the claims are non-vacuous: all three op labels were observed *)
   List.iter
     (fun label ->
@@ -170,6 +170,60 @@ let test_double_crash (entry : Dq.Registry.map_entry) () =
     (entry.m_name ^ " second recovery")
     (Spec.Crashable_map.check_recovered ~lazy_remove:entry.lazy_remove
        ~applied ~recovered:(m.to_alist ()) ())
+
+(* -- the view rule, pinned by hand ------------------------------------------ *)
+
+(* Each row: whether the map's removes are lazy (SOFT), the applied ops,
+   the op pending at the crash, a recovered state, and whether
+   {!Spec.Crashable_map.check_recovered} must accept it. *)
+let view_rule_rows =
+  Spec.Crashable_map.
+    [
+      ("SOFT unsynced remove may be undone", true,
+       [ Put (1, 10); Remove 1 ], None, [ (1, 10) ], true);
+      ("link-free remove may not be undone", false,
+       [ Put (1, 10); Remove 1 ], None, [ (1, 10) ], false);
+      ("sync pins a SOFT remove", true,
+       [ Put (1, 10); Remove 1; Sync ], None, [ (1, 10) ], false);
+      ("pending put may land", false, [], Some (Put (1, 10)), [ (1, 10) ],
+       true);
+      ("pending put may vanish", false, [], Some (Put (1, 10)), [], true);
+      ("acknowledged put may not vanish", false, [ Put (1, 10) ], None, [],
+       false);
+      ("never-written key rejected", false, [ Put (1, 10) ], None,
+       [ (1, 10); (2, 20) ], false);
+      ("key recovered twice rejected", false, [ Put (1, 10) ], None,
+       [ (1, 10); (1, 10) ], false);
+      ("value older than its floor rejected", false,
+       [ Put (1, 10); Put (1, 11) ], None, [ (1, 10) ], false);
+      ("SOFT per-key relaxation: lazy remove kept undone", true,
+       [ Put (1, 10); Remove 1; Put (2, 20) ], None, [ (1, 10); (2, 20) ],
+       true);
+      ("SOFT per-key relaxation: lazy remove landed", true,
+       [ Put (1, 10); Remove 1; Put (2, 20) ], None, [ (2, 20) ], true);
+      ("pending link-free remove may land", false, [ Put (1, 10) ],
+       Some (Remove 1), [], true);
+      ("SOFT remove then put pins both", true,
+       [ Put (1, 10); Remove 1; Put (1, 12) ], None, [ (1, 10) ], false);
+    ]
+
+let test_view_rule_table () =
+  List.iter
+    (fun (what, lazy_remove, applied, pending, recovered, accept) ->
+      let verdict =
+        Spec.Crashable_map.check_recovered ~lazy_remove ~applied ?pending
+          ~recovered ()
+      in
+      Alcotest.(check bool) what accept (Result.is_ok verdict))
+    view_rule_rows;
+  (* The rule itself over a counter: a durable op drops every older view. *)
+  let views ops =
+    List.sort compare (Spec.Lin_check.views ~init:0 ~apply:( + ) ops)
+  in
+  Alcotest.(check (list int)) "all durable: only the latest view" [ 6 ]
+    (views [ (1, true); (2, true); (3, true) ]);
+  Alcotest.(check (list int)) "none durable: every prefix" [ 0; 1; 3; 6 ]
+    (views [ (1, false); (2, false); (3, false) ])
 
 (* -- multi-domain torn-prefix crashes (qcheck, seed-replayable) -------------- *)
 
@@ -334,8 +388,8 @@ let test_registry () =
   Alcotest.(check bool) "link-free removes are immediate" false lf.lazy_remove;
   Alcotest.(check bool) "SOFT removes are lazy" true soft.lazy_remove;
   Alcotest.(check bool) "both audited" true
-    (Spec.Fence_audit.map_audited "LinkFreeMap"
-    && Spec.Fence_audit.map_audited "SOFTMap");
+    (Spec.Fence_audit.audited "LinkFreeMap"
+    && Spec.Fence_audit.audited "SOFTMap");
   match Dq.Registry.find_map "NoSuchMap" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "find_map accepted an unknown name"
@@ -364,7 +418,9 @@ let () =
                 `Quick (test_midop_campaign e))
         @ per_map (fun e ->
               Alcotest.test_case (e.Dq.Registry.m_name ^ " double crash")
-                `Quick (test_double_crash e)) );
+                `Quick (test_double_crash e))
+        @ [ Alcotest.test_case "view rule table" `Quick test_view_rule_table ]
+      );
       ( "concurrent-torn",
         per_map (fun e -> q (prop_concurrent_torn e)) );
       ( "broker-offsets",

@@ -88,7 +88,7 @@ let test_buffered_sync_sweep name () =
   done
 
 (* Per-op fence audit under explored interleavings.  [explore_once]
-   attaches a {!Spec.Fence_audit} online auditor internally, so any
+   audits every run's span aggregates ({!Spec.Fence_audit}), so any
    schedule in which some interleaved operation issued a second fence
    (or an Opt queue touched flushed content) fails the exploration even
    when the history itself linearizes.  Here the audited queues get a

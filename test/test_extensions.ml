@@ -225,7 +225,6 @@ let test_broker_batched_census () =
   let service =
     Broker.Service.create ~algorithm:"OptUnlinkedQ" ~shards:2 ()
   in
-  let before = Broker.Census.snapshot service in
   let streams = 4 and per_stream = 240 and batch = 12 in
   for stream = 0 to streams - 1 do
     let seq = ref 1 in
@@ -241,15 +240,18 @@ let test_broker_batched_census () =
     done
   done;
   let ops = streams * per_stream in
-  let census = Broker.Census.since service before in
-  (match Broker.Census.audit census ~ops with
+  let census = Broker.Census.span_census service in
+  (match Broker.Census.strict_audit service with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   Alcotest.(check (float 0.001)) "exactly one fence per batch per shard"
     (1. /. float_of_int batch)
-    (Broker.Census.fences_per_op census ~ops);
-  Alcotest.(check (float 0.001)) "zero post-flush accesses" 0.
-    (Broker.Census.post_flush_per_op census ~ops)
+    (float_of_int
+       (census.Broker.Census.op_fences_total
+       + census.Broker.Census.batch_fences_total)
+    /. float_of_int ops);
+  Alcotest.(check int) "zero post-flush accesses" 0
+    census.Broker.Census.op_post_flush_total
 
 let () =
   Alcotest.run "extensions"

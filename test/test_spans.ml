@@ -159,8 +159,8 @@ let test_census_bounds name () =
 
 (* -- Per-op worst-case bounds across randomized multi-domain runs ---------- *)
 
-(* An online auditor observes every closing op span of a multi-domain
-   run; the property is the paper's worst-case claim itself. *)
+(* Every op span of a multi-domain run enters the heap's aggregates; the
+   property is the paper's worst-case claim itself, read from them. *)
 let prop_multi_domain name =
   QCheck.Test.make ~count:8
     ~name:(name ^ ": per-op bounds hold in randomized multi-domain runs")
@@ -173,12 +173,8 @@ let prop_multi_domain name =
       let heap =
         Nvm.Heap.create ~mode:Nvm.Heap.Fast ~latency:Nvm.Latency.off ()
       in
-      let audit =
-        match Spec.Fence_audit.create ~queue:name with
-        | Some a -> a
-        | None -> QCheck.Test.fail_report (name ^ " has no audited bound")
-      in
-      Spec.Fence_audit.attach audit (Nvm.Heap.spans heap);
+      if not (Spec.Fence_audit.audited name) then
+        QCheck.Test.fail_report (name ^ " has no audited bound");
       let q = (Dq.Registry.instrumented entry).Dq.Registry.make heap in
       let workers =
         List.init domains (fun w ->
@@ -192,16 +188,18 @@ let prop_multi_domain name =
                 done))
       in
       List.iter Domain.join workers;
-      (match Spec.Fence_audit.check audit with
+      let aggs = Nvm.Span.aggregates (Nvm.Heap.spans heap) in
+      (match Spec.Fence_audit.check_aggregates ~name aggs with
       | Ok () -> ()
       | Error e -> QCheck.Test.fail_report e);
       (* Every operation was observed, and the worst op hit the bound
          exactly (each op fences once — never zero, never twice). *)
-      Spec.Fence_audit.ops audit = domains * ops_per_domain
-      && Spec.Fence_audit.max_op_fences audit = 1
+      let c = Broker.Census.per_op_of_aggregates aggs in
+      c.Broker.Census.ops = domains * ops_per_domain
+      && c.Broker.Census.max_op_fences = 1
       &&
       if name = "OptUnlinkedQ" || name = "OptLinkedQ" then
-        Spec.Fence_audit.max_post_flush audit = 0
+        c.Broker.Census.max_op_post_flush = 0
       else true)
 
 (* -- Batched-fence span ownership through the broker ----------------------- *)
