@@ -172,8 +172,10 @@ let census_cmd =
     let entries = resolve_queues queues ~default:Dq.Registry.durable in
     (* A weak acks level wraps each queue in the buffered group-commit
        tier ({!Dq.Buffered_q}): rows are labelled +buffered, op spans
-       are fence-free and the commit fences land in "sync" spans —
-       the census shows the amortization directly. *)
+       are fence-free, the commit fences land in "sync" spans and the
+       line write-behinds in excluded "write-behind" spans, which the
+       enq row's averages count — the census shows the amortization
+       directly. *)
     let entries =
       if level = Broker.Service.Acks_all_synced then entries
       else
@@ -301,10 +303,11 @@ let trace_cmd =
     let q =
       if buffered then
         (* The buffered tier under the same instrumentation as any shard
-           instance: op spans are fence-free, each group commit runs in
-           its own "sync" span with "sync:commit" and "drain:ticket" /
-           "drain:join" instants — the pipelined fence drains the
-           timeline view exists to show. *)
+           instance: op spans are fence-free, each full journal line is
+           written behind in an excluded "write-behind" span, each group
+           commit runs in its own "sync" span with "sync:commit" and
+           "drain:ticket" / "drain:join" instants — the pipelined fence
+           drains the timeline view exists to show. *)
         let b =
           Nvm.Span.with_span ~exclude:true (Nvm.Heap.spans heap)
             Dq.Instrumented.create_label (fun () ->

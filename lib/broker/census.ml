@@ -157,27 +157,39 @@ let durability service =
                  d_syncs = st.Dq.Buffered_q.s_syncs;
                })
 
-(* Fences attributed to group commits: the buffered tier's "sync" spans
-   over all shard heaps.  Together with [durability] this is the
-   buffered bargain in numbers — sync fences amortized over appended
-   operations against the lag they leave. *)
-let sync_fences service =
-  span_aggregates service
-  |> List.filter_map (fun (a : Nvm.Span.agg) ->
-         if a.Nvm.Span.agg_label = Dq.Instrumented.sync_label then
-           Some (a.Nvm.Span.count, a.Nvm.Span.sum.Nvm.Stats.fences)
-         else None)
-  |> List.fold_left
-       (fun (c, f) (c', f') -> (c + c', f + f'))
-       (0, 0)
+(* The buffered tier's journal persists over all shard heaps: its group
+   commits ("sync" spans) and the write-behinds that persist each
+   journal line as it fills ("write-behind" spans).  Together with
+   [durability] this is the buffered bargain in numbers — journal
+   fences and flushes amortized over appended operations against the
+   lag they leave. *)
+type journal = { j_commits : int; j_fences : int; j_flushes : int }
+
+let journal_persists service =
+  List.fold_left
+    (fun j (a : Nvm.Span.agg) ->
+      let commit = a.Nvm.Span.agg_label = Dq.Instrumented.sync_label in
+      if commit || a.Nvm.Span.agg_label = Dq.Instrumented.write_behind_label
+      then
+        {
+          j_commits = (j.j_commits + if commit then a.Nvm.Span.count else 0);
+          j_fences = j.j_fences + a.Nvm.Span.sum.Nvm.Stats.fences;
+          j_flushes = j.j_flushes + a.Nvm.Span.sum.Nvm.Stats.flushes;
+        }
+      else j)
+    { j_commits = 0; j_fences = 0; j_flushes = 0 }
+    (span_aggregates service)
 
 let pp_durability ppf service =
   match durability service with
   | [] -> Format.fprintf ppf "durability: strict (no buffered tier)@."
   | rows ->
-      let commits, fences = sync_fences service in
+      let j = journal_persists service in
       let appended =
         List.fold_left (fun acc r -> acc + r.d_appended) 0 rows
+      in
+      let per_op n =
+        if appended = 0 then 0. else float_of_int n /. float_of_int appended
       in
       List.iter
         (fun r ->
@@ -187,12 +199,12 @@ let pp_durability ppf service =
             r.d_shard r.d_lag r.d_appended r.d_floor r.d_commits r.d_syncs)
         rows;
       Format.fprintf ppf
-        "durability: total lag %d over %d buffered ops; %d commit spans \
-         owning %d fences (%.4f fences/buffered-op)@."
+        "durability: total lag %d over %d buffered ops; %d commit spans; \
+         the journal (commits and write-behinds) owns %d fences, %d \
+         flushes (%.4f fences/buffered-op, %.4f flushes/buffered-op)@."
         (List.fold_left (fun acc r -> acc + r.d_lag) 0 rows)
-        appended commits fences
-        (if appended = 0 then 0.
-         else float_of_int fences /. float_of_int appended)
+        appended j.j_commits j.j_fences j.j_flushes (per_op j.j_fences)
+        (per_op j.j_flushes)
 
 (* -- Occupancy census ------------------------------------------------------- *)
 

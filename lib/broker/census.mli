@@ -66,11 +66,20 @@ type durability_row = {
 val durability : Service.t -> durability_row list
 (** One row per shard; empty without the buffered tier. *)
 
-val sync_fences : Service.t -> int * int
-(** (commit spans, fences they own) over all shard heaps — the fence
-    cost of the buffered tier's group commits. *)
+type journal = {
+  j_commits : int;  (** group-commit ("sync") spans *)
+  j_fences : int;  (** fences owned by commits and write-behinds *)
+  j_flushes : int;  (** flushes owned by commits and write-behinds *)
+}
+
+val journal_persists : Service.t -> journal
+(** The buffered tier's journal persists over all shard heaps: its group
+    commits and the write-behinds that persist each journal line as it
+    fills ({!Dq.Instrumented.write_behind_label}). *)
 
 val pp_durability : Format.formatter -> Service.t -> unit
+(** Per-shard lag rows, then the journal's fences and flushes per
+    buffered op. *)
 
 (** {1 Occupancy census}
 

@@ -27,7 +27,8 @@ type t = {
          Streams published at acks=none/leader land here; streams at
          acks=all-synced stay on the strict [queue].  Deliberately
          uninstrumented: its operations own no per-op fences (commits
-         run under their own "sync" spans), so folding them into the
+         run under their own "sync" spans, line write-behinds under
+         excluded "write-behind" spans), so folding them into the
          enq/deq aggregates would corrupt the strict per-op audit. *)
 }
 

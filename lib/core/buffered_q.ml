@@ -23,24 +23,47 @@
      appends its value as one word of a persistent ring (eight entries
      per cache line), so a group of [watermark] enqueues dirties
      [watermark/8] lines instead of [watermark];
+   - *write-behind*: the append that fills a journal line flushes that
+     line and issues a split fence at once, while the device is
+     otherwise idle.  The appender does not wait for the drain;
    - a *group commit* — triggered by the watermark, by [sync], or by a
-     combiner handoff — flushes the group's dirty lines, fences, then
-     publishes a single packed (floor, consumed) meta word with its own
-     flush+fence.  Both fences are issued split
+     combiner handoff — flushes the lines no write-behind has covered
+     (at most the partial tail line) and fences, then publishes a
+     single packed (floor, consumed) meta word with its own
+     flush+fence.  Every fence is issued split
      ({!Nvm.Heap.sfence_split}), so commits pipeline into the device
      queue like combined batches and only [sync] (or an acknowledging
      caller) joins the drain.
 
-   Crash safety is carried by the meta word alone.  The two-fence order
-   means any surviving meta pair (floor, consumed) was written after
-   the fence covering entries [0, floor) was issued, so the entries the
-   pair names are always intact; a torn or reverted meta word simply
-   names an older commit's pair.  Recovery therefore reads the meta
-   word, truncates the journal at its floor (discarding any torn
-   unsynced tail beyond it), rebuilds a fresh mirror, and replays
-   entries [consumed, floor) into it: the recovered state is exactly
-   the synced floor — some commit's consistent snapshot — and the lost
-   suffix is exactly the contiguous unsynced tail.
+   A group of [watermark] enqueues costs the same line flushes as when
+   the commit flushed every line itself, plus one meta flush; what
+   changes is when they drain: a commit waits for at most two line
+   drains (tail and meta), not [watermark/8 + 1].  The price is fences
+   — one per written-behind line plus one or two per commit — the
+   paper's thesis again: more fences, less waiting.
+
+   Crash safety is carried by the meta word alone:
+   - the meta word is the only commit point.  Any surviving meta pair
+     (floor, consumed) was written after a fence covering each entry in
+     [0, floor) was issued — its line's write-behind fence, or a
+     commit's fence 1 — so the entries the pair names are always
+     intact; a torn or reverted meta word simply names an older
+     commit's pair;
+   - a write-behind fence only advances the persisted watermarks of
+     lines whose eight entries are final, and never the meta word's
+     line: every image it leads to was already a possible crash image
+     (an eviction of the same stores).  It is issued before the append
+     lock is released, so a commit from another thread that counts the
+     line as written behind (below [flushed_upto]) runs after the
+     fence.  A thread whose fences are absorbed (a combining pass over
+     the tier) writes nothing behind: its lines stay above
+     [flushed_upto] for the next commit or write-behind to flush;
+   - recovery reads the meta word, truncates the journal at its floor
+     (discarding any torn unsynced tail beyond it, and any entries
+     written behind above it), rebuilds a fresh mirror, and replays
+     entries [consumed, floor) into it: the recovered state is exactly
+     the synced floor — some commit's consistent snapshot — and the
+     lost suffix is exactly the contiguous unsynced tail.
 
    The (floor, consumed) snapshot is consistent as a history cut
    because both counters are read while holding the append lock: no
@@ -49,7 +72,11 @@
    Ring-slot reuse is safe because an append may overwrite slot
    [appended - capacity] only when the *committed* consumed floor has
    passed it, and the meta word can never revert below the last issued
-   commit (its line is fenced by every commit). *)
+   commit (its line is fenced by every commit).  The guard runs before
+   the append writes, so a write-behind never persists an overwrite the
+   committed meta does not allow.  Line-full detection
+   ([appended mod 8 = 0]) needs ring slots to line up with cache lines,
+   so [create] accepts only line-aligned capacities. *)
 
 let name_suffix = "+buffered"
 
@@ -77,10 +104,13 @@ type t = {
   meta : int;  (* address of the packed (floor, consumed) word *)
   lock : bool Atomic.t;  (* serialises append order = mirror order *)
   mutable appended : int;  (* enqueues ever appended (lock holder) *)
+  mutable flushed_upto : int;
+      (* every entry below it sits on a line already written behind *)
   consumed : int Atomic.t;  (* dequeues ever completed on the mirror *)
   mutable committed_floor : int;  (* floor of the last issued commit *)
   mutable committed_consumed : int;
-  mutable last_drain : Nvm.Heap.drain;  (* last commit's meta fence *)
+  mutable last_drain : Nvm.Heap.drain;  (* last commit's ticket *)
+  mutable behind_drain : Nvm.Heap.drain;  (* last write-behind fence *)
   mutable on_commit :
     (floor:int -> consumed:int -> drain:Nvm.Heap.drain -> unit) option;
   mutable commits : int;  (* volatile statistics *)
@@ -98,8 +128,11 @@ let default_yield () =
 let create ?(watermark = default_watermark) ?(capacity = default_capacity)
     ?(join_commits = true) ?(yield = default_yield) heap make =
   if watermark < 1 then invalid_arg "Buffered_q.create: watermark < 1";
-  if capacity < 8 || capacity > meta_mask then
-    invalid_arg "Buffered_q.create: bad capacity";
+  if
+    capacity < Nvm.Line.words_per_line
+    || capacity > meta_mask
+    || capacity mod Nvm.Line.words_per_line <> 0
+  then invalid_arg "Buffered_q.create: bad capacity";
   (* Entry ring (line-packed values) and, on its own line, the meta
      word.  One region: recovery needs only its base address. *)
   let region =
@@ -119,10 +152,12 @@ let create ?(watermark = default_watermark) ?(capacity = default_capacity)
     meta = base + capacity;
     lock = Atomic.make false;
     appended = 0;
+    flushed_upto = 0;
     consumed = Atomic.make 0;
     committed_floor = 0;
     committed_consumed = 0;
     last_drain = Nvm.Heap.no_drain;
+    behind_drain = Nvm.Heap.no_drain;
     on_commit = None;
     commits = 0;
     syncs = 0;
@@ -140,34 +175,50 @@ let entry_addr t i = t.entries + (i mod t.capacity)
 
 (* -- Group commit ------------------------------------------------------------ *)
 
-(* Flush the journal lines dirtied by entries [lo, hi) (ring positions,
-   deduplicated per line; at most two contiguous position ranges after a
-   wrap). *)
-let flush_entry_lines t ~lo ~hi =
-  let line_words = Nvm.Line.words_per_line in
-  let flush_range plo phi =
-    (* first word of each line covering positions [plo, phi) *)
-    let first = plo - (plo mod line_words) in
-    let i = ref first in
-    while !i < phi do
-      Nvm.Heap.flush t.heap (t.entries + !i);
-      i := !i + line_words
-    done
-  in
-  if hi - lo >= t.capacity then flush_range 0 t.capacity
+(* The ticket that completes last.  Under [drain_wall] the per-heap FIFO
+   device already orders a commit's meta drain after every write-behind
+   it covers; under the busy-wait profiles the tickets are independent
+   deadlines, so a commit hands out the later one. *)
+let later a b =
+  if Nvm.Heap.drain_deadline b > Nvm.Heap.drain_deadline a then b else a
+
+(* Flush the journal lines holding entries [max committed_floor
+   flushed_upto, hi) and issue a split fence over them (lock held); no
+   fence when the range is empty.  Capacity is line-aligned, so the
+   line of each entry index that is a multiple of 8 starts at its ring
+   slot. *)
+let persist_entries t ~hi =
+  let lo = max t.committed_floor t.flushed_upto in
+  if hi <= lo then Nvm.Heap.no_drain
   else begin
-    let plo = lo mod t.capacity and phi = hi mod t.capacity in
-    if plo < phi || hi = lo then flush_range plo phi
-    else begin
-      flush_range plo t.capacity;
-      flush_range 0 phi
-    end
+    let i = ref (lo - (lo mod Nvm.Line.words_per_line)) in
+    while !i < hi do
+      Nvm.Heap.flush t.heap (entry_addr t !i);
+      i := !i + Nvm.Line.words_per_line
+    done;
+    Nvm.Heap.sfence_split t.heap
   end
 
-(* Issue a group commit (lock held).  Returns the drain ticket of the
-   meta fence; the caller decides whether to join it.  The commit runs
-   under a "sync" span so censuses report group-commit persists
-   separately from the (fence-free) op spans. *)
+(* Write-behind (lock held): the append that fills a line persists it —
+   together with any line an earlier fill left behind — and fences at
+   once.  The excluded span keeps the fence off the appending
+   operation's span: that call never waits for the drain; whoever joins
+   the covering commit does.  Skipped while this thread's fences are
+   absorbed (a combining pass over the tier): another thread's commit
+   trusts [flushed_upto], so it may only cover a fence already issued,
+   and the commit (or the next write-behind) flushes the line instead. *)
+let write_behind t =
+  if not (Nvm.Heap.fences_absorbed t.heap) then
+    Nvm.Span.with_span ~exclude:true (Nvm.Heap.spans t.heap)
+      Instrumented.write_behind_label (fun () ->
+        t.behind_drain <- persist_entries t ~hi:t.appended;
+        t.flushed_upto <- t.appended)
+
+(* Issue a group commit (lock held).  Returns the drain ticket covering
+   the commit and every write-behind below its floor; the caller
+   decides whether to join it.  The commit runs under a "sync" span so
+   censuses report group-commit persists separately from the
+   (fence-free) op spans. *)
 let commit t =
   let floor = t.appended in
   let consumed = min floor (Atomic.get t.consumed) in
@@ -177,27 +228,31 @@ let commit t =
     let spans = Nvm.Heap.spans t.heap in
     let drain =
       Nvm.Span.with_span spans Instrumented.sync_label (fun () ->
-          (* Fence 1 covers the group's entries; it may resolve to a
-             no-op ticket when the commit only advances [consumed]. *)
-          if floor > t.committed_floor then begin
-            flush_entry_lines t ~lo:t.committed_floor ~hi:floor;
-            ignore (Nvm.Heap.sfence_split t.heap)
-          end;
-          (* Fence 2 covers the meta word, written strictly after fence
-             1 was issued: a surviving meta pair always names intact
-             entries. *)
+          (* Fence 1 covers the entries no write-behind has: at most
+             the partial tail line.  Skipped when the commit only
+             advances [consumed] or ends on a written-behind line. *)
+          ignore (persist_entries t ~hi:floor);
+          (* Fence 2 covers the meta word, written strictly after every
+             fence covering [0, floor) was issued: a surviving meta pair
+             always names intact entries. *)
           Nvm.Heap.write t.heap t.meta (pack ~floor ~consumed);
           Nvm.Heap.flush t.heap t.meta;
-          Nvm.Heap.sfence_split t.heap)
+          let drain = later (Nvm.Heap.sfence_split t.heap) t.behind_drain in
+          t.committed_floor <- floor;
+          t.committed_consumed <- consumed;
+          t.last_drain <- drain;
+          t.commits <- t.commits + 1;
+          (* Straight after the fence, before the span closes: with only
+             the tail line and the meta word left to drain, the ticket
+             can complete a few hundred microseconds after issue, so a
+             callback that stamps the commit's issue on its own clock
+             runs with as little as possible between fence and stamp. *)
+          (match t.on_commit with
+          | Some f -> f ~floor ~consumed ~drain
+          | None -> ());
+          drain)
     in
-    t.committed_floor <- floor;
-    t.committed_consumed <- consumed;
-    t.last_drain <- drain;
-    t.commits <- t.commits + 1;
     Nvm.Span.event spans "sync:commit";
-    (match t.on_commit with
-    | Some f -> f ~floor ~consumed ~drain
-    | None -> ());
     drain
   end
 
@@ -220,6 +275,7 @@ let enqueue ?join t v =
        end;
        Nvm.Heap.write t.heap (entry_addr t t.appended) v;
        t.appended <- t.appended + 1;
+       if t.appended mod Nvm.Line.words_per_line = 0 then write_behind t;
        (* Mirror after journal+count: a concurrent dequeuer can only
           consume values already counted in [appended], keeping
           consumed <= appended. *)
@@ -279,9 +335,12 @@ let sync t =
 
 (* Post-crash: the journal region is the only persistent state.  The
    meta word names the synced floor; everything beyond it (a torn,
-   unsynced tail) is discarded, and the mirror is rebuilt fresh —
-   its own regions were never durably maintained, so they are
-   abandoned, not scanned. *)
+   unsynced tail, or lines written behind above it) is discarded, and
+   the mirror is rebuilt fresh — its own regions were never durably
+   maintained, so they are abandoned, not scanned.  [flushed_upto]
+   re-seats at the floor rounded down to a line: everything below the
+   floor is persisted, and the floor's own line fills again from
+   there. *)
 let recover t =
   Atomic.set t.lock false;
   let pair = Nvm.Heap.read t.heap t.meta in
@@ -293,10 +352,12 @@ let recover t =
         t.q.Queue_intf.enqueue (Nvm.Heap.read t.heap (entry_addr t i))
       done);
   t.appended <- floor;
+  t.flushed_upto <- floor - (floor mod Nvm.Line.words_per_line);
   Atomic.set t.consumed consumed;
   t.committed_floor <- floor;
   t.committed_consumed <- consumed;
-  t.last_drain <- Nvm.Heap.no_drain
+  t.last_drain <- Nvm.Heap.no_drain;
+  t.behind_drain <- Nvm.Heap.no_drain
 
 (* -- Introspection ----------------------------------------------------------- *)
 

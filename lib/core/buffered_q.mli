@@ -6,18 +6,27 @@
     persistence may lag execution.  The wrapped queue runs as a volatile
     mirror under {!Nvm.Heap.with_suppressed_persists}; durability is
     owned by a line-packed journal ring (eight enqueued values per cache
-    line) plus one packed (floor, consumed) meta word, published by a
-    two-fence group commit on a watermark, on {!sync}, or at a combiner
-    handoff.  A crash keeps exactly the last issued commit's snapshot —
-    every operation covered by a commit survives, and the lost suffix is
-    exactly the contiguous unsynced tail; recovery rebuilds the mirror
-    by replaying the journal floor.
+    line) plus one packed (floor, consumed) meta word.  The append that
+    fills a journal line writes it behind at once (flush and split
+    fence, not waited for); a group commit on a watermark, on {!sync},
+    or at a combiner handoff flushes what no write-behind covered — at
+    most the partial tail line — and publishes the meta word behind its
+    own fence.  The meta word is the only commit point: a crash keeps
+    exactly the last issued commit's snapshot — every operation covered
+    by a commit survives, and the lost suffix is exactly the contiguous
+    unsynced tail; recovery rebuilds the mirror by replaying the journal
+    floor.
 
     The point of the exercise is device bandwidth: a group of [watermark]
-    enqueues costs [watermark/8 + 1] flushes and two fences instead of
-    [watermark] of each, which under the device-bound [dimm] profile is
-    a proportional wall-clock win (strict per-op persistence pays one
-    full drain per operation no matter how fences are batched). *)
+    enqueues costs [watermark/8 + 1] flushes instead of [watermark],
+    which under the device-bound [dimm] profile is a proportional
+    wall-clock win (strict per-op persistence pays one full drain per
+    operation no matter how fences are batched).  Writing lines behind
+    keeps that flush count and moves the drains off the commit: a
+    commit, a {!sync} or an acknowledging enqueue waits for at most two
+    line drains (tail and meta) instead of [watermark/8 + 1], at the
+    price of one fence per line — [watermark/8 + 1] or [+ 2] fences per
+    group instead of two. *)
 
 type t
 
@@ -40,15 +49,19 @@ val create :
     {e raw} registry constructor: recovery rebuilds the mirror with it,
     and instrumentation belongs outside the wrapper).  [watermark]
     (default 64) is the group-commit size in enqueues; [capacity]
-    (default 65536) the journal ring size; [join_commits] (default
+    (default 65536) the journal ring size, a multiple of the 8-word
+    line so ring slots line up with cache lines; [join_commits] (default
     [true]) makes the enqueue that trips the watermark join its commit's
     drain — bounded durability lag, producer paced to the device (the
     broker's acks=leader shape) — while [false] leaves every drain to
     [sync].  [yield] is the append-lock back-off hook (the interleaving
-    explorer passes its fiber yield). *)
+    explorer passes its fiber yield).
+    @raise Invalid_argument when [watermark < 1], or [capacity] is
+    below one line, above 2{^31} - 1 or not a multiple of 8. *)
 
 val enqueue : ?join:bool -> t -> int -> unit
-(** Append to the journal and the mirror; trips a group commit at the
+(** Append to the journal and the mirror; writes the journal line
+    behind when this append fills it, and trips a group commit at the
     watermark.  [join] overrides [join_commits] for this call (the
     broker maps acks=leader onto [~join:true] and acks=none onto
     [~join:false] over the same shard tier).
@@ -97,10 +110,12 @@ val journal_value : t -> int -> int
 
 val set_on_commit :
   t -> (floor:int -> consumed:int -> drain:Nvm.Heap.drain -> unit) option -> unit
-(** Callback invoked (with the append lock held) after each commit is
-    issued, with the snapshot it published and its meta-fence drain
-    ticket.  The explorer uses it to persist-stamp history operations;
-    the bench derives op→durable latency from the ticket's deadline. *)
+(** Callback invoked (with the append lock held) right after each
+    commit's meta fence is issued, with the snapshot it published and
+    the drain ticket that completes last of its meta fence and the
+    write-behinds it covers.  The explorer uses it to persist-stamp
+    history operations; the bench derives op→durable latency from the
+    ticket's deadline. *)
 
 type stats = { s_commits : int; s_syncs : int }
 

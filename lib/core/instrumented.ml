@@ -23,8 +23,15 @@ let combine_label = "combine"
 
 let sync_label = "sync"
 (* A buffered queue's group commit ({!Buffered_q}): owns the commit's
-   two split fences (entries, then the meta word) on behalf of the whole
-   group, while the buffered op spans themselves are fence-free. *)
+   split fences (the partial tail line, if any, then the meta word) on
+   behalf of the whole group, while the buffered op spans themselves
+   are fence-free. *)
+
+let write_behind_label = "write-behind"
+(* A buffered queue's write-behind ({!Buffered_q}): the append that
+   fills a journal line persists it under this excluded span — one
+   flush and one split fence the appending call does not wait for.
+   Not a [setup:] label: its flushes are device work on the op path. *)
 
 let create_label = "setup:create"
 let alloc_label = "setup:alloc"  (* opened by Nvm.Heap.alloc_region *)

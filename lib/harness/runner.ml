@@ -161,7 +161,17 @@ let census_row (spans : Nvm.Span.t) label ~ops =
   match Nvm.Span.find_aggregate spans label with
   | None -> ((0., 0., 0., 0.), (0, 0, 0, 0))
   | Some a ->
-      ( Nvm.Stats.per_op a.Nvm.Span.sum ~ops,
+      (* A buffered enqueue's journal write-behind runs under an
+         excluded span (the appending call does not wait for it), so
+         its persists join the enqueue row's averages here; the max
+         columns stay the operation spans' own. *)
+      let sum = Nvm.Stats.zero () in
+      Nvm.Stats.add sum a.Nvm.Span.sum;
+      if label = Dq.Instrumented.enq_label then
+        Option.iter
+          (fun (wb : Nvm.Span.agg) -> Nvm.Stats.add sum wb.Nvm.Span.sum)
+          (Nvm.Span.find_aggregate spans Dq.Instrumented.write_behind_label);
+      ( Nvm.Stats.per_op sum ~ops,
         ( a.Nvm.Span.max_flushes,
           a.Nvm.Span.max_fences,
           a.Nvm.Span.max_movntis,

@@ -702,6 +702,11 @@ let with_batched_fences_split t f =
         raise e
   end
 
+(* Whether the calling thread's fences on this heap are being absorbed
+   (inside a batched-fence or suppressed-persist scope): a fence it
+   issues now takes effect only when the scope closes, if ever. *)
+let fences_absorbed t = t.pending.(Tid.get ()).defer
+
 (* Suppressed-persist scope: run [f] with the calling thread's persist
    instructions stripped of durability.  Stores and flushes inside [f]
    keep their volatile effects (visibility, cache invalidation, span

@@ -149,6 +149,14 @@ val with_batched_fences_split : t -> (unit -> 'a) -> 'a * drain
     If [f] raises, the closing fence degrades to the blocking {!sfence}
     before the exception propagates. *)
 
+val fences_absorbed : t -> bool
+(** Whether the calling thread is inside a {!with_batched_fences} (or
+    {!with_suppressed_persists}) scope on this heap, so that a fence it
+    issues now is absorbed: the covered flushes persist only when the
+    scope closes (or never, when suppressed).  A caller that publishes
+    "this line is persisted" to other threads must not rely on such a
+    fence. *)
+
 val with_suppressed_persists : t -> (unit -> 'a) -> 'a
 (** Run [f] with the calling thread's persist instructions on this heap
     stripped of durability: stores and flushes keep their volatile

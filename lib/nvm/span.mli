@@ -16,8 +16,8 @@
     per-span values — the worst case a census reports next to the
     average), optionally retained in a bounded per-thread ring buffer for
     trace export (JSONL or Chrome trace-event format), and optionally
-    passed to a sink callback (the online auditor of
-    [Spec.Fence_audit]).
+    passed to a sink callback (the traced run of [bench/e2e], which
+    stamps each closed span with its wall-clock close time).
 
     Nesting: spans nest per thread.  A span opened with [~exclude:true]
     (setup work such as {!Heap.alloc_region}'s designated-area persist)
@@ -132,7 +132,7 @@ val abandon : t -> unit
     and rings are untouched. *)
 
 val set_sink : t -> (closed -> unit) option -> unit
-(** Install the single close callback (e.g. a fence auditor). *)
+(** Install the single close callback (e.g. a per-op trace recorder). *)
 
 val set_tracing : t -> capacity:int -> unit
 (** Retain up to [capacity] closed spans per thread in a ring buffer

@@ -89,28 +89,30 @@ type op = Enq of int | Deq | Sync
 
 (* Run one exploration: [plans.(i)] is fiber [i]'s operation sequence;
    [crash_at = Some s] injects a full-system crash after [s] scheduler
-   steps (if the run lasts that long).  Returns the linearizability
-   verdict over the full history, then the persist-bound audit of the
-   run's spans. *)
-let explore_once ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
-    ?(buffered = false) (entry : Dq.Registry.entry) ~seed ~plans ~crash_at :
-    (unit, string) result =
+   steps (if the run lasts that long; with [crash_finished], also after
+   a run that finished first).  Returns the linearizability verdict over
+   the full history, then the persist-bound audit of the run's spans,
+   and whether the run finished before the cut. *)
+let explore ~policy ~combining ~buffered ~crash_finished
+    (entry : Dq.Registry.entry) ~seed ~plans ~crash_at : (bool, string) result
+    =
   let n = Array.length plans in
   Nvm.Tid.reset ();
   Nvm.Tid.set n (* the orchestrating thread sits after the fibers *);
   let heap = Nvm.Heap.create ~mode:Nvm.Heap.Checked ~latency:Nvm.Latency.off () in
   (* Under [buffered], wrap the *raw* instance in the group-commit tier
-     (a small watermark so commits trip mid-plan) and keep the concrete
-     handle for persist-stamping; instrumentation goes on top.  The
-     suffixed name has no row in the bounds table: the wrapper's op
-     spans legitimately own a whole commit's fences when they trip the
+     (a small watermark so commits trip mid-plan, and a two-line ring so
+     a plan of 17 enqueues wraps it) and keep the concrete handle for
+     persist-stamping; instrumentation goes on top.  The suffixed name
+     has no row in the bounds table: the wrapper's op spans
+     legitimately own a whole commit's fences when they trip the
      watermark. *)
   let buf =
     if buffered then
       Some
         (Nvm.Span.with_span ~exclude:true (Nvm.Heap.spans heap)
            Dq.Instrumented.create_label (fun () ->
-             Dq.Buffered_q.create ~watermark:4 ~yield heap
+             Dq.Buffered_q.create ~watermark:4 ~capacity:16 ~yield heap
                entry.Dq.Registry.make))
     else None
   in
@@ -166,7 +168,8 @@ let explore_once ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
             ignore (History.record_dequeue h ~tid:i q.Dq.Queue_intf.dequeue))
       plans.(i)
   in
-  let crashed = run ~heap ~rng ~crash_at (Array.init n body) in
+  let cut = run ~heap ~rng ~crash_at (Array.init n body) in
+  let crashed = cut || crash_finished in
   if crashed then begin
     (* Buffered mode: stamp every operation the issued commits covered —
        by value, from the on-commit ledger — before the image is cut.
@@ -215,6 +218,13 @@ let explore_once ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
         ~name:
           (entry.Dq.Registry.name
           ^ if buffered then Dq.Buffered_q.name_suffix else ""))
+  |> Result.map (fun () -> not cut)
+
+let explore_once ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
+    ?(buffered = false) entry ~seed ~plans ~crash_at =
+  explore ~policy ~combining ~buffered ~crash_finished:false entry ~seed
+    ~plans ~crash_at
+  |> Result.map ignore
 
 (* A randomized campaign over one queue: [rounds] seeds, each with a
    random 2-3 fiber plan of enqueues/dequeues and a crash at a random
@@ -261,6 +271,31 @@ let campaign ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
               | Some c -> string_of_int c
               | None -> "none")
               (Nvm.Crash.policy_name policy)))
+
+(* -- Directed buffered sweep -------------------------------------------------
+
+   Campaign plans hold at most nine operations, so they never fill an
+   eight-entry journal line or wrap the ring: the write-behind and
+   ring-slot reuse are reached only by a directed plan long enough to do
+   both.  The sweep crashes one fixed schedule of such a plan at every
+   step, through the point after its last operation returned, so every
+   write-behind, commit and slot overwrite is crashed on both sides. *)
+let buffered_sweep ~policy (entry : Dq.Registry.entry) ~seed ~plans :
+    (unit, string) result =
+  let rec sweep k =
+    match
+      explore ~policy ~combining:false ~buffered:true ~crash_finished:true
+        entry ~seed ~plans ~crash_at:(Some k)
+    with
+    | Ok true -> Ok ()
+    | Ok false -> sweep (k + 1)
+    | Error e ->
+        Error
+          (Printf.sprintf "%s%s: seed %d, crash at step %d (policy %s): %s"
+             entry.Dq.Registry.name Dq.Buffered_q.name_suffix seed k
+             (Nvm.Crash.policy_name policy) e)
+  in
+  sweep 1
 
 (* -- Directed checkpoint-flip boundary campaign ---------------------------
 

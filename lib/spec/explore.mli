@@ -63,7 +63,7 @@ val explore_once :
     can land mid-combine: after announce but before the combined batch's
     fence, or between the fence issue and the waiters' release.
     [~buffered:true] wraps the queue in the group-commit tier
-    ({!Dq.Buffered_q}, watermark 4) with its append lock yielding
+    ({!Dq.Buffered_q}, watermark 4, a 16-entry ring) with its append lock yielding
     through the scheduler; [Sync] plan operations hit the explicit
     persistence boundary, issued commits persist-stamp the operations
     they cover, and a crashed run is judged by
@@ -86,6 +86,20 @@ val campaign :
     [~combining:true] runs every round through the combining front-end;
     [~buffered:true] through the buffered-durability tier, with explicit
     [Sync] operations mixed into the plans. *)
+
+val buffered_sweep :
+  policy:Nvm.Crash.policy ->
+  Dq.Registry.entry ->
+  seed:int ->
+  plans:op list array ->
+  (unit, string) result
+(** Crash one buffered schedule ({!explore_once} [~buffered:true],
+    [seed], [plans]) at every step, from before the first primitive
+    through the point after the last operation returned, under
+    [policy]; every crashed run is judged by the crash-cut checker and
+    audited.  For plans long enough to fill journal lines and wrap the
+    16-entry ring — which the campaign's plans never do.  Keep total
+    operations within {!Lin_check.max_ops}. *)
 
 val checkpoint_flip_once :
   ?policy:Nvm.Crash.policy ->

@@ -14,7 +14,8 @@
     Batch semantics: under {!Nvm.Heap.with_batched_fences} the per-op
     spans inside a ["batch"] (or ["combine"]) span observe zero fences
     and the batch span owns exactly one closing fence.  Labels without a
-    row — ["recover"], ["setup:*"], ["sync"] — are exempt. *)
+    row — ["recover"], ["setup:*"], ["sync"], ["write-behind"] — are
+    exempt. *)
 
 type bound = {
   max_fences : int;

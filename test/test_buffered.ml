@@ -99,6 +99,45 @@ let test_journal_full () =
   Dq.Buffered_q.enqueue b 9;
   Alcotest.(check int) "append resumed" 9 (Dq.Buffered_q.appended b)
 
+(* Ring slots must line up with cache lines: a line-full append writes
+   its line behind, and the meta word needs a line of its own. *)
+let test_capacity_line_aligned () =
+  List.iter
+    (fun capacity ->
+      match make_buffered ~capacity () with
+      | _ -> Alcotest.failf "capacity %d accepted" capacity
+      | exception Invalid_argument _ -> ())
+    [ 4; 12; 20 ];
+  let _, b = make_buffered ~capacity:16 () in
+  for v = 1 to 16 do
+    Dq.Buffered_q.enqueue b v
+  done;
+  Alcotest.(check int) "16-entry ring takes 16" 16 (Dq.Buffered_q.appended b)
+
+(* A thread whose fences are absorbed (a combining pass over the tier)
+   writes nothing behind: another thread's commit must then persist the
+   line itself rather than trust a fence that has not been issued. *)
+let test_absorbed_write_behind () =
+  let heap, b = make_buffered ~watermark:64 () in
+  let spans = Nvm.Heap.spans heap in
+  let tid0 = Nvm.Tid.get () in
+  Nvm.Heap.with_batched_fences heap (fun () ->
+      for v = 1 to 8 do
+        Dq.Buffered_q.enqueue b v
+      done;
+      Alcotest.(check bool) "no write-behind under absorbed fences" true
+        (Nvm.Span.find_aggregate spans Dq.Instrumented.write_behind_label
+        = None);
+      Nvm.Tid.set (Nvm.Tid.register ());
+      Dq.Buffered_q.sync b;
+      Nvm.Tid.set tid0);
+  match Nvm.Span.find_aggregate spans Dq.Instrumented.sync_label with
+  | None -> Alcotest.fail "no commit span"
+  | Some a ->
+      Alcotest.(check int) "the commit flushes the line and the meta word" 2
+        a.Nvm.Span.sum.Nvm.Stats.flushes;
+      Alcotest.(check int) "and fences both" 2 a.Nvm.Span.sum.Nvm.Stats.fences
+
 let test_on_commit_callback () =
   let _, b = make_buffered ~watermark:2 () in
   let seen = ref [] in
@@ -252,6 +291,29 @@ let test_sync_quarantined () =
   Alcotest.(check int) "synced after readmission" 0
     (Broker.Service.total_durability_lag service)
 
+(* The durability census counts every journal persist.  A fresh tier
+   at watermark 64: 128 appends fill 16 journal lines, each written
+   behind as it fills (one flush and one fence apiece), and trip two
+   commits that end on a line boundary, so each publishes only its
+   meta word.  18 flushes, as when a commit flushed the group's lines
+   itself; 18 fences instead of that design's 4. *)
+let test_census_counts_write_behind () =
+  fresh_tid ();
+  let service =
+    Broker.Service.create ~shards:1 ~acks:Broker.Service.Acks_none ()
+  in
+  for seq = 1 to 128 do
+    match Broker.Service.enqueue service ~stream:0 (enc ~producer:0 ~seq) with
+    | Broker.Backpressure.Accepted -> ()
+    | v -> Alcotest.failf "enqueue: %s" (Broker.Backpressure.verdict_name v)
+  done;
+  let j = Broker.Census.journal_persists service in
+  Alcotest.(check int) "two watermark commits" 2 j.Broker.Census.j_commits;
+  Alcotest.(check int) "16 lines + 2 meta words flushed" 18
+    j.Broker.Census.j_flushes;
+  Alcotest.(check int) "16 write-behinds + 2 meta fences" 18
+    j.Broker.Census.j_fences
+
 let test_service_crash_recovers_synced_floor () =
   let service = weak_service () in
   let streams = 4 and per_stream = 30 in
@@ -309,6 +371,10 @@ let () =
           Alcotest.test_case "mirror keeps queue semantics" `Quick
             test_mirror_semantics;
           Alcotest.test_case "full ring refuses" `Quick test_journal_full;
+          Alcotest.test_case "ring is line-aligned" `Quick
+            test_capacity_line_aligned;
+          Alcotest.test_case "absorbed fences write nothing behind" `Quick
+            test_absorbed_write_behind;
           Alcotest.test_case "commit callback snapshots" `Quick
             test_on_commit_callback;
         ] );
@@ -331,5 +397,7 @@ let () =
           Alcotest.test_case "sync vs quarantine" `Quick test_sync_quarantined;
           Alcotest.test_case "crash recovers the synced floor" `Quick
             test_service_crash_recovers_synced_floor;
+          Alcotest.test_case "census counts write-behinds" `Quick
+            test_census_counts_write_behind;
         ] );
     ]

@@ -87,6 +87,36 @@ let test_buffered_sync_sweep name () =
     | Error e -> Alcotest.failf "crash at step %d: %s" crash_at e
   done
 
+(* The journal's line boundary: campaign plans never fill an eight-entry
+   line, so this directed plan does.  Both fibers enqueue — 20 values
+   fill lines [0, 8) and [8, 16), then wrap the 16-entry ring into slots
+   0-3 — and each dequeues three items before its second run, so the
+   backlog stays below the ring.  The syncs move the watermark commits
+   off the line boundaries: a line then fills while its filler owes no
+   commit, and the other fiber's next commit covers it — a commit must
+   never count a line whose write-behind fence its filler has not
+   issued.  Every step of the schedule is crashed; seed 2's schedule
+   commits across a fiber's fill. *)
+let line_plans =
+  let open Spec.Explore in
+  let enqs lo hi = List.init (hi - lo + 1) (fun i -> Enq (lo + i)) in
+  let deqs = [ Deq; Deq; Deq ] in
+  [|
+    enqs 1 3 @ [ Sync ] @ enqs 4 5 @ deqs @ [ Sync ] @ enqs 6 8 @ [ Sync ]
+    @ enqs 9 10;
+    enqs 11 12 @ [ Sync ] @ enqs 13 15 @ deqs @ [ Sync ] @ enqs 16 17
+    @ [ Sync ] @ enqs 18 20;
+  |]
+
+let test_buffered_line_sweep policy () =
+  match
+    Spec.Explore.buffered_sweep ~policy
+      (Dq.Registry.find "OptUnlinkedQ")
+      ~seed:2 ~plans:line_plans
+  with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
 (* Per-op fence audit under explored interleavings.  [explore_once]
    audits every run's span aggregates ({!Spec.Fence_audit}), so any
    schedule in which some interleaved operation issued a second fence
@@ -174,6 +204,16 @@ let () =
           (fun name ->
             Alcotest.test_case name `Slow (test_buffered_sync_sweep name))
           buffered_explorable );
+      ( "buffered-line-sweep",
+        List.map
+          (fun (policy, pname) ->
+            Alcotest.test_case ("OptUnlinkedQ/" ^ pname) `Slow
+              (test_buffered_line_sweep policy))
+          [
+            (Nvm.Crash.All_flushed, "all-flushed");
+            (Nvm.Crash.Only_persisted, "only-persisted");
+            (Nvm.Crash.Torn_prefix, "torn-prefix");
+          ] );
       ( "fence-audit",
         Alcotest.test_case "audited set matches the paper" `Quick
           test_audit_coverage
