@@ -16,14 +16,6 @@ let threads_list =
 
 let reps = env_int "DQ_REPS" 3
 
-let spin_barrier n =
-  let remaining = Atomic.make n in
-  fun () ->
-    Atomic.decr remaining;
-    while Atomic.get remaining > 0 do
-      Domain.cpu_relax ()
-    done
-
 (* The trial whose [by] is the median represents its point (the upper
    median for an even count). *)
 let median_by by l =

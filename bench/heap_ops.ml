@@ -29,7 +29,7 @@ let run ~smoke =
             ~words:Nvm.Line.words_per_line)
     in
     Nvm.Heap.reset_fence_contention heap;
-    let barrier = spin_barrier d in
+    let barrier = Harness.Runner.spin_barrier d in
     let t_start = Array.make d 0. and t_end = Array.make d 0. in
     let workers =
       List.init d (fun w ->

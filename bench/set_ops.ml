@@ -22,7 +22,8 @@ let run ~smoke =
       Nvm.Heap.create ~mode:Nvm.Heap.Fast ~latency:Nvm.Latency.model_only ()
     in
     let m = entry.Dq.Registry.make_map heap in
-    let load_barrier = spin_barrier d and mixed_barrier = spin_barrier d in
+    let load_barrier = Harness.Runner.spin_barrier d
+    and mixed_barrier = Harness.Runner.spin_barrier d in
     let ls = Array.make d 0. and le = Array.make d 0. in
     let ms = Array.make d 0. and me = Array.make d 0. in
     let workers =

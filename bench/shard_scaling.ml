@@ -48,7 +48,7 @@ let run ~smoke =
      fence, so they need far fewer operations for a stable series. *)
   let dimm_ops = if smoke then 300 else 1_500 in
   let cfg =
-    { Harness.Sharded.default_config with threads; ops_per_thread; warmup }
+    { Load.Sharded.default_config with threads; ops_per_thread; warmup }
   in
   let profiles =
     [
@@ -56,13 +56,13 @@ let run ~smoke =
       ("dimm", Nvm.Latency.dimm_wall, dimm_ops, max 50 (dimm_ops / 10));
     ]
   in
-  let frontend (r : Harness.Sharded.result) =
-    if r.Harness.Sharded.combining then "combining" else "per-op"
+  let frontend (r : Load.Sharded.result) =
+    if r.Load.Sharded.combining then "combining" else "per-op"
   in
   Printf.printf
     "\n\
      == broker shard scaling: %s, Producers, %d streams, %d warmup ops ==\n"
-    cfg.Harness.Sharded.algorithm threads warmup;
+    cfg.Load.Sharded.algorithm threads warmup;
   Printf.printf "%8s %10s %8s %8s %14s %14s %9s %9s %12s %14s %10s %10s %10s\n"
     "profile" "frontend" "shards" "batch" "model Mops/s" "wall Mops/s"
     "wall sd" "wall x" "fences/op" "postflush/op" "max f/op" "max f/bat"
@@ -76,10 +76,10 @@ let run ~smoke =
               (fun b ->
                 List.map
                   (fun r -> (pname, r))
-                  (Harness.Sharded.sweep ~reps ~shard_counts
+                  (Load.Sharded.sweep ~reps ~shard_counts
                      {
                        cfg with
-                       Harness.Sharded.batch = b;
+                       Load.Sharded.batch = b;
                        combining;
                        latency;
                        ops_per_thread;
@@ -90,20 +90,20 @@ let run ~smoke =
       profiles
   in
   List.iter
-    (fun (pname, (r : Harness.Sharded.result)) ->
+    (fun (pname, (r : Load.Sharded.result)) ->
       Printf.printf
         "%8s %10s %8d %8d %14.3f %14.3f %9.3f %9.2f %12.4f %14.4f %10d %10d \
          %10d\n"
-        pname (frontend r) r.Harness.Sharded.shards r.Harness.Sharded.batch
-        r.Harness.Sharded.model_mops r.Harness.Sharded.mops
-        r.Harness.Sharded.wall_stddev_mops r.Harness.Sharded.wall_speedup
-        r.Harness.Sharded.fences_per_op r.Harness.Sharded.post_flush_per_op
-        r.Harness.Sharded.max_op_fences r.Harness.Sharded.max_batch_fences
-        r.Harness.Sharded.max_post_flush)
+        pname (frontend r) r.Load.Sharded.shards r.Load.Sharded.batch
+        r.Load.Sharded.model_mops r.Load.Sharded.mops
+        r.Load.Sharded.wall_stddev_mops r.Load.Sharded.wall_speedup
+        r.Load.Sharded.fences_per_op r.Load.Sharded.post_flush_per_op
+        r.Load.Sharded.max_op_fences r.Load.Sharded.max_batch_fences
+        r.Load.Sharded.max_post_flush)
     rows;
   List.map
-    (fun (pname, (r : Harness.Sharded.result)) ->
-      let open Harness.Sharded in
+    (fun (pname, (r : Load.Sharded.result)) ->
+      let open Load.Sharded in
       Harness.Bench_row.
         [ str "algorithm" r.algorithm; str "workload" "w3-producers";
           str "profile" pname; str "frontend" (frontend r);

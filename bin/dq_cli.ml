@@ -885,32 +885,32 @@ let soak_cmd =
   let run cycles seed shards producers consumers ops batch drill_every smoke
       big out routing combining acks checkpoint_every =
     let base =
-      if big then Harness.Soak.big_config
-      else if smoke then Harness.Soak.smoke_config
-      else Harness.Soak.default_config
+      if big then Load.Soak.big_config
+      else if smoke then Load.Soak.smoke_config
+      else Load.Soak.default_config
     in
     let cfg =
       {
         base with
-        Fault.Storm.shards = Option.value ~default:base.Fault.Storm.shards shards;
-        producers = Option.value ~default:base.Fault.Storm.producers producers;
-        consumers = Option.value ~default:base.Fault.Storm.consumers consumers;
+        Load.Storm.shards = Option.value ~default:base.Load.Storm.shards shards;
+        producers = Option.value ~default:base.Load.Storm.producers producers;
+        consumers = Option.value ~default:base.Load.Storm.consumers consumers;
         ops_per_cycle =
-          Option.value ~default:base.Fault.Storm.ops_per_cycle ops;
-        batch = Option.value ~default:base.Fault.Storm.batch batch;
-        combining = combining || base.Fault.Storm.combining;
+          Option.value ~default:base.Load.Storm.ops_per_cycle ops;
+        batch = Option.value ~default:base.Load.Storm.batch batch;
+        combining = combining || base.Load.Storm.combining;
         drill_every =
-          Option.value ~default:base.Fault.Storm.drill_every drill_every;
+          Option.value ~default:base.Load.Storm.drill_every drill_every;
         routing =
           (match routing with
           | Some r -> Broker.Routing.policy_of_name r
-          | None -> base.Fault.Storm.routing);
+          | None -> base.Load.Storm.routing);
         acks =
           (match acks with
           | Some a -> Broker.Service.acks_of_name a
-          | None -> base.Fault.Storm.acks);
+          | None -> base.Load.Storm.acks);
         checkpoint_every =
-          Option.value ~default:base.Fault.Storm.checkpoint_every
+          Option.value ~default:base.Load.Storm.checkpoint_every
             checkpoint_every;
       }
     in
@@ -918,11 +918,11 @@ let soak_cmd =
       match cycles with
       | Some n -> n
       | None ->
-          if big then Harness.Soak.big_cycles
-          else if smoke then Harness.Soak.smoke_cycles
-          else Harness.Soak.default_cycles
+          if big then Load.Soak.big_cycles
+          else if smoke then Load.Soak.smoke_cycles
+          else Load.Soak.default_cycles
     in
-    let report = Harness.Soak.run ~out ~seed ~cycles cfg in
+    let report = Load.Soak.run ~out ~seed ~cycles cfg in
     if not (Fault.Report.ok report) then exit 1
   in
   let cycles =
@@ -935,7 +935,7 @@ let soak_cmd =
   let seed =
     Arg.(
       value
-      & opt int Harness.Soak.default_seed
+      & opt int Load.Soak.default_seed
       & info [ "seed" ] ~docv:"SEED"
           ~doc:
             "Master seed: expands deterministically into the whole fault \

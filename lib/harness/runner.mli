@@ -32,6 +32,10 @@ type result = {
   counters : Nvm.Stats.counters;  (** aggregated over worker threads *)
 }
 
+val spin_barrier : int -> unit -> unit
+(** [spin_barrier n] is a one-shot barrier for [n] domains: each call
+    returns once all [n] have called it, spinning meanwhile. *)
+
 val run : Dq.Registry.entry -> Workload.t -> config -> result
 (** One complete run over a fresh heap and queue instance. *)
 

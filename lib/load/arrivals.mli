@@ -18,6 +18,10 @@ val rate_at : rate_hz:float -> bursts:burst list -> float -> float
 (** Instantaneous rate at an offset: [rate_hz] times the product of
     every active burst's multiplier. *)
 
+val exp_draw : Random.State.t -> float -> float
+(** [exp_draw rng rate]: one exponential inter-arrival time at [rate]
+    (per second), from one uniform draw of [rng] clamped away from 0. *)
+
 val plan :
   rng:Random.State.t ->
   rate_hz:float ->

@@ -16,7 +16,10 @@
    after each group commit, reads the journal values the commit just
    covered, and records them against the commit drain's deadline
    (Nvm.Heap.drain_deadline), the same op→durable bookkeeping the
-   durability-lag bench uses. *)
+   durability-lag bench uses.
+
+   The domain lifecycle (ids, GC sizing inside every worker domain,
+   rendezvous, consumers, delivery check) is {!Drive}'s. *)
 
 type tenant = {
   t_rate_hz : float;
@@ -50,7 +53,6 @@ type config = {
   latency : Nvm.Latency.config;
   depth_bound : int;
   watermarks : Broker.Admission.watermarks;
-  degrade : bool;
   admission : bool;
   sla_s : float;
   seed : int;
@@ -68,7 +70,6 @@ let config_default =
     latency = Nvm.Latency.dimm_wall;
     depth_bound = Broker.Service.default_depth_bound;
     watermarks = Broker.Admission.default_watermarks;
-    degrade = true;
     admission = true;
     (* ~25 device slots under dimm_wall: room for Poisson clumps and
        the ~1.8 ms leader-tier commit joins that share the producer's
@@ -100,6 +101,7 @@ type report = {
   rep_demoted : int;
   rep_sla_s : float;
   rep_sla_ok : bool;
+  rep_check : (unit, string) result;
 }
 
 (* One scheduled operation.  Mutated by exactly one producer domain
@@ -178,19 +180,22 @@ let summarize_ops t0 ops pick =
          | _ -> None)
        ops)
 
+(* The schedule origin trails the start gate, so every producer is
+   awake before the first arrival is due. *)
+let origin_lead_s = 0.005
+
 let run cfg =
   if cfg.producers < 1 then invalid_arg "Load.Gen: producers < 1";
+  if cfg.producers * cfg.shards > stream_space then
+    invalid_arg "Load.Gen: producers * shards exceeds the warm-up streams";
   let module S = Broker.Service in
   let module A = Broker.Admission in
-  (* Provision the buffered tier whenever anything can land on it. *)
-  let needs_buffered =
-    cfg.degrade
-    || List.exists (fun t -> t.t_acks <> S.Acks_all_synced) cfg.tenants
-  in
+  Drive.prepare ~producers:cfg.producers ~consumers:cfg.consumers;
+  (* The buffered tier is always provisioned: leader tenants land there,
+     and so do the streams admission degrades. *)
   let service =
     S.create ~algorithm:cfg.algorithm ~shards:cfg.shards
-      ~depth_bound:cfg.depth_bound ~latency:cfg.latency
-      ~buffered:needs_buffered ()
+      ~depth_bound:cfg.depth_bound ~latency:cfg.latency ~buffered:true ()
   in
   let watermarks =
     if cfg.admission then cfg.watermarks
@@ -203,9 +208,7 @@ let run cfg =
         red_lag = max_int;
       }
   in
-  let adm =
-    A.create ~watermarks ~degrade:(cfg.admission && cfg.degrade) service
-  in
+  let adm = A.create ~watermarks ~degrade:cfg.admission service in
   List.iteri
     (fun ti t ->
       let quota =
@@ -265,65 +268,48 @@ let run cfg =
       parts.(p) <- o :: parts.(p))
     ops;
   let parts = Array.map (fun l -> Array.of_list (List.rev l)) parts in
-  let producers_done = Atomic.make false in
-  (* The schedule origin is stamped only after every worker domain is
-     live AND warmed up.  Two first-touch costs would otherwise land on
-     the head of the schedule and masquerade as queueing tail: spawning
-     a domain costs tens of milliseconds on a small host, and a
-     domain's first enqueue on a heap allocates its thread-local
-     designated area (thousands of atomics, minor-GC storms with
-     stop-the-world barriers across the other domains).  Measured
-     against a 0.6 s point, that head clump alone is >1% of the ops —
-     a synthetic p99.  So each producer enqueues one sentinel op per
-     shard (via dedicated warmup streams, bypassing admission), then
-     reports ready; [t0] is stamped only once everyone has. *)
-  let warmup_streams = Array.init cfg.shards (fun s -> (4095 * 4096) + s) in
-  (* A second warmup set on the buffered tier: the first append, first
-     group commit and first buffered dequeue per shard all pay
-     first-touch costs too. *)
-  let warmup_buffered =
-    if S.buffered_tier service then
-      Array.init cfg.shards (fun s -> (4094 * 4096) + s)
-    else [||]
+  (* The schedule origin follows the start gate, which opens only after
+     every worker domain is live AND warmed up.  Two first-touch costs
+     would otherwise land on the head of the schedule and masquerade as
+     queueing tail: spawning a domain costs tens of milliseconds on a
+     small host, and a domain's first enqueue on a heap allocates its
+     thread-local designated area (thousands of atomics, minor-GC storms
+     with stop-the-world barriers across the other domains).  Measured
+     against a 0.6 s point, that head clump alone is >1% of the ops — a
+     synthetic p99.  So each producer's warm body enqueues one sentinel
+     per shard and tier, bypassing admission, on warm-up streams of its
+     own (so each keeps its FIFO); the buffered sentinels pay the first
+     append, first group commit and first buffered dequeue per shard. *)
+  let warm_streams w =
+    (* Above every tenant's id range: strict ones, then buffered ones. *)
+    List.concat_map
+      (fun tier ->
+        List.init cfg.shards (fun s ->
+            (tier * stream_space) + (w * cfg.shards) + s))
+      [ 4095; 4094 ]
   in
-  Array.iter
-    (fun stream -> ignore (S.shard_of_stream service ~stream))
-    warmup_streams;
-  Array.iter
-    (fun stream ->
-      ignore (S.shard_of_stream service ~stream);
-      S.set_stream_acks service ~stream S.Acks_leader)
-    warmup_buffered;
-  let warmup_seq = Atomic.make 0 in
-  let ready = Atomic.make 0 in
-  let start = Atomic.make 0. in
-  let wait_start () =
-    let rec go () =
-      match Atomic.get start with
-      | 0. ->
-          Unix.sleepf 0.0002;
-          go ()
-      | t0 -> t0
-    in
-    go ()
+  for w = 0 to cfg.producers - 1 do
+    List.iter
+      (fun stream ->
+        ignore (S.shard_of_stream service ~stream);
+        if stream / stream_space = 4094 then
+          S.set_stream_acks service ~stream S.Acks_leader)
+      (warm_streams w)
+  done;
+  let warmed = Array.make cfg.producers [] in
+  let warm w =
+    List.iter
+      (fun stream ->
+        let v = Spec.Durable_check.encode ~producer:stream ~seq:1 in
+        if S.enqueue service ~stream v = Broker.Backpressure.Accepted then
+          warmed.(w) <- v :: warmed.(w))
+      (warm_streams w)
   in
-  let producer part () =
-    let warm stream =
-      (* Warmup streams are disjoint from every tenant stream, so
-         these encoded values can never collide with a real op's. *)
-      let v =
-        Spec.Durable_check.encode ~producer:stream
-          ~seq:(Atomic.fetch_and_add warmup_seq 1)
-      in
-      ignore (S.enqueue service ~stream v)
-    in
-    Array.iter warm warmup_streams;
-    Array.iter warm warmup_buffered;
-    Atomic.incr ready;
-    let t0 = wait_start () in
+  let produce w ~t0 =
+    let origin = t0 +. origin_lead_s in
     Array.iter
       (fun o ->
-        let at = t0 +. o.o_offset in
+        let at = origin +. o.o_offset in
         if Unix.gettimeofday () < at then Nvm.Latency.sleep_until at;
         let d =
           A.enqueue adm ~tenant:o.o_tenant ~stream:o.o_stream ~arrival:at
@@ -333,55 +319,30 @@ let run cfg =
         match d with
         | A.Admitted S.Acks_all_synced -> o.o_durable_s <- Unix.gettimeofday ()
         | _ -> ())
-      part
+      parts.(w)
   in
-  let consumer () =
-    let bin = ref [] in
-    let finished = ref false in
-    Atomic.incr ready;
-    while not !finished do
-      match S.dequeue_any service with
-      | S.Item v -> bin := (v, Unix.gettimeofday ()) :: !bin
-      | S.Empty ->
-          if Atomic.get producers_done then finished := true
-          else Unix.sleepf 0.0002
-      | S.Busy | S.Unavailable -> Unix.sleepf 0.0002
-    done;
-    !bin
+  let dequeue _ () =
+    match S.dequeue_any service with
+    | S.Item v -> Some v
+    | S.Empty | S.Busy | S.Unavailable -> None
   in
-  (* Keep the collector out of the measured window.  A GC slice is a
-     stop-the-world pause across every worker domain — 15-35 ms on a
-     small host — and a single one anywhere in a sub-second point is a
-     synthetic p99.  Pay the schedule-construction debt up front
-     (full_major), then size the minor heap and major pacing so the
-     run's own allocation (op records, consumer bins, commit stamps)
-     cannot trip a collection before the window closes. *)
-  let gc0 = Gc.get () in
-  Gc.full_major ();
-  Gc.set
-    { gc0 with Gc.minor_heap_size = 1 lsl 22; Gc.space_overhead = 1000 };
-  let consumers = List.init cfg.consumers (fun _ -> Domain.spawn consumer) in
-  let prods =
-    Array.to_list
-      (Array.map (fun part -> Domain.spawn (producer part)) parts)
+  let w =
+    Drive.window ~producers:cfg.producers ~consumers:cfg.consumers
+      ~ops:(Array.fold_left (fun m p -> max m (Array.length p)) 0 parts)
+      ~warm
+      ~reset:(fun () ->
+        (* Commit the buffered warm-up appends: the first group commit
+           per shard runs here, and the consumers get buffered items to
+           first-touch their dequeue path on, all before the window
+           opens. *)
+        Array.iter Broker.Shard.sync (S.shards service))
+      ~dequeue produce
   in
-  while Atomic.get ready < cfg.producers + cfg.consumers do
-    Unix.sleepf 0.001
-  done;
-  (* Commit the buffered warmup appends: first group commit per shard
-     runs here, and the consumers get buffered items to first-touch
-     their dequeue path on, all before the window opens. *)
-  Array.iter Broker.Shard.sync (S.shards service);
-  let t0 = Unix.gettimeofday () +. 0.005 in
-  Atomic.set start t0;
-  List.iter Domain.join prods;
+  let t0 = w.Drive.t0 +. origin_lead_s in
+  let elapsed = w.Drive.t_done -. t0 in
   (* Close the durability window: commit every buffered suffix (fires
-     the stamping callbacks), then release the consumers. *)
+     the stamping callbacks). *)
   Array.iter Broker.Shard.sync (S.shards service);
-  let elapsed = Unix.gettimeofday () -. t0 in
-  Atomic.set producers_done true;
-  let bins = List.concat_map Domain.join consumers in
-  Gc.set gc0;
   Array.iter
     (fun sh ->
       match Broker.Shard.buffered sh with
@@ -402,19 +363,25 @@ let run cfg =
         !stamps)
     commit_stamps;
   let consumed = ref 0 in
-  List.iter
-    (fun (v, ts) ->
-      (* Warmup sentinels (and nothing else) miss the table. *)
-      match Hashtbl.find_opt by_value v with
-      | Some o ->
-          o.o_deq_s <- ts;
-          incr consumed
-      | None -> ())
-    bins;
+  Array.iter
+    (List.iter (fun (v, ts) ->
+         (* Warmup sentinels (and nothing else) miss the table. *)
+         match Hashtbl.find_opt by_value v with
+         | Some o ->
+             o.o_deq_s <- ts;
+             incr consumed
+         | None -> ()))
+    w.Drive.consumed;
   let admitted_ops =
     Array.to_list ops
     |> List.filter (fun o ->
            match o.o_decision with Some (A.Admitted _) -> true | _ -> false)
+  in
+  let check =
+    Drive.verify service
+      ~enqueued:
+        (List.map (fun o -> o.o_value) admitted_ops :: Array.to_list warmed)
+      ~consumed:(Array.to_list (Array.map (List.map fst) w.Drive.consumed))
   in
   let totals = A.totals adm in
   let rows = List.sort (fun a b -> compare a.A.a_tenant b.A.a_tenant) (A.rows adm) in
@@ -493,6 +460,7 @@ let run cfg =
     rep_sla_ok =
       strict_durable.Metrics.n = 0
       || strict_durable.Metrics.p99_s <= cfg.sla_s;
+    rep_check = check;
   }
 
 let pp_report ppf r =
@@ -512,6 +480,8 @@ let pp_report ppf r =
   Format.fprintf ppf "enq->durable (strict): %a  [SLA %.1fms: %s]@\n"
     Metrics.pp r.rep_strict_durable (r.rep_sla_s *. 1e3)
     (if r.rep_sla_ok then "ok" else "MISS");
+  Format.fprintf ppf "delivery: %s@\n"
+    (match r.rep_check with Ok () -> "ok" | Error e -> "FAIL " ^ e);
   if r.rep_dequeue.Metrics.n > 0 then
     Format.fprintf ppf "enq->dequeue: %a (consumed %d)@\n" Metrics.pp
       r.rep_dequeue r.rep_consumed;

@@ -37,8 +37,10 @@ type config = {
   latency : Nvm.Latency.config;
   depth_bound : int;
   watermarks : Broker.Admission.watermarks;
-  degrade : bool;  (** demote all-synced under Yellow pressure *)
-  admission : bool;  (** [false] = raw service (no quota/shed/degrade) *)
+  admission : bool;
+      (** [false] = raw service (no quota/shed/degrade); [true] demotes
+          all-synced streams onto the buffered tier under Yellow
+          pressure *)
   sla_s : float;  (** target p99 enqueue→durable *)
   seed : int;
 }
@@ -59,7 +61,9 @@ type tenant_report = {
 
 type report = {
   rep_duration_s : float;  (** configured offered window *)
-  rep_elapsed_s : float;  (** wall time to drain the schedule *)
+  rep_elapsed_s : float;
+      (** wall time from the schedule origin to the last producer's
+          return *)
   rep_offered : int;
   rep_offered_hz : float;
   rep_admitted_hz : float;  (** admitted ops over elapsed time *)
@@ -77,10 +81,14 @@ type report = {
   rep_demoted : int;  (** streams degraded to acks=leader *)
   rep_sla_s : float;
   rep_sla_ok : bool;  (** strict admitted-op p99 durable within the SLA *)
+  rep_check : (unit, string) result;
+      (** the delivery verdict ({!Drive.verify}) over every admitted op
+          and warm-up sentinel, after the closing sync *)
 }
 
 val run : config -> report
-(** One generation run against a fresh service.  Deterministic
-    schedule for a given [seed]; timings are measured, not modeled. *)
+(** One generation run against a fresh service: an open-loop
+    configuration of {!Drive}.  Deterministic schedule for a given
+    [seed]; timings are measured, not modeled. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -1,7 +1,8 @@
-(* Sharded-broker workload runner: the Producers workload (the paper's
-   W3) driven through {!Broker.Service} instead of a single queue.  Each
-   worker thread owns one stream and enqueues its items in batches, so a
-   shard-count sweep exposes the two effects sharding composes:
+(* Sharded-broker workload runner (fields documented in the .mli): the
+   Producers workload (the paper's W3) driven through {!Broker.Service}
+   instead of a single queue.  Each worker thread owns one stream and
+   enqueues its items in batches, so a shard-count sweep exposes the two
+   effects sharding composes:
 
    - fence-drain bandwidth sharing: all fencers on one heap (one
      simulated DIMM) share its drain bandwidth
@@ -10,12 +11,13 @@
    - batching: the queues' one-fence-per-operation cost amortizes to one
      fence per batch per shard ({!Nvm.Heap.with_batched_fences}).
 
-   As in {!Runner}, the primary series is modeled throughput —
+   As in {!Harness.Runner}, the primary series is modeled throughput —
    deterministic, independent of host core count — except that a
    worker's busy time now sums its modeled nanoseconds over every shard
    heap it touched.  The wall-clock series is reported alongside; to
    keep it a measurement of the operations rather than of the host's
-   allocator and scheduler, the runner:
+   allocator and scheduler, the runner (a closed-loop configuration of
+   {!Drive}, which owns the domain lifecycle and the GC rule):
 
    - sizes the designated node areas so each worker allocates exactly
      one for its whole run (area creation — tens of thousands of word
@@ -24,10 +26,8 @@
      triggers that one area creation and warms every code path, then
      resets the span accounting so the census covers the measured
      window only;
-   - gives every worker domain a minor heap large enough that the
-     measured window needs no minor collection: with more domains than
-     host cores, each minor collection is a stop-the-world rendezvous
-     whose latency is set by the OS scheduler, not by the work. *)
+   - sizes every worker domain's minor heap so the measured window
+     needs no minor collection ({!Drive.minor_heap_words}). *)
 
 type config = {
   algorithm : string;
@@ -73,50 +73,22 @@ type result = {
   mops : float;  (* wall-clock million operations per second *)
   wall_min_mops : float;  (* slowest repetition's wall throughput *)
   wall_max_mops : float;  (* fastest repetition's wall throughput *)
-  wall_stddev_mops : float;
-      (* population stddev of the wall series over the repetitions, so a
-         reported speedup (or regression) is distinguishable from
-         repetition noise; 0 for a single run *)
-  wall_speedup : float;
-      (* wall-clock throughput relative to the 1-shard point of the same
-         sweep and batch size; 1.0 outside a sweep *)
+  wall_stddev_mops : float;  (* 0 for a single run *)
+  wall_speedup : float;  (* vs the sweep's 1-shard point; 1.0 outside *)
   model_mops : float;  (* modeled throughput (primary series) *)
-  fences_per_op : float;
-      (* steady-state fences (op spans + batch-closing fences) per
-         completed op, from the span census: setup persists live in
-         their own spans, so unbatched compliant runs report exactly 1 *)
+  fences_per_op : float;  (* steady state, from the span census *)
   post_flush_per_op : float;
   max_op_fences : int;  (* worst single operation span over all shards *)
   max_batch_fences : int;  (* worst single batch span: bound 1 *)
   max_post_flush : int;  (* worst single op span's post-flush accesses *)
 }
 
-let spin_barrier n =
-  let remaining = Atomic.make n in
-  fun () ->
-    Atomic.decr remaining;
-    while Atomic.get remaining > 0 do
-      Domain.cpu_relax ()
-    done
-
-(* Minor heap for worker domains, in words: large enough that a whole
-   measured run (tens of words per operation) fits without a minor
-   collection — with more domains than host cores, every minor
-   collection is a stop-the-world rendezvous priced by the OS scheduler.
-   Must be set from inside each spawned domain — a parent domain's
-   [Gc.set] does not propagate to children. *)
-let worker_minor_heap_words ~ops = max (1 lsl 21) (48 * ops)
-
-(* One complete Producers run over a fresh broker.  Verifies afterwards
-   that every item landed on its stream's shard in stream order. *)
+(* One complete Producers run over a fresh broker: a closed-loop
+   configuration of {!Drive} — producer bodies only, no consumers.
+   Verifies afterwards that every item landed on its stream's shard in
+   stream order. *)
 let run (cfg : config) : result =
-  (* Level the field between repetitions and sweep points: the previous
-     run's broker, heaps and drained item lists are garbage by now, and
-     letting the major collector mark them incrementally inside the next
-     measured window would bias a sweep against its later points. *)
-  Gc.compact ();
-  Nvm.Tid.reset ();
-  Nvm.Tid.set cfg.threads (* main thread sits after the workers *);
+  Drive.prepare ~producers:cfg.threads ~consumers:0;
   (* One designated area per worker covers warm-up plus the measured
      run (each enqueue consumes one node; batching does not change node
      demand).  +2 covers the queue dummies.  Combining skews node
@@ -147,8 +119,6 @@ let run (cfg : config) : result =
   let before =
     Array.map (fun h -> Nvm.Stats.snapshot (Nvm.Heap.stats h)) heaps
   in
-  (* Three rendezvous: spawn, end of warm-up (worker 0 then resets the
-     accounting below), start of the measured window. *)
   (* Broker construction cost scales with the shard count (one heap and
      its instrumentation arrays per shard).  On a CPU-quota-throttled
      container that work drains the quota immediately before the
@@ -156,15 +126,10 @@ let run (cfg : config) : result =
      sleep consumes no quota and lets the period refill so every sweep
      point starts its window from the same budget. *)
   Unix.sleepf 0.2;
-  let b_spawn = spin_barrier cfg.threads in
-  let b_warm = spin_barrier cfg.threads in
-  let b_reset = spin_barrier cfg.threads in
-  let t_start = Array.make cfg.threads 0. in
-  let t_end = Array.make cfg.threads 0. in
-  let enqueue_ops service ~stream ~batch ~seq0 n =
+  let enqueue_ops ~stream ~seq0 n =
     (* Worker inner loop.  Unbatched streams take the single-operation
        entry point: no per-operation list or tuple. *)
-    if batch = 1 then
+    if cfg.batch = 1 then
       for i = 0 to n - 1 do
         let v = Spec.Durable_check.encode ~producer:stream ~seq:(seq0 + i) in
         match Broker.Service.enqueue service ~stream v with
@@ -179,7 +144,7 @@ let run (cfg : config) : result =
       let seq = ref seq0 in
       let remaining = ref n in
       while !remaining > 0 do
-        let b = min batch !remaining in
+        let b = min cfg.batch !remaining in
         let base = !seq in
         let items =
           List.init b (fun i ->
@@ -198,45 +163,25 @@ let run (cfg : config) : result =
       done
     end
   in
-  let workers =
-    List.init cfg.threads (fun w ->
-        Domain.spawn (fun () ->
-            Gc.set
-              {
-                (Gc.get ()) with
-                Gc.minor_heap_size =
-                  worker_minor_heap_words
-                    ~ops:(cfg.warmup + cfg.ops_per_thread);
-              };
-            Nvm.Tid.set w;
-            b_spawn ();
-            if cfg.warmup > 0 then
-              enqueue_ops service ~stream:w ~batch:cfg.batch ~seq0:1
-                cfg.warmup;
-            b_warm ();
-            if w = 0 then begin
-              (* Warm-up persists must not leak into the measured census
-                 or the bandwidth-sharing factor. *)
-              Array.iteri
-                (fun h heap ->
-                  Nvm.Span.reset_closed (Nvm.Heap.spans heap);
-                  Nvm.Heap.reset_fence_contention heap;
-                  before.(h) <- Nvm.Stats.snapshot (Nvm.Heap.stats heap))
-                heaps;
-              Gc.minor ()
-            end;
-            b_reset ();
-            t_start.(w) <- Unix.gettimeofday ();
-            enqueue_ops service ~stream:w ~batch:cfg.batch
-              ~seq0:(cfg.warmup + 1) cfg.ops_per_thread;
-            t_end.(w) <- Unix.gettimeofday ()))
+  let w =
+    Drive.window ~producers:cfg.threads ~consumers:0
+      ~ops:(cfg.warmup + cfg.ops_per_thread)
+      ~warm:(fun w -> enqueue_ops ~stream:w ~seq0:1 cfg.warmup)
+      ~reset:(fun () ->
+        (* Warm-up persists must not leak into the measured census or
+           the bandwidth-sharing factor. *)
+        Array.iteri
+          (fun h heap ->
+            Nvm.Span.reset_closed (Nvm.Heap.spans heap);
+            Nvm.Heap.reset_fence_contention heap;
+            before.(h) <- Nvm.Stats.snapshot (Nvm.Heap.stats heap))
+          heaps;
+        Gc.minor ())
+      (fun w ~t0:_ ->
+        enqueue_ops ~stream:w ~seq0:(cfg.warmup + 1) cfg.ops_per_thread)
   in
-  List.iter Domain.join workers;
   let total_ops = cfg.threads * cfg.ops_per_thread in
-  let elapsed_s =
-    Array.fold_left max neg_infinity t_end
-    -. Array.fold_left min infinity t_start
-  in
+  let elapsed_s = w.Drive.t_done -. w.Drive.t0 in
   let model_elapsed_ns =
     let slowest = ref 1 in
     for w = 0 to cfg.threads - 1 do
@@ -268,25 +213,15 @@ let run (cfg : config) : result =
   let post_flush = census.Broker.Census.op_post_flush_total in
   (* Soundness: all items (warm-up included) present, on the right
      shard, in stream order. *)
-  let seen = ref 0 in
-  Array.iteri
-    (fun si items ->
-      let last = Hashtbl.create 16 in
-      List.iter
-        (fun v ->
-          let p = Spec.Durable_check.producer_of v in
-          if Broker.Service.shard_of_stream service ~stream:p <> si then
-            failwith "Sharded.run: item on the wrong shard";
-          (match Hashtbl.find_opt last p with
-          | Some prev when v <= prev ->
-              failwith "Sharded.run: stream out of order"
-          | _ -> ());
-          Hashtbl.replace last p v;
-          incr seen)
-        items)
-    (Broker.Service.to_lists service);
-  if !seen <> cfg.threads * (cfg.warmup + cfg.ops_per_thread) then
-    failwith "Sharded.run: items lost";
+  (match
+     Drive.verify service ~consumed:[]
+       ~enqueued:
+         (List.init cfg.threads (fun w ->
+              List.init (cfg.warmup + cfg.ops_per_thread) (fun i ->
+                  Spec.Durable_check.encode ~producer:w ~seq:(i + 1))))
+   with
+  | Ok () -> ()
+  | Error e -> failwith ("Sharded.run: " ^ e));
   let mops = float_of_int total_ops /. elapsed_s /. 1e6 in
   {
     algorithm = cfg.algorithm;
@@ -325,23 +260,6 @@ let wall_spread (results : result list) =
     /. float_of_int n
   in
   (mn, mx, sqrt var)
-
-let run_median ?(reps = 3) (cfg : config) : result =
-  let results = List.init reps (fun _ -> run cfg) in
-  let sorted = List.sort (fun a b -> compare a.mops b.mops) results in
-  let wall_median = List.nth sorted (reps / 2) in
-  let sorted_m =
-    List.sort (fun a b -> compare a.model_mops b.model_mops) results
-  in
-  let mn, mx, sd = wall_spread results in
-  {
-    wall_median with
-    model_mops = (List.nth sorted_m (reps / 2)).model_mops;
-    trials = reps;
-    wall_min_mops = mn;
-    wall_max_mops = mx;
-    wall_stddev_mops = sd;
-  }
 
 (* Shard-count sweep at fixed thread count: the scaling experiment.
    Repetitions are round-robined over the sweep's points, and each round

@@ -1,9 +1,10 @@
 (** Sharded-broker workload runner: the Producers workload driven through
     {!Broker.Service}, with one stream per worker domain, batched
     enqueues, and a shard-count sweep (experiment BENCH-SHARD in
-    DESIGN.md).  The primary series is modeled throughput, as in
-    {!Runner}; a worker's busy time sums its modeled nanoseconds over
-    every shard heap it touched. *)
+    DESIGN.md), as a closed-loop configuration of {!Drive}.  The primary
+    series is modeled throughput, as in {!Harness.Runner}; a worker's
+    busy time sums its modeled nanoseconds over every shard heap it
+    touched. *)
 
 type config = {
   algorithm : string;
@@ -64,11 +65,9 @@ type result = {
 
 val run : config -> result
 (** One complete run over a fresh broker; raises if any item is lost,
-    lands on the wrong shard, breaks its stream's order, or violates the
-    strict per-op persist audit ({!Broker.Census.strict_audit}). *)
-
-val run_median : ?reps:int -> config -> result
-(** Median over [reps] (default 3) repetitions, per series. *)
+    lands on the wrong shard, breaks its stream's order
+    ({!Drive.verify}), or violates the strict per-op persist audit
+    ({!Broker.Census.strict_audit}). *)
 
 val sweep : ?reps:int -> shard_counts:int list -> config -> result list
 (** [reps] runs at each shard count, holding the rest of [config];

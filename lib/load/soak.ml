@@ -16,11 +16,11 @@ let default_seed = 0xD4_7AB1E
 let default_cycles = 20
 let smoke_cycles = 6
 
-let default_config = Fault.Storm.default_config
+let default_config = Storm.default_config
 
 let smoke_config =
   {
-    Fault.Storm.default_config with
+    Storm.default_config with
     shards = 3;
     producers = 3;
     consumers = 1;
@@ -39,7 +39,7 @@ let big_cycles = 5
 
 let big_config =
   {
-    Fault.Storm.default_config with
+    Storm.default_config with
     ops_per_cycle = 12_000;
     batch = 16;
     depth_bound = 1 lsl 20;
@@ -48,8 +48,8 @@ let big_config =
   }
 
 let run ?(out = Filename.concat "results" "fault_report.json") ~seed ~cycles
-    (cfg : Fault.Storm.config) =
-  let report = Fault.Storm.run ~seed ~cycles cfg in
+    (cfg : Storm.config) =
+  let report = Storm.run ~seed ~cycles cfg in
   Fault.Report.write_json ~path:out report;
   Fault.Report.pp Format.std_formatter report;
   Printf.printf "fault report: %s\n%!" out;

@@ -1,11 +1,11 @@
 (** Crash-storm drills: seeded, replayable fault-injection campaigns
-    against a live sharded broker.  Each cycle runs multi-domain
-    producer/consumer load through the {!Retry} combinators, optionally
-    stages a forced-quarantine drill, quiesces, crashes every shard
-    heap with the {!Plan}'s policy and seed, heals through
-    {!Broker.Supervisor}, and verifies zero acknowledged-item loss and
-    per-stream FIFO.  The same seed replays the identical storm
-    ({!Report.replay_log}). *)
+    against a live sharded broker.  Each cycle runs one {!Drive} window
+    of multi-domain producer/consumer load through the {!Fault.Retry}
+    combinators, optionally stages a forced-quarantine drill, crashes
+    every shard heap with the {!Fault.Plan}'s policy and seed, heals
+    through {!Broker.Supervisor}, and verifies zero acknowledged-item
+    loss and per-stream FIFO ({!Drive.verify}).  The same seed replays
+    the identical storm ({!Fault.Report.replay_log}). *)
 
 type config = {
   algorithm : string;
@@ -22,8 +22,7 @@ type config = {
   routing : Broker.Routing.policy;
   drill_every : int;
       (** forced-quarantine drill every Nth cycle; 0 = never *)
-  mode : Nvm.Heap.mode;  (** must be [Checked]: [Fast] heaps cannot crash *)
-  retry : Retry.policy;
+  retry : Fault.Retry.policy;
   checkpoint_every : int;
       (** run the supervisor's checkpoint pass ({!Broker.Supervisor})
           every Nth cycle at the quiescent point before the crash
@@ -56,11 +55,8 @@ val default_config : config
     batches of 4, [Round_robin], a drill every 5th cycle,
     [Acks_all_synced]. *)
 
-val probe_stream : cycle:int -> int
-(** The fresh stream id a drill cycle's reroute probe uses. *)
-
-val run : seed:int -> cycles:int -> config -> Report.t
-(** Run the storm.  The calling thread must be the only live {!Nvm.Tid}
-    user; on return it holds a fresh registration.
-    @raise Nvm.Crash.Error ([Fast_mode_heap]) when [cfg.mode] is [Fast].
+val run : seed:int -> cycles:int -> config -> Fault.Report.t
+(** Run the storm on [Checked] heaps (the only ones that can crash).
+    The calling thread must be the only live {!Nvm.Tid} user; on return
+    it holds a fresh registration.
     @raise Invalid_argument on a producer-less config. *)

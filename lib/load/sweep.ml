@@ -170,6 +170,12 @@ let write_json ~path res = Harness.Bench_row.write ~lines:true ~path (rows res)
 let gate ~baseline ~frac res =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
+  List.iter
+    (fun p ->
+      match p.p_report.Gen.rep_check with
+      | Ok () -> ()
+      | Error e -> err "point %.2fx: delivery check failed: %s" p.p_mult e)
+    res.sw_points;
   if res.sw_knee_hz <= 0. then
     err "knee not located: no sweep point both met the SLA and saturated above";
   List.iter

@@ -50,7 +50,8 @@ val write_json : path:string -> result -> unit
 (** {!rows} as JSON lines. *)
 
 val gate : baseline:string -> frac:float -> result -> string list
-(** Regression check; [[]] means pass.  Structural: the knee must be
+(** Regression check; [[]] means pass.  Structural: every point's
+    delivery check ({!Gen.report.rep_check}) must pass, the knee must be
     located, and every above-knee point must shed (or reject) work
     while keeping strict p99 within [2 * sla / frac].  Against the
     baseline file (silently skipped when absent): each point's

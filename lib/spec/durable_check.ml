@@ -8,9 +8,11 @@
 
    - conservation: every dequeued value was enqueued; nothing is dequeued
      twice; with a post-run queue snapshot, enqueued = dequeued + remaining
-     (up to operations pending at a crash, which may vanish);
+     as disjoint sets (up to operations pending at a crash, which may
+     vanish), and nothing remains that was never enqueued;
    - per-producer FIFO: each consumer (and the remaining queue) observes
-     any one producer's values in increasing sequence order;
+     any one producer's values in increasing sequence order, and every
+     dequeued value precedes every remaining one of its producer;
    - prefix-of-dequeues (Observation 2): after recovery, for each producer
      the surviving values are a suffix of that producer's enqueued values
      minus the dequeued ones. *)
@@ -94,12 +96,38 @@ let check ?(pending = []) ?remaining (logs : thread_log array) =
   | None -> Ok ()
   | Some remaining ->
       let* () = check_producer_order "remaining queue" remaining in
-      let deq_set = count_multiset (dequeued @ remaining) in
+      let deq_set = count_multiset dequeued in
+      let rem_set = count_multiset remaining in
+      (* FIFO hands each producer's values out in order: every survivor
+         sits above the producer's highest dequeued seq. *)
+      let deq_max = Hashtbl.create 16 in
+      List.iter
+        (fun v ->
+          let p = producer_of v in
+          let m = Option.value ~default:(-1) (Hashtbl.find_opt deq_max p) in
+          Hashtbl.replace deq_max p (max m (seq_of v)))
+        dequeued;
+      let* () =
+        List.fold_left
+          (fun acc v ->
+            let* () = acc in
+            let m = Hashtbl.find_opt deq_max (producer_of v) in
+            if Hashtbl.mem deq_set v then
+              Error (Printf.sprintf "value %d both dequeued and remaining" v)
+            else if not (Hashtbl.mem enq_set v || Hashtbl.mem pend_set v) then
+              Error (Printf.sprintf "remaining value %d was never enqueued" v)
+            else if Option.value ~default:(-1) m > seq_of v then
+              Error
+                (Printf.sprintf "producer %d: seq %d remains after a later \
+                                 one was dequeued" (producer_of v) (seq_of v))
+            else Ok ())
+          (Ok ()) remaining
+      in
       (* Every completed enqueue must be accounted for. *)
       Hashtbl.fold
         (fun v _ acc ->
           let* () = acc in
-          if Hashtbl.mem deq_set v then Ok ()
+          if Hashtbl.mem deq_set v || Hashtbl.mem rem_set v then Ok ()
           else Error (Printf.sprintf "enqueued value %d vanished" v))
         enq_set (Ok ())
 

@@ -23,7 +23,10 @@ val check :
   (unit, string) result
 (** Full-run check.  [pending] lists values whose enqueues a crash may
     have dropped; with [remaining] (a post-run queue snapshot), every
-    completed enqueue must be accounted for. *)
+    completed enqueue must be accounted for exactly once — dequeued or
+    remaining, never both — no remaining value may be one that was never
+    enqueued, and per producer every dequeued value must precede every
+    remaining one. *)
 
 val check_recovered_suffix :
   enqueued_per_producer:(int, int list) Hashtbl.t ->

@@ -1096,23 +1096,23 @@ let test_demotion_keeps_fifo () =
 let test_sharded_runner_smoke () =
   let cfg =
     {
-      Harness.Sharded.default_config with
+      Load.Sharded.default_config with
       threads = 2;
       shards = 2;
       ops_per_thread = 400;
       batch = 4;
     }
   in
-  let r = Harness.Sharded.run cfg in
-  Alcotest.(check int) "ops" 800 r.Harness.Sharded.total_ops;
+  let r = Load.Sharded.run cfg in
+  Alcotest.(check int) "ops" 800 r.Load.Sharded.total_ops;
   (* ~1 fence per batch; cold allocator area growth may add a couple. *)
   Alcotest.(check bool) "about one fence per batch" true
-    (r.Harness.Sharded.fences_per_op >= 0.25
-    && r.Harness.Sharded.fences_per_op <= 0.26);
+    (r.Load.Sharded.fences_per_op >= 0.25
+    && r.Load.Sharded.fences_per_op <= 0.26);
   Alcotest.(check (float 0.001)) "no post-flush" 0.
-    r.Harness.Sharded.post_flush_per_op;
+    r.Load.Sharded.post_flush_per_op;
   Alcotest.(check bool) "modeled throughput positive" true
-    (r.Harness.Sharded.model_mops > 0.)
+    (r.Load.Sharded.model_mops > 0.)
 
 let () =
   Alcotest.run "broker"

@@ -211,8 +211,8 @@ let test_combining_crash_sweep name () =
 let test_combining_storm () =
   let cfg =
     {
-      Fault.Storm.default_config with
-      Fault.Storm.shards = 2;
+      Load.Storm.default_config with
+      Load.Storm.shards = 2;
       producers = 3;
       consumers = 1;
       ops_per_cycle = 60;
@@ -221,7 +221,7 @@ let test_combining_storm () =
       drill_every = 2;
     }
   in
-  let report = Fault.Storm.run ~seed:7 ~cycles:3 cfg in
+  let report = Load.Storm.run ~seed:7 ~cycles:3 cfg in
   Alcotest.(check bool) "storm verified" true (Fault.Report.ok report)
 
 let () =

@@ -203,7 +203,7 @@ let test_retry_batch_rebatches_remainder () =
 
 let smoke_cfg =
   {
-    Fault.Storm.default_config with
+    Load.Storm.default_config with
     shards = 2;
     producers = 2;
     consumers = 1;
@@ -212,7 +212,7 @@ let smoke_cfg =
   }
 
 let test_storm_smoke () =
-  let report = Fault.Storm.run ~seed:7 ~cycles:4 smoke_cfg in
+  let report = Load.Storm.run ~seed:7 ~cycles:4 smoke_cfg in
   if not (Fault.Report.ok report) then
     Alcotest.failf "storm failed:@.%a" (fun ppf -> Fault.Report.pp ppf) report;
   Alcotest.(check int) "all cycles ran" 4 (List.length report.Fault.Report.cycles);
@@ -221,23 +221,16 @@ let test_storm_smoke () =
     = report.Fault.Report.total_consumed + report.Fault.Report.remaining)
 
 let test_storm_replay_identical () =
-  let a = Fault.Storm.run ~seed:21 ~cycles:4 smoke_cfg in
-  let b = Fault.Storm.run ~seed:21 ~cycles:4 smoke_cfg in
+  let a = Load.Storm.run ~seed:21 ~cycles:4 smoke_cfg in
+  let b = Load.Storm.run ~seed:21 ~cycles:4 smoke_cfg in
   Alcotest.(check (list string)) "same seed, identical cycle log"
     (Fault.Report.replay_log a) (Fault.Report.replay_log b);
-  let c = Fault.Storm.run ~seed:22 ~cycles:4 smoke_cfg in
+  let c = Load.Storm.run ~seed:22 ~cycles:4 smoke_cfg in
   Alcotest.(check bool) "different seed, different storm" false
     (Fault.Report.replay_log a = Fault.Report.replay_log c)
 
-let test_storm_rejects_fast_heaps () =
-  Alcotest.check_raises "fast heaps cannot host a storm"
-    (Nvm.Crash.Error (Nvm.Crash.Fast_mode_heap "Storm.run")) (fun () ->
-      ignore
-        (Fault.Storm.run ~seed:1 ~cycles:1
-           { smoke_cfg with mode = Nvm.Heap.Fast }))
-
 let test_storm_json_roundtrip () =
-  let report = Fault.Storm.run ~seed:33 ~cycles:3 smoke_cfg in
+  let report = Load.Storm.run ~seed:33 ~cycles:3 smoke_cfg in
   let path = Filename.temp_file "fault_report" ".json" in
   Fault.Report.write_json ~path report;
   let ic = open_in path in
@@ -266,7 +259,7 @@ let test_storm_admission_open_loop () =
   let cfg =
     {
       smoke_cfg with
-      Fault.Storm.ops_per_cycle = 40;
+      Load.Storm.ops_per_cycle = 40;
       admission =
         Some
           {
@@ -279,7 +272,7 @@ let test_storm_admission_open_loop () =
     }
   in
   let seed = 0x0f10ad in
-  let report = Fault.Storm.run ~seed ~cycles:10 cfg in
+  let report = Load.Storm.run ~seed ~cycles:10 cfg in
   if not (Fault.Report.ok report) then
     Alcotest.failf "admission storm failed:@.%a"
       (fun ppf -> Fault.Report.pp ppf)
@@ -291,7 +284,7 @@ let test_storm_admission_open_loop () =
     = report.Fault.Report.total_consumed + report.Fault.Report.remaining);
   Alcotest.(check bool) "the quota actually bit" true
     (report.Fault.Report.total_shed > 0);
-  let again = Fault.Storm.run ~seed ~cycles:10 cfg in
+  let again = Load.Storm.run ~seed ~cycles:10 cfg in
   Alcotest.(check (list string)) "replay log identical under admission"
     (Fault.Report.replay_log report)
     (Fault.Report.replay_log again)
@@ -302,9 +295,9 @@ let test_storm_admission_open_loop () =
    forced-quarantine drill whose reroute and re-admission both
    happened, and a byte-identical cycle log on replay. *)
 let test_storm_acceptance () =
-  let cfg = Fault.Storm.default_config in
+  let cfg = Load.Storm.default_config in
   let seed = 0xACCE97 in
-  let report = Fault.Storm.run ~seed ~cycles:20 cfg in
+  let report = Load.Storm.run ~seed ~cycles:20 cfg in
   if not (Fault.Report.ok report) then
     Alcotest.failf "storm failed:@.%a" (fun ppf -> Fault.Report.pp ppf) report;
   List.iter
@@ -321,7 +314,7 @@ let test_storm_acceptance () =
          (not c.drill)
          || (c.reroute_ok = Some true && c.readmitted <> []))
        report.Fault.Report.cycles);
-  let again = Fault.Storm.run ~seed ~cycles:20 cfg in
+  let again = Load.Storm.run ~seed ~cycles:20 cfg in
   Alcotest.(check (list string)) "replay log identical"
     (Fault.Report.replay_log report) (Fault.Report.replay_log again)
 
@@ -355,8 +348,6 @@ let () =
           Alcotest.test_case "smoke" `Quick test_storm_smoke;
           Alcotest.test_case "replay is identical" `Quick
             test_storm_replay_identical;
-          Alcotest.test_case "fast heaps rejected" `Quick
-            test_storm_rejects_fast_heaps;
           Alcotest.test_case "json report" `Quick test_storm_json_roundtrip;
           Alcotest.test_case "admission: 10 open-loop cycles" `Slow
             test_storm_admission_open_loop;

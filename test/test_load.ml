@@ -3,8 +3,9 @@
    shared Zipf seed discipline, metric order statistics, the admission
    pipeline under an injected clock (token buckets, deadline sheds,
    watermark levels, graceful degradation, quarantine passthrough),
-   one short end-to-end Gen run, and the sweep's JSON / regression
-   gate over synthetic results. *)
+   one short end-to-end Gen run, the driver's lifecycle rules and
+   verifier, and the sweep's JSON / regression gate over synthetic
+   results. *)
 
 let fresh_tid () =
   Nvm.Tid.reset ();
@@ -406,12 +407,118 @@ let test_gen_smoke () =
     r.Load.Gen.rep_strict_durable.Load.Metrics.n;
   Alcotest.(check bool) "consumer kept up at trivial load" true
     (r.Load.Gen.rep_consumed > 0);
+  (match r.Load.Gen.rep_check with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "delivery check: %s" e);
   Alcotest.(check int) "nothing demoted" 0 r.Load.Gen.rep_demoted;
   (* The schedule is planned, not reactive: the same seed offers the
      same arrivals. *)
   let again = Load.Gen.run cfg in
   Alcotest.(check int) "same seed, same offered schedule"
     r.Load.Gen.rep_offered again.Load.Gen.rep_offered
+
+(* -- the driver ----------------------------------------------------------------- *)
+
+(* Every Gen run pins its thread ids afresh, so a sweep of any length
+   stays inside the 64-id registry instead of running it dry (a worker
+   then dies on registration and the window never closes). *)
+let test_drive_tids_per_run () =
+  fresh_tid ();
+  let cfg =
+    {
+      Load.Gen.config_default with
+      Load.Gen.duration_s = 0.05;
+      latency = Nvm.Latency.off;
+      tenants =
+        [ { Load.Gen.tenant_default with Load.Gen.t_rate_hz = 400.; t_keyspace = 8 } ];
+    }
+  in
+  for run = 1 to 4 do
+    let r = Load.Gen.run cfg in
+    (match r.Load.Gen.rep_check with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "run %d: delivery check: %s" run e);
+    let ids = Nvm.Tid.count () in
+    if ids > cfg.Load.Gen.producers + cfg.Load.Gen.consumers + 1 then
+      Alcotest.failf "run %d left %d thread ids registered" run ids
+  done
+
+(* A worker that raises fails the window instead of leaving the others
+   waiting at the gate: the surviving producer skips its body. *)
+let test_drive_warm_failure_raises () =
+  Load.Drive.prepare ~producers:2 ~consumers:1;
+  let ran = Atomic.make false in
+  match
+    Load.Drive.window ~producers:2 ~consumers:1 ~ops:1
+      ~warm:(fun w -> if w = 1 then failwith "warm body")
+      (fun _ ~t0:_ -> Atomic.set ran true)
+  with
+  | _ -> Alcotest.fail "a window with a failed warm body returned"
+  | exception Failure msg ->
+      Alcotest.(check string) "the warm body's exception" "warm body" msg;
+      Alcotest.(check bool) "no producer body ran" false (Atomic.get ran)
+
+(* The GC rule reaches the workers: each spawned domain sizes its own
+   minor heap (a parent's Gc.set does not propagate to its children). *)
+let test_drive_worker_minor_heap () =
+  let ops = 1_000 in
+  let seen = Array.make 3 0 in
+  let minor () = (Gc.get ()).Gc.minor_heap_size in
+  Load.Drive.prepare ~producers:2 ~consumers:1;
+  ignore
+    (Load.Drive.window ~producers:2 ~consumers:1 ~ops
+       ~dequeue:(fun k ->
+         seen.(2 + k) <- minor ();
+         fun () -> None)
+       (fun w ~t0:_ -> seen.(w) <- minor ()));
+  Array.iteri
+    (fun i n ->
+      Alcotest.(check int)
+        (Printf.sprintf "worker %d minor heap" i)
+        (Load.Drive.minor_heap_words ~ops) n)
+    seen;
+  Alcotest.(check bool) "the calling domain keeps its own" true
+    (minor () <> Load.Drive.minor_heap_words ~ops)
+
+(* The verifier sees what the consumers really got: a clean window
+   passes, and a bin with one value dropped or duplicated fails. *)
+let test_drive_verify_doctored_bins () =
+  Load.Drive.prepare ~producers:2 ~consumers:1;
+  let service = Broker.Service.create ~shards:2 ~mode:Nvm.Heap.Fast () in
+  let n = 50 in
+  let enqueued =
+    List.init 2 (fun w -> List.init n (fun i -> enc ~producer:w ~seq:(i + 1)))
+  in
+  List.iteri
+    (fun w _ -> ignore (Broker.Service.shard_of_stream service ~stream:w))
+    enqueued;
+  let out =
+    Load.Drive.window ~producers:2 ~consumers:1 ~ops:n
+      ~dequeue:(fun _ () ->
+        match Broker.Service.dequeue_any service with
+        | Broker.Service.Item v -> Some v
+        | _ -> None)
+      (fun w ~t0:_ ->
+        List.iter
+          (fun v ->
+            match Broker.Service.enqueue service ~stream:w v with
+            | Broker.Backpressure.Accepted -> ()
+            | _ -> failwith "enqueue refused")
+          (List.nth enqueued w))
+  in
+  let bin = List.map fst out.Load.Drive.consumed.(0) in
+  Alcotest.(check int) "the consumer drained to empty" (2 * n)
+    (List.length bin);
+  let verify bin = Load.Drive.verify service ~enqueued ~consumed:[ bin ] in
+  (match verify bin with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "clean window rejected: %s" e);
+  (match verify (List.tl bin) with
+  | Ok () -> Alcotest.fail "a dropped value passed"
+  | Error _ -> ());
+  match verify (List.hd bin :: bin) with
+  | Ok () -> Alcotest.fail "a duplicated value passed"
+  | Error _ -> ()
 
 (* -- sweep: JSON and the regression gate over synthetic results --------------- *)
 
@@ -455,6 +562,7 @@ let mk_report ~offered ~admitted ~shed ~p99 ~sla_ok =
     rep_demoted = 0;
     rep_sla_s = 0.005;
     rep_sla_ok = sla_ok;
+    rep_check = Ok ();
   }
 
 let mk_point ~mult ~offered ~admitted ~shed ~p99 ~sla_ok =
@@ -610,6 +718,17 @@ let () =
         ] );
       ( "gen",
         [ Alcotest.test_case "open-loop smoke run" `Slow test_gen_smoke ] );
+      ( "drive",
+        [
+          Alcotest.test_case "thread ids per run" `Quick
+            test_drive_tids_per_run;
+          Alcotest.test_case "a raising warm body fails the window" `Quick
+            test_drive_warm_failure_raises;
+          Alcotest.test_case "worker minor heaps" `Quick
+            test_drive_worker_minor_heap;
+          Alcotest.test_case "doctored bins fail verify" `Quick
+            test_drive_verify_doctored_bins;
+        ] );
       ( "sweep",
         [
           Alcotest.test_case "structural gate" `Quick

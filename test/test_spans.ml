@@ -252,24 +252,24 @@ let test_broker_batch_spans () =
 let test_sharded_census_exact () =
   let cfg =
     {
-      Harness.Sharded.default_config with
+      Load.Sharded.default_config with
       shards = 2;
       threads = 4;
       ops_per_thread = 1_500;
       batch = 1;
     }
   in
-  let r = Harness.Sharded.run cfg in
+  let r = Load.Sharded.run cfg in
   Alcotest.(check (float 0.)) "unbatched: exactly 1.0000 fences/op" 1.0
-    r.Harness.Sharded.fences_per_op;
-  Alcotest.(check int) "worst op fences 1" 1 r.Harness.Sharded.max_op_fences;
+    r.Load.Sharded.fences_per_op;
+  Alcotest.(check int) "worst op fences 1" 1 r.Load.Sharded.max_op_fences;
   Alcotest.(check int) "no post-flush in any op" 0
-    r.Harness.Sharded.max_post_flush;
-  let r12 = Harness.Sharded.run { cfg with Harness.Sharded.batch = 12 } in
+    r.Load.Sharded.max_post_flush;
+  let r12 = Load.Sharded.run { cfg with Load.Sharded.batch = 12 } in
   Alcotest.(check (float 0.)) "batch 12: exactly 1/12 fences/op"
-    (1. /. 12.) r12.Harness.Sharded.fences_per_op;
+    (1. /. 12.) r12.Load.Sharded.fences_per_op;
   Alcotest.(check int) "worst batch fences 1" 1
-    r12.Harness.Sharded.max_batch_fences
+    r12.Load.Sharded.max_batch_fences
 
 let () =
   let q = QCheck_alcotest.to_alcotest in

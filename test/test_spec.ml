@@ -277,6 +277,33 @@ let test_durable_check_vanished () =
   | Ok () -> Alcotest.fail "vanished item not caught"
   | Error _ -> ())
 
+(* The remaining snapshot is checked against the dequeues too: a value
+   may not be both, a survivor must have been enqueued, and a producer's
+   dequeues come before its survivors. *)
+let rejects_with_remaining name ~enqueued ~dequeued ~remaining () =
+  let logs = [| { Durable_check.enqueued; dequeued } |] in
+  match Durable_check.check ~remaining logs with
+  | Ok () -> Alcotest.failf "%s not caught" name
+  | Error _ -> ()
+
+let test_durable_check_dequeued_and_remaining =
+  rejects_with_remaining "value both dequeued and remaining"
+    ~enqueued:[ v ~producer:0 ~seq:1; v ~producer:0 ~seq:2 ]
+    ~dequeued:[ v ~producer:0 ~seq:1 ]
+    ~remaining:[ v ~producer:0 ~seq:1; v ~producer:0 ~seq:2 ]
+
+let test_durable_check_phantom_survivor =
+  rejects_with_remaining "phantom survivor"
+    ~enqueued:[ v ~producer:0 ~seq:1 ]
+    ~dequeued:[ v ~producer:0 ~seq:1 ]
+    ~remaining:[ v ~producer:1 ~seq:1 ]
+
+let test_durable_check_dequeue_past_survivor =
+  rejects_with_remaining "seq 3 dequeued while seq 2 remains"
+    ~enqueued:[ v ~producer:0 ~seq:1; v ~producer:0 ~seq:2; v ~producer:0 ~seq:3 ]
+    ~dequeued:[ v ~producer:0 ~seq:1; v ~producer:0 ~seq:3 ]
+    ~remaining:[ v ~producer:0 ~seq:2 ]
+
 (* -- End to end: record real concurrent histories and check them ---------- *)
 
 let record_and_check entry () =
@@ -353,6 +380,12 @@ let () =
             test_durable_check_order;
           Alcotest.test_case "catches vanished items" `Quick
             test_durable_check_vanished;
+          Alcotest.test_case "catches dequeued-and-remaining" `Quick
+            test_durable_check_dequeued_and_remaining;
+          Alcotest.test_case "catches phantom survivors" `Quick
+            test_durable_check_phantom_survivor;
+          Alcotest.test_case "catches dequeues past a survivor" `Quick
+            test_durable_check_dequeue_past_survivor;
         ] );
       ( "recorded-histories",
         List.map
