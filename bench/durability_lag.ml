@@ -1,12 +1,12 @@
 open Common
 
 (* Durability-lag sweep: the buffered-durability bargain in wall-clock
-   numbers.  One producer, one queue instance on a [dimm] heap
+   numbers.  One producer, one queue on a [dimm] heap
    ({!Nvm.Latency.dimm_wall}: fence drains elapse as wall-clock device
    time), enqueue-only, sweeping acks level x group-commit watermark:
 
-   - all-synced: the strict queue — one full device drain per operation,
-     the price of strict durable linearizability;
+   - all-synced: the strict queue (OptUnlinkedQ) — one full device drain
+     per operation, the price of strict durable linearizability;
    - leader: the buffered tier with commit drains joined — the producer
      is paced to the device once per watermark instead of once per op;
    - none: fire-and-forget — commits issue asynchronously and the
@@ -47,9 +47,7 @@ let run ~smoke =
         let t1 = Unix.gettimeofday () in
         (t1 -. t0, [], 0)
     | level ->
-        let b =
-          Dq.Buffered_q.create ~watermark:batch heap entry.Dq.Registry.make
-        in
+        let b = Dq.Buffered_q.create ~watermark:batch heap in
         let t_enq = Array.make ops 0. in
         let t_durable = Array.make ops 0. in
         let covered = ref 0 in
@@ -88,8 +86,8 @@ let run ~smoke =
   in
   Printf.printf
     "\n\
-     == durability lag: level x group-commit watermark (%s, dimm profile, \
-     %d enqueues, median of %d trials) ==\n"
+     == durability lag: level x group-commit watermark (strict %s, dimm \
+     profile, %d enqueues, median of %d trials) ==\n"
     entry.Dq.Registry.name ops trials;
   Printf.printf "%12s %8s %12s %10s %14s %14s %9s\n" "level" "batch"
     "wall kops/s" "vs strict" "p99 lag us" "mean lag us" "commits";
@@ -127,7 +125,10 @@ let run ~smoke =
   List.map
     (fun (level, batch, kops, (lag : Load.Metrics.summary), commits) ->
       Harness.Bench_row.
-        [ str "algorithm" entry.Dq.Registry.name; str "profile" "dimm";
+        [ str "algorithm"
+            (if level = "all-synced" then entry.Dq.Registry.name
+             else Dq.Buffered_q.name);
+          str "profile" "dimm";
           str "level" level; int "batch" batch; int "ops" ops;
           int "trials" trials; num 3 "wall_kops" kops;
           num 3 "speedup_vs_strict" (kops /. strict_kops);

@@ -169,20 +169,22 @@ let census_cmd =
     if admission then admission_census_demo ()
     else
     let level = Broker.Service.acks_of_name acks in
-    let entries = resolve_queues queues ~default:Dq.Registry.durable in
-    (* A weak acks level wraps each queue in the buffered group-commit
-       tier ({!Dq.Buffered_q}): rows are labelled +buffered, op spans
-       are fence-free, the commit fences land in "sync" spans and the
-       line write-behinds in excluded "write-behind" spans, which the
-       enq row's averages count — the census shows the amortization
+    (* A weak acks level censuses the buffered group-commit tier
+       ({!Dq.Buffered_q}) instead of the queues: one row, since the
+       tier runs no registry algorithm.  Its op spans are fence-free,
+       the commit fences land in "sync" spans and the line
+       write-behinds in excluded "write-behind" spans, which the enq
+       row's averages count — the census shows the amortization
        directly. *)
     let entries =
-      if level = Broker.Service.Acks_all_synced then entries
+      if level = Broker.Service.Acks_all_synced then
+        resolve_queues queues ~default:Dq.Registry.durable
       else
-        List.map
-          (Dq.Registry.buffered
-             ~join_commits:(level = Broker.Service.Acks_leader))
-          entries
+        [
+          Dq.Registry.buffered
+            ~join_commits:(level = Broker.Service.Acks_leader)
+            ();
+        ]
     in
     let audited =
       List.map
@@ -277,9 +279,9 @@ let census_cmd =
        ~doc:
          "Persist-instruction census: averages and per-op worst cases \
           (fences/flushes/movnti/post-flush).  With --acks none|leader, \
-          queues run behind the buffered group-commit tier and rows \
-          carry the +buffered suffix.  With --admission, prints the \
-          per-tenant admission census instead.")
+          prints one row for the buffered group-commit tier (BufferedQ) \
+          instead of the queues (--queue does not apply).  With \
+          --admission, prints the per-tenant admission census instead.")
     Term.(
       const run $ queue_arg $ ops $ json $ strict $ csv $ combining_arg
       $ acks_arg $ admission)
@@ -288,8 +290,7 @@ let census_cmd =
 
 let trace_cmd =
   let run queue ops out format combining buffered checkpoint =
-    let raw = Dq.Registry.find queue in
-    let entry = Dq.Registry.instrumented raw in
+    let entry = Dq.Registry.instrumented (Dq.Registry.find queue) in
     Nvm.Tid.reset ();
     Nvm.Tid.set 0;
     let heap = Nvm.Heap.create ~mode:Nvm.Heap.Fast ~latency:Nvm.Latency.off () in
@@ -311,7 +312,7 @@ let trace_cmd =
         let b =
           Nvm.Span.with_span ~exclude:true (Nvm.Heap.spans heap)
             Dq.Instrumented.create_label (fun () ->
-              Dq.Buffered_q.create ~watermark:8 heap raw.Dq.Registry.make)
+              Dq.Buffered_q.create ~watermark:8 heap)
         in
         Dq.Instrumented.wrap heap (Dq.Buffered_q.instance b)
       else entry.Dq.Registry.make heap
@@ -396,8 +397,8 @@ let trace_cmd =
       value & flag
       & info [ "buffered" ]
           ~doc:
-            "Run the queue behind the buffered group-commit tier \
-             (watermark 8): group commits appear as \"sync\" spans with \
+            "Trace the buffered group-commit tier (watermark 8) instead \
+             of the queue: group commits appear as \"sync\" spans with \
              \"sync:commit\" and \"drain:ticket\"/\"drain:join\" instant \
              events, making the pipelined fence drains visible in the \
              timeline.")

@@ -22,14 +22,14 @@ type t = {
          created with [~combining:true]; [queue] then routes enqueues
          through it (and its recover resets it) *)
   buffered : Dq.Buffered_q.t option;
-      (* the buffered-durability tier ({!Dq.Buffered_q}): a second queue
-         instance on the same heap behind a group-commit journal.
-         Streams published at acks=none/leader land here; streams at
-         acks=all-synced stay on the strict [queue].  Deliberately
-         uninstrumented: its operations own no per-op fences (commits
-         run under their own "sync" spans, line write-behinds under
-         excluded "write-behind" spans), so folding them into the
-         enq/deq aggregates would corrupt the strict per-op audit. *)
+      (* the buffered-durability tier ({!Dq.Buffered_q}): a group-commit
+         journal ring on the same heap.  Streams published at
+         acks=none/leader land here; streams at acks=all-synced stay on
+         the strict [queue].  Deliberately uninstrumented: its
+         operations own no per-op fences (commits run under their own
+         "sync" spans, line write-behinds under excluded "write-behind"
+         spans), so folding them into the enq/deq aggregates would
+         corrupt the strict per-op audit. *)
 }
 
 (* Shards are always span-instrumented: every enqueue/dequeue/recover on
@@ -57,9 +57,7 @@ let create_all ~(entry : Dq.Registry.entry) ~n ~depth_bound ~mode ~latency
         if buffered then
           (* Instance default is fire-and-forget (acks=none); the
              acks=leader enqueue path opts into joining per call. *)
-          Some
-            (Dq.Buffered_q.create ~join_commits:false heap
-               entry.Dq.Registry.make)
+          Some (Dq.Buffered_q.create ~join_commits:false heap)
         else None
       in
       {
@@ -153,7 +151,7 @@ let buffered_list t =
   | Some b -> (Dq.Buffered_q.instance b).Dq.Queue_intf.to_list ()
   | None -> []
 
-(* Strict tier first, then the buffered tier's mirror.  A stream's items
+(* Strict tier first, then the buffered tier's journal.  A stream's items
    live in exactly one tier (its acks level picks it), so per-stream
    FIFO survives the concatenation. *)
 let to_list t = t.queue.Dq.Queue_intf.to_list () @ buffered_list t
@@ -189,7 +187,7 @@ let dequeue t =
 
 (* Both tiers' recovery procedures, single-threaded, in [to_list] order:
    the strict queue's own recovery, then the buffered tier's journal
-   replay — which restores exactly the synced floor (the last issued
+   read — which restores exactly the synced floor (the last issued
    commit's snapshot); the unsynced tail is gone as a unit. *)
 let recover t =
   (* Until [reseat] counts the rebuilt tiers, and for good if recovery

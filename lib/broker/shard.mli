@@ -41,8 +41,8 @@ val create_all :
 (** [combining] puts the flat-combining enqueue front-end
     ({!Dq.Combining_q}) in front of every shard's instrumented
     instance.  [buffered] adds the buffered-durability tier
-    ({!Dq.Buffered_q}, uninstrumented, fire-and-forget commits) beside
-    the strict queue on every shard's heap. *)
+    ({!Dq.Buffered_q}: a journal ring, uninstrumented, fire-and-forget
+    commits) beside the strict queue on every shard's heap. *)
 
 val id : t -> int
 val heap : t -> Nvm.Heap.t
@@ -69,7 +69,7 @@ val depth_bound : t -> int
 (** The gauge's bound: {!enqueue} admits nothing past it. *)
 
 val to_list : t -> int list
-(** Front-to-rear contents, strict tier then buffered mirror; quiescent
+(** Front-to-rear contents, strict tier then buffered tier; quiescent
     use only.  A stream's items live in one tier, so per-stream FIFO
     survives the concatenation. *)
 
@@ -102,7 +102,7 @@ val dequeue : t -> int option
 
 val recover : t -> unit
 (** Both tiers' recovery, single-threaded: the strict queue's own
-    procedure, then the buffered tier's journal replay — exactly the
+    procedure, then the buffered tier's journal read — exactly the
     synced floor; the unsynced tail is dropped as a unit.  Until
     {!reseat} follows, the depth gauge reads 0 and the strict bound is
     left high, so every dequeue probes the strict tier. *)

@@ -1,4 +1,4 @@
-(* Buffered-durability wrapper: group-commit persistence behind an
+(* Buffered-durability tier: group-commit persistence behind an
    explicit [sync] boundary.
 
    The paper's queues are *strictly* durable linearizable: every
@@ -12,17 +12,17 @@
    may drop a suffix of the history as a unit, provided everything
    acknowledged by an explicit [sync] survives.  That relaxation is
    worth real device bandwidth only if it reduces *flush instructions
-   per operation*, so this wrapper does not defer the wrapped queue's
-   persists — it replaces them:
+   per operation*, so the queue is a line-packed *journal*:
 
-   - the wrapped queue runs entirely inside
-     {!Nvm.Heap.with_suppressed_persists}: it keeps the concurrent
-     semantics (visibility, FIFO, lock-freedom of dequeues) but its
-     persist discipline is silenced — it is a volatile mirror;
-   - durability is owned by a line-packed *journal*: each enqueue
-     appends its value as one word of a persistent ring (eight entries
-     per cache line), so a group of [watermark] enqueues dirties
-     [watermark/8] lines instead of [watermark];
+   - each enqueue appends its value as one word of a persistent ring
+     (eight entries per cache line), so a group of [watermark] enqueues
+     dirties [watermark/8] lines instead of [watermark].  The live items
+     are the entries [consumed, appended);
+   - a dequeue claims the entry at [consumed] with one CAS and takes its
+     value from a volatile copy of the ring ([slots], same index).  It
+     touches no NVM word: reading the journal back would be an access to
+     flushed content (every full line is written behind, below), the
+     cost the paper's second amendment removes;
    - *write-behind*: the append that fills a journal line flushes that
      line and issues a split fence at once, while the device is
      otherwise idle.  The appender does not wait for the drain;
@@ -42,6 +42,16 @@
    — one per written-behind line plus one or two per commit — the
    paper's thesis again: more fences, less waiting.
 
+   Concurrency.  Producers append under the lock: each writes its slot
+   and its journal word, then publishes [appended] (an [Atomic]).  A
+   dequeuer reads [consumed = c], checks [c < appended], reads slot
+   [c mod capacity] and CASes [consumed] from [c] to [c + 1].  Only the
+   append of entry [c + capacity] overwrites that slot, and the ring
+   guard below allows it only once the *committed* consumed floor has
+   passed [c] — after some CAS moved [consumed] past [c].  So a
+   dequeuer whose CAS succeeds read the slot before any overwrite, and
+   one that read an overwritten slot fails its CAS and retries.
+
    Crash safety is carried by the meta word alone:
    - the meta word is the only commit point.  Any surviving meta pair
      (floor, consumed) was written after a fence covering each entry in
@@ -60,15 +70,16 @@
      [flushed_upto] for the next commit or write-behind to flush;
    - recovery reads the meta word, truncates the journal at its floor
      (discarding any torn unsynced tail beyond it, and any entries
-     written behind above it), rebuilds a fresh mirror, and replays
-     entries [consumed, floor) into it: the recovered state is exactly
+     written behind above it) and refills slots [consumed, floor) of
+     the volatile copy from the journal: the recovered state is exactly
      the synced floor — some commit's consistent snapshot — and the
-     lost suffix is exactly the contiguous unsynced tail.
+     lost suffix is exactly the contiguous unsynced tail.  It allocates
+     nothing: the journal region is the tier's whole NVM footprint.
 
    The (floor, consumed) snapshot is consistent as a history cut
    because both counters are read while holding the append lock: no
    enqueue past [floor] had completed when the commit started, and
-   every dequeue counted in [consumed] consumed an entry below [floor].
+   every dequeue counted in [consumed] claimed an entry below [floor].
    Ring-slot reuse is safe because an append may overwrite slot
    [appended - capacity] only when the *committed* consumed floor has
    passed it, and the meta word can never revert below the last issued
@@ -78,7 +89,7 @@
    ([appended mod 8 = 0]) needs ring slots to line up with cache lines,
    so [create] accepts only line-aligned capacities. *)
 
-let name_suffix = "+buffered"
+let name = "BufferedQ"
 
 let meta_bits = 31
 let meta_mask = (1 lsl meta_bits) - 1
@@ -88,11 +99,6 @@ let consumed_of pair = pair land meta_mask
 
 type t = {
   heap : Nvm.Heap.t;
-  make : Nvm.Heap.t -> Queue_intf.instance;
-      (* raw (uninstrumented) mirror constructor, kept for recovery:
-         the mirror's regions are never read after a crash, so recovery
-         builds a fresh instance and replays the journal into it *)
-  mutable q : Queue_intf.instance;  (* the volatile mirror *)
   watermark : int;  (* enqueues per group commit *)
   capacity : int;  (* journal ring capacity (entries) *)
   join_commits : bool;
@@ -102,11 +108,14 @@ type t = {
   yield : unit -> unit;  (* append-lock back-off hook *)
   entries : int;  (* base address of the journal ring *)
   meta : int;  (* address of the packed (floor, consumed) word *)
-  lock : bool Atomic.t;  (* serialises append order = mirror order *)
-  mutable appended : int;  (* enqueues ever appended (lock holder) *)
+  slots : int array;  (* volatile copy of the ring: what dequeues read *)
+  lock : bool Atomic.t;  (* serialises appends *)
+  appended : int Atomic.t;
+      (* enqueues ever appended: written by the lock holder after the
+         slot, read by dequeuers *)
   mutable flushed_upto : int;
       (* every entry below it sits on a line already written behind *)
-  consumed : int Atomic.t;  (* dequeues ever completed on the mirror *)
+  consumed : int Atomic.t;  (* dequeues ever claimed *)
   mutable committed_floor : int;  (* floor of the last issued commit *)
   mutable committed_consumed : int;
   mutable last_drain : Nvm.Heap.drain;  (* last commit's ticket *)
@@ -126,7 +135,7 @@ let default_yield () =
   done
 
 let create ?(watermark = default_watermark) ?(capacity = default_capacity)
-    ?(join_commits = true) ?(yield = default_yield) heap make =
+    ?(join_commits = true) ?(yield = default_yield) heap =
   if watermark < 1 then invalid_arg "Buffered_q.create: watermark < 1";
   if
     capacity < Nvm.Line.words_per_line
@@ -142,16 +151,15 @@ let create ?(watermark = default_watermark) ?(capacity = default_capacity)
   let base = Nvm.Region.base_addr region in
   {
     heap;
-    make;
-    q = make heap;
     watermark;
     capacity;
     join_commits;
     yield;
     entries = base;
     meta = base + capacity;
+    slots = Array.make capacity 0;
     lock = Atomic.make false;
-    appended = 0;
+    appended = Atomic.make 0;
     flushed_upto = 0;
     consumed = Atomic.make 0;
     committed_floor = 0;
@@ -171,7 +179,8 @@ let rec acquire t =
 
 let release t = Atomic.set t.lock false
 
-let entry_addr t i = t.entries + (i mod t.capacity)
+let slot t i = i mod t.capacity
+let entry_addr t i = t.entries + slot t i
 
 (* -- Group commit ------------------------------------------------------------ *)
 
@@ -207,12 +216,12 @@ let persist_entries t ~hi =
    absorbed (a combining pass over the tier): another thread's commit
    trusts [flushed_upto], so it may only cover a fence already issued,
    and the commit (or the next write-behind) flushes the line instead. *)
-let write_behind t =
+let write_behind t ~hi =
   if not (Nvm.Heap.fences_absorbed t.heap) then
     Nvm.Span.with_span ~exclude:true (Nvm.Heap.spans t.heap)
       Instrumented.write_behind_label (fun () ->
-        t.behind_drain <- persist_entries t ~hi:t.appended;
-        t.flushed_upto <- t.appended)
+        t.behind_drain <- persist_entries t ~hi;
+        t.flushed_upto <- hi)
 
 (* Issue a group commit (lock held).  Returns the drain ticket covering
    the commit and every write-behind below its floor; the caller
@@ -220,8 +229,8 @@ let write_behind t =
    censuses report group-commit persists separately from the
    (fence-free) op spans. *)
 let commit t =
-  let floor = t.appended in
-  let consumed = min floor (Atomic.get t.consumed) in
+  let floor = Atomic.get t.appended in
+  let consumed = Atomic.get t.consumed in
   if floor = t.committed_floor && consumed = t.committed_consumed then
     t.last_drain
   else begin
@@ -268,21 +277,19 @@ let enqueue ?join t v =
          consumed *as of the committed meta*, or a crash could resurrect
          it.  A commit refreshes the committed consumed floor; if the
          backlog truly exceeds the ring, fail loudly. *)
-      (if t.appended - t.committed_consumed >= t.capacity then begin
+      (let i = Atomic.get t.appended in
+       if i - t.committed_consumed >= t.capacity then begin
          ignore (commit t);
-         if t.appended - t.committed_consumed >= t.capacity then
-           raise Journal_full
+         if i - t.committed_consumed >= t.capacity then raise Journal_full
        end;
-       Nvm.Heap.write t.heap (entry_addr t t.appended) v;
-       t.appended <- t.appended + 1;
-       if t.appended mod Nvm.Line.words_per_line = 0 then write_behind t;
-       (* Mirror after journal+count: a concurrent dequeuer can only
-          consume values already counted in [appended], keeping
-          consumed <= appended. *)
-       Nvm.Heap.with_suppressed_persists t.heap (fun () ->
-           t.q.Queue_intf.enqueue v);
-       if t.appended - t.committed_floor >= t.watermark then Some (commit t)
-       else None)
+       (* Slot and journal word first, then publish: a dequeuer that
+          sees the new count sees the value. *)
+       t.slots.(slot t i) <- v;
+       Nvm.Heap.write t.heap (entry_addr t i) v;
+       let hi = i + 1 in
+       Atomic.set t.appended hi;
+       if hi mod Nvm.Line.words_per_line = 0 then write_behind t ~hi;
+       if hi - t.committed_floor >= t.watermark then Some (commit t) else None)
     with
     | d ->
         release t;
@@ -301,19 +308,15 @@ let enqueue ?join t v =
       Nvm.Heap.drain_join t.heap d
   | _ -> ()
 
-let dequeue t =
-  match
-    Nvm.Heap.with_suppressed_persists t.heap (fun () ->
-        t.q.Queue_intf.dequeue ())
-  with
-  | None -> None
-  | Some v ->
-      (* Counted after the mirror pop: [consumed] is the length of the
-         consumed journal prefix (mirror order = journal order), and a
-         lagging count only under-reports — the crash cut then replays
-         the item and the dequeue drops with the unsynced suffix. *)
-      Atomic.incr t.consumed;
-      Some v
+(* The slot is read before the CAS: a successful CAS proves no append
+   has reused it yet (see the header). *)
+let rec dequeue t =
+  let c = Atomic.get t.consumed in
+  if c >= Atomic.get t.appended then None
+  else
+    let v = t.slots.(slot t c) in
+    if Atomic.compare_and_set t.consumed c (c + 1) then Some v
+    else dequeue t
 
 let sync t =
   let spans = Nvm.Heap.spans t.heap in
@@ -336,22 +339,18 @@ let sync t =
 (* Post-crash: the journal region is the only persistent state.  The
    meta word names the synced floor; everything beyond it (a torn,
    unsynced tail, or lines written behind above it) is discarded, and
-   the mirror is rebuilt fresh — its own regions were never durably
-   maintained, so they are abandoned, not scanned.  [flushed_upto]
-   re-seats at the floor rounded down to a line: everything below the
-   floor is persisted, and the floor's own line fills again from
-   there. *)
+   the live entries [consumed, floor) are copied back into their slots.
+   [flushed_upto] re-seats at the floor rounded down to a line:
+   everything below the floor is persisted, and the floor's own line
+   fills again from there. *)
 let recover t =
   Atomic.set t.lock false;
   let pair = Nvm.Heap.read t.heap t.meta in
   let floor = floor_of pair and consumed = consumed_of pair in
-  Nvm.Heap.with_suppressed_persists t.heap (fun () ->
-      t.q <- t.make t.heap;
-      t.q.Queue_intf.recover ();
-      for i = consumed to floor - 1 do
-        t.q.Queue_intf.enqueue (Nvm.Heap.read t.heap (entry_addr t i))
-      done);
-  t.appended <- floor;
+  for i = consumed to floor - 1 do
+    t.slots.(slot t i) <- Nvm.Heap.read t.heap (entry_addr t i)
+  done;
+  Atomic.set t.appended floor;
   t.flushed_upto <- floor - (floor mod Nvm.Line.words_per_line);
   Atomic.set t.consumed consumed;
   t.committed_floor <- floor;
@@ -361,14 +360,14 @@ let recover t =
 
 (* -- Introspection ----------------------------------------------------------- *)
 
-let appended t = t.appended
+let appended t = Atomic.get t.appended
 let committed_floor t = t.committed_floor
 let committed_consumed t = t.committed_consumed
 let consumed t = Atomic.get t.consumed
-let durability_lag t = t.appended - t.committed_floor
+let durability_lag t = appended t - t.committed_floor
 
 let journal_value t i =
-  if i < 0 || i >= t.appended then invalid_arg "Buffered_q.journal_value";
+  if i < 0 || i >= appended t then invalid_arg "Buffered_q.journal_value";
   Nvm.Heap.peek t.heap (entry_addr t i)
 
 let set_on_commit t f = t.on_commit <- f
@@ -377,16 +376,16 @@ type stats = { s_commits : int; s_syncs : int }
 
 let stats t = { s_commits = t.commits; s_syncs = t.syncs }
 
-(* The closures read [t.q] at call time: recovery swaps the mirror. *)
 let instance t : Queue_intf.instance =
   {
-    Queue_intf.name = t.q.Queue_intf.name ^ name_suffix;
+    Queue_intf.name;
     enqueue = (fun v -> enqueue t v);
     dequeue = (fun () -> dequeue t);
     sync = (fun () -> sync t);
     recover = (fun () -> recover t);
-    to_list = (fun () -> t.q.Queue_intf.to_list ());
-    (* The mirror's durability is journal-owned; its inner checkpoint
-       handle (if any) must not be driven from outside. *)
+    to_list =
+      (fun () ->
+        let c = consumed t in
+        List.init (appended t - c) (fun k -> t.slots.(slot t (c + k))));
     checkpoint = None;
   }

@@ -1,21 +1,22 @@
-(** Buffered-durability wrapper: group-commit persistence behind an
+(** Buffered-durability tier: group-commit persistence behind an
     explicit [sync] boundary.
 
-    Wraps any registry queue as a {e buffered durable linearizable}
-    variant: operations keep their concurrent semantics but their
-    persistence may lag execution.  The wrapped queue runs as a volatile
-    mirror under {!Nvm.Heap.with_suppressed_persists}; durability is
-    owned by a line-packed journal ring (eight enqueued values per cache
-    line) plus one packed (floor, consumed) meta word.  The append that
-    fills a journal line writes it behind at once (flush and split
-    fence, not waited for); a group commit on a watermark, on {!sync},
-    or at a combiner handoff flushes what no write-behind covered — at
-    most the partial tail line — and publishes the meta word behind its
-    own fence.  The meta word is the only commit point: a crash keeps
-    exactly the last issued commit's snapshot — every operation covered
-    by a commit survives, and the lost suffix is exactly the contiguous
-    unsynced tail; recovery rebuilds the mirror by replaying the journal
-    floor.
+    A {e buffered durable linearizable} FIFO queue: operations take
+    effect at once but their persistence may lag execution.  The queue
+    is a line-packed journal ring (eight enqueued values per cache line)
+    plus one packed (floor, consumed) meta word: the live items are the
+    journal entries [consumed, appended).  An enqueue appends under a
+    lock; a dequeue claims the oldest live entry with one CAS and reads
+    its value from a volatile copy of the ring, touching no NVM word.
+    The append that fills a journal line writes it behind at once (flush
+    and split fence, not waited for); a group commit on a watermark, on
+    {!sync}, or at a combiner handoff flushes what no write-behind
+    covered — at most the partial tail line — and publishes the meta
+    word behind its own fence.  The meta word is the only commit point:
+    a crash keeps exactly the last issued commit's snapshot — every
+    operation covered by a commit survives, and the lost suffix is
+    exactly the contiguous unsynced tail; recovery refills the volatile
+    copy from the journal floor and allocates nothing.
 
     The point of the exercise is device bandwidth: a group of [watermark]
     enqueues costs [watermark/8 + 1] flushes instead of [watermark],
@@ -34,8 +35,8 @@ exception Journal_full
 (** Raised by an enqueue whose journal-ring slot is still covered by the
     committed snapshot: the unconsumed backlog reached [capacity]. *)
 
-val name_suffix : string
-(** ["+buffered"], appended to the wrapped queue's name. *)
+val name : string
+(** ["BufferedQ"]: the {!instance}'s name. *)
 
 val create :
   ?watermark:int ->
@@ -43,11 +44,9 @@ val create :
   ?join_commits:bool ->
   ?yield:(unit -> unit) ->
   Nvm.Heap.t ->
-  (Nvm.Heap.t -> Queue_intf.instance) ->
   t
-(** [create heap make] wraps a fresh instance built by [make] (pass the
-    {e raw} registry constructor: recovery rebuilds the mirror with it,
-    and instrumentation belongs outside the wrapper).  [watermark]
+(** [create heap] allocates the journal region on [heap] (its only NVM
+    footprint) and a volatile copy of [capacity] words.  [watermark]
     (default 64) is the group-commit size in enqueues; [capacity]
     (default 65536) the journal ring size, a multiple of the 8-word
     line so ring slots line up with cache lines; [join_commits] (default
@@ -60,7 +59,7 @@ val create :
     below one line, above 2{^31} - 1 or not a multiple of 8. *)
 
 val enqueue : ?join:bool -> t -> int -> unit
-(** Append to the journal and the mirror; writes the journal line
+(** Append to the journal; writes the journal line
     behind when this append fills it, and trips a group commit at the
     watermark.  [join] overrides [join_commits] for this call (the
     broker maps acks=leader onto [~join:true] and acks=none onto
@@ -69,9 +68,9 @@ val enqueue : ?join:bool -> t -> int -> unit
     [capacity]. *)
 
 val dequeue : t -> int option
-(** Dequeue from the mirror (lock-free, as the wrapped queue).  The
-    dequeue's durability point is the next commit covering it; a crash
-    before that replays the item. *)
+(** Claim the oldest live entry (lock-free: one CAS on the consumed
+    count; no NVM access).  The dequeue's durability point is the next
+    commit covering it; a crash before that replays the item. *)
 
 val sync : t -> unit
 (** The explicit persistence boundary: issue a group commit covering
@@ -80,12 +79,13 @@ val sync : t -> unit
 
 val recover : t -> unit
 (** Post-crash: read the meta word, discard the journal tail beyond its
-    floor, rebuild a fresh mirror and replay entries
-    [consumed, floor).  Single-threaded, like every queue recovery. *)
+    floor and refill the volatile copy's entries [consumed, floor) from
+    the journal.  Allocates nothing.  Single-threaded, like every queue
+    recovery. *)
 
 val instance : t -> Queue_intf.instance
-(** The wrapper as a {!Queue_intf.instance}; [name] gains
-    {!name_suffix} and [sync] is live. *)
+(** The tier as a {!Queue_intf.instance} named {!name}; [sync] is live
+    and [to_list] lists the live entries (quiescent use only). *)
 
 (** {1 Introspection} (tests, the explorer, the durability-lag bench) *)
 
@@ -99,7 +99,7 @@ val committed_consumed : t -> int
 (** Dequeues covered by the last issued commit. *)
 
 val consumed : t -> int
-(** Dequeues ever completed on the mirror. *)
+(** Dequeues ever claimed. *)
 
 val durability_lag : t -> int
 (** [appended - committed_floor]: operations executed but not yet

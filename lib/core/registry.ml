@@ -100,21 +100,19 @@ let combining entry =
         Combining_q.instance (Combining_q.create heap (entry.make heap)));
   }
 
-(* The same algorithm behind the buffered-durability wrapper
-   ({!Buffered_q}): group-commit persistence with an explicit [sync].
-   Takes the *raw* entry — the wrapped queue is a volatile mirror whose
-   own instrumentation would double-count — and composes under
-   [instrumented] ([instrumented (buffered e)]), so the wrapper's op
-   spans are the ones a census reports. *)
-let buffered ?watermark ?capacity ?join_commits entry =
+(* The buffered-durability tier ({!Buffered_q}) as an entry:
+   group-commit persistence with an explicit [sync].  It runs no
+   registry algorithm — its journal is the queue — and composes under
+   [instrumented] ([instrumented (buffered ())]) like any entry. *)
+let buffered ?watermark ?capacity ?join_commits () =
   {
-    entry with
-    name = entry.name ^ Buffered_q.name_suffix;
+    name = Buffered_q.name;
     make =
       (fun heap ->
         Buffered_q.instance
-          (Buffered_q.create ?watermark ?capacity ?join_commits heap
-             entry.make));
+          (Buffered_q.create ?watermark ?capacity ?join_commits heap));
+    durable = true;
+    in_figure2 = false;
   }
 
 (* The four queues contributed by the paper. *)

@@ -36,13 +36,12 @@ val combining : entry -> entry
     spans the fence audit bounds. *)
 
 val buffered :
-  ?watermark:int -> ?capacity:int -> ?join_commits:bool -> entry -> entry
-(** The same algorithm behind the buffered-durability wrapper
-    ({!Buffered_q}): group-commit persistence with an explicit [sync],
-    its name suffixed with {!Buffered_q.name_suffix}.  Pass the {e raw}
-    entry and compose {!instrumented} over the result
-    ([instrumented (buffered e)]): the wrapped queue is a volatile
-    mirror whose own instrumentation would double-count. *)
+  ?watermark:int -> ?capacity:int -> ?join_commits:bool -> unit -> entry
+(** The buffered-durability tier ({!Buffered_q}) as an entry named
+    {!Buffered_q.name}: group-commit persistence with an explicit
+    [sync].  It wraps no registry algorithm — its journal is the queue —
+    and is not in {!all}.  Compose {!instrumented} over it like any
+    entry. *)
 
 val contributions : string list
 (** The four queues contributed by the paper: UnlinkedQ, LinkedQ,

@@ -21,10 +21,12 @@
       parallel per-shard recovery, validation, quarantine of failed
       shards, auto-re-admission of quarantined shards that now check
       clean (the drill victim's path back in);
-   5. verify — {!Drive.verify}: acknowledged items must be exactly
-      partitioned between the consumed set and the surviving queue
-      contents, per-stream consumption must be a FIFO prefix, and the
-      survivors must sit in FIFO order on their pinned shards.
+   5. verify — recovery allocated no region: no shard holds more live
+      regions than at the quiescent point before the crash; then
+      {!Drive.verify}: acknowledged items must be exactly partitioned
+      between the consumed set and the surviving queue contents,
+      per-stream consumption must be a FIFO prefix, and the survivors
+      must sit in FIFO order on their pinned shards.
 
    Steps 1 and 3 are one {!Drive} window: the storm supplies only the
    producer body and the consumers' retrying dequeue.
@@ -286,6 +288,14 @@ let run ~seed ~cycles (cfg : config) : Fault.Report.t =
               ckpt_retired := !ckpt_retired + r.Dq.Checkpoint.r_retired
           | Broker.Supervisor.Skipped _ -> ())
         (Broker.Supervisor.checkpoint_all service);
+    (* Live regions per shard at the quiescent point, after the
+       checkpoint pass: recovery must not add to them. *)
+    let live_regions () =
+      Array.map
+        (fun s -> Nvm.Stats.live_regions (Broker.Shard.occupancy s))
+        (Broker.Service.shards service)
+    in
+    let live_before = live_regions () in
     (* The crash, and the supervisor's response to it.  The drill victim
        re-enters here: its recovery verdict is clean, so the supervisor
        auto-readmits it. *)
@@ -294,14 +304,25 @@ let run ~seed ~cycles (cfg : config) : Fault.Report.t =
         ~rng:(Random.State.make [| c.crash_seed |])
         ~policy:c.policy ~producer_of:Spec.Durable_check.producer_of service
     in
+    let live_after = live_regions () in
+    let grown =
+      List.find_opt
+        (fun i -> live_after.(i) > live_before.(i))
+        (List.init cfg.shards Fun.id)
+      |> Option.map (fun i ->
+             Printf.sprintf
+               "recovery allocated: shard %d holds %d live regions, %d \
+                before the crash"
+               i live_after.(i) live_before.(i))
+    in
     let check =
       if not (Broker.Supervisor.healthy heal) then
         Error
           (Format.asprintf "recovery degraded:@.%a" Broker.Supervisor.pp heal)
       else
-        match !drill_err with
-        | Some e -> Error e
-        | None -> (
+        match (!drill_err, grown) with
+        | Some e, _ | None, Some e -> Error e
+        | None, None -> (
             match (victim, heal.readmitted) with
             | Some (_, shard), readmitted when not (List.mem shard readmitted)
               ->

@@ -3,9 +3,11 @@
     of multi-domain producer/consumer load through the {!Fault.Retry}
     combinators, optionally stages a forced-quarantine drill, crashes
     every shard heap with the {!Fault.Plan}'s policy and seed, heals
-    through {!Broker.Supervisor}, and verifies zero acknowledged-item
-    loss and per-stream FIFO ({!Drive.verify}).  The same seed replays
-    the identical storm ({!Fault.Report.replay_log}). *)
+    through {!Broker.Supervisor}, and verifies that recovery allocated
+    no region (no shard holds more live regions than just before the
+    crash), zero acknowledged-item loss and per-stream FIFO
+    ({!Drive.verify}).  The same seed replays the identical storm
+    ({!Fault.Report.replay_log}). *)
 
 type config = {
   algorithm : string;

@@ -33,9 +33,10 @@
 
 type mode = Fast | Checked
 
-(* 1024 region ids: recovery of a buffered (journal-backed) queue builds
-   a fresh underlying instance, so a long crash-storm soak allocates a
-   few regions per crash cycle per shard — 256 ids ran out mid-storm. *)
+(* 1024 region ids.  A shard heap holds a handful of live regions (its
+   queue's areas, a buffered tier's journal, checkpoint images) and
+   recycles retired ids; the value is kept because bench/e2e's
+   crash-recover cycle cap is sized against it. *)
 let max_regions = 1024
 let off_mask = (1 lsl 24) - 1
 
@@ -703,42 +704,9 @@ let with_batched_fences_split t f =
   end
 
 (* Whether the calling thread's fences on this heap are being absorbed
-   (inside a batched-fence or suppressed-persist scope): a fence it
-   issues now takes effect only when the scope closes, if ever. *)
+   (inside a batched-fence scope): a fence it issues now takes effect
+   only when the scope closes. *)
 let fences_absorbed t = t.pending.(Tid.get ()).defer
-
-(* Suppressed-persist scope: run [f] with the calling thread's persist
-   instructions stripped of durability.  Stores and flushes inside [f]
-   keep their volatile effects (visibility, cache invalidation, span
-   counts), but any fence [f] issues is absorbed, and on exit the
-   thread's pending flush/movnti sets are truncated back to their state
-   at entry — nothing [f] flushed ever advances a persisted watermark.
-
-   This is how a buffered-durability wrapper keeps its underlying queue
-   as a *volatile mirror*: the mirror's own persist discipline is
-   silenced (its durability is owned by the wrapper's group-commit
-   journal), so a crash reverts the mirror's regions to their initial
-   images and recovery rebuilds them from the journal instead. *)
-let with_suppressed_persists t f =
-  let p = t.pending.(Tid.get ()) in
-  let plen = p.plen
-  and mlen = p.mlen
-  and n_pflush = p.n_pflush
-  and n_pmovnti = p.n_pmovnti
-  and defer = p.defer
-  and elided = p.elided in
-  p.defer <- true;
-  Fun.protect
-    ~finally:(fun () ->
-      (* [f] may have grown the packed buffers; the lengths govern, so
-         truncating them discards exactly [f]'s pending persists. *)
-      p.plen <- plen;
-      p.mlen <- mlen;
-      p.n_pflush <- n_pflush;
-      p.n_pmovnti <- n_pmovnti;
-      p.defer <- defer;
-      p.elided <- elided)
-    f
 
 let reset_fence_contention t =
   Array.iter (fun fc -> fc.fenced <- false) t.fencers;

@@ -150,28 +150,11 @@ val with_batched_fences_split : t -> (unit -> 'a) -> 'a * drain
     before the exception propagates. *)
 
 val fences_absorbed : t -> bool
-(** Whether the calling thread is inside a {!with_batched_fences} (or
-    {!with_suppressed_persists}) scope on this heap, so that a fence it
-    issues now is absorbed: the covered flushes persist only when the
-    scope closes (or never, when suppressed).  A caller that publishes
+(** Whether the calling thread is inside a {!with_batched_fences} scope
+    on this heap, so that a fence it issues now is absorbed: the covered
+    flushes persist only when the scope closes.  A caller that publishes
     "this line is persisted" to other threads must not rely on such a
     fence. *)
-
-val with_suppressed_persists : t -> (unit -> 'a) -> 'a
-(** Run [f] with the calling thread's persist instructions on this heap
-    stripped of durability: stores and flushes keep their volatile
-    effects (visibility to other threads, cache-line invalidation, span
-    counts), fences inside [f] are absorbed, and on exit the thread's
-    pending persist sets are restored to their entry state — nothing [f]
-    flushed ever advances a persisted watermark, so a crash reverts
-    [f]'s regions as if [f] had never persisted anything.
-
-    This is the volatile-mirror primitive of the buffered-durability
-    tier: a wrapper that owns durability through its own group-commit
-    journal runs the wrapped queue's operations inside this scope and
-    rebuilds the wrapped state from the journal on recovery.  Restores
-    the outer {!with_batched_fences} deferral state on exit, so it
-    composes with batched scopes on either side. *)
 
 val reset_fence_contention : t -> unit
 (** Forget which threads have fenced on this heap (the write-bandwidth

@@ -128,9 +128,10 @@ let run_to_crash (entry : Dq.Registry.map_entry) ~script ~crash_after ?step
         (* One fiber: the scheduling rng is its own, so the crash rng
            below draws the same values whatever the cut. *)
         if
-          Explore.run ~heap ~rng:(Random.State.make [| seed |])
-            ~crash_at:(Some (s + 1))
-            [| (fun () -> apply op) |]
+          Option.is_none
+            (Explore.run ~heap ~rng:(Random.State.make [| seed |])
+               ~crash_at:(Some (s + 1))
+               [| (fun () -> apply op) |])
         then (prefix, Some op)
         else (prefix @ [ op ], None) (* finished first: boundary crash *)
     | _ -> (prefix, None)

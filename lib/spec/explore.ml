@@ -20,7 +20,7 @@ open Effect.Deep
 type _ Effect.t += Step : unit Effect.t
 
 (* Yield to the scheduler.  Spin loops — the combiner's waiters, the
-   buffered wrapper's append lock — poll volatile words the heap step
+   buffered tier's append lock — poll volatile words the heap step
    hook never sees, so they must yield themselves or a fiber scheduled
    before the lock holder would spin the scheduler forever.  Outside a
    fiber (the post-crash drain) the perform is unhandled and the yield
@@ -50,25 +50,25 @@ let resume = function
 let run ~heap ~rng ~crash_at bodies =
   let fibers = Array.map (fun f -> Unstarted f) bodies in
   Nvm.Heap.set_step_hook heap (Some yield);
-  let rec schedule steps =
+  let rec go steps =
     let alive =
       List.filter
         (fun i -> match fibers.(i) with Finished -> false | _ -> true)
         (List.init (Array.length fibers) Fun.id)
     in
-    if alive = [] then false
+    if alive = [] then Some steps
     else if match crash_at with Some c -> steps >= c | None -> false then
-      true
+      None
     else begin
       let i = List.nth alive (Random.State.int rng (List.length alive)) in
       Nvm.Tid.set i;
       fibers.(i) <- resume fibers.(i);
-      schedule (steps + 1)
+      go (steps + 1)
     end
   in
-  let cut = schedule 0 in
+  let finished = go 0 in
   Nvm.Heap.set_step_hook heap None;
-  cut
+  finished
 
 let crash_and_recover ~heap ~rng ~policy recover =
   Nvm.Crash.crash ~rng ~policy heap;
@@ -87,40 +87,45 @@ let audit ~name heap =
 
 type op = Enq of int | Deq | Sync
 
+(* What an exploration runs: a registry queue (strict), or the
+   buffered-durability tier, which runs no registry algorithm. *)
+type tier = Strict of Dq.Registry.entry | Buffered
+
+let tier_name = function
+  | Strict entry -> entry.Dq.Registry.name
+  | Buffered -> Dq.Buffered_q.name
+
 (* Run one exploration: [plans.(i)] is fiber [i]'s operation sequence;
    [crash_at = Some s] injects a full-system crash after [s] scheduler
    steps (if the run lasts that long; with [crash_finished], also after
    a run that finished first).  Returns the linearizability verdict over
    the full history, then the persist-bound audit of the run's spans,
-   and whether the run finished before the cut. *)
-let explore ~policy ~combining ~buffered ~crash_finished
-    (entry : Dq.Registry.entry) ~seed ~plans ~crash_at : (bool, string) result
-    =
+   and, when the run finished before the cut, its step count. *)
+let explore ~policy ~combining ~crash_finished tier ~seed ~plans ~crash_at :
+    (int option, string) result =
   let n = Array.length plans in
   Nvm.Tid.reset ();
   Nvm.Tid.set n (* the orchestrating thread sits after the fibers *);
   let heap = Nvm.Heap.create ~mode:Nvm.Heap.Checked ~latency:Nvm.Latency.off () in
-  (* Under [buffered], wrap the *raw* instance in the group-commit tier
-     (a small watermark so commits trip mid-plan, and a two-line ring so
-     a plan of 17 enqueues wraps it) and keep the concrete handle for
-     persist-stamping; instrumentation goes on top.  The suffixed name
-     has no row in the bounds table: the wrapper's op spans
-     legitimately own a whole commit's fences when they trip the
+  (* The buffered tier runs with a small watermark so commits trip
+     mid-plan, and a two-line ring so a plan of 17 enqueues wraps it;
+     the concrete handle is kept for persist-stamping, instrumentation
+     goes on top.  Its name has no row in the bounds table: its op
+     spans legitimately own a whole commit's fences when they trip the
      watermark. *)
-  let buf =
-    if buffered then
-      Some
-        (Nvm.Span.with_span ~exclude:true (Nvm.Heap.spans heap)
-           Dq.Instrumented.create_label (fun () ->
-             Dq.Buffered_q.create ~watermark:4 ~capacity:16 ~yield heap
-               entry.Dq.Registry.make))
-    else None
+  let buf, q0 =
+    match tier with
+    | Buffered ->
+        let b =
+          Nvm.Span.with_span ~exclude:true (Nvm.Heap.spans heap)
+            Dq.Instrumented.create_label (fun () ->
+              Dq.Buffered_q.create ~watermark:4 ~capacity:16 ~yield heap)
+        in
+        (Some b, Dq.Instrumented.wrap heap (Dq.Buffered_q.instance b))
+    | Strict entry ->
+        (None, (Dq.Registry.instrumented entry).Dq.Registry.make heap)
   in
-  let q0 =
-    match buf with
-    | Some b -> Dq.Instrumented.wrap heap (Dq.Buffered_q.instance b)
-    | None -> (Dq.Registry.instrumented entry).Dq.Registry.make heap
-  in
+  let buffered = Option.is_some buf in
   let q =
     if combining then
       Dq.Combining_q.instance (Dq.Combining_q.create ~yield heap q0)
@@ -168,8 +173,8 @@ let explore ~policy ~combining ~buffered ~crash_finished
             ignore (History.record_dequeue h ~tid:i q.Dq.Queue_intf.dequeue))
       plans.(i)
   in
-  let cut = run ~heap ~rng ~crash_at (Array.init n body) in
-  let crashed = cut || crash_finished in
+  let finished = run ~heap ~rng ~crash_at (Array.init n body) in
+  let crashed = Option.is_none finished || crash_finished in
   if crashed then begin
     (* Buffered mode: stamp every operation the issued commits covered —
        by value, from the on-commit ledger — before the image is cut.
@@ -213,33 +218,31 @@ let explore ~policy ~combining ~buffered ~crash_finished
       Lin_check.check_crash_cut_report (History.ops h) ~recovered
     else Lin_check.check_report (History.ops h)
   in
-  Result.bind verdict (fun () ->
-      audit heap
-        ~name:
-          (entry.Dq.Registry.name
-          ^ if buffered then Dq.Buffered_q.name_suffix else ""))
-  |> Result.map (fun () -> not cut)
+  Result.bind verdict (fun () -> audit heap ~name:(tier_name tier))
+  |> Result.map (fun () -> finished)
 
 let explore_once ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
-    ?(buffered = false) entry ~seed ~plans ~crash_at =
-  explore ~policy ~combining ~buffered ~crash_finished:false entry ~seed
+    entry ~seed ~plans ~crash_at =
+  explore ~policy ~combining ~crash_finished:false (Strict entry) ~seed
     ~plans ~crash_at
   |> Result.map ignore
 
-(* A randomized campaign over one queue: [rounds] seeds, each with a
-   random 2-3 fiber plan of enqueues/dequeues and a crash at a random
-   step (and one crash-free control round in three).  [policy] selects
-   the crash adversary: test suites run the campaign under both the
-   default [Random_evictions] and the adversarial [Only_persisted], so
-   the "nothing beyond explicit persists" corner is explored on every
-   run, not only when the random policy happens to land there. *)
-let campaign ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
-    ?(buffered = false) (entry : Dq.Registry.entry) ~rounds:n :
-    (unit, string) result =
+(* A randomized campaign: [rounds] seeds, each with a random 2-3 fiber
+   plan of enqueues/dequeues and a crash at a random step (and one
+   crash-free control round in three).  [policy] selects the crash
+   adversary: test suites run the campaign under both the default
+   [Random_evictions] and the adversarial [Only_persisted], so the
+   "nothing beyond explicit persists" corner is explored on every run,
+   not only when the random policy happens to land there.
+
+   A strict round draws its crash point from 1..60.  A buffered run is
+   far shorter (a dequeue takes no step), so a buffered round first runs
+   its plan crash-free, then crashes it at a step drawn within that
+   run's length, the last one crashing the finished run. *)
+let campaign_of ~policy ~combining tier ~rounds:n : (unit, string) result =
+  let buffered = match tier with Buffered -> true | Strict _ -> false in
   let shown_name =
-    entry.Dq.Registry.name
-    ^ (if buffered then Dq.Buffered_q.name_suffix else "")
-    ^ if combining then Dq.Combining_q.name_suffix else ""
+    tier_name tier ^ if combining then Dq.Combining_q.name_suffix else ""
   in
   rounds n (fun seed ->
       let rng = Random.State.make [| seed; 0xCA4 |] in
@@ -260,17 +263,34 @@ let campaign ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
                 end
                 else Deq))
       in
-      let crash_at =
-        if seed mod 3 = 2 then None else Some (1 + Random.State.int rng 60)
+      let once crash_at =
+        explore ~policy ~combining
+          ~crash_finished:(buffered && crash_at <> None)
+          tier ~seed ~plans ~crash_at
+        |> Result.map_error
+             (Printf.sprintf "%s: seed %d (crash_at %s, policy %s): %s"
+                shown_name seed
+                (match crash_at with
+                | Some c -> string_of_int c
+                | None -> "none")
+                (Nvm.Crash.policy_name policy))
       in
-      explore_once ~policy ~combining ~buffered entry ~seed ~plans ~crash_at
-      |> Result.map_error
-           (Printf.sprintf "%s: seed %d (crash_at %s, policy %s): %s"
-              shown_name seed
-              (match crash_at with
-              | Some c -> string_of_int c
-              | None -> "none")
-              (Nvm.Crash.policy_name policy)))
+      let crash_at =
+        if seed mod 3 = 2 then Ok None
+        else if buffered then
+          Result.map
+            (fun steps -> Some (1 + Random.State.int rng (Option.get steps)))
+            (once None)
+        else Ok (Some (1 + Random.State.int rng 60))
+      in
+      Result.bind crash_at once |> Result.map ignore)
+
+let campaign ?(policy = Nvm.Crash.Random_evictions) ?(combining = false) entry
+    ~rounds =
+  campaign_of ~policy ~combining (Strict entry) ~rounds
+
+let buffered_campaign ~policy ~rounds =
+  campaign_of ~policy ~combining:false Buffered ~rounds
 
 (* -- Directed buffered sweep -------------------------------------------------
 
@@ -280,20 +300,18 @@ let campaign ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
    both.  The sweep crashes one fixed schedule of such a plan at every
    step, through the point after its last operation returned, so every
    write-behind, commit and slot overwrite is crashed on both sides. *)
-let buffered_sweep ~policy (entry : Dq.Registry.entry) ~seed ~plans :
-    (unit, string) result =
+let buffered_sweep ~policy ~seed ~plans : (unit, string) result =
   let rec sweep k =
     match
-      explore ~policy ~combining:false ~buffered:true ~crash_finished:true
-        entry ~seed ~plans ~crash_at:(Some k)
+      explore ~policy ~combining:false ~crash_finished:true Buffered ~seed
+        ~plans ~crash_at:(Some k)
     with
-    | Ok true -> Ok ()
-    | Ok false -> sweep (k + 1)
+    | Ok (Some _) -> Ok ()
+    | Ok None -> sweep (k + 1)
     | Error e ->
         Error
-          (Printf.sprintf "%s%s: seed %d, crash at step %d (policy %s): %s"
-             entry.Dq.Registry.name Dq.Buffered_q.name_suffix seed k
-             (Nvm.Crash.policy_name policy) e)
+          (Printf.sprintf "%s: seed %d, crash at step %d (policy %s): %s"
+             Dq.Buffered_q.name seed k (Nvm.Crash.policy_name policy) e)
   in
   sweep 1
 
@@ -347,7 +365,7 @@ let checkpoint_flip_once ?(policy = Nvm.Crash.Only_persisted)
       (* One fiber: its scheduling draws from an rng of its own, so the
          crash adversary's draws do not depend on the crash point. *)
       let finished =
-        not
+        Option.is_some
           (run ~heap ~rng:(Random.State.make [| seed |])
              ~crash_at:(Some crash_at)
              [| (fun () -> ignore (Dq.Checkpoint.run ck)) |])

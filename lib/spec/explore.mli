@@ -17,15 +17,16 @@ val run :
   rng:Random.State.t ->
   crash_at:int option ->
   (unit -> unit) array ->
-  bool
+  int option
 (** Run [bodies.(i)] as fiber [i] (thread id [i]), each yielding at the
     entry of every [heap] primitive; [rng] picks which live fiber takes
     the next step.  [crash_at = Some c] cuts the run after [c] steps: the
     unfinished fibers' continuations are dropped without running them —
     no unwinder, no closing fence.  A fiber's first step runs it up to
     its first primitive, so [c] steps execute [c - 1] primitives of a
-    single fiber.  Returns [true] iff the cut left some fiber
-    unfinished; the caller then crashes the heap. *)
+    single fiber.  Returns [Some steps] when every fiber finished, after
+    [steps] steps, and [None] when the cut left one unfinished; the
+    caller then crashes the heap. *)
 
 val crash_and_recover :
   heap:Nvm.Heap.t ->
@@ -45,7 +46,6 @@ type op = Enq of int | Deq | Sync
 val explore_once :
   ?policy:Nvm.Crash.policy ->
   ?combining:bool ->
-  ?buffered:bool ->
   Dq.Registry.entry ->
   seed:int ->
   plans:op list array ->
@@ -61,21 +61,12 @@ val explore_once :
     enqueues through the flat-combining front-end ({!Dq.Combining_q})
     with its waiters yielding through the fiber scheduler, so the crash
     can land mid-combine: after announce but before the combined batch's
-    fence, or between the fence issue and the waiters' release.
-    [~buffered:true] wraps the queue in the group-commit tier
-    ({!Dq.Buffered_q}, watermark 4, a 16-entry ring) with its append lock yielding
-    through the scheduler; [Sync] plan operations hit the explicit
-    persistence boundary, issued commits persist-stamp the operations
-    they cover, and a crashed run is judged by
-    {!Lin_check.check_crash_cut} — the post-recovery drain must be a
-    linearizable prefix keeping everything stamped, with the unsynced
-    suffix gone as a unit.  Keep total operations within
-    {!Lin_check.max_ops}. *)
+    fence, or between the fence issue and the waiters' release.  Keep
+    total operations within {!Lin_check.max_ops}. *)
 
 val campaign :
   ?policy:Nvm.Crash.policy ->
   ?combining:bool ->
-  ?buffered:bool ->
   Dq.Registry.entry ->
   rounds:int ->
   (unit, string) result
@@ -83,23 +74,39 @@ val campaign :
     plan and (two rounds in three) a crash at a random step, every crash
     using [policy] (default [Random_evictions]; run a second campaign
     under [Only_persisted] to drill the adversarial corner).
-    [~combining:true] runs every round through the combining front-end;
-    [~buffered:true] through the buffered-durability tier, with explicit
-    [Sync] operations mixed into the plans. *)
+    [~combining:true] runs every round through the combining
+    front-end. *)
+
+(** {1 The buffered-durability tier}
+
+    The explorer runs {!Dq.Buffered_q} (watermark 4, a 16-entry ring)
+    with its append lock yielding through the scheduler.  [Sync] plan
+    operations hit the explicit persistence boundary, issued commits
+    persist-stamp the operations they cover, and a crashed run is
+    judged by {!Lin_check.check_crash_cut}: the post-recovery drain must
+    be a linearizable prefix keeping everything stamped, with the
+    unsynced suffix gone as a unit. *)
+
+val buffered_campaign :
+  policy:Nvm.Crash.policy -> rounds:int -> (unit, string) result
+(** {!campaign} over the buffered tier, with explicit [Sync] operations
+    mixed into the plans.  Every round but the crash-free controls (one
+    in three) crashes: the plan first runs crash-free, then is crashed
+    at a step drawn within that run's length, the last step crashing
+    the finished run. *)
 
 val buffered_sweep :
   policy:Nvm.Crash.policy ->
-  Dq.Registry.entry ->
   seed:int ->
   plans:op list array ->
   (unit, string) result
-(** Crash one buffered schedule ({!explore_once} [~buffered:true],
-    [seed], [plans]) at every step, from before the first primitive
-    through the point after the last operation returned, under
-    [policy]; every crashed run is judged by the crash-cut checker and
-    audited.  For plans long enough to fill journal lines and wrap the
-    16-entry ring — which the campaign's plans never do.  Keep total
-    operations within {!Lin_check.max_ops}. *)
+(** Crash one buffered schedule ([seed], [plans]) at every step, from
+    before the first primitive through the point after the last
+    operation returned, under [policy]; every crashed run is judged by
+    the crash-cut checker and audited.  For plans long enough to fill
+    journal lines and wrap the 16-entry ring — which the campaign's
+    plans never do.  Keep total operations within
+    {!Lin_check.max_ops}. *)
 
 val checkpoint_flip_once :
   ?policy:Nvm.Crash.policy ->

@@ -1091,6 +1091,54 @@ let test_demotion_keeps_fifo () =
   in
   Alcotest.(check (list int)) "1..8 in order" (List.init 8 succ) (drain [])
 
+(* Recovery allocates no region.  A two-shard service with a strict and
+   a leader stream on each shard runs a thousand cycles of publish 10
+   per stream, drain, sync, crash and [recover_and_heal]: every cycle
+   must heal cleanly and leave each shard's live-region count where
+   cycle 1 left it. *)
+let test_heal_cycles_bounded_heap () =
+  fresh_tid ();
+  let service = Broker.Service.create ~shards:2 ~buffered:true () in
+  for stream = 0 to 3 do
+    ignore (Broker.Service.shard_of_stream service ~stream)
+  done;
+  Broker.Service.set_stream_acks service ~stream:2 Broker.Service.Acks_leader;
+  Broker.Service.set_stream_acks service ~stream:3 Broker.Service.Acks_leader;
+  let live () =
+    Array.map
+      (fun s -> Nvm.Stats.live_regions (Broker.Shard.occupancy s))
+      (Broker.Service.shards service)
+  in
+  let after_first = ref [||] in
+  for cycle = 1 to 1_000 do
+    for stream = 0 to 3 do
+      for i = 1 to 10 do
+        accept "publish"
+          (Broker.Service.enqueue service ~stream
+             (enc ~producer:stream ~seq:((10 * (cycle - 1)) + i)))
+      done
+    done;
+    for stream = 0 to 3 do
+      consume service ~stream 10
+    done;
+    Broker.Service.sync_all service;
+    let heal =
+      Broker.Supervisor.recover_and_heal
+        ~rng:(Random.State.make [| cycle |])
+        ~policy:Nvm.Crash.All_flushed ~domains:1
+        ~producer_of:Spec.Durable_check.producer_of service
+    in
+    if not (Broker.Supervisor.healthy heal) then
+      Alcotest.failf "cycle %d: %a" cycle Broker.Supervisor.pp heal;
+    if cycle = 1 then after_first := live ()
+    else if live () <> !after_first then
+      Alcotest.failf "cycle %d: live regions per shard [%s], [%s] after cycle 1"
+        cycle
+        (String.concat "; " (Array.to_list (Array.map string_of_int (live ()))))
+        (String.concat "; "
+           (Array.to_list (Array.map string_of_int !after_first)))
+  done
+
 (* -- sharded harness runner ---------------------------------------------------- *)
 
 let test_sharded_runner_smoke () =
@@ -1183,6 +1231,8 @@ let () =
         [
           Alcotest.test_case "demotion keeps FIFO across a crash" `Quick
             test_demotion_keeps_fifo;
+          Alcotest.test_case "1,000 heal cycles keep the heap bounded" `Slow
+            test_heal_cycles_bounded_heap;
         ] );
       ( "harness",
         [

@@ -1,9 +1,10 @@
-(* Tests for the buffered-durability tier: the group-commit wrapper
-   (lib/core/buffered_q.ml) — watermark commits, the explicit [sync]
-   boundary, journal-floor recovery, ring-full refusal — and the broker's
-   per-stream acks levels mapped onto it: tier routing, level validation,
-   sync verdicts, and a full-system crash recovering exactly the synced
-   floor. *)
+(* Tests for the buffered-durability tier: the group-commit journal
+   queue (lib/core/buffered_q.ml) — watermark commits, the explicit
+   [sync] boundary, journal-floor recovery that allocates nothing,
+   ring-full refusal, claim-by-CAS dequeues under slot reuse — and the
+   broker's per-stream acks levels mapped onto it: tier routing, level
+   validation, sync verdicts, and a full-system crash recovering exactly
+   the synced floor. *)
 
 let fresh_tid () =
   Nvm.Tid.reset ();
@@ -13,14 +14,10 @@ let fresh_heap ?(mode = Nvm.Heap.Checked) () =
   fresh_tid ();
   Nvm.Heap.create ~mode ~latency:Nvm.Latency.off ()
 
-let opt_unlinked = Dq.Registry.find "OptUnlinkedQ"
-
 let make_buffered ?watermark ?capacity ?join_commits ?(mode = Nvm.Heap.Checked)
     () =
   let heap = fresh_heap ~mode () in
-  ( heap,
-    Dq.Buffered_q.create ?watermark ?capacity ?join_commits heap
-      opt_unlinked.Dq.Registry.make )
+  (heap, Dq.Buffered_q.create ?watermark ?capacity ?join_commits heap)
 
 (* -- Buffered_q: group commits ---------------------------------------------- *)
 
@@ -68,7 +65,7 @@ let test_join_override () =
   Alcotest.(check int) "floor advanced regardless of join" 4
     (Dq.Buffered_q.committed_floor b)
 
-let test_mirror_semantics () =
+let test_queue_semantics () =
   let _, b = make_buffered ~watermark:8 () in
   for v = 10 to 15 do
     Dq.Buffered_q.enqueue b v
@@ -76,11 +73,9 @@ let test_mirror_semantics () =
   Alcotest.(check (option int)) "FIFO head" (Some 10) (Dq.Buffered_q.dequeue b);
   Alcotest.(check (option int)) "FIFO next" (Some 11) (Dq.Buffered_q.dequeue b);
   let q = Dq.Buffered_q.instance b in
-  Alcotest.(check (list int)) "mirror to_list" [ 12; 13; 14; 15 ]
+  Alcotest.(check (list int)) "live entries" [ 12; 13; 14; 15 ]
     (q.Dq.Queue_intf.to_list ());
-  Alcotest.(check string) "suffixed name"
-    (opt_unlinked.Dq.Registry.name ^ Dq.Buffered_q.name_suffix)
-    (q.Dq.Queue_intf.name)
+  Alcotest.(check string) "tier name" Dq.Buffered_q.name q.Dq.Queue_intf.name
 
 let test_journal_full () =
   let _, b = make_buffered ~watermark:1024 ~capacity:8 () in
@@ -153,11 +148,128 @@ let test_on_commit_callback () =
     [ (4, 1); (4, 0); (2, 0) ]
     !seen
 
+(* Claim-by-CAS dequeues under slot reuse: two producers and two
+   consumers on a 16-slot ring.  A producer that meets a full ring syncs
+   (moving the committed consumed floor) and retries, so every slot is
+   reused hundreds of times while the consumers race for entries.  Each
+   enqueued value must come out or remain exactly once, and each
+   consumer must see each producer's values in order. *)
+let test_ring_reuse_stress () =
+  let _, b = make_buffered ~capacity:16 ~watermark:4 ~mode:Nvm.Heap.Fast () in
+  let producers = 2 and consumers = 2 and per = 4_000 in
+  let producing = Atomic.make producers in
+  let logs =
+    Array.make (producers + consumers)
+      { Spec.Durable_check.enqueued = []; dequeued = [] }
+  in
+  let produce w =
+    let values =
+      List.init per (fun i ->
+          Spec.Durable_check.encode ~producer:w ~seq:(i + 1))
+    in
+    List.iter
+      (fun v ->
+        let rec put () =
+          match Dq.Buffered_q.enqueue b v with
+          | () -> ()
+          | exception Dq.Buffered_q.Journal_full ->
+              Dq.Buffered_q.sync b;
+              put ()
+        in
+        put ())
+      values;
+    Atomic.decr producing;
+    { Spec.Durable_check.enqueued = values; dequeued = [] }
+  in
+  let consume () =
+    let rec go acc =
+      match Dq.Buffered_q.dequeue b with
+      | Some v -> go (v :: acc)
+      | None when Atomic.get producing > 0 ->
+          Domain.cpu_relax ();
+          go acc
+      | None -> List.rev acc
+    in
+    { Spec.Durable_check.enqueued = []; dequeued = go [] }
+  in
+  let workers =
+    List.init (producers + consumers) (fun w ->
+        Domain.spawn (fun () ->
+            Nvm.Tid.set (1 + w);
+            logs.(w) <- (if w < producers then produce w else consume ())))
+  in
+  List.iter Domain.join workers;
+  let remaining = (Dq.Buffered_q.instance b).Dq.Queue_intf.to_list () in
+  Alcotest.(check bool) "the ring wrapped many times" true
+    (Dq.Buffered_q.appended b >= producers * per);
+  match Spec.Durable_check.check ~remaining logs with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
+(* A dequeue claims its entry with one CAS on a volatile count and reads
+   the volatile copy of the ring: it makes no NVM access at all — in
+   particular it never reads a written-behind journal line back, which
+   the census would bill as a post-flush access. *)
+let test_dequeue_touches_no_nvm () =
+  let heap, b = make_buffered ~watermark:64 () in
+  for v = 1 to 64 do
+    Dq.Buffered_q.enqueue b v
+  done;
+  let before = Nvm.Stats.snapshot (Nvm.Heap.stats heap) in
+  for v = 1 to 64 do
+    Alcotest.(check (option int)) "FIFO" (Some v) (Dq.Buffered_q.dequeue b)
+  done;
+  Alcotest.(check (option int)) "then empty" None (Dq.Buffered_q.dequeue b);
+  let d = Nvm.Stats.diff_total (Nvm.Heap.stats heap) ~since:before in
+  List.iter
+    (fun (what, n) -> Alcotest.(check int) what 0 n)
+    [
+      ("reads", d.Nvm.Stats.reads);
+      ("writes", d.Nvm.Stats.writes);
+      ("cas", d.Nvm.Stats.cas);
+      ("flushes", d.Nvm.Stats.flushes);
+      ("fences", d.Nvm.Stats.fences);
+      ("post-flush accesses", Nvm.Stats.post_flush_accesses d);
+    ]
+
+(* Racing claims count exactly: two domains, released together, drain
+   one backlog; each entry goes to exactly one of them, and [consumed] —
+   and the consumed floor the next commit publishes — equals the entries
+   they took. *)
+let test_racing_claims_count_exactly () =
+  let n = 60_000 in
+  let _, b = make_buffered ~watermark:n ~mode:Nvm.Heap.Fast () in
+  for v = 1 to n do
+    Dq.Buffered_q.enqueue b v
+  done;
+  let ready = Atomic.make 0 in
+  let drain w =
+    Domain.spawn (fun () ->
+        Nvm.Tid.set (1 + w);
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        let rec go acc =
+          match Dq.Buffered_q.dequeue b with
+          | Some v -> go (v :: acc)
+          | None -> acc
+        in
+        go [])
+  in
+  let taken = List.concat_map Domain.join [ drain 0; drain 1 ] in
+  Alcotest.(check (list int)) "each entry claimed once" (List.init n succ)
+    (List.sort compare taken);
+  Alcotest.(check int) "consumed is exact" n (Dq.Buffered_q.consumed b);
+  Dq.Buffered_q.sync b;
+  Alcotest.(check int) "and so is the committed floor" n
+    (Dq.Buffered_q.committed_consumed b)
+
 (* -- Buffered_q: crash keeps exactly the synced floor ------------------------ *)
 
-let crash heap seed =
+let crash ?(policy = Nvm.Crash.Only_persisted) heap seed =
   let rng = Random.State.make [| seed |] in
-  Nvm.Crash.crash ~rng ~policy:Nvm.Crash.Only_persisted heap;
+  Nvm.Crash.crash ~rng ~policy heap;
   fresh_tid ()
 
 let test_recover_floor () =
@@ -201,6 +313,117 @@ let test_recover_after_sync_keeps_all () =
   Alcotest.(check (list int)) "sync means survives"
     [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
     (q.Dq.Queue_intf.to_list ())
+
+(* Recovery over a wrapped ring: the live entries straddle the ring's
+   end, and the meta word's floor and consumed count are past its
+   capacity.  Recovery must bring back exactly the synced live entries,
+   in order, matching the persisted journal; appends after it fill the
+   ring on from the floor and survive the next crash once synced. *)
+let test_recover_wrapped_ring () =
+  let heap, b = make_buffered ~capacity:16 ~watermark:64 () in
+  for round = 0 to 4 do
+    for k = 1 to 8 do
+      Dq.Buffered_q.enqueue b ((10 * round) + k)
+    done;
+    for _ = 1 to 8 do
+      ignore (Dq.Buffered_q.dequeue b)
+    done;
+    Dq.Buffered_q.sync b
+  done;
+  (* 40 entries appended and consumed: the next ten take slots 8-15 and
+     0-1. *)
+  for v = 101 to 110 do
+    Dq.Buffered_q.enqueue b v
+  done;
+  for _ = 1 to 3 do
+    ignore (Dq.Buffered_q.dequeue b)
+  done;
+  Dq.Buffered_q.sync b;
+  Dq.Buffered_q.enqueue b 111 (* unsynced: lost *);
+  crash heap 5;
+  Dq.Buffered_q.recover b;
+  let live () = (Dq.Buffered_q.instance b).Dq.Queue_intf.to_list () in
+  let range lo hi = List.init (hi - lo + 1) (fun k -> lo + k) in
+  Alcotest.(check (list int)) "the synced live entries" (range 104 110)
+    (live ());
+  Alcotest.(check int) "consumed from the meta word" 43
+    (Dq.Buffered_q.consumed b);
+  Alcotest.(check int) "appended from the meta word" 50
+    (Dq.Buffered_q.appended b);
+  for i = 43 to 49 do
+    Alcotest.(check int)
+      (Printf.sprintf "journal entry %d" i)
+      (61 + i)
+      (Dq.Buffered_q.journal_value b i)
+  done;
+  (* Nine more fill the ring: 16 live entries. *)
+  for v = 112 to 120 do
+    Dq.Buffered_q.enqueue b v
+  done;
+  Dq.Buffered_q.sync b;
+  crash heap 6;
+  Dq.Buffered_q.recover b;
+  Alcotest.(check (list int)) "a full wrapped ring survives"
+    (range 104 110 @ range 112 120)
+    (live ());
+  List.iter
+    (fun v ->
+      Alcotest.(check (option int)) "FIFO after recovery" (Some v)
+        (Dq.Buffered_q.dequeue b))
+    (range 104 110 @ range 112 120)
+
+(* A line written behind beyond the floor is discarded, and its entries
+   are appended over.  Before the crash the journal's first line fills
+   (and is written behind) above a floor of 4; recovery drops entries
+   4-7, and the appends that refill them must persist the line again —
+   a write-behind or commit that trusted the old line's flush would
+   leave the dropped values 5-8 to come back. *)
+let test_recover_then_refill_line () =
+  let heap, b = make_buffered ~watermark:64 () in
+  for v = 1 to 4 do
+    Dq.Buffered_q.enqueue b v
+  done;
+  Dq.Buffered_q.sync b;
+  for v = 5 to 12 do
+    Dq.Buffered_q.enqueue b v
+  done;
+  crash heap 11;
+  Dq.Buffered_q.recover b;
+  let live () = (Dq.Buffered_q.instance b).Dq.Queue_intf.to_list () in
+  Alcotest.(check (list int)) "the floor" [ 1; 2; 3; 4 ] (live ());
+  for v = 13 to 16 do
+    Dq.Buffered_q.enqueue b v
+  done;
+  Dq.Buffered_q.sync b;
+  crash heap 12;
+  Dq.Buffered_q.recover b;
+  Alcotest.(check (list int)) "the refilled line survives"
+    [ 1; 2; 3; 4; 13; 14; 15; 16 ]
+    (live ())
+
+(* Recovery allocates nothing: the journal region is the tier's whole
+   NVM footprint.  A thousand cycles of enqueue 10, dequeue 10, sync, a
+   crash and recovery must leave the live-region count at or below where
+   the first cycle left it. *)
+let test_recover_allocates_nothing () =
+  let heap, b = make_buffered () in
+  let live () = Nvm.Stats.live_regions (Nvm.Heap.occupancy heap) in
+  let after_first = ref 0 in
+  for cycle = 1 to 1_000 do
+    for v = 1 to 10 do
+      Dq.Buffered_q.enqueue b v
+    done;
+    for _ = 1 to 10 do
+      ignore (Dq.Buffered_q.dequeue b)
+    done;
+    Dq.Buffered_q.sync b;
+    crash ~policy:Nvm.Crash.All_flushed heap cycle;
+    Dq.Buffered_q.recover b;
+    if cycle = 1 then after_first := live ()
+    else if live () > !after_first then
+      Alcotest.failf "cycle %d: %d live regions, %d after cycle 1" cycle
+        (live ()) !after_first
+  done
 
 (* -- Service: per-stream acks levels ----------------------------------------- *)
 
@@ -368,8 +591,7 @@ let () =
             test_watermark_commit;
           Alcotest.test_case "sync is the boundary" `Quick test_sync_boundary;
           Alcotest.test_case "join is per-call" `Quick test_join_override;
-          Alcotest.test_case "mirror keeps queue semantics" `Quick
-            test_mirror_semantics;
+          Alcotest.test_case "dequeues keep FIFO" `Quick test_queue_semantics;
           Alcotest.test_case "full ring refuses" `Quick test_journal_full;
           Alcotest.test_case "ring is line-aligned" `Quick
             test_capacity_line_aligned;
@@ -377,6 +599,12 @@ let () =
             test_absorbed_write_behind;
           Alcotest.test_case "commit callback snapshots" `Quick
             test_on_commit_callback;
+          Alcotest.test_case "claims survive slot reuse" `Quick
+            test_ring_reuse_stress;
+          Alcotest.test_case "dequeues touch no NVM" `Quick
+            test_dequeue_touches_no_nvm;
+          Alcotest.test_case "racing claims count exactly" `Quick
+            test_racing_claims_count_exactly;
         ] );
       ( "crash-floor",
         [
@@ -386,6 +614,12 @@ let () =
             test_recover_consumed;
           Alcotest.test_case "sync means survives" `Quick
             test_recover_after_sync_keeps_all;
+          Alcotest.test_case "wrapped ring recovers" `Quick
+            test_recover_wrapped_ring;
+          Alcotest.test_case "dropped line is refilled" `Quick
+            test_recover_then_refill_line;
+          Alcotest.test_case "1,000 recoveries allocate nothing" `Quick
+            test_recover_allocates_nothing;
         ] );
       ( "service-acks",
         [

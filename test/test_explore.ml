@@ -23,12 +23,39 @@ let explorable =
     "WideUnlinkedQ";
   ]
 
-let test_campaign ?policy ?buffered ?(rounds = 60) name () =
-  match
-    Spec.Explore.campaign ?policy ?buffered (Dq.Registry.find name) ~rounds
-  with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e
+let check_ok = function Ok () -> () | Error e -> Alcotest.fail e
+
+let test_campaign ?policy ?(rounds = 60) name () =
+  check_ok (Spec.Explore.campaign ?policy (Dq.Registry.find name) ~rounds)
+
+(* [Explore.run]'s step count.  Each of two fibers makes three heap
+   writes, so it takes four steps (a fiber's first step runs it up to
+   its first primitive).  A finished run reports its eight steps, a cut
+   one step short leaves a fiber unfinished, and a cut at exactly eight
+   finds the run finished: the buffered campaign draws its crash points
+   from this count. *)
+let test_run_steps () =
+  Nvm.Tid.reset ();
+  Nvm.Tid.set 2;
+  let heap =
+    Nvm.Heap.create ~mode:Nvm.Heap.Checked ~latency:Nvm.Latency.off ()
+  in
+  let base =
+    Nvm.Region.base_addr
+      (Nvm.Heap.alloc_region heap ~tag:Nvm.Region.Node_area ~words:8)
+  in
+  let run crash_at =
+    Spec.Explore.run ~heap
+      ~rng:(Random.State.make [| 5 |])
+      ~crash_at
+      (Array.init 2 (fun f () ->
+           for k = 0 to 2 do
+             Nvm.Heap.write heap (base + (4 * f) + k) (k + 1)
+           done))
+  in
+  Alcotest.(check (option int)) "a finished run" (Some 8) (run None);
+  Alcotest.(check (option int)) "cut one step short" None (run (Some 7));
+  Alcotest.(check (option int)) "cut at its last step" (Some 8) (run (Some 8))
 
 (* A directed scenario: two racing enqueues and a racing dequeue, crashes
    swept across every step of the schedule — exhaustive in the crash
@@ -54,18 +81,29 @@ let test_crash_sweep name () =
    the plans, issued commits persist-stamping the operations they cover,
    and crashed runs judged by {!Spec.Lin_check.check_crash_cut} — the
    post-recovery drain must be a linearizable prefix keeping everything
-   a commit covered, with the unsynced suffix gone as a unit.  The three
-   policies bracket the crash model: All_flushed (benign — even then the
-   mirror is volatile, so only the journal floor survives),
-   Only_persisted (adversarial: nothing unflushed survives) and
-   Torn_prefix (store prefixes of the interrupted lines). *)
-let buffered_explorable = [ "OptUnlinkedQ"; "UnlinkedQ"; "DurableMSQ" ]
+   a commit covered, with the unsynced suffix gone as a unit.  The tier
+   runs no registry algorithm, so each case below runs once per crash
+   policy.  All_flushed is benign (even then recovery keeps only the
+   journal's committed floor), Only_persisted adversarial (nothing
+   unflushed survives), Torn_prefix keeps store prefixes of the
+   interrupted lines and Random_evictions random ones. *)
+let buffered_policies =
+  List.map
+    (fun p -> (p, Nvm.Crash.policy_name p))
+    [
+      Nvm.Crash.All_flushed;
+      Nvm.Crash.Only_persisted;
+      Nvm.Crash.Torn_prefix;
+      Nvm.Crash.Random_evictions;
+    ]
+
+let buffered_case pname = Dq.Buffered_q.name ^ "/" ^ pname
 
 (* A directed buffered scenario: the sync floor swept across every crash
-   point.  Fiber 0 syncs mid-plan, so crashes after that step must keep
-   its first two enqueues; the watermark (4) adds commits of its own. *)
-let test_buffered_sync_sweep name () =
-  let entry = Dq.Registry.find name in
+   point, through the point after the run finishes.  Fiber 0 syncs
+   mid-plan, so crashes after that step must keep its first two
+   enqueues; the watermark (4) adds commits of its own. *)
+let test_buffered_sync_sweep () =
   let plans =
     [|
       [
@@ -78,14 +116,9 @@ let test_buffered_sync_sweep name () =
       [ Spec.Explore.Deq; Spec.Explore.Sync; Spec.Explore.Deq ];
     |]
   in
-  for crash_at = 1 to 80 do
-    match
-      Spec.Explore.explore_once ~buffered:true entry ~seed:13 ~plans
-        ~crash_at:(Some crash_at)
-    with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "crash at step %d: %s" crash_at e
-  done
+  check_ok
+    (Spec.Explore.buffered_sweep ~policy:Nvm.Crash.Random_evictions ~seed:13
+       ~plans)
 
 (* The journal's line boundary: campaign plans never fill an eight-entry
    line, so this directed plan does.  Both fibers enqueue — 20 values
@@ -95,8 +128,9 @@ let test_buffered_sync_sweep name () =
    off the line boundaries: a line then fills while its filler owes no
    commit, and the other fiber's next commit covers it — a commit must
    never count a line whose write-behind fence its filler has not
-   issued.  Every step of the schedule is crashed; seed 2's schedule
-   commits across a fiber's fill. *)
+   issued.  Every step of the schedules of seeds 1-20 is crashed: no one
+   schedule reaches every interleaving (a write-behind that skips its
+   fence fails seeds 1, 5, 7, 9, 14, 16 and 19 under Only_persisted). *)
 let line_plans =
   let open Spec.Explore in
   let enqs lo hi = List.init (hi - lo + 1) (fun i -> Enq (lo + i)) in
@@ -109,13 +143,9 @@ let line_plans =
   |]
 
 let test_buffered_line_sweep policy () =
-  match
-    Spec.Explore.buffered_sweep ~policy
-      (Dq.Registry.find "OptUnlinkedQ")
-      ~seed:2 ~plans:line_plans
-  with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e
+  for seed = 1 to 20 do
+    check_ok (Spec.Explore.buffered_sweep ~policy ~seed ~plans:line_plans)
+  done
 
 (* Per-op fence audit under explored interleavings.  [explore_once]
    audits every run's span aggregates ({!Spec.Fence_audit}), so any
@@ -185,35 +215,24 @@ let () =
           (fun name -> Alcotest.test_case name `Slow (test_crash_sweep name))
           explorable );
       ( "campaign-buffered",
-        List.concat_map
-          (fun (policy, pname) ->
-            List.map
-              (fun name ->
-                Alcotest.test_case
-                  (Printf.sprintf "%s/%s" name pname)
-                  `Slow
-                  (test_campaign ~policy ~buffered:true ~rounds:30 name))
-              buffered_explorable)
-          [
-            (Nvm.Crash.All_flushed, "all-flushed");
-            (Nvm.Crash.Only_persisted, "only-persisted");
-            (Nvm.Crash.Torn_prefix, "torn-prefix");
-          ] );
-      ( "buffered-sync-sweep",
         List.map
-          (fun name ->
-            Alcotest.test_case name `Slow (test_buffered_sync_sweep name))
-          buffered_explorable );
+          (fun (policy, pname) ->
+            Alcotest.test_case (buffered_case pname) `Slow (fun () ->
+                check_ok (Spec.Explore.buffered_campaign ~policy ~rounds:30)))
+          buffered_policies );
+      ( "buffered-sync-sweep",
+        [
+          Alcotest.test_case Dq.Buffered_q.name `Slow test_buffered_sync_sweep;
+        ] );
       ( "buffered-line-sweep",
         List.map
           (fun (policy, pname) ->
-            Alcotest.test_case ("OptUnlinkedQ/" ^ pname) `Slow
+            Alcotest.test_case (buffered_case pname) `Slow
               (test_buffered_line_sweep policy))
-          [
-            (Nvm.Crash.All_flushed, "all-flushed");
-            (Nvm.Crash.Only_persisted, "only-persisted");
-            (Nvm.Crash.Torn_prefix, "torn-prefix");
-          ] );
+          buffered_policies );
+      ( "run",
+        [ Alcotest.test_case "a finished run counts its steps" `Quick
+            test_run_steps ] );
       ( "fence-audit",
         Alcotest.test_case "audited set matches the paper" `Quick
           test_audit_coverage

@@ -248,6 +248,24 @@ let test_storm_json_roundtrip () =
   Alcotest.(check bool) "marked ok" true
     (Fault.Report.ok report)
 
+(* The weak acks levels put every stream on the buffered tier, whose
+   recovery must allocate no region: each cycle's check compares every
+   shard's live regions after the heal with their count just before the
+   crash. *)
+let test_storm_weak_acks acks () =
+  let report =
+    Load.Storm.run ~seed:7 ~cycles:4 { smoke_cfg with Load.Storm.acks }
+  in
+  List.iter
+    (fun (c : Fault.Report.cycle) ->
+      match c.check with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "cycle %d: %s" c.index e)
+    report.Fault.Report.cycles;
+  if not (Fault.Report.ok report) then
+    Alcotest.failf "storm failed:@.%a" (fun ppf -> Fault.Report.pp ppf) report;
+  Alcotest.(check int) "all cycles ran" 4 (List.length report.Fault.Report.cycles)
+
 (* The overload drill: >= 10 crash cycles with every producer running
    open-loop (seeded arrivals) through the admission front under a
    quota tight enough to shed on every cycle.  Zero acknowledged loss
@@ -349,6 +367,10 @@ let () =
           Alcotest.test_case "replay is identical" `Quick
             test_storm_replay_identical;
           Alcotest.test_case "json report" `Quick test_storm_json_roundtrip;
+          Alcotest.test_case "acks leader: recovery allocates nothing" `Quick
+            (test_storm_weak_acks Broker.Service.Acks_leader);
+          Alcotest.test_case "acks none: recovery allocates nothing" `Quick
+            (test_storm_weak_acks Broker.Service.Acks_none);
           Alcotest.test_case "admission: 10 open-loop cycles" `Slow
             test_storm_admission_open_loop;
           Alcotest.test_case "acceptance: 20 cycles under load" `Slow
