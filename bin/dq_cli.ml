@@ -127,9 +127,7 @@ let admission_census_demo () =
   ignore (Nvm.Tid.register ());
   let service = Broker.Service.create ~shards:2 ~buffered:true () in
   let clock = ref 0. in
-  let adm =
-    Broker.Admission.create ~degrade:true ~now:(fun () -> !clock) service
-  in
+  let adm = Broker.Admission.create ~now:(fun () -> !clock) service in
   Broker.Admission.set_tenant adm ~tenant:0 (Broker.Admission.unlimited ());
   Broker.Admission.set_tenant adm ~tenant:1
     {

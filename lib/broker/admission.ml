@@ -21,11 +21,10 @@
      making an answer nobody is waiting for, which is exactly how
      backlogs turn into collapse.
 
-   Demotion is one-way while traffic flows: moving a stream back to the
-   strict tier reorders it against whatever of it the shard's buffered
-   tier still holds, synced or not, so restoration is an explicit call
-   ([restore_demoted]) that is safe only once that tier is drained.  No
-   broker path makes it; the storm keeps its demotions.
+   Demotion and restoration ([restore_demoted]) only change a stream's
+   level, and the service keeps per-stream FIFO under any level change
+   (a stream once on the buffered tier stays there), so either may
+   happen under live traffic.
 
    One mutex guards the buckets, counters and demotion table.  The
    serialization is deliberate: admission decisions are a few dozen
@@ -99,19 +98,16 @@ type tstate = {
 type t = {
   svc : Service.t;
   wm : watermarks;
-  degrade : bool;
   now : unit -> float;
   mu : Mutex.t;
   tenants : (int, tstate) Hashtbl.t;
   demoted : (int, Service.acks) Hashtbl.t;  (* stream -> requested level *)
 }
 
-let create ?(watermarks = default_watermarks) ?(degrade = true)
-    ?(now = Unix.gettimeofday) svc =
+let create ?(watermarks = default_watermarks) ?(now = Unix.gettimeofday) svc =
   {
     svc;
     wm = watermarks;
-    degrade;
     now;
     mu = Mutex.create ();
     tenants = Hashtbl.create 16;
@@ -213,8 +209,9 @@ let refund_locked s n =
 
 (* The demotion a yellow watermark buys: an all-synced tenant's stream
    moves onto the buffered leader tier — group commits instead of a
-   full drain per op, durability lag bounded by the watermark.  One-way
-   under live traffic (see the header comment). *)
+   full drain per op, durability lag bounded by the watermark.  The
+   stream keeps its FIFO: its older items sit on the strict tier, which
+   drains first. *)
 let demote_locked t ~stream ~requested =
   if Hashtbl.mem t.demoted stream then Service.Acks_leader
   else begin
@@ -228,8 +225,7 @@ let effective_locked t ~stream ~(cfg : tenant) ~level =
   | Some _ -> Service.Acks_leader  (* already demoted: stay demoted *)
   | None -> (
       match (level, cfg.acks) with
-      | Yellow, Service.Acks_all_synced
-        when t.degrade && Service.buffered_tier t.svc ->
+      | Yellow, Service.Acks_all_synced when Service.buffered_tier t.svc ->
           demote_locked t ~stream ~requested:cfg.acks
       | _ -> cfg.acks)
 

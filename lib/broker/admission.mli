@@ -72,17 +72,11 @@ val shed_name : shed -> string
 
 type t
 
-val create :
-  ?watermarks:watermarks ->
-  ?degrade:bool ->
-  ?now:(unit -> float) ->
-  Service.t ->
-  t
-(** [degrade] (default [true]) enables the yellow-watermark demotion of
-    acks=all-synced tenants onto the buffered leader tier (requires the
-    service's buffered tier; without it yellow watermarks are
-    reported but demote nothing).  [now] injects the clock (tests);
-    default [Unix.gettimeofday]. *)
+val create : ?watermarks:watermarks -> ?now:(unit -> float) -> Service.t -> t
+(** A yellow watermark demotes acks=all-synced tenants onto the buffered
+    leader tier when the service has that tier; without it yellow
+    watermarks are reported but demote nothing.  [now] injects the clock
+    (tests); default [Unix.gettimeofday]. *)
 
 val service : t -> Service.t
 
@@ -122,12 +116,9 @@ val demoted_streams : t -> int list
 
 val restore_demoted : t -> int list
 (** Lift every demotion, restoring each stream's requested acks level,
-    and return the restored streams.  Safe only once each restored
-    stream's shard has drained its buffered tier: a synced tier is not
-    enough, since moving a stream back to the strict tier reorders it
-    against whatever of it the buffered tier still holds (see
-    {!Service.set_stream_acks}).  No broker path calls it; the storm
-    keeps its demotions. *)
+    and return the restored streams.  A restored stream keeps its FIFO
+    and stays on the buffered tier, its all-synced enqueues each
+    appended and synced there (see {!Service.set_stream_acks}). *)
 
 (** {1 Accounting} *)
 

@@ -16,9 +16,9 @@
    Placing the maps on the shard heaps keeps the broker's crash model
    unchanged: the one power failure in {!Recovery.crash_and_recover}
    already truncates these maps' lines along with the queue's, and the
-   per-shard recovery procedure rebuilds both.  Both map variants
-   persist puts before returning, so an offset write is durable by the
-   time the operation that depends on it answers the client. *)
+   per-shard recovery procedure rebuilds both.  The map persists puts
+   before returning, so an offset write is durable by the time the
+   operation that depends on it answers the client. *)
 
 type t = {
   maps : Dset.Map_intf.instance array;  (* one per shard, same order *)
@@ -35,8 +35,8 @@ let dedup_key ~producer = (1 lsl 50) lor (producer land 0x3FF_FFFF)
 let commit_key ~group ~producer =
   (2 lsl 50) lor ((group land 0xFF_FFFF) lsl 26) lor (producer land 0x3FF_FFFF)
 
-let create ?(map = default_map) ~heaps () =
-  let entry = Dq.Registry.instrumented_map (Dq.Registry.find_map map) in
+let create ~heaps () =
+  let entry = Dq.Registry.instrumented_map (Dq.Registry.find_map default_map) in
   {
     maps = Array.map entry.Dq.Registry.make_map heaps;
     map_name = entry.Dq.Registry.m_name;

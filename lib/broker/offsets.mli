@@ -15,9 +15,8 @@ val default_map : string
 (** "LinkFreeMap" — immediate durable removes are irrelevant here (the
     offset maps only ever put), and its lookups stay bounded. *)
 
-val create : ?map:string -> heaps:Nvm.Heap.t array -> unit -> t
-(** One span-instrumented map per heap; [map] names a
-    {!Dq.Registry.maps} variant. *)
+val create : heaps:Nvm.Heap.t array -> unit -> t
+(** One span-instrumented {!default_map} per heap. *)
 
 val map_name : t -> string
 val shard_count : t -> int

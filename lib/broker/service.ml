@@ -23,7 +23,9 @@
      group-commit tier ({!Dq.Buffered_q}), leader additionally joining
      the drain of any commit its enqueue trips (bounded durability lag,
      producer paced to the device) where none is fire-and-forget until
-     [sync_stream]/[sync_all].
+     [sync_stream]/[sync_all].  A stream once placed on the buffered
+     tier stays there at every level, so a level may change at any
+     time without reordering the stream.
 
    Durable linearizability composes: each shard is durably linearizable
    on its own heap, shards share no NVM state, and every stream's
@@ -72,6 +74,8 @@ type t = {
          drain *)
   default_acks : acks;
   stream_acks : (int, acks) Hashtbl.t;  (* overrides; under [acks_mu] *)
+  placed : (int, unit) Hashtbl.t;
+      (* streams placed on the buffered tier, for good; under [acks_mu] *)
   acks_mu : Mutex.t;
 }
 
@@ -80,8 +84,7 @@ let default_depth_bound = 1 lsl 20
 let create ?(algorithm = "OptUnlinkedQ") ?(shards = 4)
     ?(policy = Routing.Round_robin) ?(depth_bound = default_depth_bound)
     ?(mode = Nvm.Heap.Checked) ?(latency = Nvm.Latency.off) ?(offsets = false)
-    ?(offsets_map = Offsets.default_map) ?(combining = false)
-    ?(acks = Acks_all_synced) ?buffered () =
+    ?(combining = false) ?(acks = Acks_all_synced) ?buffered () =
   let entry = Dq.Registry.find algorithm in
   (* The buffered tier is provisioned whenever any stream could need it:
      by default exactly when the service-wide level is weaker than
@@ -109,13 +112,12 @@ let create ?(algorithm = "OptUnlinkedQ") ?(shards = 4)
     quarantined = Array.init shards (fun _ -> Atomic.make None);
     offsets =
       (if offsets then
-         Some
-           (Offsets.create ~map:offsets_map
-              ~heaps:(Array.map Shard.heap shard_arr) ())
+         Some (Offsets.create ~heaps:(Array.map Shard.heap shard_arr) ())
        else None);
     combining;
     default_acks = acks;
     stream_acks = Hashtbl.create 64;
+    placed = Hashtbl.create 64;
     acks_mu = Mutex.create ();
   }
 
@@ -128,17 +130,37 @@ let buffered_tier t =
 
 (* -- Durability levels ------------------------------------------------------- *)
 
-let acks_for t ~stream =
+let level_locked t ~stream =
+  match Hashtbl.find_opt t.stream_acks stream with
+  | Some l -> l
+  | None -> t.default_acks
+
+let stream_acks t ~stream =
   Mutex.lock t.acks_mu;
-  let level =
-    match Hashtbl.find_opt t.stream_acks stream with
-    | Some l -> l
-    | None -> t.default_acks
-  in
+  let level = level_locked t ~stream in
   Mutex.unlock t.acks_mu;
   level
 
-let stream_acks t ~stream = acks_for t ~stream
+(* An enqueue's level, and whether its stream was already placed on the
+   buffered tier ({!Shard.enqueue}'s [on_buffered]).  A weak level places
+   the stream before its items are sent there, so every enqueue of the
+   stream that starts after this one returns finds it placed.  An
+   enqueue the shard then refuses leaves the stream placed, which only
+   errs toward the tier that drains second. *)
+let placement t ~stream =
+  Mutex.lock t.acks_mu;
+  let level = level_locked t ~stream in
+  let placed = Hashtbl.mem t.placed stream in
+  if level <> Acks_all_synced && not placed then
+    Hashtbl.add t.placed stream ();
+  Mutex.unlock t.acks_mu;
+  (level, placed)
+
+let placed t ~stream =
+  Mutex.lock t.acks_mu;
+  let placed = Hashtbl.mem t.placed stream in
+  Mutex.unlock t.acks_mu;
+  placed
 
 let set_stream_acks t ~stream level =
   if level <> Acks_all_synced && not (buffered_tier t) then
@@ -204,14 +226,18 @@ let gate t ~stream : (int, Backpressure.verdict) result =
 
 (* -- Enqueue ----------------------------------------------------------------- *)
 
-(* The accepted prefix is enqueued in stream order on the stream's shard
-   ({!Shard.enqueue} takes the room and picks the tier); the rest is
-   reported via the verdict. *)
+(* The stream's level and placement go to its shard, and {!Shard.enqueue}
+   takes the room and picks the tier.  The accepted prefix is enqueued in
+   stream order; the rest is reported via the verdict. *)
+let shard_enqueue t ~shard ~stream items =
+  let acks, on_buffered = placement t ~stream in
+  Shard.enqueue t.shards.(shard) ~acks ~on_buffered items
+
 let enqueue_batch t ~stream items : int * Backpressure.verdict =
   match gate t ~stream with
   | Error v -> (0, v)
   | Ok s ->
-      let k = Shard.enqueue t.shards.(s) ~acks:(acks_for t ~stream) items in
+      let k = shard_enqueue t ~shard:s ~stream items in
       ( k,
         if k = List.length items then Backpressure.Accepted
         else Backpressure.Overflow )
@@ -290,8 +316,8 @@ let enqueue_once t ~stream item : once_result =
       let producer = Spec.Durable_check.producer_of item in
       let seq = Spec.Durable_check.seq_of item in
       if seq <= Offsets.last_published off ~shard:s ~producer then Duplicate
-      else if Shard.enqueue t.shards.(s) ~acks:(acks_for t ~stream) [ item ] = 0
-      then Rejected Backpressure.Overflow
+      else if shard_enqueue t ~shard:s ~stream [ item ] = 0 then
+        Rejected Backpressure.Overflow
       else begin
         Offsets.record_published off ~shard:s ~producer ~seq;
         Enqueued
@@ -333,13 +359,15 @@ let dequeue_batch t ~stream ~max : deq_batch =
 
 (* The explicit persistence boundary for buffered streams: on Accepted,
    every operation the stream completed before the call survives any
-   later crash.  No-ops (Accepted) for all-synced streams — their
-   operations were durable at return. *)
+   later crash.  A no-op (Accepted) for a stream never placed on the
+   buffered tier: its enqueues were durable at return, and so were the
+   strict dequeues of its items.  Committing the shard's tier anyway
+   would be a group commit and a joined drain for other streams. *)
 let sync_stream t ~stream : Backpressure.verdict =
   match gate t ~stream with
   | Error v -> v
   | Ok s ->
-      Shard.sync t.shards.(s);
+      if placed t ~stream then Shard.sync t.shards.(s);
       Backpressure.Accepted
 
 (* Commit every live shard's buffered tier; quarantined shards are

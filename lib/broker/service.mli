@@ -45,7 +45,6 @@ val create :
   ?mode:Nvm.Heap.mode ->
   ?latency:Nvm.Latency.config ->
   ?offsets:bool ->
-  ?offsets_map:string ->
   ?combining:bool ->
   ?acks:acks ->
   ?buffered:bool ->
@@ -54,7 +53,7 @@ val create :
 (** Defaults: OptUnlinkedQ, 4 shards, [Round_robin],
     [default_depth_bound], [Checked] heaps, {!Nvm.Latency.off}.
     [~offsets:true] attaches the durable offset/dedup maps
-    ({!Offsets}, variant [offsets_map]) that back {!enqueue_once} and
+    ({!Offsets}) that back {!enqueue_once} and
     {!dequeue_committed}.  [~combining:true] puts the flat-combining
     enqueue front-end ({!Dq.Combining_q}) on every shard: announced
     enqueues are applied by an elected combiner as single-fence batches
@@ -114,28 +113,36 @@ val quarantined_shards : t -> int list
 
 (** {1 Durability levels}
 
-    A stream's level picks the shard tier its enqueues land on
-    ({!Shard.enqueue}); its items live in exactly one tier, so per-stream
-    FIFO is preserved.  Changing a live stream's level mid-run moves
-    {e future} items to the other tier while earlier ones drain from the
-    old, and the strict tier always drains first.  A demotion (strict to
-    buffered) therefore keeps the stream's FIFO; a promotion (buffered to
-    strict) while the shard's buffered tier still holds the stream's
-    items reorders them — synced or not.  Set levels before publishing,
-    or promote only once the shard's buffered tier is drained. *)
+    A stream's level and its placement pick the shard tier its enqueues
+    land on ({!Shard.enqueue}).  The strict tier drains first, so a
+    stream's items go to the strict tier only until one of them is sent
+    to the buffered tier at a weak level.  From then on the stream is
+    placed on the buffered tier for good: every later item goes there,
+    an all-synced one appended and then synced, so it is still durable
+    when the call returns.  A stream's strict items therefore all
+    precede its buffered ones, and a level may change at any time, in
+    either direction, keeping per-stream FIFO across crashes and while
+    the stream's own operations are in flight.  The price falls on a
+    stream set back to all-synced after it used the buffered tier: a
+    group commit per enqueue instead of the strict tier's one fence. *)
 
 val stream_acks : t -> stream:int -> acks
 (** The stream's effective level (its override, else the default). *)
 
 val set_stream_acks : t -> stream:int -> acks -> unit
-(** Override one stream's level.  Raises [Invalid_argument] for a weak
-    level on a service without the buffered tier. *)
+(** Override one stream's level, from its next enqueue on; the stream
+    keeps its FIFO whatever the change (see above).  Raises
+    [Invalid_argument] for a weak level on a service without the
+    buffered tier. *)
 
 val sync_stream : t -> stream:int -> Backpressure.verdict
 (** The explicit persistence boundary: on [Accepted], every operation
-    the stream completed before the call survives any later crash.
-    Joins the commit's device drain.  [Retry] mid-recovery,
-    [Unavailable] if the stream's shard is quarantined. *)
+    the stream completed before the call survives any later crash; a
+    dequeue counts as an operation of the stream whose item it took.
+    Joins the commit's device drain.  A no-op for a stream never placed
+    on the buffered tier, whose operations were durable at return.
+    [Retry] mid-recovery, [Unavailable] if the stream's shard is
+    quarantined. *)
 
 val sync_all : t -> unit
 (** {!sync_stream} for every live shard (quarantined shards are
@@ -150,9 +157,10 @@ val total_durability_lag : t -> int
 (** {1 Single operations} *)
 
 val enqueue : t -> stream:int -> int -> Backpressure.verdict
-(** Enqueue onto the tier named by the stream's acks level.  A full
-    buffered journal reports [Overflow] (like a full depth gauge):
-    consume or {!sync_stream}, then retry. *)
+(** Enqueue onto the tier the stream's level and placement pick (see
+    {e Durability levels} above).  A full buffered journal reports
+    [Overflow] (like a full depth gauge): consume or {!sync_stream},
+    then retry. *)
 
 type deq_result =
   | Item of int

@@ -23,13 +23,13 @@ type t = {
          through it (and its recover resets it) *)
   buffered : Dq.Buffered_q.t option;
       (* the buffered-durability tier ({!Dq.Buffered_q}): a group-commit
-         journal ring on the same heap.  Streams published at
-         acks=none/leader land here; streams at acks=all-synced stay on
-         the strict [queue].  Deliberately uninstrumented: its
-         operations own no per-op fences (commits run under their own
-         "sync" spans, line write-behinds under excluded "write-behind"
-         spans), so folding them into the enq/deq aggregates would
-         corrupt the strict per-op audit. *)
+         journal ring on the same heap.  A stream's items land here, at
+         every level, from its first one at acks=none/leader on; until
+         then they go to the strict [queue].  Deliberately
+         uninstrumented: its operations own no per-op fences (commits
+         run under their own "sync" spans, line write-behinds under
+         excluded "write-behind" spans), so folding them into the
+         enq/deq aggregates would corrupt the strict per-op audit. *)
 }
 
 (* Shards are always span-instrumented: every enqueue/dequeue/recover on
@@ -116,17 +116,21 @@ let enqueue_buffered b ~join items =
   go 0 items
 
 (* The one place a level picks a tier, and the one place room is taken
-   from the gauge.  The tier is settled before any room is taken, so a
-   level the shard cannot serve raises with the gauge untouched.  The
-   granted prefix keeps the caller's order; what it could not place goes
-   back to the gauge. *)
-let enqueue t ~acks items =
+   from the gauge.  A stream already placed on the buffered tier stays
+   there at every level: the strict tier drains first, so a later strict
+   item would overtake the stream's buffered ones.  An all-synced item
+   there is appended and then synced, so it is durable on return all the
+   same.  The tier is settled before any room is taken, so a placement
+   the shard cannot serve raises with the gauge untouched.  The granted
+   prefix keeps the caller's order; what it could not place goes back to
+   the gauge. *)
+let enqueue t ~acks ~on_buffered items =
   let buffered =
-    match (acks, t.buffered) with
-    | Acks_all_synced, _ -> None
-    | (Acks_none | Acks_leader), (Some _ as b) -> b
-    | (Acks_none | Acks_leader), None ->
-        invalid_arg "Shard.enqueue: weak acks level without a buffered tier"
+    match (acks, on_buffered, t.buffered) with
+    | Acks_all_synced, false, _ -> None
+    | _, _, (Some _ as b) -> b
+    | _, _, None ->
+        invalid_arg "Shard.enqueue: buffered placement without a buffered tier"
   in
   let n = List.length items in
   let granted = Backpressure.try_acquire t.gauge n in
@@ -140,7 +144,10 @@ let enqueue t ~acks items =
       | None ->
           enqueue_strict t items;
           granted
-      | Some b -> enqueue_buffered b ~join:(acks = Acks_leader) items
+      | Some b ->
+          let k = enqueue_buffered b ~join:(acks = Acks_leader) items in
+          if acks = Acks_all_synced && k > 0 then Dq.Buffered_q.sync b;
+          k
     in
     Backpressure.release t.gauge (granted - enqueued);
     enqueued
@@ -151,9 +158,9 @@ let buffered_list t =
   | Some b -> (Dq.Buffered_q.instance b).Dq.Queue_intf.to_list ()
   | None -> []
 
-(* Strict tier first, then the buffered tier's journal.  A stream's items
-   live in exactly one tier (its acks level picks it), so per-stream
-   FIFO survives the concatenation. *)
+(* Strict tier first, then the buffered tier's journal.  A stream's
+   strict items all precede its buffered ones ([enqueue] never moves a
+   stream back), so per-stream FIFO survives the concatenation. *)
 let to_list t = t.queue.Dq.Queue_intf.to_list () @ buffered_list t
 
 (* Probe the strict tier only while its bound is positive.  At 0 every

@@ -7,8 +7,9 @@
     This module is the one place an item is admitted and placed on a
     tier: {!enqueue} takes room in the depth gauge for as much of a list
     as the bound allows and puts that prefix on the tier the acks level
-    picks, {!dequeue} and {!dequeue_batch} give the room back, and
-    {!recover}/{!reseat} re-seat both counters.
+    and the stream's placement pick, {!dequeue} and {!dequeue_batch}
+    give the room back, and {!recover}/{!reseat} re-seat both
+    counters.
 
     The strict-tier bound is an upper bound on the strict queue's item
     count: every strict enqueue raises it first, and a dequeue lowers it
@@ -16,8 +17,7 @@
     strict tier goes through {!enqueue}, so the bound is never below the
     tier's length; at quiescence the two are equal. *)
 
-(** Per-stream durability level: what an accepted enqueue promises, and
-    so the tier it lands on. *)
+(** Per-stream durability level: what an accepted enqueue promises. *)
 type acks =
   | Acks_none
       (** buffered tier, fire-and-forget: durable at the next watermark
@@ -25,7 +25,10 @@ type acks =
   | Acks_leader
       (** buffered tier, commit drains joined: durability lag bounded by
           the group-commit watermark, producer paced to the device *)
-  | Acks_all_synced  (** strict tier: durable before the call returns *)
+  | Acks_all_synced
+      (** durable before the call returns: the strict tier, or, for a
+          stream already placed on the buffered tier, an append there
+          and a sync *)
 
 type t
 
@@ -70,26 +73,38 @@ val depth_bound : t -> int
 
 val to_list : t -> int list
 (** Front-to-rear contents, strict tier then buffered tier; quiescent
-    use only.  A stream's items live in one tier, so per-stream FIFO
-    survives the concatenation. *)
+    use only.  A stream's strict items all precede its buffered ones
+    (see {!enqueue}), so per-stream FIFO survives the concatenation. *)
 
-val enqueue : t -> acks:acks -> int list -> int
-(** Admit [items] and place them on the tier [acks] picks; returns how
-    many were enqueued, always a prefix of [items] (0 at the depth
-    bound).  Room is taken for as long a prefix as the bound allows, and
-    whatever of it goes unused is given back before the call returns.
+val enqueue : t -> acks:acks -> on_buffered:bool -> int list -> int
+(** Admit [items] and place them on the tier that [acks] and
+    [on_buffered] pick; returns how many were enqueued, always a prefix
+    of [items] (0 at the depth bound).  Room is taken for as long a
+    prefix as the bound allows, and whatever of it goes unused is given
+    back before the call returns.
 
-    - [Acks_all_synced]: the strict tier (through the combining
-      front-end when there is one), durable on return.  A single item is
-      a plain per-op enqueue; a longer prefix is one batch under one
-      closing fence ({!Nvm.Heap.with_batched_fences}, or the combiner's
-      pass).  The strict bound is raised by the prefix length first.
+    [on_buffered] says that the items' stream has already been placed on
+    the buffered tier.  Such a stream's items go there at every level,
+    because the strict tier drains first: a stream's placement only
+    ever moves toward the tier that drains second, so its strict items
+    all precede its buffered ones, across crashes too.
+
+    - [Acks_all_synced], not [on_buffered]: the strict tier (through the
+      combining front-end when there is one), durable on return.  A
+      single item is a plain per-op enqueue; a longer prefix is one
+      batch under one closing fence ({!Nvm.Heap.with_batched_fences},
+      or the combiner's pass).  The strict bound is raised by the prefix
+      length first.
     - [Acks_leader] / [Acks_none]: appended to the buffered tier one by
       one, [Acks_leader] joining the drain of any commit an append
       trips.  A full journal stops the list there.
+    - [Acks_all_synced] and [on_buffered]: appended like [Acks_none],
+      then one {!sync} covers the appended prefix, so it is durable on
+      return.
 
-    Raises [Invalid_argument] for a weak level on a shard without the
-    buffered tier, before any room is taken. *)
+    Raises [Invalid_argument] for a buffered placement (a weak level,
+    or [on_buffered]) on a shard without the buffered tier, before any
+    room is taken. *)
 
 val dequeue : t -> int option
 (** Consume: strict tier first, then the buffered tier (the [to_list]

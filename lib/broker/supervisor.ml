@@ -94,11 +94,9 @@ let recover_and_heal ?rng ?policy ?domains ?producer_of ?check_unique service =
    image into a checkpoint would launder the corruption into the
    committed epoch, so quarantined shards are always skipped.
 
-   Triggering is a threshold on either signal of accumulated garbage:
-   the shard heap's live region count (drained regions pile up as the
-   queue churns) or the operations executed since the shard's last
-   checkpoint (counted from the span instrumentation every shard already
-   carries).  Consistency across the tiers is by ordering: the buffered
+   Triggering is a threshold on the signal of accumulated garbage: the
+   shard heap's live region count (drained regions pile up as the queue
+   churns).  Consistency across the tiers is by ordering: the buffered
    tier's journal is synced first, so the group-commit floor the image
    co-exists with is a committed one; the durable offset maps persist
    per-operation on the same heap but own their regions through a
@@ -107,16 +105,6 @@ let recover_and_heal ?rng ?policy ?domains ?producer_of ?check_unique service =
 type ckpt_decision =
   | Checkpointed of Dq.Checkpoint.report
   | Skipped of string  (* why this shard was left alone *)
-
-(* Operations this shard has executed, read from its op-span counts. *)
-let shard_ops shard =
-  Nvm.Span.aggregates (Nvm.Heap.spans (Shard.heap shard))
-  |> List.fold_left
-       (fun acc (a : Nvm.Span.agg) ->
-         if List.mem a.Nvm.Span.agg_label Dq.Instrumented.op_labels then
-           acc + a.Nvm.Span.count
-         else acc)
-       0
 
 (* Checkpoint one shard unconditionally (unless quarantined or the
    algorithm has no checkpoint handle).  Quiescent use only: the walk of
@@ -131,39 +119,23 @@ let checkpoint_shard service ~shard:i =
         Shard.sync shard;
         Checkpointed (Dq.Checkpoint.run ck)
 
-type scheduler = {
-  s_min_live_regions : int;  (* live-region threshold; 0 = every tick *)
-  s_min_ops : int;  (* ops-since-last-checkpoint threshold *)
-  s_last_ops : int array;  (* op count at each shard's last checkpoint *)
-}
+type scheduler = { s_min_live_regions : int (* 0 = every tick *) }
 
-let scheduler ?(min_live_regions = 8) ?(min_ops = max_int) service =
-  {
-    s_min_live_regions = min_live_regions;
-    s_min_ops = min_ops;
-    s_last_ops = Array.make (Array.length (Service.shards service)) 0;
-  }
+let scheduler ?(min_live_regions = 8) (_ : Service.t) =
+  { s_min_live_regions = min_live_regions }
 
 let due sched service ~shard:i =
-  let shard = (Service.shards service).(i) in
-  let occ = Shard.occupancy shard in
+  let occ = Shard.occupancy (Service.shards service).(i) in
   Nvm.Stats.live_regions occ >= sched.s_min_live_regions
-  || shard_ops shard - sched.s_last_ops.(i) >= sched.s_min_ops
 
 (* One scheduler pass over all shards: checkpoint each non-quarantined
    shard whose threshold tripped.  Returns the per-shard decisions. *)
 let checkpoint_tick sched service =
   Array.mapi
-    (fun i shard ->
+    (fun i _ ->
       if Service.shard_quarantined service ~shard:i then Skipped "quarantined"
       else if not (due sched service ~shard:i) then Skipped "below threshold"
-      else begin
-        let d = checkpoint_shard service ~shard:i in
-        (match d with
-        | Checkpointed _ -> sched.s_last_ops.(i) <- shard_ops shard
-        | Skipped _ -> ());
-        d
-      end)
+      else checkpoint_shard service ~shard:i)
     (Service.shards service)
 
 (* Checkpoint every eligible shard regardless of thresholds. *)

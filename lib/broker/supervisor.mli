@@ -73,12 +73,9 @@ val checkpoint_shard : Service.t -> shard:int -> ckpt_decision
 
 type scheduler
 
-val scheduler :
-  ?min_live_regions:int -> ?min_ops:int -> Service.t -> scheduler
+val scheduler : ?min_live_regions:int -> Service.t -> scheduler
 (** A per-shard trigger: checkpoint when the shard heap's live region
-    count reaches [min_live_regions] (default 8) or when at least
-    [min_ops] operations ran since the shard's last checkpoint (default
-    [max_int], i.e. region-driven only). *)
+    count reaches [min_live_regions] (default 8). *)
 
 val due : scheduler -> Service.t -> shard:int -> bool
 

@@ -208,7 +208,7 @@ let run cfg =
         red_lag = max_int;
       }
   in
-  let adm = A.create ~watermarks ~degrade:cfg.admission service in
+  let adm = A.create ~watermarks service in
   List.iteri
     (fun ti t ->
       let quota =

@@ -96,7 +96,7 @@ let run ~seed ~cycles (cfg : config) : Fault.Report.t =
   let admission =
     Option.map
       (fun tenant_cfg ->
-        let adm = Broker.Admission.create ~degrade:true service in
+        let adm = Broker.Admission.create service in
         for w = 0 to cfg.producers - 1 do
           Broker.Admission.set_tenant adm ~tenant:w tenant_cfg
         done;

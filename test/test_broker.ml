@@ -343,7 +343,7 @@ let test_crash_mid_batch () =
         (fun v ->
           ignore
             (Broker.Shard.enqueue victim ~acks:Broker.Shard.Acks_all_synced
-               [ v ]))
+               ~on_buffered:false [ v ]))
         pending;
       Nvm.Crash.crash ~policy:Nvm.Crash.Only_persisted heap);
   let report =
@@ -682,6 +682,15 @@ let consume service ~stream n =
     | Broker.Service.Item _ -> ()
     | _ -> Alcotest.fail "expected an item"
   done
+
+(* Dequeue until the stream's shard reports no item; the seqs, in order. *)
+let drain_seqs service ~stream =
+  let rec go acc =
+    match Broker.Service.dequeue service ~stream with
+    | Broker.Service.Item v -> go (Spec.Durable_check.seq_of v :: acc)
+    | _ -> List.rev acc
+  in
+  go []
 
 (* Blocking fences a consumer pays.  A strict dequeue persists its
    removal behind one fence; a buffered dequeue persists nothing, and
@@ -1084,12 +1093,194 @@ let test_demotion_keeps_fifo () =
       ~domains:1 ~producer_of:Spec.Durable_check.producer_of service
   in
   Alcotest.(check bool) "report ok" true (Broker.Recovery.ok report);
-  let rec drain acc =
-    match Broker.Service.dequeue service ~stream:0 with
-    | Broker.Service.Item v -> drain (Spec.Durable_check.seq_of v :: acc)
-    | _ -> List.rev acc
+  Alcotest.(check (list int)) "1..8 in order" (List.init 8 succ)
+    (drain_seqs service ~stream:0)
+
+(* Promoting a stream (buffered to strict) keeps its FIFO too: items 1
+   and 2 sit synced on the buffered tier when the stream goes back to
+   all-synced, so item 3 must join them there, durable on return. *)
+let test_promotion_keeps_fifo () =
+  fresh_tid ();
+  let service = Broker.Service.create ~shards:1 ~buffered:true () in
+  Broker.Service.set_stream_acks service ~stream:0 Broker.Service.Acks_leader;
+  publish service ~stream:0 2;
+  Broker.Service.sync_all service;
+  Broker.Service.set_stream_acks service ~stream:0
+    Broker.Service.Acks_all_synced;
+  accept "promoted enqueue"
+    (Broker.Service.enqueue service ~stream:0 (enc ~producer:0 ~seq:3));
+  Alcotest.(check int) "durable on return" 0
+    (Broker.Service.total_durability_lag service);
+  Alcotest.(check (list int)) "1 2 3" [ 1; 2; 3 ] (drain_seqs service ~stream:0)
+
+(* A drained buffered tier is not enough to move a stream back to the
+   strict tier: the dequeues of 1 and 2 are not committed, so a crash
+   brings them back, and they must still come out ahead of 3. *)
+let test_promotion_after_drain_crash policy () =
+  fresh_tid ();
+  let service = Broker.Service.create ~shards:1 ~buffered:true () in
+  Broker.Service.set_stream_acks service ~stream:0 Broker.Service.Acks_leader;
+  publish service ~stream:0 2;
+  Broker.Service.sync_all service;
+  consume service ~stream:0 2;
+  Broker.Service.set_stream_acks service ~stream:0
+    Broker.Service.Acks_all_synced;
+  accept "promoted enqueue"
+    (Broker.Service.enqueue service ~stream:0 (enc ~producer:0 ~seq:3));
+  let report =
+    Broker.Recovery.crash_and_recover ~policy ~domains:1
+      ~producer_of:Spec.Durable_check.producer_of service
   in
-  Alcotest.(check (list int)) "1..8 in order" (List.init 8 succ) (drain [])
+  if not (Broker.Recovery.ok report) then
+    Alcotest.failf "%a" Broker.Recovery.pp report;
+  Alcotest.(check (list int)) "3" [ 3 ] (drain_seqs service ~stream:0)
+
+(* Tier changes keep per-stream FIFO under any schedule.  Random
+   single-writer schedules on a 1- or 2-shard two-tier service with two
+   streams mix enqueues, batches, level changes in both directions,
+   dequeues, syncs and crashes.  Three checks: within each crash epoch
+   each stream's dequeues come out in seq order (a crash may bring back
+   buffered dequeues no commit covered, so the order restarts with each
+   epoch); every recovery report is OK; and no item acknowledged at
+   all-synced, or covered by a returned sync, is lost — after each crash
+   it is recovered or was dequeued before. *)
+type tier_step =
+  | T_enq of int
+  | T_batch of int * int
+  | T_acks of int * Broker.Service.acks
+  | T_deq of int
+  | T_sync of int
+  | T_sync_all
+  | T_crash of Nvm.Crash.policy
+
+let show_tier_step = function
+  | T_enq s -> Printf.sprintf "enq %d" s
+  | T_batch (s, n) -> Printf.sprintf "batch %d x%d" s n
+  | T_acks (s, l) -> Printf.sprintf "acks %d %s" s (Broker.Service.acks_name l)
+  | T_deq s -> Printf.sprintf "deq %d" s
+  | T_sync s -> Printf.sprintf "sync %d" s
+  | T_sync_all -> "sync_all"
+  | T_crash p -> "crash " ^ Nvm.Crash.policy_name p
+
+let arb_tier_schedule =
+  let step =
+    QCheck.Gen.(
+      let stream = int_bound 1 in
+      frequency
+        [
+          (4, map (fun s -> T_enq s) stream);
+          (2, map2 (fun s n -> T_batch (s, n)) stream (int_range 2 3));
+          ( 3,
+            map2
+              (fun s l -> T_acks (s, l))
+              stream
+              (oneofl
+                 Broker.Service.[ Acks_none; Acks_leader; Acks_all_synced ]) );
+          (4, map (fun s -> T_deq s) stream);
+          (1, map (fun s -> T_sync s) stream);
+          (1, return T_sync_all);
+          ( 1,
+            map
+              (fun p -> T_crash p)
+              (oneofl Nvm.Crash.[ All_flushed; Only_persisted ]) );
+        ])
+  in
+  QCheck.make
+    ~print:(fun (shards, steps) ->
+      Printf.sprintf "%d shard(s): %s" shards
+        (String.concat "; " (List.map show_tier_step steps)))
+    ~shrink:(fun (shards, steps) yield ->
+      (* The stock list shrinker never drops a single step from the
+         back half; trying each step in turn reaches a minimal
+         schedule. *)
+      QCheck.Shrink.list steps (fun l -> yield (shards, l));
+      List.iteri
+        (fun i _ -> yield (shards, List.filteri (fun j _ -> j <> i) steps))
+        steps;
+      if shards = 2 then yield (1, steps))
+    QCheck.Gen.(pair (int_range 1 2) (list_size (int_range 1 40) step))
+
+let run_tier_schedule (shards, steps) =
+  fresh_tid ();
+  let service = Broker.Service.create ~shards ~buffered:true () in
+  let seqs = Array.make 2 0 in
+  let unsynced = Array.make 2 [] in
+  let acked = Hashtbl.create 64 and delivered = Hashtbl.create 64 in
+  let epoch = ref [] in
+  let ack v = Hashtbl.replace acked v () in
+  let fail i fmt = QCheck.Test.fail_reportf ("step %d: " ^^ fmt) i in
+  let enqueue i stream n =
+    let items =
+      List.init n (fun k -> enc ~producer:stream ~seq:(seqs.(stream) + 1 + k))
+    in
+    seqs.(stream) <- seqs.(stream) + n;
+    let level = Broker.Service.stream_acks service ~stream in
+    (match Broker.Service.enqueue_batch service ~stream items with
+    | k, Broker.Backpressure.Accepted when k = n -> ()
+    | k, v ->
+        fail i "enqueue took %d of %d: %s" k n
+          (Broker.Backpressure.verdict_name v));
+    if level = Broker.Service.Acks_all_synced then List.iter ack items
+    else unsynced.(stream) <- items @ unsynced.(stream)
+  in
+  let synced stream =
+    List.iter ack unsynced.(stream);
+    unsynced.(stream) <- []
+  in
+  List.iteri
+    (fun i step ->
+      let i = i + 1 in
+      match step with
+      | T_enq s -> enqueue i s 1
+      | T_batch (s, n) -> enqueue i s n
+      | T_acks (s, l) -> Broker.Service.set_stream_acks service ~stream:s l
+      | T_deq s -> (
+          match Broker.Service.dequeue service ~stream:s with
+          | Broker.Service.Item v -> (
+              Hashtbl.replace delivered v ();
+              epoch := v :: !epoch;
+              match
+                Spec.Durable_check.check_producer_order "dequeues"
+                  (List.rev !epoch)
+              with
+              | Ok () -> ()
+              | Error e -> fail i "%s" e)
+          | _ -> ())
+      | T_sync s ->
+          if Broker.Service.sync_stream service ~stream:s
+             = Broker.Backpressure.Accepted
+          then synced s
+      | T_sync_all ->
+          Broker.Service.sync_all service;
+          synced 0;
+          synced 1
+      | T_crash policy ->
+          let report =
+            Broker.Recovery.crash_and_recover ~policy ~domains:1
+              ~producer_of:Spec.Durable_check.producer_of service
+          in
+          if not (Broker.Recovery.ok report) then
+            fail i "%a" Broker.Recovery.pp report;
+          let contents =
+            List.concat (Array.to_list (Broker.Service.to_lists service))
+          in
+          Hashtbl.iter
+            (fun v () ->
+              if not (Hashtbl.mem delivered v || List.mem v contents) then
+                fail i "acknowledged %d/%d lost"
+                  (Spec.Durable_check.producer_of v)
+                  (Spec.Durable_check.seq_of v))
+            acked;
+          epoch := [];
+          unsynced.(0) <- [];
+          unsynced.(1) <- [])
+    steps;
+  true
+
+let prop_tier_changes =
+  QCheck.Test.make ~count:200
+    ~name:"random tier changes keep per-stream FIFO across crashes"
+    arb_tier_schedule run_tier_schedule
 
 (* Recovery allocates no region.  A two-shard service with a strict and
    a leader stream on each shard runs a thousand cycles of publish 10
@@ -1231,6 +1422,17 @@ let () =
         [
           Alcotest.test_case "demotion keeps FIFO across a crash" `Quick
             test_demotion_keeps_fifo;
+          Alcotest.test_case "promotion keeps FIFO" `Quick
+            test_promotion_keeps_fifo;
+          Alcotest.test_case "promotion after a drain survives a crash \
+                              (all-flushed)"
+            `Quick
+            (test_promotion_after_drain_crash Nvm.Crash.All_flushed);
+          Alcotest.test_case "promotion after a drain survives a crash \
+                              (only-persisted)"
+            `Quick
+            (test_promotion_after_drain_crash Nvm.Crash.Only_persisted);
+          QCheck_alcotest.to_alcotest prop_tier_changes;
           Alcotest.test_case "1,000 heal cycles keep the heap bounded" `Slow
             test_heal_cycles_bounded_heap;
         ] );

@@ -514,6 +514,45 @@ let test_sync_quarantined () =
   Alcotest.(check int) "synced after readmission" 0
     (Broker.Service.total_durability_lag service)
 
+(* A stream never placed on the buffered tier has nothing for
+   [sync_stream] to commit: its sync must leave the shard's tier alone
+   while another stream's items wait there, and that stream's own sync
+   commits them. *)
+let test_strict_sync_commits_nothing () =
+  fresh_tid ();
+  let service = Broker.Service.create ~shards:1 ~buffered:true () in
+  Broker.Service.set_stream_acks service ~stream:1 Broker.Service.Acks_none;
+  for seq = 1 to 3 do
+    List.iter
+      (fun stream ->
+        match
+          Broker.Service.enqueue service ~stream (enc ~producer:stream ~seq)
+        with
+        | Broker.Backpressure.Accepted -> ()
+        | v ->
+            Alcotest.failf "enqueue: %s" (Broker.Backpressure.verdict_name v))
+      [ 0; 1 ]
+  done;
+  let tier =
+    Option.get (Broker.Shard.buffered (Broker.Service.shards service).(0))
+  in
+  let commits () = (Dq.Buffered_q.stats tier).Dq.Buffered_q.s_commits in
+  let before = commits () in
+  let sync stream =
+    match Broker.Service.sync_stream service ~stream with
+    | Broker.Backpressure.Accepted -> ()
+    | v -> Alcotest.failf "sync_stream: %s" (Broker.Backpressure.verdict_name v)
+  in
+  sync 0;
+  Alcotest.(check int) "strict stream's sync: no commit" before (commits ());
+  Alcotest.(check int) "buffered items still wait" 3
+    (Broker.Service.total_durability_lag service);
+  sync 1;
+  Alcotest.(check int) "buffered stream's sync commits" (before + 1)
+    (commits ());
+  Alcotest.(check int) "and covers its items" 0
+    (Broker.Service.total_durability_lag service)
+
 (* The durability census counts every journal persist.  A fresh tier
    at watermark 64: 128 appends fill 16 journal lines, each written
    behind as it fills (one flush and one fence apiece), and trip two
@@ -629,6 +668,8 @@ let () =
           Alcotest.test_case "tiered FIFO and sync verdicts" `Quick
             test_tiered_fifo_and_sync;
           Alcotest.test_case "sync vs quarantine" `Quick test_sync_quarantined;
+          Alcotest.test_case "a strict stream's sync commits nothing" `Quick
+            test_strict_sync_commits_nothing;
           Alcotest.test_case "crash recovers the synced floor" `Quick
             test_service_crash_recovers_synced_floor;
           Alcotest.test_case "census counts write-behinds" `Quick

@@ -306,7 +306,7 @@ let test_scheduler_quarantine () =
   | Broker.Supervisor.Skipped why ->
       Alcotest.failf "re-admitted shard still skipped: %s" why);
   (* the threshold scheduler: a tiny region floor is immediately due, a
-     huge one is not; an op-count trigger fires after enough traffic *)
+     huge one is not *)
   let eager = Broker.Supervisor.scheduler ~min_live_regions:1 service in
   Alcotest.(check bool) "eager scheduler is due" true
     (Broker.Supervisor.due eager service ~shard:0);

@@ -117,14 +117,12 @@ let test_metrics_nearest_rank () =
 (* -- admission: token bucket and deadline under an injected clock ------------- *)
 
 let adm_fixture ?(shards = 1) ?(depth_bound = 10) ?(buffered = false)
-    ?watermarks ?(degrade = false) () =
+    ?watermarks () =
   fresh_tid ();
   let clock = ref 0. in
   let service = Broker.Service.create ~shards ~depth_bound ~buffered () in
   let adm =
-    Broker.Admission.create ?watermarks ~degrade
-      ~now:(fun () -> !clock)
-      service
+    Broker.Admission.create ?watermarks ~now:(fun () -> !clock) service
   in
   (clock, service, adm)
 
@@ -304,8 +302,7 @@ let test_admission_red_sheds () =
 
 let test_admission_degrade_and_restore () =
   let _clock, service, adm =
-    adm_fixture ~depth_bound:10 ~buffered:true ~watermarks:tight_watermarks
-      ~degrade:true ()
+    adm_fixture ~depth_bound:10 ~buffered:true ~watermarks:tight_watermarks ()
   in
   (* 3/10 queued = yellow: strict tenants demote to the leader tier. *)
   for seq = 1 to 3 do
@@ -345,7 +342,16 @@ let test_admission_degrade_and_restore () =
   | d -> Alcotest.failf "expected full-strength admission, got %s"
            (Broker.Admission.decision_name d));
   Alcotest.(check int) "no new degradation after restore" 2
-    (Broker.Admission.totals adm).Broker.Admission.a_degraded
+    (Broker.Admission.totals adm).Broker.Admission.a_degraded;
+  (* The restored stream keeps its FIFO: seq 3 drains after the demoted
+     seqs 1 and 2. *)
+  let rec drain acc =
+    match Broker.Service.dequeue service ~stream:0 with
+    | Broker.Service.Item v -> drain (Spec.Durable_check.seq_of v :: acc)
+    | _ -> List.rev acc
+  in
+  Alcotest.(check (list int)) "stream 0 drains in order" [ 1; 2; 3 ]
+    (drain [])
 
 (* -- the generator ------------------------------------------------------------ *)
 
