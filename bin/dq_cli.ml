@@ -170,9 +170,10 @@ let census_cmd =
     (* A weak acks level censuses the buffered group-commit tier
        ({!Dq.Buffered_q}) instead of the queues: one row, since the
        tier runs no registry algorithm.  Its op spans are fence-free,
-       the commit fences land in "sync" spans and the line
-       write-behinds in excluded "write-behind" spans, which the enq
-       row's averages count — the census shows the amortization
+       the commit fences land in "sync" spans (excluded "line-commit"
+       spans for line commits) and the line write-behinds in excluded
+       "write-behind" spans; the enq row's averages count both
+       excluded labels — the census shows the amortization
        directly. *)
     let entries =
       if level = Broker.Service.Acks_all_synced then

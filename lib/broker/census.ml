@@ -129,14 +129,15 @@ let strict_audit service =
 
 (* The buffered tier's view: how far persistence lags execution on each
    shard, and how the lag is being paid down (group commits tripped by
-   the watermark vs explicit syncs).  Empty without the tier. *)
+   the watermark or a line filled on an idle device vs explicit
+   syncs).  Empty without the tier. *)
 
 type durability_row = {
   d_shard : int;
   d_lag : int;  (* operations executed but not covered by a commit *)
   d_appended : int;  (* buffered enqueues ever journaled *)
   d_floor : int;  (* enqueues covered by the last issued commit *)
-  d_commits : int;  (* group commits issued (watermark + sync) *)
+  d_commits : int;  (* group commits issued (watermark, sync, line) *)
   d_syncs : int;  (* explicit sync calls *)
 }
 
@@ -158,9 +159,11 @@ let durability service =
                })
 
 (* The buffered tier's journal persists over all shard heaps: its group
-   commits ("sync" spans) and the write-behinds that persist each
-   journal line as it fills ("write-behind" spans).  Together with
-   [durability] this is the buffered bargain in numbers — journal
+   commits ("sync" spans, and the excluded "line-commit" spans of
+   commits issued behind a line's write-behind) and the write-behinds
+   that persist each journal line as it fills ("write-behind" spans).
+   The three labels never nest, so each persist counts once.  Together
+   with [durability] this is the buffered bargain in numbers — journal
    fences and flushes amortized over appended operations against the
    lag they leave. *)
 type journal = { j_commits : int; j_fences : int; j_flushes : int }
@@ -168,9 +171,12 @@ type journal = { j_commits : int; j_fences : int; j_flushes : int }
 let journal_persists service =
   List.fold_left
     (fun j (a : Nvm.Span.agg) ->
-      let commit = a.Nvm.Span.agg_label = Dq.Instrumented.sync_label in
-      if commit || a.Nvm.Span.agg_label = Dq.Instrumented.write_behind_label
-      then
+      let label = a.Nvm.Span.agg_label in
+      let commit =
+        label = Dq.Instrumented.sync_label
+        || label = Dq.Instrumented.line_commit_label
+      in
+      if commit || label = Dq.Instrumented.write_behind_label then
         {
           j_commits = (j.j_commits + if commit then a.Nvm.Span.count else 0);
           j_fences = j.j_fences + a.Nvm.Span.sum.Nvm.Stats.fences;

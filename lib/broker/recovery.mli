@@ -55,8 +55,10 @@ val crash_and_recover :
     [policy] defaults to [Random_evictions], which — like every
     randomized policy — requires [rng] (else {!Nvm.Crash.Error}
     [Missing_rng]); seed it explicitly and log the seed so the run can
-    be replayed.  [domains]
-    to the host's recommended domain count (capped by the shard count).
+    be replayed.  [domains] is the number of domains that recover
+    shards in parallel; it defaults to
+    [Domain.recommended_domain_count ()], and either value is clamped
+    to between 1 and the shard count.
     [producer_of] (e.g. {!Spec.Durable_check.producer_of}) additionally
     enables per-stream FIFO-order and routing-consistency validation;
     [check_unique] (default true) assumes the workload enqueues distinct

@@ -33,14 +33,44 @@
      flush+fence.  Every fence is issued split
      ({!Nvm.Heap.sfence_split}), so commits pipeline into the device
      queue like combined batches and only [sync] (or an acknowledging
-     caller) joins the drain.
+     caller) joins the drain;
+   - a *line commit* is the same group commit, issued by the append
+     that fills a line without tripping the watermark, right behind
+     the line's write-behind.  No one joins it.  It fires only when
+     three things hold:
+     - the heap's device has nothing queued ({!Nvm.Heap.device_idle},
+       read before the line's own write-behind queues): the commit's
+       meta drain then uses device time no one else wants.  The test
+       is heap-wide, not the tier's own tickets, so a line commit
+       never queues behind a strict tier's fences on the same shard;
+     - the line took at least one line drain to fill (the profile's
+       per-flush drain; zero without wall-clock drains).  A producer
+       that fills lines faster than the device drains them — one that
+       just joined a watermark commit and finds the device idle, say —
+       keeps batching [watermark] enqueues per commit, the batching
+       that pays where the device is the bottleneck;
+     - the caller's fences are not absorbed: the write-behind is
+       skipped then, so there is no line write to commit behind.
+     Both device conditions ask the heap ({!Nvm.Heap.device_idle},
+     {!Nvm.Heap.line_drain}, {!Nvm.Heap.device_clock}), which queues
+     drains only under an enabled wall-clock-drain profile.  Under any
+     other profile — {!Nvm.Latency.off}, the spin profiles — the device
+     always reads idle and a line needs no time to fill, so every line
+     filled short of the watermark commits, however fast the producer:
+     the watermark's batching of a producer that outruns the device
+     holds where drains queue, the profile of every load that times
+     the tier.
 
    A group of [watermark] enqueues costs the same line flushes as when
    the commit flushed every line itself, plus one meta flush; what
    changes is when they drain: a commit waits for at most two line
    drains (tail and meta), not [watermark/8 + 1].  The price is fences
    — one per written-behind line plus one or two per commit — the
-   paper's thesis again: more fences, less waiting.
+   paper's thesis again: more fences, less waiting.  Line commits add
+   a meta flush and fence per line, paid only while the device idles:
+   a slow producer's ops are durable two drains (the line's, then the
+   meta word's) after their line fills, instead of after the
+   watermark's whole group has filled.
 
    Concurrency.  Producers append under the lock: each writes its slot
    and its journal word, then publishes [appended] (an [Atomic]).  A
@@ -52,7 +82,8 @@
    dequeuer whose CAS succeeds read the slot before any overwrite, and
    one that read an overwritten slot fails its CAS and retries.
 
-   Crash safety is carried by the meta word alone:
+   Crash safety is carried by the meta word alone (a line commit is an
+   ordinary commit, so only a trigger is new):
    - the meta word is the only commit point.  Any surviving meta pair
      (floor, consumed) was written after a fence covering each entry in
      [0, floor) was issued — its line's write-behind fence, or a
@@ -120,6 +151,9 @@ type t = {
   mutable committed_consumed : int;
   mutable last_drain : Nvm.Heap.drain;  (* last commit's ticket *)
   mutable behind_drain : Nvm.Heap.drain;  (* last write-behind fence *)
+  mutable line_opened : float;
+      (* {!Nvm.Heap.device_clock} at the append that opened the line now
+         filling *)
   mutable on_commit :
     (floor:int -> consumed:int -> drain:Nvm.Heap.drain -> unit) option;
   mutable commits : int;  (* volatile statistics *)
@@ -166,6 +200,7 @@ let create ?(watermark = default_watermark) ?(capacity = default_capacity)
     committed_consumed = 0;
     last_drain = Nvm.Heap.no_drain;
     behind_drain = Nvm.Heap.no_drain;
+    line_opened = 0.;
     on_commit = None;
     commits = 0;
     syncs = 0;
@@ -227,8 +262,10 @@ let write_behind t ~hi =
    the commit and every write-behind below its floor; the caller
    decides whether to join it.  The commit runs under a "sync" span so
    censuses report group-commit persists separately from the
-   (fence-free) op spans. *)
-let commit t =
+   (fence-free) op spans; a line commit ([~line:true]) runs under an
+   excluded "line-commit" span instead, like the write-behind it
+   follows, since the appending call does not wait for it. *)
+let commit ?(line = false) t =
   let floor = Atomic.get t.appended in
   let consumed = Atomic.get t.consumed in
   if floor = t.committed_floor && consumed = t.committed_consumed then
@@ -236,7 +273,9 @@ let commit t =
   else begin
     let spans = Nvm.Heap.spans t.heap in
     let drain =
-      Nvm.Span.with_span spans Instrumented.sync_label (fun () ->
+      Nvm.Span.with_span ~exclude:line spans
+        (if line then Instrumented.line_commit_label
+         else Instrumented.sync_label) (fun () ->
           (* Fence 1 covers the entries no write-behind has: at most
              the partial tail line.  Skipped when the commit only
              advances [consumed] or ends on a written-behind line. *)
@@ -265,6 +304,16 @@ let commit t =
     drain
   end
 
+(* Whether the append that just filled a line issues a line commit
+   (lock held; see the header for why each condition holds).  Called
+   before the line's write-behind, which queues the line's own drain on
+   the device. *)
+let line_commit_due t =
+  (not (Nvm.Heap.fences_absorbed t.heap))
+  && Nvm.Heap.device_clock t.heap -. t.line_opened
+     >= Nvm.Heap.line_drain t.heap
+  && Nvm.Heap.device_idle t.heap
+
 (* -- Operations -------------------------------------------------------------- *)
 
 exception Journal_full
@@ -286,10 +335,19 @@ let enqueue ?join t v =
           sees the new count sees the value. *)
        t.slots.(slot t i) <- v;
        Nvm.Heap.write t.heap (entry_addr t i) v;
+       if i mod Nvm.Line.words_per_line = 0 then
+         t.line_opened <- Nvm.Heap.device_clock t.heap;
        let hi = i + 1 in
        Atomic.set t.appended hi;
-       if hi mod Nvm.Line.words_per_line = 0 then write_behind t ~hi;
-       if hi - t.committed_floor >= t.watermark then Some (commit t) else None)
+       let trips = hi - t.committed_floor >= t.watermark in
+       if hi mod Nvm.Line.words_per_line = 0 then begin
+         let line_commit = (not trips) && line_commit_due t in
+         write_behind t ~hi;
+         (* Nobody joins a line commit; a later [sync] with nothing
+            new to cover joins its ticket. *)
+         if line_commit then ignore (commit ~line:true t)
+       end;
+       if trips then Some (commit t) else None)
     with
     | d ->
         release t;
@@ -321,8 +379,8 @@ let rec dequeue t =
 let sync t =
   let spans = Nvm.Heap.spans t.heap in
   Nvm.Span.event spans "sync";
-  t.syncs <- t.syncs + 1;
   acquire t;
+  t.syncs <- t.syncs + 1;
   let d =
     match commit t with
     | d ->

@@ -12,7 +12,20 @@
     and split fence, not waited for); a group commit on a watermark, on
     {!sync}, or at a combiner handoff flushes what no write-behind
     covered — at most the partial tail line — and publishes the meta
-    word behind its own fence.  The meta word is the only commit point:
+    word behind its own fence.  A {e line commit} is that same commit,
+    issued right behind the write-behind by an append that fills a line
+    short of the watermark, when three things hold: the heap's device
+    has nothing queued ({!Nvm.Heap.device_idle}), so the commit uses
+    device time no one else wants and never queues behind another
+    tier's fences; the line took at least one line drain to fill, so a
+    producer that outruns the device keeps the watermark's batching;
+    and the caller's fences are not absorbed, since the write-behind
+    is skipped then.  The device conditions hold that batching only
+    where drains queue on the device (an enabled
+    {!Nvm.Latency.drain_wall} profile); under any other profile the
+    device always reads idle and every line filled short of the
+    watermark commits.  No caller joins a line commit.  The meta word is
+    the only commit point:
     a crash keeps exactly the last issued commit's snapshot — every
     operation covered by a commit survives, and the lost suffix is
     exactly the contiguous unsynced tail; recovery refills the volatile
@@ -27,7 +40,9 @@
     commit, a {!sync} or an acknowledging enqueue waits for at most two
     line drains (tail and meta) instead of [watermark/8 + 1], at the
     price of one fence per line — [watermark/8 + 1] or [+ 2] fences per
-    group instead of two. *)
+    group instead of two.  Line commits add a meta flush and fence per
+    line while the device idles, and bound a slow producer's lag by a
+    line instead of the watermark. *)
 
 type t
 
@@ -60,10 +75,12 @@ val create :
 
 val enqueue : ?join:bool -> t -> int -> unit
 (** Append to the journal; writes the journal line
-    behind when this append fills it, and trips a group commit at the
+    behind when this append fills it (and issues a line commit right
+    behind it when the device idles), and trips a group commit at the
     watermark.  [join] overrides [join_commits] for this call (the
     broker maps acks=leader onto [~join:true] and acks=none onto
-    [~join:false] over the same shard tier).
+    [~join:false] over the same shard tier); it applies to a watermark
+    commit only, never to a line commit.
     @raise Journal_full when the unconsumed backlog reached
     [capacity]. *)
 
@@ -118,5 +135,7 @@ val set_on_commit :
     ticket's deadline. *)
 
 type stats = { s_commits : int; s_syncs : int }
+(** Commits issued (watermark, sync, ring guard and line commits) and
+    {!sync} calls. *)
 
 val stats : t -> stats

@@ -33,6 +33,11 @@ let write_behind_label = "write-behind"
    flush and one split fence the appending call does not wait for.
    Not a [setup:] label: its flushes are device work on the op path. *)
 
+let line_commit_label = "line-commit"
+(* A buffered queue's line commit ({!Buffered_q}): the group commit an
+   append issues right behind its line's write-behind while the device
+   idles.  Excluded, like "write-behind": no caller waits for it. *)
+
 let create_label = "setup:create"
 let alloc_label = "setup:alloc"  (* opened by Nvm.Heap.alloc_region *)
 

@@ -561,11 +561,15 @@ let fence_issue t ~tid (p : pending) =
   p.n_pmovnti <- 0;
   ns
 
+(* Whether fence drains take wall-clock device time, queued on
+   [device_free_at]. *)
+let wall_drains t = t.latency.Latency.drain_wall && t.latency.Latency.enabled
+
 (* Wall-clock duration of the drain portion under [Latency.drain_wall]:
    the device work this fence enqueues on the DIMM.  Read before
    [fence_issue] resets the pending counters. *)
 let drain_wall_ns t (p : pending) =
-  if t.latency.Latency.drain_wall && t.latency.Latency.enabled then
+  if wall_drains t then
     (p.n_pflush * t.latency.Latency.fence_per_flush_ns)
     + (p.n_pmovnti * t.latency.Latency.fence_per_movnti_ns)
   else 0
@@ -615,8 +619,21 @@ let sfence t =
 type drain = { until : float }
 
 let no_drain = { until = 0. }
-let drain_pending d = d.until > 0.
 let drain_deadline d = d.until
+
+(* The device queue as a caller sees it.  Without wall-clock drains
+   nothing is ever queued: the device always reads idle, a line drains
+   in no time, and the clock is not read (it reads 0.), so cost-free
+   runs stay deterministic. *)
+let device_idle t =
+  (not (wall_drains t)) || Atomic.get t.device_free_at <= Unix.gettimeofday ()
+
+let device_clock t = if wall_drains t then Unix.gettimeofday () else 0.
+
+let line_drain t =
+  if wall_drains t then
+    float_of_int t.latency.Latency.fence_per_flush_ns *. 1e-9
+  else 0.
 
 let sfence_split t =
   step t;

@@ -124,9 +124,6 @@ type drain
 val no_drain : drain
 (** The already-complete drain; joining it is free. *)
 
-val drain_pending : drain -> bool
-(** Whether the ticket still has wall-clock time to serve. *)
-
 val drain_deadline : drain -> float
 (** The wall-clock instant at which the drain completes (0. for
     {!no_drain}): the op→durable timestamp the durability-lag bench
@@ -136,6 +133,22 @@ val sfence_split : t -> drain
 (** {!sfence} with the busy-wait deferred into the returned ticket.
     Inside a {!with_batched_fences} scope it is absorbed like any other
     fence and returns {!no_drain}. *)
+
+val device_idle : t -> bool
+(** Whether the heap's simulated device has nothing queued: every drain
+    reserved on it so far has completed by {!device_clock}.  Always
+    [true] unless an enabled {!Latency.drain_wall} profile queues
+    drains on the device; the spin profiles model no device queue. *)
+
+val device_clock : t -> float
+(** The clock the device queue reads, in seconds: wall-clock time under
+    an enabled {!Latency.drain_wall} profile, [0.] otherwise (the clock
+    is not read, so cost-free runs stay deterministic). *)
+
+val line_drain : t -> float
+(** Seconds of device time one flushed line's drain takes: the
+    per-flush drain of an enabled {!Latency.drain_wall} profile, [0.]
+    otherwise. *)
 
 val drain_join : t -> drain -> unit
 (** Wait out the remainder of a split fence's drain: a busy-wait under

@@ -79,8 +79,9 @@ val campaign :
 
 (** {1 The buffered-durability tier}
 
-    The explorer runs {!Dq.Buffered_q} (watermark 4, a 16-entry ring)
-    with its append lock yielding through the scheduler.  [Sync] plan
+    The explorer runs {!Dq.Buffered_q} (watermark 4, or 12 in
+    {!line_commit_sweep}; a 16-entry ring) with its append lock
+    yielding through the scheduler.  [Sync] plan
     operations hit the explicit persistence boundary, issued commits
     persist-stamp the operations they cover, and a crashed run is
     judged by {!Lin_check.check_crash_cut}: the post-recovery drain must
@@ -107,6 +108,17 @@ val buffered_sweep :
     journal lines and wrap the 16-entry ring — which the campaign's
     plans never do.  Keep total operations within
     {!Lin_check.max_ops}. *)
+
+val line_commit_sweep :
+  policy:Nvm.Crash.policy ->
+  seed:int ->
+  plans:op list array ->
+  (unit, string) result
+(** {!buffered_sweep} with the tier at watermark 12, above one journal
+    line.  The explorer's device costs nothing, so it always idles and
+    a line needs no time to fill: every line filled short of the
+    watermark commits behind its write-behind, and a plan without
+    [Sync] crashes across line commits. *)
 
 val checkpoint_flip_once :
   ?policy:Nvm.Crash.policy ->

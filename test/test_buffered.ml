@@ -1,7 +1,8 @@
 (* Tests for the buffered-durability tier: the group-commit journal
    queue (lib/core/buffered_q.ml) — watermark commits, the explicit
-   [sync] boundary, journal-floor recovery that allocates nothing,
-   ring-full refusal, claim-by-CAS dequeues under slot reuse — and the
+   [sync] boundary, line commits on an idle device, journal-floor
+   recovery that allocates nothing, ring-full refusal, claim-by-CAS
+   dequeues under slot reuse — and the
    broker's per-stream acks levels mapped onto it: tier routing, level
    validation, sync verdicts, and a full-system crash recovering exactly
    the synced floor. *)
@@ -18,6 +19,46 @@ let make_buffered ?watermark ?capacity ?join_commits ?(mode = Nvm.Heap.Checked)
     () =
   let heap = fresh_heap ~mode () in
   (heap, Dq.Buffered_q.create ?watermark ?capacity ?join_commits heap)
+
+(* Fences that drain on a wall-clock device, one line in [line_ms]
+   milliseconds ({!Nvm.Latency.dimm_wall}, rescaled): the device the
+   line-commit rule observes. *)
+let wall_latency ~line_ms =
+  {
+    Nvm.Latency.dimm_wall with
+    Nvm.Latency.fence_per_flush_ns = line_ms * 1_000_000;
+  }
+
+let wall_heap ~line_ms =
+  fresh_tid ();
+  Nvm.Heap.create ~mode:Nvm.Heap.Checked ~latency:(wall_latency ~line_ms) ()
+
+let line_s ~line_ms = float_of_int line_ms *. 1e-3
+
+let enqueue_range ?join b lo hi =
+  for v = lo to hi do
+    Dq.Buffered_q.enqueue ?join b v
+  done
+
+(* Queue [lines] line drains on [heap]'s device from a spare region;
+   the device reads busy until the returned ticket's deadline. *)
+let queue_drains heap ~lines =
+  let base =
+    Nvm.Region.base_addr
+      (Nvm.Heap.alloc_region heap ~tag:Nvm.Region.Node_area
+         ~words:(lines * Nvm.Line.words_per_line))
+  in
+  for k = 0 to lines - 1 do
+    let a = base + (k * Nvm.Line.words_per_line) in
+    Nvm.Heap.write heap a 1;
+    Nvm.Heap.flush heap a
+  done;
+  Nvm.Heap.sfence_split heap
+
+let span_count heap label =
+  match Nvm.Span.find_aggregate (Nvm.Heap.spans heap) label with
+  | None -> 0
+  | Some a -> a.Nvm.Span.count
 
 (* -- Buffered_q: group commits ---------------------------------------------- *)
 
@@ -147,6 +188,155 @@ let test_on_commit_callback () =
     "snapshots in commit order"
     [ (4, 1); (4, 0); (2, 0) ]
     !seen
+
+(* [sync] counts itself under the append lock: two domains syncing at
+   once lose no count. *)
+let test_concurrent_syncs_count () =
+  let _, b = make_buffered ~mode:Nvm.Heap.Fast () in
+  let per = 20_000 in
+  let ready = Atomic.make 0 in
+  let syncer w =
+    Domain.spawn (fun () ->
+        Nvm.Tid.set (1 + w);
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        for _ = 1 to per do
+          Dq.Buffered_q.sync b
+        done)
+  in
+  List.iter Domain.join [ syncer 0; syncer 1 ];
+  Alcotest.(check int) "every sync counted" (2 * per)
+    (Dq.Buffered_q.stats b).Dq.Buffered_q.s_syncs
+
+(* -- Buffered_q: line commits ------------------------------------------------
+
+   An append that fills a journal line without tripping the watermark
+   commits at once, behind the line's write-behind, when the heap's
+   device has nothing queued, the line took at least one line drain to
+   fill, and the caller's fences are not absorbed. *)
+
+(* A line filled slowly on an idle device commits at once: the floor
+   moves to the line's end, and the commit's ticket completes after the
+   line's drain and then the meta word's. *)
+let test_line_commit_on_idle_device () =
+  let line_ms = 2 in
+  let heap = wall_heap ~line_ms in
+  let b = Dq.Buffered_q.create ~watermark:64 ~capacity:64 heap in
+  let seen = ref [] in
+  Dq.Buffered_q.set_on_commit b
+    (Some
+       (fun ~floor ~consumed ~drain ->
+         seen := (floor, consumed, Nvm.Heap.drain_deadline drain) :: !seen));
+  Dq.Buffered_q.enqueue b 1;
+  Unix.sleepf (1.5 *. line_s ~line_ms);
+  enqueue_range b 2 7;
+  Alcotest.(check int) "no commit mid-line" 0 (Dq.Buffered_q.committed_floor b);
+  let before = Unix.gettimeofday () in
+  Dq.Buffered_q.enqueue b 8;
+  Alcotest.(check int) "the floor moves to the line's end" 8
+    (Dq.Buffered_q.committed_floor b);
+  Alcotest.(check int) "no lag" 0 (Dq.Buffered_q.durability_lag b);
+  Alcotest.(check int) "one line commit" 1
+    (span_count heap Dq.Instrumented.line_commit_label);
+  Alcotest.(check int) "not a sync span" 0
+    (span_count heap Dq.Instrumented.sync_label);
+  let s = Dq.Buffered_q.stats b in
+  Alcotest.(check int) "counted as a commit" 1 s.Dq.Buffered_q.s_commits;
+  Alcotest.(check int) "no sync" 0 s.Dq.Buffered_q.s_syncs;
+  match !seen with
+  | [ (floor, consumed, deadline) ] ->
+      Alcotest.(check (pair int int)) "the callback's snapshot" (8, 0)
+        (floor, consumed);
+      Alcotest.(check bool) "ticket after the line and the meta drain" true
+        (deadline >= before +. (2. *. line_s ~line_ms) -. 1e-6)
+  | l -> Alcotest.failf "%d commit callbacks" (List.length l)
+
+(* A line filled back to back — faster than the device drains a line —
+   is written behind but does not commit: the floor waits for the
+   watermark. *)
+let test_fast_line_waits_for_watermark () =
+  let heap = wall_heap ~line_ms:200 in
+  let b =
+    Dq.Buffered_q.create ~watermark:16 ~capacity:64 ~join_commits:false heap
+  in
+  enqueue_range b 1 8;
+  Alcotest.(check int) "the line is written behind" 1
+    (span_count heap Dq.Instrumented.write_behind_label);
+  Alcotest.(check int) "but not committed" 0 (Dq.Buffered_q.committed_floor b);
+  enqueue_range b 9 16;
+  Alcotest.(check int) "the watermark commits" 16
+    (Dq.Buffered_q.committed_floor b);
+  Alcotest.(check int) "one commit, no line commit" 1
+    (Dq.Buffered_q.stats b).Dq.Buffered_q.s_commits;
+  Alcotest.(check int) "no line-commit span" 0
+    (span_count heap Dq.Instrumented.line_commit_label)
+
+(* A line filled slowly while another drain is queued on the same heap
+   does not commit; once the device has drained, the next slow line
+   does. *)
+let test_busy_device_defers_line () =
+  let line_ms = 2 in
+  let heap = wall_heap ~line_ms in
+  let b = Dq.Buffered_q.create ~watermark:64 ~capacity:64 heap in
+  Dq.Buffered_q.enqueue b 1;
+  Unix.sleepf (1.5 *. line_s ~line_ms);
+  ignore (queue_drains heap ~lines:100);
+  enqueue_range b 2 8;
+  Alcotest.(check int) "written behind" 1
+    (span_count heap Dq.Instrumented.write_behind_label);
+  Alcotest.(check int) "no commit behind a queued drain" 0
+    (Dq.Buffered_q.committed_floor b);
+  while not (Nvm.Heap.device_idle heap) do
+    Unix.sleepf 1e-3
+  done;
+  Dq.Buffered_q.enqueue b 9;
+  Unix.sleepf (1.5 *. line_s ~line_ms);
+  enqueue_range b 10 16;
+  Alcotest.(check int) "the idle device commits the next line" 16
+    (Dq.Buffered_q.committed_floor b)
+
+(* No line commit under absorbed fences (a combining pass): the line is
+   not written behind, so there is nothing to commit behind.  Outside
+   the scope the next line commits (the device of [Latency.off] always
+   idles, and its lines need no time to fill). *)
+let test_absorbed_fences_no_line_commit () =
+  let heap, b = make_buffered ~watermark:64 () in
+  Nvm.Heap.with_batched_fences heap (fun () -> enqueue_range b 1 8);
+  Alcotest.(check int) "no commit under absorbed fences" 0
+    (Dq.Buffered_q.stats b).Dq.Buffered_q.s_commits;
+  Alcotest.(check int) "the floor stays" 0 (Dq.Buffered_q.committed_floor b);
+  enqueue_range b 9 16;
+  Alcotest.(check int) "outside the scope the line commits" 16
+    (Dq.Buffered_q.committed_floor b);
+  Alcotest.(check int) "one line commit" 1
+    (span_count heap Dq.Instrumented.line_commit_label)
+
+(* An acks=leader enqueue ([~join:true]) never joins a line commit: it
+   issues the commit and returns without a "drain:join", while one that
+   trips the watermark joins its commit. *)
+let test_leader_never_joins_line_commit () =
+  let line_ms = 20 in
+  let heap = wall_heap ~line_ms in
+  let spans = Nvm.Heap.spans heap in
+  Nvm.Span.set_tracing spans ~capacity:256;
+  let joins () =
+    List.length
+      (List.filter
+         (fun (c : Nvm.Span.closed) -> c.Nvm.Span.instant && c.label = "drain:join")
+         (Nvm.Span.trace spans))
+  in
+  let b = Dq.Buffered_q.create ~watermark:16 ~capacity:64 heap in
+  Dq.Buffered_q.enqueue ~join:true b 1;
+  Unix.sleepf (1.5 *. line_s ~line_ms);
+  enqueue_range ~join:true b 2 8;
+  Alcotest.(check int) "the line committed" 8 (Dq.Buffered_q.committed_floor b);
+  Alcotest.(check int) "without a join" 0 (joins ());
+  enqueue_range ~join:true b 9 24;
+  Alcotest.(check int) "the watermark commit" 24
+    (Dq.Buffered_q.committed_floor b);
+  Alcotest.(check int) "is joined" 1 (joins ())
 
 (* Claim-by-CAS dequeues under slot reuse: two producers and two
    consumers on a 16-slot ring.  A producer that meets a full ring syncs
@@ -374,16 +564,19 @@ let test_recover_wrapped_ring () =
 
 (* A line written behind beyond the floor is discarded, and its entries
    are appended over.  Before the crash the journal's first line fills
-   (and is written behind) above a floor of 4; recovery drops entries
-   4-7, and the appends that refill them must persist the line again —
-   a write-behind or commit that trusted the old line's flush would
-   leave the dropped values 5-8 to come back. *)
+   (and is written behind) above a floor of 4 — with a drain queued on
+   the heap's device, so the fill issues no line commit; recovery drops
+   entries 4-7, and the appends that refill them must persist the line
+   again — a write-behind or commit that trusted the old line's flush
+   would leave the dropped values 5-8 to come back. *)
 let test_recover_then_refill_line () =
-  let heap, b = make_buffered ~watermark:64 () in
+  let heap = wall_heap ~line_ms:1 in
+  let b = Dq.Buffered_q.create ~watermark:64 heap in
   for v = 1 to 4 do
     Dq.Buffered_q.enqueue b v
   done;
   Dq.Buffered_q.sync b;
+  ignore (queue_drains heap ~lines:200);
   for v = 5 to 12 do
     Dq.Buffered_q.enqueue b v
   done;
@@ -400,6 +593,46 @@ let test_recover_then_refill_line () =
   Alcotest.(check (list int)) "the refilled line survives"
     [ 1; 2; 3; 4; 13; 14; 15; 16 ]
     (live ())
+
+(* Another thread's commit may count a line its filler wrote behind
+   without committing it (the device was busy): the commit trusts the
+   filler's write-behind fence, so the line must survive every crash
+   policy.  The filler appends one line on a busy device; a second
+   thread appends four more and trips the watermark, committing the
+   filler's line with its own tail. *)
+let test_commit_covers_written_behind_line () =
+  List.iter
+    (fun policy ->
+      for seed = 1 to 5 do
+        let heap = wall_heap ~line_ms:1 in
+        let b =
+          Dq.Buffered_q.create ~watermark:12 ~capacity:64 ~join_commits:false
+            heap
+        in
+        ignore (queue_drains heap ~lines:1000);
+        enqueue_range b 1 8;
+        Alcotest.(check int) "written behind, not committed" 0
+          (Dq.Buffered_q.committed_floor b);
+        let filler = Nvm.Tid.get () in
+        Nvm.Tid.set (Nvm.Tid.register ());
+        enqueue_range b 9 12;
+        Nvm.Tid.set filler;
+        Alcotest.(check int) "the other thread's commit counts the line" 12
+          (Dq.Buffered_q.committed_floor b);
+        crash ~policy heap seed;
+        Dq.Buffered_q.recover b;
+        Alcotest.(check (list int))
+          (Printf.sprintf "the line survives (%s, seed %d)"
+             (Nvm.Crash.policy_name policy) seed)
+          (List.init 12 succ)
+          ((Dq.Buffered_q.instance b).Dq.Queue_intf.to_list ())
+      done)
+    [
+      Nvm.Crash.All_flushed;
+      Nvm.Crash.Only_persisted;
+      Nvm.Crash.Torn_prefix;
+      Nvm.Crash.Random_evictions;
+    ]
 
 (* Recovery allocates nothing: the journal region is the tier's whole
    NVM footprint.  A thousand cycles of enqueue 10, dequeue 10, sync, a
@@ -558,12 +791,19 @@ let test_strict_sync_commits_nothing () =
    behind as it fills (one flush and one fence apiece), and trip two
    commits that end on a line boundary, so each publishes only its
    meta word.  18 flushes, as when a commit flushed the group's lines
-   itself; 18 fences instead of that design's 4. *)
+   itself; 18 fences instead of that design's 4.  The shard's device
+   is kept busy, so no line commits: this is the watermark group's
+   persist shape, 1/8 + 1/64 flushes and fences per enqueue. *)
 let test_census_counts_write_behind () =
   fresh_tid ();
   let service =
-    Broker.Service.create ~shards:1 ~acks:Broker.Service.Acks_none ()
+    Broker.Service.create ~shards:1 ~acks:Broker.Service.Acks_none
+      ~latency:(wall_latency ~line_ms:1) ()
   in
+  ignore
+    (queue_drains
+       (Broker.Shard.heap (Broker.Service.shards service).(0))
+       ~lines:1000);
   for seq = 1 to 128 do
     match Broker.Service.enqueue service ~stream:0 (enc ~producer:0 ~seq) with
     | Broker.Backpressure.Accepted -> ()
@@ -574,6 +814,31 @@ let test_census_counts_write_behind () =
   Alcotest.(check int) "16 lines + 2 meta words flushed" 18
     j.Broker.Census.j_flushes;
   Alcotest.(check int) "16 write-behinds + 2 meta fences" 18
+    j.Broker.Census.j_fences
+
+(* The census counts line commits and syncs alike, each persist once.
+   On [Latency.off] the device always idles and a line needs no time to
+   fill: 132 appends commit each of their 16 full lines behind its
+   write-behind, and a sync commits the four-entry tail (a tail flush
+   and fence, then the meta word).  17 commits; 16 lines + 16 meta
+   words + the tail and its meta word = 34 flushes and 34 fences. *)
+let test_census_counts_line_commits () =
+  fresh_tid ();
+  let service =
+    Broker.Service.create ~shards:1 ~acks:Broker.Service.Acks_none ()
+  in
+  for seq = 1 to 132 do
+    match Broker.Service.enqueue service ~stream:0 (enc ~producer:0 ~seq) with
+    | Broker.Backpressure.Accepted -> ()
+    | v -> Alcotest.failf "enqueue: %s" (Broker.Backpressure.verdict_name v)
+  done;
+  Broker.Service.sync_all service;
+  let j = Broker.Census.journal_persists service in
+  Alcotest.(check int) "16 line commits + 1 sync commit" 17
+    j.Broker.Census.j_commits;
+  Alcotest.(check int) "16 lines, 16 meta words, a tail and a meta word" 34
+    j.Broker.Census.j_flushes;
+  Alcotest.(check int) "16 write-behinds, 16 meta fences, 2 sync fences" 34
     j.Broker.Census.j_fences
 
 let test_service_crash_recovers_synced_floor () =
@@ -644,6 +909,21 @@ let () =
             test_dequeue_touches_no_nvm;
           Alcotest.test_case "racing claims count exactly" `Quick
             test_racing_claims_count_exactly;
+          Alcotest.test_case "concurrent syncs all count" `Quick
+            test_concurrent_syncs_count;
+        ] );
+      ( "line-commit",
+        [
+          Alcotest.test_case "a slow line on an idle device commits" `Quick
+            test_line_commit_on_idle_device;
+          Alcotest.test_case "a fast line waits for the watermark" `Quick
+            test_fast_line_waits_for_watermark;
+          Alcotest.test_case "a queued drain defers the line" `Quick
+            test_busy_device_defers_line;
+          Alcotest.test_case "absorbed fences commit no line" `Quick
+            test_absorbed_fences_no_line_commit;
+          Alcotest.test_case "a leader enqueue never joins it" `Quick
+            test_leader_never_joins_line_commit;
         ] );
       ( "crash-floor",
         [
@@ -657,6 +937,8 @@ let () =
             test_recover_wrapped_ring;
           Alcotest.test_case "dropped line is refilled" `Quick
             test_recover_then_refill_line;
+          Alcotest.test_case "another thread's commit keeps the line" `Quick
+            test_commit_covers_written_behind_line;
           Alcotest.test_case "1,000 recoveries allocate nothing" `Quick
             test_recover_allocates_nothing;
         ] );
@@ -674,5 +956,7 @@ let () =
             test_service_crash_recovers_synced_floor;
           Alcotest.test_case "census counts write-behinds" `Quick
             test_census_counts_write_behind;
+          Alcotest.test_case "census counts line commits" `Quick
+            test_census_counts_line_commits;
         ] );
     ]

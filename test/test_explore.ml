@@ -125,12 +125,17 @@ let test_buffered_sync_sweep () =
    fill lines [0, 8) and [8, 16), then wrap the 16-entry ring into slots
    0-3 — and each dequeues three items before its second run, so the
    backlog stays below the ring.  The syncs move the watermark commits
-   off the line boundaries: a line then fills while its filler owes no
-   commit, and the other fiber's next commit covers it — a commit must
-   never count a line whose write-behind fence its filler has not
-   issued.  Every step of the schedules of seeds 1-20 is crashed: no one
-   schedule reaches every interleaving (a write-behind that skips its
-   fence fails seeds 1, 5, 7, 9, 14, 16 and 19 under Only_persisted). *)
+   off the line boundaries, so a line fills while its filler owes no
+   watermark commit; on the explorer's always-idle device the filler
+   then issues a line commit behind its write-behind.  Every step of
+   the schedules of seeds 1-20 is crashed: no one schedule reaches
+   every interleaving (a write-behind that skips its fence fails 19
+   seeds under Torn_prefix and 15 under Random_evictions, its meta word
+   evicted ahead of the line; under Only_persisted the line commit's
+   meta fence persists the line too.  A commit by another thread that
+   counts a line its filler wrote behind without committing needs a
+   busy device: test_buffered "another thread's commit keeps the line"
+   covers it). *)
 let line_plans =
   let open Spec.Explore in
   let enqs lo hi = List.init (hi - lo + 1) (fun i -> Enq (lo + i)) in
@@ -145,6 +150,26 @@ let line_plans =
 let test_buffered_line_sweep policy () =
   for seed = 1 to 20 do
     check_ok (Spec.Explore.buffered_sweep ~policy ~seed ~plans:line_plans)
+  done
+
+(* Line commits without a sync.  At watermark 12 (above one line) on
+   the explorer's cost-free device, which always idles, every line that
+   fills short of the watermark commits behind its write-behind: the
+   commits this plan crashes across are line commits, never a [Sync].
+   Both fibers enqueue — 20 values fill lines [0, 8) and [8, 16), then
+   wrap the 16-entry ring into slots 0-3 — and each dequeues three items
+   mid-plan, so the backlog stays below the ring.  Every step of the
+   schedules of seeds 1-20 is crashed. *)
+let line_commit_plans =
+  let open Spec.Explore in
+  let enqs lo hi = List.init (hi - lo + 1) (fun i -> Enq (lo + i)) in
+  let deqs = [ Deq; Deq; Deq ] in
+  [| enqs 1 6 @ deqs @ enqs 7 10; enqs 11 16 @ deqs @ enqs 17 20 |]
+
+let test_line_commit_sweep policy () =
+  for seed = 1 to 20 do
+    check_ok
+      (Spec.Explore.line_commit_sweep ~policy ~seed ~plans:line_commit_plans)
   done
 
 (* Per-op fence audit under explored interleavings.  [explore_once]
@@ -229,6 +254,12 @@ let () =
           (fun (policy, pname) ->
             Alcotest.test_case (buffered_case pname) `Slow
               (test_buffered_line_sweep policy))
+          buffered_policies );
+      ( "buffered-line-commit-sweep",
+        List.map
+          (fun (policy, pname) ->
+            Alcotest.test_case (buffered_case pname) `Slow
+              (test_line_commit_sweep policy))
           buffered_policies );
       ( "run",
         [ Alcotest.test_case "a finished run counts its steps" `Quick

@@ -4,10 +4,10 @@
 
 module H = Nvm.Heap
 
-let fresh ?(mode = Nvm.Heap.Checked) () =
+let fresh ?(mode = Nvm.Heap.Checked) ?(latency = Nvm.Latency.off) () =
   Nvm.Tid.reset ();
   ignore (Nvm.Tid.register ());
-  H.create ~mode ~latency:Nvm.Latency.off ()
+  H.create ~mode ~latency ()
 
 let node_region heap ~lines =
   H.alloc_region heap ~tag:Nvm.Region.Node_area
@@ -137,6 +137,51 @@ let test_fence_counts () =
   let d = Nvm.Stats.sub (counters heap) before in
   Alcotest.(check int) "two flushes" 2 d.Nvm.Stats.flushes;
   Alcotest.(check int) "one fence" 1 d.Nvm.Stats.fences
+
+(* The device queue.  Under an enabled wall-clock-drain profile a
+   queued split fence's drain reads busy until its deadline, then idle;
+   a line drains in the profile's per-flush time.  Under any other
+   profile nothing queues: the device always reads idle, a line drains
+   in no time, and the clock reads 0. *)
+let test_device_idle () =
+  let line_ms = 50 in
+  let wall =
+    fresh
+      ~latency:
+        {
+          Nvm.Latency.dimm_wall with
+          Nvm.Latency.fence_per_flush_ns = line_ms * 1_000_000;
+        }
+      ()
+  in
+  Alcotest.(check (float 1e-12)) "a line drains in 50 ms" 0.05
+    (H.line_drain wall);
+  Alcotest.(check bool) "idle before any drain" true (H.device_idle wall);
+  let r = node_region wall ~lines:1 in
+  H.flush wall (Nvm.Region.line_addr r 0);
+  let issued = H.device_clock wall in
+  let d = H.sfence_split wall in
+  let deadline = H.drain_deadline d in
+  Alcotest.(check bool) "the drain is queued for a line" true
+    (deadline >= issued +. H.line_drain wall);
+  let idle = H.device_idle wall in
+  if H.device_clock wall < deadline then
+    Alcotest.(check bool) "busy before the deadline" false idle;
+  H.drain_join wall d;
+  Alcotest.(check bool) "idle once the deadline passed" true
+    (H.device_idle wall);
+  List.iter
+    (fun (name, latency) ->
+      let heap = fresh ~latency () in
+      let r = node_region heap ~lines:1 in
+      H.flush heap (Nvm.Region.line_addr r 0);
+      ignore (H.sfence_split heap);
+      Alcotest.(check bool) (name ^ ": always idle") true (H.device_idle heap);
+      Alcotest.(check (float 0.)) (name ^ ": no line drain") 0.
+        (H.line_drain heap);
+      Alcotest.(check (float 0.)) (name ^ ": no clock") 0.
+        (H.device_clock heap))
+    [ ("off", Nvm.Latency.off); ("spin", Nvm.Latency.default) ]
 
 (* -- Crash semantics (Assumption 1) --------------------------------------- *)
 
@@ -302,6 +347,7 @@ let () =
         [
           Alcotest.test_case "watermark" `Quick test_persist_watermark;
           Alcotest.test_case "fence counts" `Quick test_fence_counts;
+          Alcotest.test_case "device queue" `Quick test_device_idle;
         ] );
       ( "crash",
         [
