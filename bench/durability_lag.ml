@@ -7,8 +7,9 @@ open Common
 
    - all-synced: the strict queue (OptUnlinkedQ) — one full device drain
      per operation, the price of strict durable linearizability;
-   - leader: the buffered tier with commit drains joined — the producer
-     is paced to the device once per watermark instead of once per op;
+   - leader: the buffered tier, paced — once per watermark the producer
+     waits for the commit of the watermark before, instead of once per
+     op;
    - none: fire-and-forget — commits issue asynchronously and the
      closing [sync] joins whatever is left.
 
@@ -24,7 +25,7 @@ open Common
    Smoke runs fewer enqueues and trials. *)
 let run ~smoke =
   (* Enqueue-only (the journal is never consumed), so ops must stay
-     within the journal capacity (60_000). *)
+     within the journal's default capacity (65,536 entries). *)
   let ops = if smoke then 400 else 2_000 in
   let trials = if smoke then 2 else 3 in
   let batches = [ 8; 64 ] in
@@ -55,7 +56,7 @@ let run ~smoke =
           (Some
              (fun ~floor ~consumed:_ ~drain ->
                (* Everything the commit newly covers becomes durable at
-                  its meta-fence drain deadline. *)
+                  its fence's drain deadline. *)
                let dl = Nvm.Heap.drain_deadline drain in
                let dl = if dl > 0. then dl else Unix.gettimeofday () in
                let upto = min floor ops in

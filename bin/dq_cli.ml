@@ -170,11 +170,9 @@ let census_cmd =
     (* A weak acks level censuses the buffered group-commit tier
        ({!Dq.Buffered_q}) instead of the queues: one row, since the
        tier runs no registry algorithm.  Its op spans are fence-free,
-       the commit fences land in "sync" spans (excluded "line-commit"
-       spans for line commits) and the line write-behinds in excluded
-       "write-behind" spans; the enq row's averages count both
-       excluded labels — the census shows the amortization
-       directly. *)
+       each full line commits in an excluded "write-behind" span and
+       syncs in "sync" spans; the enq row's averages count the
+       write-behinds — the census shows the amortization directly. *)
     let entries =
       if level = Broker.Service.Acks_all_synced then
         resolve_queues queues ~default:Dq.Registry.durable
@@ -303,11 +301,11 @@ let trace_cmd =
     let q =
       if buffered then
         (* The buffered tier under the same instrumentation as any shard
-           instance: op spans are fence-free, each full journal line is
-           written behind in an excluded "write-behind" span, each group
-           commit runs in its own "sync" span with "sync:commit" and
-           "drain:ticket" / "drain:join" instants — the pipelined fence
-           drains the timeline view exists to show. *)
+           instance: op spans are fence-free, each full journal line
+           commits in an excluded "write-behind" span and each sync in a
+           "sync" span, with "sync:commit" and "drain:ticket" /
+           "drain:join" instants — the pipelined fence drains the
+           timeline view exists to show. *)
         let b =
           Nvm.Span.with_span ~exclude:true (Nvm.Heap.spans heap)
             Dq.Instrumented.create_label (fun () ->
@@ -397,7 +395,8 @@ let trace_cmd =
       & info [ "buffered" ]
           ~doc:
             "Trace the buffered group-commit tier (watermark 8) instead \
-             of the queue: group commits appear as \"sync\" spans with \
+             of the queue: commits appear as \"write-behind\" and \"sync\" \
+             spans with \
              \"sync:commit\" and \"drain:ticket\"/\"drain:join\" instant \
              events, making the pipelined fence drains visible in the \
              timeline.")

@@ -128,16 +128,15 @@ let strict_audit service =
 (* -- Durability census ------------------------------------------------------- *)
 
 (* The buffered tier's view: how far persistence lags execution on each
-   shard, and how the lag is being paid down (group commits tripped by
-   the watermark or a line filled on an idle device vs explicit
-   syncs).  Empty without the tier. *)
+   shard, and how the lag is being paid down (commits as journal lines
+   fill vs explicit syncs).  Empty without the tier. *)
 
 type durability_row = {
   d_shard : int;
   d_lag : int;  (* operations executed but not covered by a commit *)
   d_appended : int;  (* buffered enqueues ever journaled *)
   d_floor : int;  (* enqueues covered by the last issued commit *)
-  d_commits : int;  (* group commits issued (watermark, sync, line) *)
+  d_commits : int;  (* commits issued (write-behind, sync, ring guard) *)
   d_syncs : int;  (* explicit sync calls *)
 }
 
@@ -158,27 +157,25 @@ let durability service =
                  d_syncs = st.Dq.Buffered_q.s_syncs;
                })
 
-(* The buffered tier's journal persists over all shard heaps: its group
-   commits ("sync" spans, and the excluded "line-commit" spans of
-   commits issued behind a line's write-behind) and the write-behinds
-   that persist each journal line as it fills ("write-behind" spans).
-   The three labels never nest, so each persist counts once.  Together
-   with [durability] this is the buffered bargain in numbers — journal
-   fences and flushes amortized over appended operations against the
-   lag they leave. *)
+(* The buffered tier's journal persists over all shard heaps: its
+   commits on sync, the ring guard or a handoff ("sync" spans) and the
+   write-behinds that commit each journal line as it fills (excluded
+   "write-behind" spans).  The two labels never nest, so each persist
+   counts once.  Together with [durability] this is the buffered
+   bargain in numbers — journal fences and flushes amortized over
+   appended operations against the lag they leave. *)
 type journal = { j_commits : int; j_fences : int; j_flushes : int }
 
 let journal_persists service =
   List.fold_left
     (fun j (a : Nvm.Span.agg) ->
       let label = a.Nvm.Span.agg_label in
-      let commit =
+      if
         label = Dq.Instrumented.sync_label
-        || label = Dq.Instrumented.line_commit_label
-      in
-      if commit || label = Dq.Instrumented.write_behind_label then
+        || label = Dq.Instrumented.write_behind_label
+      then
         {
-          j_commits = (j.j_commits + if commit then a.Nvm.Span.count else 0);
+          j_commits = j.j_commits + a.Nvm.Span.count;
           j_fences = j.j_fences + a.Nvm.Span.sum.Nvm.Stats.fences;
           j_flushes = j.j_flushes + a.Nvm.Span.sum.Nvm.Stats.flushes;
         }
@@ -206,7 +203,7 @@ let pp_durability ppf service =
         rows;
       Format.fprintf ppf
         "durability: total lag %d over %d buffered ops; %d commit spans; \
-         the journal (commits and write-behinds) owns %d fences, %d \
+         the journal's commits own %d fences, %d \
          flushes (%.4f fences/buffered-op, %.4f flushes/buffered-op)@."
         (List.fold_left (fun acc r -> acc + r.d_lag) 0 rows)
         appended j.j_commits j.j_fences j.j_flushes (per_op j.j_fences)

@@ -51,15 +51,15 @@ val pp_per_op : Format.formatter -> per_op -> unit
 (** {1 Durability census}
 
     The buffered tier's view: how far persistence lags execution on each
-    shard, and how the lag is paid down (watermark and line commits vs
-    explicit syncs). *)
+    shard, and how the lag is paid down (commits as journal lines fill
+    vs explicit syncs). *)
 
 type durability_row = {
   d_shard : int;
   d_lag : int;  (** operations executed but not covered by a commit *)
   d_appended : int;  (** buffered enqueues ever journaled *)
   d_floor : int;  (** enqueues covered by the last issued commit *)
-  d_commits : int;  (** group commits issued (watermark, sync, line) *)
+  d_commits : int;  (** commits issued (write-behind, sync, ring guard) *)
   d_syncs : int;  (** explicit sync calls *)
 }
 
@@ -67,16 +67,17 @@ val durability : Service.t -> durability_row list
 (** One row per shard; empty without the buffered tier. *)
 
 type journal = {
-  j_commits : int;  (** group-commit ("sync" and "line-commit") spans *)
-  j_fences : int;  (** fences owned by commits and write-behinds *)
-  j_flushes : int;  (** flushes owned by commits and write-behinds *)
+  j_commits : int;  (** commit ("sync" and "write-behind") spans *)
+  j_fences : int;  (** fences owned by commits *)
+  j_flushes : int;  (** flushes owned by commits *)
 }
 
 val journal_persists : Service.t -> journal
-(** The buffered tier's journal persists over all shard heaps: its group
-    commits, line commits included ({!Dq.Instrumented.line_commit_label}),
-    and the write-behinds that persist each journal line as it fills
-    ({!Dq.Instrumented.write_behind_label}), each counted once. *)
+(** The buffered tier's journal persists over all shard heaps: its
+    commits on [sync], the ring guard or a combiner handoff
+    ({!Dq.Instrumented.sync_label}) and the write-behinds that commit
+    each journal line as it fills ({!Dq.Instrumented.write_behind_label}),
+    each counted once. *)
 
 val pp_durability : Format.formatter -> Service.t -> unit
 (** Per-shard lag rows, then the journal's fences and flushes per

@@ -27,10 +27,10 @@ type t = {
          every level, from its first one at acks=none/leader on; until
          then they go to the strict [queue].  Deliberately
          uninstrumented: its operations own no per-op fences (commits
-         run under their own "sync" spans, line write-behinds and line
-         commits under excluded "write-behind" and "line-commit"
-         spans), so folding them into the
-         enq/deq aggregates would corrupt the strict per-op audit. *)
+         run under their own "sync" spans, and each full line's commit
+         under an excluded "write-behind" span), so folding them into
+         the enq/deq aggregates would corrupt the strict per-op
+         audit. *)
 }
 
 (* Shards are always span-instrumented: every enqueue/dequeue/recover on

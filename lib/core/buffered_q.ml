@@ -14,146 +14,128 @@
    worth real device bandwidth only if it reduces *flush instructions
    per operation*, so the queue is a line-packed *journal*:
 
-   - each enqueue appends its value as one word of a persistent ring
-     (eight entries per cache line), so a group of [watermark] enqueues
-     dirties [watermark/8] lines instead of [watermark].  The live items
-     are the entries [consumed, appended);
+   - the journal is a ring of 8-word lines, each holding seven entries
+     and then one *seal* word.  Each enqueue appends its value as one
+     entry, so seven enqueues dirty one line instead of seven.  The live
+     items are the entries [consumed, appended);
    - a dequeue claims the entry at [consumed] with one CAS and takes its
      value from a volatile copy of the ring ([slots], same index).  It
      touches no NVM word: reading the journal back would be an access to
-     flushed content (every full line is written behind, below), the
-     cost the paper's second amendment removes;
-   - *write-behind*: the append that fills a journal line flushes that
-     line and issues a split fence at once, while the device is
-     otherwise idle.  The appender does not wait for the drain;
-   - a *group commit* — triggered by the watermark, by [sync], or by a
-     combiner handoff — flushes the lines no write-behind has covered
-     (at most the partial tail line) and fences, then publishes a
-     single packed (floor, consumed) meta word with its own
-     flush+fence.  Every fence is issued split
-     ({!Nvm.Heap.sfence_split}), so commits pipeline into the device
-     queue like combined batches and only [sync] (or an acknowledging
-     caller) joins the drain;
-   - a *line commit* is the same group commit, issued by the append
-     that fills a line without tripping the watermark, right behind
-     the line's write-behind.  No one joins it.  It fires only when
-     three things hold:
-     - the heap's device has nothing queued ({!Nvm.Heap.device_idle},
-       read before the line's own write-behind queues): the commit's
-       meta drain then uses device time no one else wants.  The test
-       is heap-wide, not the tier's own tickets, so a line commit
-       never queues behind a strict tier's fences on the same shard;
-     - the line took at least one line drain to fill (the profile's
-       per-flush drain; zero without wall-clock drains).  A producer
-       that fills lines faster than the device drains them — one that
-       just joined a watermark commit and finds the device idle, say —
-       keeps batching [watermark] enqueues per commit, the batching
-       that pays where the device is the bottleneck;
-     - the caller's fences are not absorbed: the write-behind is
-       skipped then, so there is no line write to commit behind.
-     Both device conditions ask the heap ({!Nvm.Heap.device_idle},
-     {!Nvm.Heap.line_drain}, {!Nvm.Heap.device_clock}), which queues
-     drains only under an enabled wall-clock-drain profile.  Under any
-     other profile — {!Nvm.Latency.off}, the spin profiles — the device
-     always reads idle and a line needs no time to fill, so every line
-     filled short of the watermark commits, however fast the producer:
-     the watermark's batching of a producer that outruns the device
-     holds where drains queue, the profile of every load that times
-     the tier.
-
-   A group of [watermark] enqueues costs the same line flushes as when
-   the commit flushed every line itself, plus one meta flush; what
-   changes is when they drain: a commit waits for at most two line
-   drains (tail and meta), not [watermark/8 + 1].  The price is fences
-   — one per written-behind line plus one or two per commit — the
-   paper's thesis again: more fences, less waiting.  Line commits add
-   a meta flush and fence per line, paid only while the device idles:
-   a slow producer's ops are durable two drains (the line's, then the
-   meta word's) after their line fills, instead of after the
-   watermark's whole group has filled.
+     flushed content (every full line is flushed as it fills, below),
+     the cost the paper's second amendment removes;
+   - a *commit* seals the line holding entry [floor - 1]: it stores the
+     packed (floor, consumed) pair, read under the append lock, in that
+     line's seal word, flushes the line and any line no earlier commit
+     flushed, issues one split fence ({!Nvm.Heap.sfence_split}) and
+     passes the fence's ticket to [on_commit].  Four things commit, all
+     the same way: the append that fills a line (its write-behind),
+     [sync], the ring guard and a combiner handoff.  A full line thus
+     costs one flush and one fence, and its entries are durable one line
+     drain after it fills.  Only [sync] joins its drain;
+   - the watermark only paces an acknowledging producer.  The append
+     that fills the first line at or past [watermark] entries since the
+     previous pacing point is the next one: it saves its commit's
+     ticket and, when it acknowledges ([join]), waits for the ticket
+     saved at the previous point.  A device that keeps up has long
+     drained that one, so the producer never waits, while one that
+     outruns the device stays within about two watermarks of it.
 
    Concurrency.  Producers append under the lock: each writes its slot
    and its journal word, then publishes [appended] (an [Atomic]).  A
    dequeuer reads [consumed = c], checks [c < appended], reads slot
-   [c mod capacity] and CASes [consumed] from [c] to [c + 1].  Only the
-   append of entry [c + capacity] overwrites that slot, and the ring
-   guard below allows it only once the *committed* consumed floor has
-   passed [c] — after some CAS moved [consumed] past [c].  So a
-   dequeuer whose CAS succeeds read the slot before any overwrite, and
-   one that read an overwritten slot fails its CAS and retries.
+   [c mod slots] and CASes [consumed] from [c] to [c + 1].  Only the
+   append of entry [c + slots] overwrites that slot, and the ring guard
+   below allows it only once the *committed* consumed floor has passed
+   [c] — after some CAS moved [consumed] past [c].  So a dequeuer whose
+   CAS succeeds read the slot before any overwrite, and one that read an
+   overwritten slot fails its CAS and retries.
 
-   Crash safety is carried by the meta word alone (a line commit is an
-   ordinary commit, so only a trigger is new):
-   - the meta word is the only commit point.  Any surviving meta pair
-     (floor, consumed) was written after a fence covering each entry in
-     [0, floor) was issued — its line's write-behind fence, or a
-     commit's fence 1 — so the entries the pair names are always
-     intact; a torn or reverted meta word simply names an older
-     commit's pair;
-   - a write-behind fence only advances the persisted watermarks of
-     lines whose eight entries are final, and never the meta word's
-     line: every image it leads to was already a possible crash image
-     (an eviction of the same stores).  It is issued before the append
-     lock is released, so a commit from another thread that counts the
-     line as written behind (below [flushed_upto]) runs after the
-     fence.  A thread whose fences are absorbed (a combining pass over
-     the tier) writes nothing behind: its lines stay above
-     [flushed_upto] for the next commit or write-behind to flush;
-   - recovery reads the meta word, truncates the journal at its floor
-     (discarding any torn unsynced tail beyond it, and any entries
-     written behind above it) and refills slots [consumed, floor) of
-     the volatile copy from the journal: the recovered state is exactly
-     the synced floor — some commit's consistent snapshot — and the
-     lost suffix is exactly the contiguous unsynced tail.  It allocates
-     nothing: the journal region is the tier's whole NVM footprint.
-
-   The (floor, consumed) snapshot is consistent as a history cut
-   because both counters are read while holding the append lock: no
-   enqueue past [floor] had completed when the commit started, and
-   every dequeue counted in [consumed] claimed an entry below [floor].
-   Ring-slot reuse is safe because an append may overwrite slot
-   [appended - capacity] only when the *committed* consumed floor has
-   passed it, and the meta word can never revert below the last issued
-   commit (its line is fenced by every commit).  The guard runs before
-   the append writes, so a write-behind never persists an overwrite the
-   committed meta does not allow.  Line-full detection
-   ([appended mod 8 = 0]) needs ring slots to line up with cache lines,
-   so [create] accepts only line-aligned capacities. *)
+   Crash safety.  A seal is a commit record stored last into the line
+   it commits, so it needs no fence of its own: the paper's queues
+   validate a node by its own fields, and [WideUnlinkedQ] stamps each
+   line after that line's data (footnote 3, Cohen et al.), on the same
+   ground.  A line is *sealed full* when its seal word holds a floor at
+   or past the line's end, past its seventh entry.  Five points carry
+   the argument:
+   - (i) the seal is the last store to its line, so by Assumption 1 (a
+     line persists as a prefix of its stores) a surviving seal means the
+     line's entries below its floor survived, and a line sealed full
+     kept all seven;
+   - (ii) each seal is a consistent (floor, consumed) cut of the
+     history: both counters are read under the append lock, so no
+     enqueue past [floor] had completed and every dequeue counted in
+     [consumed] claimed an entry below [floor].  It carries the consumed
+     count next to the floor, so a crash drops only a suffix;
+   - (iii) the last issued commit always survives intact: its fence
+     covers its own line and every line of its window [consumed, floor)
+     not fenced before, and each of those is sealed full by then.  A
+     later store can only replace a seal with a newer one.  Recovery
+     takes the highest-floor seal whose lines, from the one holding its
+     consumed floor up, are all sealed full, so it never lands below the
+     last issued commit;
+   - (iv) before the first new append, recovery durably overwrites every
+     seal above its floor with its own seal, which names no later line.
+     Without that, a line refilled after the crash could chain onto a
+     seal written before it, and the next crash would bring back values
+     nobody acknowledged;
+   - (v) ring reuse stays behind the committed consumed floor: an append
+     may overwrite entry [i] only once the last issued commit's consumed
+     floor passed [i], so no line of a surviving window was overwritten.
+     The ring holds whole lines, so a window may straddle one line more
+     than the ring has: its lowest line then shares a ring line with its
+     highest, whose entries fill only slots below the consumed floor's,
+     and whose seal, stored after the older entries, vouches for them
+     too — hence "at or past" above.
+   A thread whose fences are absorbed (a combining pass over the tier)
+   stores its seals and flushes, but its fence lands only when its scope
+   closes, so it issues no commit: the committed cut, the ring guard and
+   other threads' commits rely on nothing it wrote, and the next issued
+   commit flushes its lines again.  It also seals nothing on the ring
+   line that holds the last issued commit's seal, so by (iii) that seal
+   survives every crash.  Recovery reads each seal word once, walks down
+   from the highest, refills slots [consumed, floor) from the journal
+   and allocates nothing: the journal region is the tier's whole NVM
+   footprint. *)
 
 let name = "BufferedQ"
 
-let meta_bits = 31
-let meta_mask = (1 lsl meta_bits) - 1
-let pack ~floor ~consumed = (floor lsl meta_bits) lor consumed
-let floor_of pair = pair lsr meta_bits
-let consumed_of pair = pair land meta_mask
+(* A seal packs one (floor, consumed) cut into a word. *)
+let consumed_bits = 31
+let consumed_mask = (1 lsl consumed_bits) - 1
+let pack ~floor ~consumed = (floor lsl consumed_bits) lor consumed
+let floor_of pair = pair lsr consumed_bits
+let consumed_of pair = pair land consumed_mask
+
+(* A journal line: [per_line] entries, then the seal word. *)
+let per_line = Nvm.Line.words_per_line - 1
+let line_of i = i / per_line
 
 type t = {
   heap : Nvm.Heap.t;
-  watermark : int;  (* enqueues per group commit *)
-  capacity : int;  (* journal ring capacity (entries) *)
+  watermark : int;  (* enqueues between an acknowledging producer's waits *)
+  capacity : int;  (* unconsumed entries allowed before [Journal_full] *)
+  lines : int;  (* ring size in journal lines *)
   join_commits : bool;
-      (* enqueue that trips the watermark joins its commit's drain:
+      (* enqueue at a pacing point waits for the previous point's commit:
          bounded durability lag at the cost of pacing the producer to
          the device (the broker's acks=leader shape) *)
   yield : unit -> unit;  (* append-lock back-off hook *)
-  entries : int;  (* base address of the journal ring *)
-  meta : int;  (* address of the packed (floor, consumed) word *)
-  slots : int array;  (* volatile copy of the ring: what dequeues read *)
-  lock : bool Atomic.t;  (* serialises appends *)
+  base : int;  (* address of ring line 0 *)
+  slots : int array;  (* volatile copy of the ring's entries *)
+  seals : int array;  (* recovery's copy of the ring's seal words *)
+  lock : bool Atomic.t;  (* serialises appends and commits *)
   appended : int Atomic.t;
       (* enqueues ever appended: written by the lock holder after the
          slot, read by dequeuers *)
-  mutable flushed_upto : int;
-      (* every entry below it sits on a line already written behind *)
   consumed : int Atomic.t;  (* dequeues ever claimed *)
-  mutable committed_floor : int;  (* floor of the last issued commit *)
+  mutable committed_floor : int;
+      (* floor of the last issued commit: every line below the one
+         holding this entry was sealed full and flushed before an issued
+         commit's fence *)
   mutable committed_consumed : int;
-  mutable last_drain : Nvm.Heap.drain;  (* last commit's ticket *)
-  mutable behind_drain : Nvm.Heap.drain;  (* last write-behind fence *)
-  mutable line_opened : float;
-      (* {!Nvm.Heap.device_clock} at the append that opened the line now
-         filling *)
+  mutable last_drain : Nvm.Heap.drain;  (* last issued commit's ticket *)
+  mutable paced_at : int;  (* [appended] at the last pacing point *)
+  mutable paced_drain : Nvm.Heap.drain;  (* the commit ticket saved there *)
   mutable on_commit :
     (floor:int -> consumed:int -> drain:Nvm.Heap.drain -> unit) option;
   mutable commits : int;  (* volatile statistics *)
@@ -171,36 +153,33 @@ let default_yield () =
 let create ?(watermark = default_watermark) ?(capacity = default_capacity)
     ?(join_commits = true) ?(yield = default_yield) heap =
   if watermark < 1 then invalid_arg "Buffered_q.create: watermark < 1";
-  if
-    capacity < Nvm.Line.words_per_line
-    || capacity > meta_mask
-    || capacity mod Nvm.Line.words_per_line <> 0
-  then invalid_arg "Buffered_q.create: bad capacity";
-  (* Entry ring (line-packed values) and, on its own line, the meta
-     word.  One region: recovery needs only its base address. *)
+  if capacity < 1 || capacity > consumed_mask then
+    invalid_arg "Buffered_q.create: bad capacity";
+  (* The ring rounds [capacity] up to whole lines.  One region: recovery
+     needs only its base address, and zeroed seals name no commit. *)
+  let lines = (capacity + per_line - 1) / per_line in
   let region =
     Nvm.Heap.alloc_region heap ~tag:Nvm.Region.Log_area
-      ~words:(capacity + Nvm.Line.words_per_line)
+      ~words:(lines * Nvm.Line.words_per_line)
   in
-  let base = Nvm.Region.base_addr region in
   {
     heap;
     watermark;
     capacity;
+    lines;
     join_commits;
     yield;
-    entries = base;
-    meta = base + capacity;
-    slots = Array.make capacity 0;
+    base = Nvm.Region.base_addr region;
+    slots = Array.make (lines * per_line) 0;
+    seals = Array.make lines 0;
     lock = Atomic.make false;
     appended = Atomic.make 0;
-    flushed_upto = 0;
     consumed = Atomic.make 0;
     committed_floor = 0;
     committed_consumed = 0;
     last_drain = Nvm.Heap.no_drain;
-    behind_drain = Nvm.Heap.no_drain;
-    line_opened = 0.;
+    paced_at = 0;
+    paced_drain = Nvm.Heap.no_drain;
     on_commit = None;
     commits = 0;
     syncs = 0;
@@ -214,105 +193,71 @@ let rec acquire t =
 
 let release t = Atomic.set t.lock false
 
-let slot t i = i mod t.capacity
-let entry_addr t i = t.entries + slot t i
+let slot t i = i mod Array.length t.slots
+let line_addr t l = t.base + ((l mod t.lines) * Nvm.Line.words_per_line)
+let entry_addr t i = line_addr t (line_of i) + (i mod per_line)
+let seal_addr t l = line_addr t l + per_line
 
-(* -- Group commit ------------------------------------------------------------ *)
+(* -- Commit ------------------------------------------------------------------ *)
 
 (* The ticket that completes last.  Under [drain_wall] the per-heap FIFO
-   device already orders a commit's meta drain after every write-behind
-   it covers; under the busy-wait profiles the tickets are independent
-   deadlines, so a commit hands out the later one. *)
+   device already orders a commit's drain after every earlier one;
+   under the busy-wait profiles the tickets are independent deadlines,
+   so a commit hands out the later one. *)
 let later a b =
   if Nvm.Heap.drain_deadline b > Nvm.Heap.drain_deadline a then b else a
 
-(* Flush the journal lines holding entries [max committed_floor
-   flushed_upto, hi) and issue a split fence over them (lock held); no
-   fence when the range is empty.  Capacity is line-aligned, so the
-   line of each entry index that is a multiple of 8 starts at its ring
-   slot. *)
-let persist_entries t ~hi =
-  let lo = max t.committed_floor t.flushed_upto in
-  if hi <= lo then Nvm.Heap.no_drain
-  else begin
-    let i = ref (lo - (lo mod Nvm.Line.words_per_line)) in
-    while !i < hi do
-      Nvm.Heap.flush t.heap (entry_addr t !i);
-      i := !i + Nvm.Line.words_per_line
-    done;
-    Nvm.Heap.sfence_split t.heap
-  end
-
-(* Write-behind (lock held): the append that fills a line persists it —
-   together with any line an earlier fill left behind — and fences at
-   once.  The excluded span keeps the fence off the appending
-   operation's span: that call never waits for the drain; whoever joins
-   the covering commit does.  Skipped while this thread's fences are
-   absorbed (a combining pass over the tier): another thread's commit
-   trusts [flushed_upto], so it may only cover a fence already issued,
-   and the commit (or the next write-behind) flushes the line instead. *)
-let write_behind t ~hi =
-  if not (Nvm.Heap.fences_absorbed t.heap) then
-    Nvm.Span.with_span ~exclude:true (Nvm.Heap.spans t.heap)
-      Instrumented.write_behind_label (fun () ->
-        t.behind_drain <- persist_entries t ~hi;
-        t.flushed_upto <- hi)
-
-(* Issue a group commit (lock held).  Returns the drain ticket covering
-   the commit and every write-behind below its floor; the caller
-   decides whether to join it.  The commit runs under a "sync" span so
-   censuses report group-commit persists separately from the
-   (fence-free) op spans; a line commit ([~line:true]) runs under an
-   excluded "line-commit" span instead, like the write-behind it
-   follows, since the appending call does not wait for it. *)
-let commit ?(line = false) t =
+(* Commit (lock held): seal the line holding entry [floor - 1], flush it
+   and every line from the one holding [committed_floor] up, and issue
+   one split fence.
+   Returns the ticket covering the commit and every earlier one; the
+   caller decides whether to join it.  A write-behind ([~behind:true])
+   runs under the excluded "write-behind" span, since the appending call
+   does not wait for it; the others run under "sync", so censuses report
+   commit persists apart from the fence-free op spans.  Under absorbed
+   fences the commit is not issued (see the header): it returns
+   {!Nvm.Heap.no_drain} and records nothing. *)
+let commit ?(behind = false) t =
   let floor = Atomic.get t.appended in
   let consumed = Atomic.get t.consumed in
+  let top = line_of (floor - 1) in
+  let absorbed = Nvm.Heap.fences_absorbed t.heap in
   if floor = t.committed_floor && consumed = t.committed_consumed then
     t.last_drain
+  else if absorbed && top - line_of (t.committed_floor - 1) >= t.lines then
+    Nvm.Heap.no_drain
   else begin
     let spans = Nvm.Heap.spans t.heap in
     let drain =
-      Nvm.Span.with_span ~exclude:line spans
-        (if line then Instrumented.line_commit_label
+      Nvm.Span.with_span ~exclude:behind spans
+        (if behind then Instrumented.write_behind_label
          else Instrumented.sync_label) (fun () ->
-          (* Fence 1 covers the entries no write-behind has: at most
-             the partial tail line.  Skipped when the commit only
-             advances [consumed] or ends on a written-behind line. *)
-          ignore (persist_entries t ~hi:floor);
-          (* Fence 2 covers the meta word, written strictly after every
-             fence covering [0, floor) was issued: a surviving meta pair
-             always names intact entries. *)
-          Nvm.Heap.write t.heap t.meta (pack ~floor ~consumed);
-          Nvm.Heap.flush t.heap t.meta;
-          let drain = later (Nvm.Heap.sfence_split t.heap) t.behind_drain in
-          t.committed_floor <- floor;
-          t.committed_consumed <- consumed;
-          t.last_drain <- drain;
-          t.commits <- t.commits + 1;
-          (* Straight after the fence, before the span closes: with only
-             the tail line and the meta word left to drain, the ticket
-             can complete a few hundred microseconds after issue, so a
-             callback that stamps the commit's issue on its own clock
-             runs with as little as possible between fence and stamp. *)
-          (match t.on_commit with
-          | Some f -> f ~floor ~consumed ~drain
-          | None -> ());
-          drain)
+          Nvm.Heap.write t.heap (seal_addr t top) (pack ~floor ~consumed);
+          for l = min (line_of t.committed_floor) top to top do
+            Nvm.Heap.flush t.heap (line_addr t l)
+          done;
+          let fence = Nvm.Heap.sfence_split t.heap in
+          if absorbed then Nvm.Heap.no_drain
+          else begin
+            let drain = later fence t.last_drain in
+            t.committed_floor <- floor;
+            t.committed_consumed <- consumed;
+            t.last_drain <- drain;
+            t.commits <- t.commits + 1;
+            (* Straight after the fence, before the span closes: a
+               commit drains one line, so its ticket can complete
+               200 µs after issue, and a callback that stamps the issue
+               on its own clock should run as close to the fence as it
+               can. *)
+            (match t.on_commit with
+            | Some f -> f ~floor ~consumed ~drain
+            | None -> ());
+            drain
+          end)
     in
-    Nvm.Span.event spans "sync:commit";
+    if not absorbed then Nvm.Span.event spans "sync:commit";
     drain
   end
-
-(* Whether the append that just filled a line issues a line commit
-   (lock held; see the header for why each condition holds).  Called
-   before the line's write-behind, which queues the line's own drain on
-   the device. *)
-let line_commit_due t =
-  (not (Nvm.Heap.fences_absorbed t.heap))
-  && Nvm.Heap.device_clock t.heap -. t.line_opened
-     >= Nvm.Heap.line_drain t.heap
-  && Nvm.Heap.device_idle t.heap
 
 (* -- Operations -------------------------------------------------------------- *)
 
@@ -320,12 +265,12 @@ exception Journal_full
 
 let enqueue ?join t v =
   acquire t;
-  let drain =
+  let due =
     match
-      (* Ring-slot reuse guard: the slot this append overwrites must be
-         consumed *as of the committed meta*, or a crash could resurrect
-         it.  A commit refreshes the committed consumed floor; if the
-         backlog truly exceeds the ring, fail loudly. *)
+      (* Ring-slot reuse guard: the entry this append overwrites must be
+         consumed *as of the last issued commit*, or a crash could
+         resurrect it.  A commit refreshes the committed consumed floor;
+         if the backlog truly reached [capacity], fail loudly. *)
       (let i = Atomic.get t.appended in
        if i - t.committed_consumed >= t.capacity then begin
          ignore (commit t);
@@ -335,19 +280,22 @@ let enqueue ?join t v =
           sees the new count sees the value. *)
        t.slots.(slot t i) <- v;
        Nvm.Heap.write t.heap (entry_addr t i) v;
-       if i mod Nvm.Line.words_per_line = 0 then
-         t.line_opened <- Nvm.Heap.device_clock t.heap;
        let hi = i + 1 in
        Atomic.set t.appended hi;
-       let trips = hi - t.committed_floor >= t.watermark in
-       if hi mod Nvm.Line.words_per_line = 0 then begin
-         let line_commit = (not trips) && line_commit_due t in
-         write_behind t ~hi;
-         (* Nobody joins a line commit; a later [sync] with nothing
-            new to cover joins its ticket. *)
-         if line_commit then ignore (commit ~line:true t)
-       end;
-       if trips then Some (commit t) else None)
+       if hi mod per_line <> 0 then None
+       else
+         (* The full line commits at once.  The first fill [watermark]
+            entries past the previous pacing point is the next one (see
+            the header); a combining pass never waits. *)
+         let drain = commit ~behind:true t in
+         if hi - t.paced_at < t.watermark || Nvm.Heap.fences_absorbed t.heap
+         then None
+         else begin
+           let due = t.paced_drain in
+           t.paced_at <- hi;
+           t.paced_drain <- drain;
+           Some due
+         end)
     with
     | d ->
         release t;
@@ -356,12 +304,12 @@ let enqueue ?join t v =
         release t;
         raise e
   in
-  (* Join outside the lock: the drain is device time, and holding the
+  (* Wait outside the lock: the drain is device time, and holding the
      append lock through it would serialise producers behind the DIMM.
      [?join] overrides the instance default per call — the broker maps
-     acks=leader onto joining and acks=none onto fire-and-forget over
+     acks=leader onto waiting and acks=none onto fire-and-forget over
      the same shard tier. *)
-  match drain with
+  match due with
   | Some d when Option.value join ~default:t.join_commits ->
       Nvm.Heap.drain_join t.heap d
   | _ -> ()
@@ -394,27 +342,64 @@ let sync t =
 
 (* -- Recovery ---------------------------------------------------------------- *)
 
-(* Post-crash: the journal region is the only persistent state.  The
-   meta word names the synced floor; everything beyond it (a torn,
-   unsynced tail, or lines written behind above it) is discarded, and
-   the live entries [consumed, floor) are copied back into their slots.
-   [flushed_upto] re-seats at the floor rounded down to a line:
-   everything below the floor is persisted, and the floor's own line
-   fills again from there. *)
+(* Post-crash: the journal region is the only persistent state.  One
+   pass copies the seal words out, noting the highest seal that names
+   its own line.  The walk then goes down the ring from that line,
+   checking that each line of the candidate's window is sealed full; a
+   line that is not also fails every candidate above it (a later commit
+   never has a lower consumed floor), so the walk moves on to the next
+   seal below that names its own line.  The window of the last issued
+   commit reaches at most one ring's length below the highest seal, so
+   neither the pass nor the walk rereads a ring line.  The chosen seal's
+   live entries are copied back into their slots, and every seal above
+   its floor is overwritten with it, durably, before any append. *)
 let recover t =
   Atomic.set t.lock false;
-  let pair = Nvm.Heap.read t.heap t.meta in
+  let m = t.lines in
+  let top = ref 0 in
+  for p = 0 to m - 1 do
+    let s = Nvm.Heap.read t.heap (seal_addr t p) in
+    t.seals.(p) <- s;
+    if line_of (floor_of s - 1) mod m = p && floor_of s > floor_of !top then
+      top := s
+  done;
+  let top_line = line_of (floor_of !top - 1) in
+  let lowest = max 0 (top_line - m) in
+  let full l = floor_of t.seals.(l mod m) >= (l + 1) * per_line in
+  let names l =
+    let f = floor_of t.seals.(l mod m) in
+    f > l * per_line && f <= (l + 1) * per_line
+  in
+  let rec chain c l =
+    if l < line_of (consumed_of c) then c
+    else if l >= lowest && full l then chain c (l - 1)
+    else next l
+  and next l =
+    if l < lowest then 0
+    else if names l then chain t.seals.(l mod m) (l - 1)
+    else next (l - 1)
+  in
+  let pair = if !top = 0 then 0 else chain !top (top_line - 1) in
   let floor = floor_of pair and consumed = consumed_of pair in
   for i = consumed to floor - 1 do
     t.slots.(slot t i) <- Nvm.Heap.read t.heap (entry_addr t i)
   done;
+  let stale = ref false in
+  for p = 0 to m - 1 do
+    if floor_of t.seals.(p) > floor then begin
+      Nvm.Heap.write t.heap (seal_addr t p) pair;
+      Nvm.Heap.flush t.heap (seal_addr t p);
+      stale := true
+    end
+  done;
+  if !stale then Nvm.Heap.sfence t.heap;
   Atomic.set t.appended floor;
-  t.flushed_upto <- floor - (floor mod Nvm.Line.words_per_line);
   Atomic.set t.consumed consumed;
   t.committed_floor <- floor;
   t.committed_consumed <- consumed;
   t.last_drain <- Nvm.Heap.no_drain;
-  t.behind_drain <- Nvm.Heap.no_drain
+  t.paced_at <- floor;
+  t.paced_drain <- Nvm.Heap.no_drain
 
 (* -- Introspection ----------------------------------------------------------- *)
 

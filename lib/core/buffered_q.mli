@@ -3,46 +3,32 @@
 
     A {e buffered durable linearizable} FIFO queue: operations take
     effect at once but their persistence may lag execution.  The queue
-    is a line-packed journal ring (eight enqueued values per cache line)
-    plus one packed (floor, consumed) meta word: the live items are the
-    journal entries [consumed, appended).  An enqueue appends under a
-    lock; a dequeue claims the oldest live entry with one CAS and reads
-    its value from a volatile copy of the ring, touching no NVM word.
-    The append that fills a journal line writes it behind at once (flush
-    and split fence, not waited for); a group commit on a watermark, on
-    {!sync}, or at a combiner handoff flushes what no write-behind
-    covered — at most the partial tail line — and publishes the meta
-    word behind its own fence.  A {e line commit} is that same commit,
-    issued right behind the write-behind by an append that fills a line
-    short of the watermark, when three things hold: the heap's device
-    has nothing queued ({!Nvm.Heap.device_idle}), so the commit uses
-    device time no one else wants and never queues behind another
-    tier's fences; the line took at least one line drain to fill, so a
-    producer that outruns the device keeps the watermark's batching;
-    and the caller's fences are not absorbed, since the write-behind
-    is skipped then.  The device conditions hold that batching only
-    where drains queue on the device (an enabled
-    {!Nvm.Latency.drain_wall} profile); under any other profile the
-    device always reads idle and every line filled short of the
-    watermark commits.  No caller joins a line commit.  The meta word is
-    the only commit point:
-    a crash keeps exactly the last issued commit's snapshot — every
-    operation covered by a commit survives, and the lost suffix is
-    exactly the contiguous unsynced tail; recovery refills the volatile
-    copy from the journal floor and allocates nothing.
+    is a journal ring of 8-word lines, each holding seven enqueued
+    values and one {e seal} word: the live items are the journal entries
+    [consumed, appended).  An enqueue appends under a lock; a dequeue
+    claims the oldest live entry with one CAS and reads its value from a
+    volatile copy of the ring, touching no NVM word.
 
-    The point of the exercise is device bandwidth: a group of [watermark]
-    enqueues costs [watermark/8 + 1] flushes instead of [watermark],
-    which under the device-bound [dimm] profile is a proportional
-    wall-clock win (strict per-op persistence pays one full drain per
-    operation no matter how fences are batched).  Writing lines behind
-    keeps that flush count and moves the drains off the commit: a
-    commit, a {!sync} or an acknowledging enqueue waits for at most two
-    line drains (tail and meta) instead of [watermark/8 + 1], at the
-    price of one fence per line — [watermark/8 + 1] or [+ 2] fences per
-    group instead of two.  Line commits add a meta flush and fence per
-    line while the device idles, and bound a slow producer's lag by a
-    line instead of the watermark. *)
+    A commit stores the packed (floor, consumed) pair, read under the
+    lock, in the seal word of the line holding entry [floor - 1], after
+    that line's entries, flushes the line (and any line no earlier
+    commit flushed) and issues one split fence.  The append that fills
+    a line commits at once, and so do {!sync}, the ring guard and a
+    combiner handoff.  A seal is the last store to its line, so by the
+    paper's Assumption 1 a surviving seal means its entries survived:
+    the seal needs no fence of its own.  A crash keeps at least the last
+    issued commit's cut — every operation covered by a commit survives,
+    and the lost suffix is exactly the contiguous uncommitted tail;
+    recovery takes the highest seal whose window's lines are all sealed
+    full, refills the volatile copy and allocates nothing.
+
+    The point of the exercise is device bandwidth: seven enqueues cost
+    one flush and one fence instead of seven, which under the
+    device-bound [dimm] profile is a proportional wall-clock win (strict
+    per-op persistence pays one full drain per operation no matter how
+    fences are batched), and an operation is durable one line drain
+    after its line fills.  The watermark triggers no commit:
+    it only paces an acknowledging producer (see {!enqueue}). *)
 
 type t
 
@@ -61,26 +47,30 @@ val create :
   Nvm.Heap.t ->
   t
 (** [create heap] allocates the journal region on [heap] (its only NVM
-    footprint) and a volatile copy of [capacity] words.  [watermark]
-    (default 64) is the group-commit size in enqueues; [capacity]
-    (default 65536) the journal ring size, a multiple of the 8-word
-    line so ring slots line up with cache lines; [join_commits] (default
-    [true]) makes the enqueue that trips the watermark join its commit's
-    drain — bounded durability lag, producer paced to the device (the
-    broker's acks=leader shape) — while [false] leaves every drain to
-    [sync].  [yield] is the append-lock back-off hook (the interleaving
-    explorer passes its fiber yield).
+    footprint) and a volatile copy of the ring.  [capacity] (default
+    65536) is the unconsumed backlog allowed before {!Journal_full}; the
+    ring rounds it up to whole seven-entry lines.  [watermark] (default
+    64) spaces the pacing points of an acknowledging producer, and
+    [join_commits] (default [true]) makes an enqueue acknowledge: at a
+    pacing point it waits for the commit saved at the previous one
+    (the broker's acks=leader shape), while [false] leaves every drain
+    to [sync].  [yield] is the append-lock back-off hook (the
+    interleaving explorer passes its fiber yield).
     @raise Invalid_argument when [watermark < 1], or [capacity] is
-    below one line, above 2{^31} - 1 or not a multiple of 8. *)
+    below 1 or above 2{^31} - 1. *)
 
 val enqueue : ?join:bool -> t -> int -> unit
-(** Append to the journal; writes the journal line
-    behind when this append fills it (and issues a line commit right
-    behind it when the device idles), and trips a group commit at the
-    watermark.  [join] overrides [join_commits] for this call (the
-    broker maps acks=leader onto [~join:true] and acks=none onto
-    [~join:false] over the same shard tier); it applies to a watermark
-    commit only, never to a line commit.
+(** Append to the journal.  The append that fills a line commits it
+    (write-behind: one flush and one split fence, not waited for).  The
+    watermark only paces: the append that fills the first line at or
+    past [watermark] entries since the previous pacing point is the next
+    one; it saves its commit's ticket and, when it acknowledges, waits
+    for the ticket saved at the previous point.  A device that keeps up
+    has drained that one already, so an acknowledging producer never
+    waits on it, while one that outruns the device stays within about
+    two watermarks of it.  [join] overrides [join_commits] for this call
+    (the broker maps acks=leader onto [~join:true] and acks=none onto
+    [~join:false] over the same shard tier).
     @raise Journal_full when the unconsumed backlog reached
     [capacity]. *)
 
@@ -90,14 +80,21 @@ val dequeue : t -> int option
     commit covering it; a crash before that replays the item. *)
 
 val sync : t -> unit
-(** The explicit persistence boundary: issue a group commit covering
-    every operation completed so far and join its drain.  On return,
-    all of them survive any later crash. *)
+(** The explicit persistence boundary: issue a commit covering every
+    operation completed so far and join its drain.  On return, all of
+    them survive any later crash.  Inside a batched-fence scope
+    ({!Nvm.Heap.with_batched_fences}) the commit's fence lands only
+    when the scope closes, so no commit is issued there: the next one
+    outside covers the operations. *)
 
 val recover : t -> unit
-(** Post-crash: read the meta word, discard the journal tail beyond its
-    floor and refill the volatile copy's entries [consumed, floor) from
-    the journal.  Allocates nothing.  Single-threaded, like every queue
+(** Post-crash: read each seal word once, take the highest-floor seal
+    whose lines, from the one holding its consumed floor up, are all
+    sealed full (the last issued commit always qualifies), refill the
+    volatile copy's entries [consumed, floor) from the journal, and
+    durably overwrite every seal above the floor with the chosen one, so
+    no line refilled later can chain onto a seal written before the
+    crash.  Allocates nothing.  Single-threaded, like every queue
     recovery. *)
 
 val instance : t -> Queue_intf.instance
@@ -128,14 +125,14 @@ val journal_value : t -> int -> int
 val set_on_commit :
   t -> (floor:int -> consumed:int -> drain:Nvm.Heap.drain -> unit) option -> unit
 (** Callback invoked (with the append lock held) right after each
-    commit's meta fence is issued, with the snapshot it published and
-    the drain ticket that completes last of its meta fence and the
-    write-behinds it covers.  The explorer uses it to persist-stamp
+    issued commit's fence, with the cut its seal published and the drain
+    ticket that completes last of its fence and every earlier
+    commit's.  The explorer uses it to persist-stamp
     history operations; the bench derives op→durable latency from the
     ticket's deadline. *)
 
 type stats = { s_commits : int; s_syncs : int }
-(** Commits issued (watermark, sync, ring guard and line commits) and
-    {!sync} calls. *)
+(** Commits issued (write-behinds, syncs, the ring guard and combiner
+    handoffs) and {!sync} calls. *)
 
 val stats : t -> stats

@@ -22,21 +22,16 @@ let combine_label = "combine"
    spans it applies observe zero. *)
 
 let sync_label = "sync"
-(* A buffered queue's group commit ({!Buffered_q}): owns the commit's
-   split fences (the partial tail line, if any, then the meta word) on
-   behalf of the whole group, while the buffered op spans themselves
+(* A buffered queue's commit on [sync], on its ring guard or at a
+   combiner handoff ({!Buffered_q}): owns the commit's one split fence
+   on behalf of the whole group, while the buffered op spans themselves
    are fence-free. *)
 
 let write_behind_label = "write-behind"
 (* A buffered queue's write-behind ({!Buffered_q}): the append that
-   fills a journal line persists it under this excluded span — one
-   flush and one split fence the appending call does not wait for.
-   Not a [setup:] label: its flushes are device work on the op path. *)
-
-let line_commit_label = "line-commit"
-(* A buffered queue's line commit ({!Buffered_q}): the group commit an
-   append issues right behind its line's write-behind while the device
-   idles.  Excluded, like "write-behind": no caller waits for it. *)
+   fills a journal line commits it under this excluded span — one flush
+   and one split fence the appending call does not wait for.  Not a
+   [setup:] label: its flushes are device work on the op path. *)
 
 let create_label = "setup:create"
 let alloc_label = "setup:alloc"  (* opened by Nvm.Heap.alloc_region *)

@@ -161,22 +161,16 @@ let census_row (spans : Nvm.Span.t) label ~ops =
   match Nvm.Span.find_aggregate spans label with
   | None -> ((0., 0., 0., 0.), (0, 0, 0, 0))
   | Some a ->
-      (* A buffered enqueue's journal write-behind and line commit run
-         under excluded spans (the appending call does not wait for
-         them), so their persists join the enqueue row's averages here;
-         the max columns stay the operation spans' own. *)
+      (* A buffered enqueue's journal write-behind runs under an
+         excluded span (the appending call does not wait for it), so
+         its persists join the enqueue row's averages here; the max
+         columns stay the operation spans' own. *)
       let sum = Nvm.Stats.zero () in
       Nvm.Stats.add sum a.Nvm.Span.sum;
       if label = Dq.Instrumented.enq_label then
-        List.iter
-          (fun behind ->
-            Option.iter
-              (fun (b : Nvm.Span.agg) -> Nvm.Stats.add sum b.Nvm.Span.sum)
-              (Nvm.Span.find_aggregate spans behind))
-          [
-            Dq.Instrumented.write_behind_label;
-            Dq.Instrumented.line_commit_label;
-          ];
+        Option.iter
+          (fun (b : Nvm.Span.agg) -> Nvm.Stats.add sum b.Nvm.Span.sum)
+          (Nvm.Span.find_aggregate spans Dq.Instrumented.write_behind_label);
       ( Nvm.Stats.per_op sum ~ops,
         ( a.Nvm.Span.max_flushes,
           a.Nvm.Span.max_fences,

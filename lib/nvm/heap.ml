@@ -621,20 +621,6 @@ type drain = { until : float }
 let no_drain = { until = 0. }
 let drain_deadline d = d.until
 
-(* The device queue as a caller sees it.  Without wall-clock drains
-   nothing is ever queued: the device always reads idle, a line drains
-   in no time, and the clock is not read (it reads 0.), so cost-free
-   runs stay deterministic. *)
-let device_idle t =
-  (not (wall_drains t)) || Atomic.get t.device_free_at <= Unix.gettimeofday ()
-
-let device_clock t = if wall_drains t then Unix.gettimeofday () else 0.
-
-let line_drain t =
-  if wall_drains t then
-    float_of_int t.latency.Latency.fence_per_flush_ns *. 1e-9
-  else 0.
-
 let sfence_split t =
   step t;
   let tid = Tid.get () in

@@ -134,22 +134,6 @@ val sfence_split : t -> drain
     Inside a {!with_batched_fences} scope it is absorbed like any other
     fence and returns {!no_drain}. *)
 
-val device_idle : t -> bool
-(** Whether the heap's simulated device has nothing queued: every drain
-    reserved on it so far has completed by {!device_clock}.  Always
-    [true] unless an enabled {!Latency.drain_wall} profile queues
-    drains on the device; the spin profiles model no device queue. *)
-
-val device_clock : t -> float
-(** The clock the device queue reads, in seconds: wall-clock time under
-    an enabled {!Latency.drain_wall} profile, [0.] otherwise (the clock
-    is not read, so cost-free runs stay deterministic). *)
-
-val line_drain : t -> float
-(** Seconds of device time one flushed line's drain takes: the
-    per-flush drain of an enabled {!Latency.drain_wall} profile, [0.]
-    otherwise. *)
-
 val drain_join : t -> drain -> unit
 (** Wait out the remainder of a split fence's drain: a busy-wait under
     spin profiles, a wall-clock sleep under {!Latency.drain_wall}

@@ -88,21 +88,12 @@ let audit ~name heap =
 type op = Enq of int | Deq | Sync
 
 (* What an exploration runs: a registry queue (strict), or the
-   buffered-durability tier, which runs no registry algorithm, at one of
-   two fixed group-commit watermarks. *)
-type tier = Strict of Dq.Registry.entry | Buffered of { watermark : int }
-
-(* Watermark 4 trips commits mid-plan, before any line can fill short of
-   it.  Watermark 12 sits above one line: under the explorer's
-   cost-free device, whose lines need no time to fill and which always
-   idles, every line filled short of it commits behind its
-   write-behind. *)
-let watermark_commits = Buffered { watermark = 4 }
-let line_commits = Buffered { watermark = 12 }
+   buffered-durability tier, which runs no registry algorithm. *)
+type tier = Strict of Dq.Registry.entry | Buffered
 
 let tier_name = function
   | Strict entry -> entry.Dq.Registry.name
-  | Buffered _ -> Dq.Buffered_q.name
+  | Buffered -> Dq.Buffered_q.name
 
 (* Run one exploration: [plans.(i)] is fiber [i]'s operation sequence;
    [crash_at = Some s] injects a full-system crash after [s] scheduler
@@ -116,18 +107,18 @@ let explore ~policy ~combining ~crash_finished tier ~seed ~plans ~crash_at :
   Nvm.Tid.reset ();
   Nvm.Tid.set n (* the orchestrating thread sits after the fibers *);
   let heap = Nvm.Heap.create ~mode:Nvm.Heap.Checked ~latency:Nvm.Latency.off () in
-  (* The buffered tier runs with a two-line ring so a plan of 17
-     enqueues wraps it; the concrete handle is kept for
+  (* The buffered tier runs with a two-line ring (14 entries) so a plan
+     of 15 enqueues wraps it; the concrete handle is kept for
      persist-stamping, instrumentation goes on top.  Its name has no row
      in the bounds table: its op spans legitimately own a whole commit's
-     fences when they trip the watermark. *)
+     fence when their append hits the ring guard. *)
   let buf, q0 =
     match tier with
-    | Buffered { watermark } ->
+    | Buffered ->
         let b =
           Nvm.Span.with_span ~exclude:true (Nvm.Heap.spans heap)
             Dq.Instrumented.create_label (fun () ->
-              Dq.Buffered_q.create ~watermark ~capacity:16 ~yield heap)
+              Dq.Buffered_q.create ~capacity:14 ~yield heap)
         in
         (Some b, Dq.Instrumented.wrap heap (Dq.Buffered_q.instance b))
     | Strict entry ->
@@ -248,7 +239,7 @@ let explore_once ?(policy = Nvm.Crash.Random_evictions) ?(combining = false)
    its plan crash-free, then crashes it at a step drawn within that
    run's length, the last one crashing the finished run. *)
 let campaign_of ~policy ~combining tier ~rounds:n : (unit, string) result =
-  let buffered = match tier with Buffered _ -> true | Strict _ -> false in
+  let buffered = match tier with Buffered -> true | Strict _ -> false in
   let shown_name =
     tier_name tier ^ if combining then Dq.Combining_q.name_suffix else ""
   in
@@ -298,21 +289,22 @@ let campaign ?(policy = Nvm.Crash.Random_evictions) ?(combining = false) entry
   campaign_of ~policy ~combining (Strict entry) ~rounds
 
 let buffered_campaign ~policy ~rounds =
-  campaign_of ~policy ~combining:false watermark_commits ~rounds
+  campaign_of ~policy ~combining:false Buffered ~rounds
 
 (* -- Directed buffered sweep -------------------------------------------------
 
-   Campaign plans hold at most nine operations, so they never fill an
-   eight-entry journal line or wrap the ring: the write-behind and
-   ring-slot reuse are reached only by a directed plan long enough to do
-   both.  The sweep crashes one fixed schedule of such a plan at every
-   step, through the point after its last operation returned, so every
-   write-behind, commit and slot overwrite is crashed on both sides. *)
-let sweep_tier tier ~policy ~seed ~plans : (unit, string) result =
+   Campaign plans hold at most nine operations, so they seldom fill a
+   seven-entry journal line and never wrap the ring: the write-behind
+   and ring-slot reuse are reached only by a directed plan long enough
+   to do both.  The sweep crashes one fixed schedule of such a plan at
+   every step, through the point after its last operation returned, so
+   every write-behind, commit and slot overwrite is crashed on both
+   sides. *)
+let buffered_sweep ~policy ~seed ~plans : (unit, string) result =
   let rec sweep k =
     match
-      explore ~policy ~combining:false ~crash_finished:true tier ~seed ~plans
-        ~crash_at:(Some k)
+      explore ~policy ~combining:false ~crash_finished:true Buffered ~seed
+        ~plans ~crash_at:(Some k)
     with
     | Ok (Some _) -> Ok ()
     | Ok None -> sweep (k + 1)
@@ -322,9 +314,6 @@ let sweep_tier tier ~policy ~seed ~plans : (unit, string) result =
              Dq.Buffered_q.name seed k (Nvm.Crash.policy_name policy) e)
   in
   sweep 1
-
-let buffered_sweep = sweep_tier watermark_commits
-let line_commit_sweep = sweep_tier line_commits
 
 (* -- Directed checkpoint-flip boundary campaign ---------------------------
 

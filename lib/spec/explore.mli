@@ -79,14 +79,14 @@ val campaign :
 
 (** {1 The buffered-durability tier}
 
-    The explorer runs {!Dq.Buffered_q} (watermark 4, or 12 in
-    {!line_commit_sweep}; a 16-entry ring) with its append lock
-    yielding through the scheduler.  [Sync] plan
-    operations hit the explicit persistence boundary, issued commits
-    persist-stamp the operations they cover, and a crashed run is
-    judged by {!Lin_check.check_crash_cut}: the post-recovery drain must
-    be a linearizable prefix keeping everything stamped, with the
-    unsynced suffix gone as a unit. *)
+    The explorer runs {!Dq.Buffered_q} (a two-line ring of 14 entries)
+    with its append lock yielding through the scheduler.  Every journal
+    line commits as it fills, and [Sync] plan operations hit the
+    explicit persistence boundary; issued commits persist-stamp the
+    operations they cover, and a crashed run is judged by
+    {!Lin_check.check_crash_cut}: the post-recovery drain must be a
+    linearizable prefix keeping everything stamped, with the uncommitted
+    suffix gone as a unit. *)
 
 val buffered_campaign :
   policy:Nvm.Crash.policy -> rounds:int -> (unit, string) result
@@ -105,20 +105,9 @@ val buffered_sweep :
     before the first primitive through the point after the last
     operation returned, under [policy]; every crashed run is judged by
     the crash-cut checker and audited.  For plans long enough to fill
-    journal lines and wrap the 16-entry ring — which the campaign's
+    journal lines and wrap the 14-entry ring — which the campaign's
     plans never do.  Keep total operations within
     {!Lin_check.max_ops}. *)
-
-val line_commit_sweep :
-  policy:Nvm.Crash.policy ->
-  seed:int ->
-  plans:op list array ->
-  (unit, string) result
-(** {!buffered_sweep} with the tier at watermark 12, above one journal
-    line.  The explorer's device costs nothing, so it always idles and
-    a line needs no time to fill: every line filled short of the
-    watermark commits behind its write-behind, and a plan without
-    [Sync] crashes across line commits. *)
 
 val checkpoint_flip_once :
   ?policy:Nvm.Crash.policy ->

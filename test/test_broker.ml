@@ -1113,6 +1113,50 @@ let test_promotion_keeps_fifo () =
     (Broker.Service.total_durability_lag service);
   Alcotest.(check (list int)) "1 2 3" [ 1; 2; 3 ] (drain_seqs service ~stream:0)
 
+(* The costs behind DESIGN §12.3 "One tier per shard?": persists per
+   enqueue, 64 enqueues on one shard (Latency.off), for an all-synced
+   stream on the strict tier, for one placed on the journal (each item
+   appended, then synced) and, for reference, for a leader stream.  A
+   sync seals the tail line, so an all-synced item costs one fence and
+   one flush on either tier; on the journal each append but a fresh
+   line's first also writes the line the previous sync flushed. *)
+let test_all_synced_cost_per_tier () =
+  let per_op ~acks ~placed =
+    fresh_tid ();
+    let service = Broker.Service.create ~shards:1 ~buffered:true () in
+    if placed then begin
+      Broker.Service.set_stream_acks service ~stream:0 Broker.Service.Acks_none;
+      accept "placing enqueue"
+        (Broker.Service.enqueue service ~stream:0 (enc ~producer:0 ~seq:0));
+      Broker.Service.sync_all service
+    end;
+    Broker.Service.set_stream_acks service ~stream:0 acks;
+    let heap = Broker.Shard.heap (Broker.Service.shards service).(0) in
+    let before = Nvm.Stats.snapshot (Nvm.Heap.stats heap) in
+    for seq = 1 to 64 do
+      accept "enqueue"
+        (Broker.Service.enqueue service ~stream:0 (enc ~producer:0 ~seq))
+    done;
+    let d = Nvm.Stats.diff_total (Nvm.Heap.stats heap) ~since:before in
+    List.map
+      (fun n -> float_of_int n /. 64.)
+      [
+        d.Nvm.Stats.fences;
+        d.Nvm.Stats.flushes;
+        Nvm.Stats.post_flush_accesses d;
+      ]
+  in
+  let row = Alcotest.(list (float 1e-9)) in
+  Alcotest.check row "all-synced, strict tier: fences, flushes, post-flush"
+    [ 1.; 1.; 0. ]
+    (per_op ~acks:Broker.Service.Acks_all_synced ~placed:false);
+  Alcotest.check row "all-synced, journal (append + sync)"
+    [ 1.; 1.; 55. /. 64. ]
+    (per_op ~acks:Broker.Service.Acks_all_synced ~placed:true);
+  Alcotest.check row "leader, journal"
+    [ 9. /. 64.; 9. /. 64.; 0. ]
+    (per_op ~acks:Broker.Service.Acks_leader ~placed:false)
+
 (* A drained buffered tier is not enough to move a stream back to the
    strict tier: the dequeues of 1 and 2 are not committed, so a crash
    brings them back, and they must still come out ahead of 3. *)
@@ -1433,6 +1477,8 @@ let () =
             `Quick
             (test_promotion_after_drain_crash Nvm.Crash.Only_persisted);
           QCheck_alcotest.to_alcotest prop_tier_changes;
+          Alcotest.test_case "an all-synced item costs one fence per tier"
+            `Quick test_all_synced_cost_per_tier;
           Alcotest.test_case "1,000 heal cycles keep the heap bounded" `Slow
             test_heal_cycles_bounded_heap;
         ] );

@@ -1,11 +1,11 @@
-(* Tests for the buffered-durability tier: the group-commit journal
-   queue (lib/core/buffered_q.ml) — watermark commits, the explicit
-   [sync] boundary, line commits on an idle device, journal-floor
-   recovery that allocates nothing, ring-full refusal, claim-by-CAS
-   dequeues under slot reuse — and the
-   broker's per-stream acks levels mapped onto it: tier routing, level
-   validation, sync verdicts, and a full-system crash recovering exactly
-   the synced floor. *)
+(* Tests for the buffered-durability tier: the journal queue
+   (lib/core/buffered_q.ml) — a commit as each line fills, the explicit
+   [sync] boundary, the watermark's pacing, recovery from the highest
+   seal whose lines are sealed full (allocating nothing and reading each
+   seal once), ring-full refusal, claim-by-CAS dequeues under slot
+   reuse — and the broker's per-stream acks levels mapped onto it: tier
+   routing, level validation, sync verdicts, and a full-system crash
+   recovering exactly the synced floor. *)
 
 let fresh_tid () =
   Nvm.Tid.reset ();
@@ -21,8 +21,7 @@ let make_buffered ?watermark ?capacity ?join_commits ?(mode = Nvm.Heap.Checked)
   (heap, Dq.Buffered_q.create ?watermark ?capacity ?join_commits heap)
 
 (* Fences that drain on a wall-clock device, one line in [line_ms]
-   milliseconds ({!Nvm.Latency.dimm_wall}, rescaled): the device the
-   line-commit rule observes. *)
+   milliseconds ({!Nvm.Latency.dimm_wall}, rescaled). *)
 let wall_latency ~line_ms =
   {
     Nvm.Latency.dimm_wall with
@@ -40,8 +39,8 @@ let enqueue_range ?join b lo hi =
     Dq.Buffered_q.enqueue ?join b v
   done
 
-(* Queue [lines] line drains on [heap]'s device from a spare region;
-   the device reads busy until the returned ticket's deadline. *)
+(* Queue [lines] line drains on [heap]'s device from a spare region:
+   a drain issued next completes only after them. *)
 let queue_drains heap ~lines =
   let base =
     Nvm.Region.base_addr
@@ -55,29 +54,53 @@ let queue_drains heap ~lines =
   done;
   Nvm.Heap.sfence_split heap
 
-let span_count heap label =
+let span_agg heap label =
   match Nvm.Span.find_aggregate (Nvm.Heap.spans heap) label with
-  | None -> 0
-  | Some a -> a.Nvm.Span.count
+  | None -> Alcotest.failf "no %S span" label
+  | Some a -> a
+
+(* The journal layout ([Buffered_q]'s header): a ring of 8-word lines,
+   seven entries and then the seal word, in the heap's one log region.
+   Used to write crash images directly. *)
+let per_line = Nvm.Line.words_per_line - 1
+let ring_lines ~capacity = (capacity + per_line - 1) / per_line
+
+let seal_addr heap ~capacity l =
+  let base = ref 0 in
+  Nvm.Heap.iter_regions ~tag:Nvm.Region.Log_area heap ~f:(fun r ->
+      base := Nvm.Region.base_addr r);
+  !base + ((l mod ring_lines ~capacity) * Nvm.Line.words_per_line) + per_line
+
+(* Lose line [l]'s seal from a crash image, as an eviction can when the
+   seal was stored but not yet fenced. *)
+let lose_seal heap ~capacity l =
+  let a = seal_addr heap ~capacity l in
+  Nvm.Heap.write heap a 0;
+  Nvm.Heap.persist_line heap a
 
 (* -- Buffered_q: group commits ---------------------------------------------- *)
 
-let test_watermark_commit () =
-  let _, b = make_buffered ~watermark:4 () in
-  for v = 1 to 3 do
-    Dq.Buffered_q.enqueue b v
-  done;
-  Alcotest.(check int) "below watermark: no commit" 0
-    (Dq.Buffered_q.committed_floor b);
-  Alcotest.(check int) "lag is the uncommitted tail" 3
+(* The append that fills a journal line commits it at once, under an
+   excluded "write-behind" span: one flush and one fence for the line,
+   whatever the watermark. *)
+let test_line_fill_commits () =
+  let heap, b = make_buffered ~watermark:64 () in
+  enqueue_range b 1 6;
+  Alcotest.(check int) "no commit mid-line" 0 (Dq.Buffered_q.committed_floor b);
+  Alcotest.(check int) "lag is the open line" 6
     (Dq.Buffered_q.durability_lag b);
-  Dq.Buffered_q.enqueue b 4;
-  Alcotest.(check int) "watermark trips the commit" 4
+  Dq.Buffered_q.enqueue b 7;
+  Alcotest.(check int) "the full line commits" 7
     (Dq.Buffered_q.committed_floor b);
   Alcotest.(check int) "lag paid down" 0 (Dq.Buffered_q.durability_lag b);
   let s = Dq.Buffered_q.stats b in
   Alcotest.(check int) "one commit" 1 s.Dq.Buffered_q.s_commits;
-  Alcotest.(check int) "no explicit sync" 0 s.Dq.Buffered_q.s_syncs
+  Alcotest.(check int) "no explicit sync" 0 s.Dq.Buffered_q.s_syncs;
+  let a = span_agg heap Dq.Instrumented.write_behind_label in
+  Alcotest.(check (list int)) "one write-behind: a flush and a fence"
+    [ 1; 1; 1 ]
+    [ a.Nvm.Span.count; a.Nvm.Span.sum.Nvm.Stats.flushes;
+      a.Nvm.Span.sum.Nvm.Stats.fences ]
 
 let test_sync_boundary () =
   let _, b = make_buffered ~watermark:64 () in
@@ -97,13 +120,13 @@ let test_sync_boundary () =
     (Dq.Buffered_q.committed_consumed b)
 
 let test_join_override () =
-  (* join only changes whether the producer waits for the drain; the
+  (* join only changes whether the producer waits for a drain; the
      commit itself (and the floor) is identical either way. *)
   let _, b = make_buffered ~watermark:4 ~join_commits:false () in
-  for v = 1 to 4 do
+  for v = 1 to 7 do
     Dq.Buffered_q.enqueue ~join:(v mod 2 = 0) b v
   done;
-  Alcotest.(check int) "floor advanced regardless of join" 4
+  Alcotest.(check int) "floor advanced regardless of join" 7
     (Dq.Buffered_q.committed_floor b)
 
 let test_queue_semantics () =
@@ -135,59 +158,62 @@ let test_journal_full () =
   Dq.Buffered_q.enqueue b 9;
   Alcotest.(check int) "append resumed" 9 (Dq.Buffered_q.appended b)
 
-(* Ring slots must line up with cache lines: a line-full append writes
-   its line behind, and the meta word needs a line of its own. *)
-let test_capacity_line_aligned () =
+(* [capacity] counts unconsumed entries, not ring slots: the ring
+   rounds it up to whole seven-entry lines, and an append still fails
+   once the backlog reaches [capacity]. *)
+let test_capacity_counts_entries () =
   List.iter
     (fun capacity ->
       match make_buffered ~capacity () with
       | _ -> Alcotest.failf "capacity %d accepted" capacity
       | exception Invalid_argument _ -> ())
-    [ 4; 12; 20 ];
-  let _, b = make_buffered ~capacity:16 () in
-  for v = 1 to 16 do
-    Dq.Buffered_q.enqueue b v
-  done;
-  Alcotest.(check int) "16-entry ring takes 16" 16 (Dq.Buffered_q.appended b)
+    [ 0; -1 ];
+  let _, b = make_buffered ~capacity:12 () in
+  enqueue_range b 1 12;
+  (try
+     Dq.Buffered_q.enqueue b 13;
+     Alcotest.fail "a 12-entry journal took a 13th"
+   with Dq.Buffered_q.Journal_full -> ());
+  Alcotest.(check int) "12 taken in a two-line ring" 12
+    (Dq.Buffered_q.appended b)
 
 (* A thread whose fences are absorbed (a combining pass over the tier)
-   writes nothing behind: another thread's commit must then persist the
-   line itself rather than trust a fence that has not been issued. *)
+   issues no commit: the line it fills is sealed and flushed, but its
+   fence lands only when the scope closes, so the committed cut does not
+   move and no callback runs.  Another thread's commit must then flush
+   that line again rather than trust a fence that has not been
+   issued. *)
 let test_absorbed_write_behind () =
   let heap, b = make_buffered ~watermark:64 () in
-  let spans = Nvm.Heap.spans heap in
+  let commits = ref 0 in
+  Dq.Buffered_q.set_on_commit b
+    (Some (fun ~floor:_ ~consumed:_ ~drain:_ -> incr commits));
   let tid0 = Nvm.Tid.get () in
   Nvm.Heap.with_batched_fences heap (fun () ->
-      for v = 1 to 8 do
-        Dq.Buffered_q.enqueue b v
-      done;
-      Alcotest.(check bool) "no write-behind under absorbed fences" true
-        (Nvm.Span.find_aggregate spans Dq.Instrumented.write_behind_label
-        = None);
+      enqueue_range b 1 8;
+      Alcotest.(check int) "no commit under absorbed fences" 0
+        (Dq.Buffered_q.committed_floor b);
+      Alcotest.(check int) "no callback" 0 !commits;
       Nvm.Tid.set (Nvm.Tid.register ());
       Dq.Buffered_q.sync b;
       Nvm.Tid.set tid0);
-  match Nvm.Span.find_aggregate spans Dq.Instrumented.sync_label with
-  | None -> Alcotest.fail "no commit span"
-  | Some a ->
-      Alcotest.(check int) "the commit flushes the line and the meta word" 2
-        a.Nvm.Span.sum.Nvm.Stats.flushes;
-      Alcotest.(check int) "and fences both" 2 a.Nvm.Span.sum.Nvm.Stats.fences
+  Alcotest.(check int) "the other thread's commit" 8
+    (Dq.Buffered_q.committed_floor b);
+  let a = span_agg heap Dq.Instrumented.sync_label in
+  Alcotest.(check int) "flushes the filled line and the tail" 2
+    a.Nvm.Span.sum.Nvm.Stats.flushes;
+  Alcotest.(check int) "under one fence" 1 a.Nvm.Span.sum.Nvm.Stats.fences
 
 let test_on_commit_callback () =
   let _, b = make_buffered ~watermark:2 () in
   let seen = ref [] in
   Dq.Buffered_q.set_on_commit b
     (Some (fun ~floor ~consumed ~drain:_ -> seen := (floor, consumed) :: !seen));
-  for v = 1 to 4 do
-    Dq.Buffered_q.enqueue b v
-  done;
+  enqueue_range b 1 9;
   ignore (Dq.Buffered_q.dequeue b);
   Dq.Buffered_q.sync b;
   Alcotest.(check (list (pair int int)))
-    "snapshots in commit order"
-    [ (4, 1); (4, 0); (2, 0) ]
-    !seen
+    "cuts in commit order" [ (9, 1); (7, 0) ] !seen
 
 (* [sync] counts itself under the append lock: two domains syncing at
    once lose no count. *)
@@ -210,133 +236,70 @@ let test_concurrent_syncs_count () =
   Alcotest.(check int) "every sync counted" (2 * per)
     (Dq.Buffered_q.stats b).Dq.Buffered_q.s_syncs
 
-(* -- Buffered_q: line commits ------------------------------------------------
+(* -- Buffered_q: the watermark paces ------------------------------------------
 
-   An append that fills a journal line without tripping the watermark
-   commits at once, behind the line's write-behind, when the heap's
-   device has nothing queued, the line took at least one line drain to
-   fill, and the caller's fences are not absorbed. *)
+   The watermark triggers no commit.  The append that fills the first
+   line at or past [watermark] entries since the previous pacing point
+   is the next one; an acknowledging producer there waits for the
+   commit ticket saved at the previous point. *)
 
-(* A line filled slowly on an idle device commits at once: the floor
-   moves to the line's end, and the commit's ticket completes after the
-   line's drain and then the meta word's. *)
-let test_line_commit_on_idle_device () =
-  let line_ms = 2 in
+(* A device that keeps up never makes a leader wait: each pacing point
+   joins a ticket that drained while the next line filled. *)
+let test_idle_device_never_waits () =
+  let line_ms = 50 in
   let heap = wall_heap ~line_ms in
-  let b = Dq.Buffered_q.create ~watermark:64 ~capacity:64 heap in
-  let seen = ref [] in
+  let b = Dq.Buffered_q.create ~watermark:7 ~capacity:64 heap in
+  let slowest = ref 0. in
+  for v = 1 to 28 do
+    if v mod per_line = 1 then Unix.sleepf (2. *. line_s ~line_ms);
+    let t0 = Unix.gettimeofday () in
+    Dq.Buffered_q.enqueue ~join:true b v;
+    slowest := Float.max !slowest (Unix.gettimeofday () -. t0)
+  done;
+  Alcotest.(check int) "every line committed" 28
+    (Dq.Buffered_q.committed_floor b);
+  Alcotest.(check bool)
+    (Printf.sprintf "no call waited out a drain (slowest %.1f ms)"
+       (!slowest *. 1e3))
+    true
+    (!slowest < 0.5 *. line_s ~line_ms)
+
+(* A leader that outruns the device is paced to it: back-to-back
+   appends at watermark 14 wait at every other line, so the producer
+   ends about the device's drain time behind its first append, and on
+   return from every call at most two watermarks and a line are
+   written but not yet durable. *)
+let test_outrunning_producer_is_paced () =
+  let line_ms = 4 in
+  let heap = wall_heap ~line_ms in
+  let b = Dq.Buffered_q.create ~watermark:14 ~capacity:256 heap in
+  let drains = ref [] in
   Dq.Buffered_q.set_on_commit b
     (Some
-       (fun ~floor ~consumed ~drain ->
-         seen := (floor, consumed, Nvm.Heap.drain_deadline drain) :: !seen));
-  Dq.Buffered_q.enqueue b 1;
-  Unix.sleepf (1.5 *. line_s ~line_ms);
-  enqueue_range b 2 7;
-  Alcotest.(check int) "no commit mid-line" 0 (Dq.Buffered_q.committed_floor b);
-  let before = Unix.gettimeofday () in
-  Dq.Buffered_q.enqueue b 8;
-  Alcotest.(check int) "the floor moves to the line's end" 8
-    (Dq.Buffered_q.committed_floor b);
-  Alcotest.(check int) "no lag" 0 (Dq.Buffered_q.durability_lag b);
-  Alcotest.(check int) "one line commit" 1
-    (span_count heap Dq.Instrumented.line_commit_label);
-  Alcotest.(check int) "not a sync span" 0
-    (span_count heap Dq.Instrumented.sync_label);
-  let s = Dq.Buffered_q.stats b in
-  Alcotest.(check int) "counted as a commit" 1 s.Dq.Buffered_q.s_commits;
-  Alcotest.(check int) "no sync" 0 s.Dq.Buffered_q.s_syncs;
-  match !seen with
-  | [ (floor, consumed, deadline) ] ->
-      Alcotest.(check (pair int int)) "the callback's snapshot" (8, 0)
-        (floor, consumed);
-      Alcotest.(check bool) "ticket after the line and the meta drain" true
-        (deadline >= before +. (2. *. line_s ~line_ms) -. 1e-6)
-  | l -> Alcotest.failf "%d commit callbacks" (List.length l)
-
-(* A line filled back to back — faster than the device drains a line —
-   is written behind but does not commit: the floor waits for the
-   watermark. *)
-let test_fast_line_waits_for_watermark () =
-  let heap = wall_heap ~line_ms:200 in
-  let b =
-    Dq.Buffered_q.create ~watermark:16 ~capacity:64 ~join_commits:false heap
+       (fun ~floor ~consumed:_ ~drain ->
+         drains := (floor, Nvm.Heap.drain_deadline drain) :: !drains));
+  let durable now =
+    List.fold_left
+      (fun acc (floor, deadline) ->
+        if deadline <= now then max acc floor else acc)
+      0 !drains
   in
-  enqueue_range b 1 8;
-  Alcotest.(check int) "the line is written behind" 1
-    (span_count heap Dq.Instrumented.write_behind_label);
-  Alcotest.(check int) "but not committed" 0 (Dq.Buffered_q.committed_floor b);
-  enqueue_range b 9 16;
-  Alcotest.(check int) "the watermark commits" 16
-    (Dq.Buffered_q.committed_floor b);
-  Alcotest.(check int) "one commit, no line commit" 1
-    (Dq.Buffered_q.stats b).Dq.Buffered_q.s_commits;
-  Alcotest.(check int) "no line-commit span" 0
-    (span_count heap Dq.Instrumented.line_commit_label)
-
-(* A line filled slowly while another drain is queued on the same heap
-   does not commit; once the device has drained, the next slow line
-   does. *)
-let test_busy_device_defers_line () =
-  let line_ms = 2 in
-  let heap = wall_heap ~line_ms in
-  let b = Dq.Buffered_q.create ~watermark:64 ~capacity:64 heap in
-  Dq.Buffered_q.enqueue b 1;
-  Unix.sleepf (1.5 *. line_s ~line_ms);
-  ignore (queue_drains heap ~lines:100);
-  enqueue_range b 2 8;
-  Alcotest.(check int) "written behind" 1
-    (span_count heap Dq.Instrumented.write_behind_label);
-  Alcotest.(check int) "no commit behind a queued drain" 0
-    (Dq.Buffered_q.committed_floor b);
-  while not (Nvm.Heap.device_idle heap) do
-    Unix.sleepf 1e-3
+  let lines = 12 in
+  let t0 = Unix.gettimeofday () in
+  let worst = ref 0 in
+  for v = 1 to lines * per_line do
+    Dq.Buffered_q.enqueue ~join:true b v;
+    worst := max !worst (v - durable (Unix.gettimeofday ()))
   done;
-  Dq.Buffered_q.enqueue b 9;
-  Unix.sleepf (1.5 *. line_s ~line_ms);
-  enqueue_range b 10 16;
-  Alcotest.(check int) "the idle device commits the next line" 16
-    (Dq.Buffered_q.committed_floor b)
-
-(* No line commit under absorbed fences (a combining pass): the line is
-   not written behind, so there is nothing to commit behind.  Outside
-   the scope the next line commits (the device of [Latency.off] always
-   idles, and its lines need no time to fill). *)
-let test_absorbed_fences_no_line_commit () =
-  let heap, b = make_buffered ~watermark:64 () in
-  Nvm.Heap.with_batched_fences heap (fun () -> enqueue_range b 1 8);
-  Alcotest.(check int) "no commit under absorbed fences" 0
-    (Dq.Buffered_q.stats b).Dq.Buffered_q.s_commits;
-  Alcotest.(check int) "the floor stays" 0 (Dq.Buffered_q.committed_floor b);
-  enqueue_range b 9 16;
-  Alcotest.(check int) "outside the scope the line commits" 16
-    (Dq.Buffered_q.committed_floor b);
-  Alcotest.(check int) "one line commit" 1
-    (span_count heap Dq.Instrumented.line_commit_label)
-
-(* An acks=leader enqueue ([~join:true]) never joins a line commit: it
-   issues the commit and returns without a "drain:join", while one that
-   trips the watermark joins its commit. *)
-let test_leader_never_joins_line_commit () =
-  let line_ms = 20 in
-  let heap = wall_heap ~line_ms in
-  let spans = Nvm.Heap.spans heap in
-  Nvm.Span.set_tracing spans ~capacity:256;
-  let joins () =
-    List.length
-      (List.filter
-         (fun (c : Nvm.Span.closed) -> c.Nvm.Span.instant && c.label = "drain:join")
-         (Nvm.Span.trace spans))
-  in
-  let b = Dq.Buffered_q.create ~watermark:16 ~capacity:64 heap in
-  Dq.Buffered_q.enqueue ~join:true b 1;
-  Unix.sleepf (1.5 *. line_s ~line_ms);
-  enqueue_range ~join:true b 2 8;
-  Alcotest.(check int) "the line committed" 8 (Dq.Buffered_q.committed_floor b);
-  Alcotest.(check int) "without a join" 0 (joins ());
-  enqueue_range ~join:true b 9 24;
-  Alcotest.(check int) "the watermark commit" 24
-    (Dq.Buffered_q.committed_floor b);
-  Alcotest.(check int) "is joined" 1 (joins ())
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most two watermarks and a line undrained (%d)" !worst)
+    true
+    (!worst <= (2 * 14) + per_line);
+  Alcotest.(check bool)
+    (Printf.sprintf "paced to the device (%.1f ms)" (elapsed *. 1e3))
+    true
+    (elapsed >= float_of_int (lines - 4) *. line_s ~line_ms)
 
 (* Claim-by-CAS dequeues under slot reuse: two producers and two
    consumers on a 16-slot ring.  A producer that meets a full ring syncs
@@ -463,18 +426,36 @@ let crash ?(policy = Nvm.Crash.Only_persisted) heap seed =
   fresh_tid ()
 
 let test_recover_floor () =
-  let heap, b = make_buffered ~watermark:4 () in
-  for v = 1 to 6 do
-    Dq.Buffered_q.enqueue b v
-  done;
-  (* floor 4 (one watermark commit); 5 and 6 are the unsynced tail. *)
+  let heap, b = make_buffered () in
+  enqueue_range b 1 9;
+  (* floor 7 (the first line's commit); 8 and 9 are the unsynced tail. *)
   crash heap 42;
   Dq.Buffered_q.recover b;
   let q = Dq.Buffered_q.instance b in
-  Alcotest.(check (list int)) "exactly the committed prefix" [ 1; 2; 3; 4 ]
+  Alcotest.(check (list int)) "exactly the committed prefix"
+    [ 1; 2; 3; 4; 5; 6; 7 ]
     (q.Dq.Queue_intf.to_list ());
-  Alcotest.(check int) "appended reset to floor" 4 (Dq.Buffered_q.appended b);
+  Alcotest.(check int) "appended reset to floor" 7 (Dq.Buffered_q.appended b);
   Alcotest.(check int) "no residual lag" 0 (Dq.Buffered_q.durability_lag b)
+
+(* A full line's commit is a whole cut: its fence alone persists the
+   line, with no sync behind it, and its seal carries the consumed count
+   next to the floor, so the dequeues it covers stay dequeued. *)
+let test_line_commit_is_a_cut () =
+  List.iter
+    (fun policy ->
+      let heap, b = make_buffered () in
+      enqueue_range b 1 3;
+      ignore (Dq.Buffered_q.dequeue b);
+      ignore (Dq.Buffered_q.dequeue b);
+      enqueue_range b 4 7;
+      crash ~policy heap 17;
+      Dq.Buffered_q.recover b;
+      Alcotest.(check (list int))
+        (Printf.sprintf "the line's cut (%s)" (Nvm.Crash.policy_name policy))
+        [ 3; 4; 5; 6; 7 ]
+        ((Dq.Buffered_q.instance b).Dq.Queue_intf.to_list ()))
+    [ Nvm.Crash.Only_persisted; Nvm.Crash.Torn_prefix ]
 
 let test_recover_consumed () =
   (* A synced dequeue must not be replayed; an unsynced one must be. *)
@@ -505,10 +486,11 @@ let test_recover_after_sync_keeps_all () =
     (q.Dq.Queue_intf.to_list ())
 
 (* Recovery over a wrapped ring: the live entries straddle the ring's
-   end, and the meta word's floor and consumed count are past its
-   capacity.  Recovery must bring back exactly the synced live entries,
-   in order, matching the persisted journal; appends after it fill the
-   ring on from the floor and survive the next crash once synced. *)
+   end (a 16-entry capacity rounds up to three lines, 21 slots), and the
+   seal's floor and consumed count are past it.  Recovery must bring
+   back exactly the synced live entries, in order, matching the
+   persisted journal; appends after it fill the ring on from the floor
+   and survive the next crash once synced. *)
 let test_recover_wrapped_ring () =
   let heap, b = make_buffered ~capacity:16 ~watermark:64 () in
   for round = 0 to 4 do
@@ -520,8 +502,8 @@ let test_recover_wrapped_ring () =
     done;
     Dq.Buffered_q.sync b
   done;
-  (* 40 entries appended and consumed: the next ten take slots 8-15 and
-     0-1. *)
+  (* 40 entries appended and consumed: the next ten take slots 19-20 and
+     0-7. *)
   for v = 101 to 110 do
     Dq.Buffered_q.enqueue b v
   done;
@@ -536,9 +518,9 @@ let test_recover_wrapped_ring () =
   let range lo hi = List.init (hi - lo + 1) (fun k -> lo + k) in
   Alcotest.(check (list int)) "the synced live entries" (range 104 110)
     (live ());
-  Alcotest.(check int) "consumed from the meta word" 43
+  Alcotest.(check int) "consumed from the seal" 43
     (Dq.Buffered_q.consumed b);
-  Alcotest.(check int) "appended from the meta word" 50
+  Alcotest.(check int) "appended from the seal" 50
     (Dq.Buffered_q.appended b);
   for i = 43 to 49 do
     Alcotest.(check int)
@@ -546,7 +528,7 @@ let test_recover_wrapped_ring () =
       (61 + i)
       (Dq.Buffered_q.journal_value b i)
   done;
-  (* Nine more fill the ring: 16 live entries. *)
+  (* Nine more fill the journal: 16 live entries. *)
   for v = 112 to 120 do
     Dq.Buffered_q.enqueue b v
   done;
@@ -562,64 +544,110 @@ let test_recover_wrapped_ring () =
         (Dq.Buffered_q.dequeue b))
     (range 104 110 @ range 112 120)
 
-(* A line written behind beyond the floor is discarded, and its entries
-   are appended over.  Before the crash the journal's first line fills
-   (and is written behind) above a floor of 4 — with a drain queued on
-   the heap's device, so the fill issues no line commit; recovery drops
-   entries 4-7, and the appends that refill them must persist the line
-   again — a write-behind or commit that trusted the old line's flush
-   would leave the dropped values 5-8 to come back. *)
+(* A seal written before a crash must not outlive it.  Lines 1 and 2
+   are sealed full, and the crash keeps only line 2's seal (the image an
+   eviction leaves when line 1's seal was not yet fenced; the test
+   writes it directly), so recovery lands below line 1, at the end of
+   line 0.  Line 1 is then refilled and sealed, and an All_flushed crash
+   follows: line 2 still holds its old entries, and its old seal, had
+   recovery left it, would chain onto the refilled line 1 and bring back
+   values 15-21, which nobody acknowledged after the first crash. *)
 let test_recover_then_refill_line () =
-  let heap = wall_heap ~line_ms:1 in
-  let b = Dq.Buffered_q.create ~watermark:64 heap in
-  for v = 1 to 4 do
-    Dq.Buffered_q.enqueue b v
-  done;
-  Dq.Buffered_q.sync b;
-  ignore (queue_drains heap ~lines:200);
-  for v = 5 to 12 do
-    Dq.Buffered_q.enqueue b v
-  done;
-  crash heap 11;
+  let capacity = 64 in
+  let heap, b = make_buffered ~capacity () in
+  enqueue_range b 1 21;
+  crash ~policy:Nvm.Crash.All_flushed heap 11;
+  lose_seal heap ~capacity 1;
   Dq.Buffered_q.recover b;
   let live () = (Dq.Buffered_q.instance b).Dq.Queue_intf.to_list () in
-  Alcotest.(check (list int)) "the floor" [ 1; 2; 3; 4 ] (live ());
-  for v = 13 to 16 do
-    Dq.Buffered_q.enqueue b v
-  done;
-  Dq.Buffered_q.sync b;
-  crash heap 12;
+  let range lo hi = List.init (hi - lo + 1) (fun k -> lo + k) in
+  Alcotest.(check (list int)) "the chain stops below line 1" (range 1 7)
+    (live ());
+  enqueue_range b 101 107;
+  crash ~policy:Nvm.Crash.All_flushed heap 12;
   Dq.Buffered_q.recover b;
-  Alcotest.(check (list int)) "the refilled line survives"
-    [ 1; 2; 3; 4; 13; 14; 15; 16 ]
+  Alcotest.(check (list int)) "the refilled line, and nothing after it"
+    (range 1 7 @ range 101 107)
     (live ())
 
-(* Another thread's commit may count a line its filler wrote behind
-   without committing it (the device was busy): the commit trusts the
-   filler's write-behind fence, so the line must survive every crash
-   policy.  The filler appends one line on a busy device; a second
-   thread appends four more and trips the watermark, committing the
-   filler's line with its own tail. *)
+(* A window may straddle one line more than the ring has.  A 14-entry
+   capacity is a two-line ring: with entry 6 (value 7) still live,
+   entries 14-19 wrap onto ring line 0, whose seal then names line 2
+   while line 0's last entry stays live.  The line sealed there vouches
+   for it, under every crash policy. *)
+let test_wrapped_window_keeps_its_lowest_line () =
+  List.iter
+    (fun policy ->
+      let heap, b = make_buffered ~capacity:14 () in
+      enqueue_range b 1 14;
+      for _ = 1 to 6 do
+        ignore (Dq.Buffered_q.dequeue b)
+      done;
+      enqueue_range b 15 20;
+      Dq.Buffered_q.sync b;
+      crash ~policy heap 23;
+      Dq.Buffered_q.recover b;
+      Alcotest.(check (list int))
+        (Printf.sprintf "a window over three lines (%s)"
+           (Nvm.Crash.policy_name policy))
+        (List.init 14 (fun k -> 7 + k))
+        ((Dq.Buffered_q.instance b).Dq.Queue_intf.to_list ()))
+    [
+      Nvm.Crash.All_flushed;
+      Nvm.Crash.Only_persisted;
+      Nvm.Crash.Torn_prefix;
+      Nvm.Crash.Random_evictions;
+    ]
+
+(* A thread whose fences are absorbed seals nothing on the ring line
+   that holds the last issued commit's seal.  On a two-line ring the
+   commit (9, 8) leaves one live entry in line 1; a batched-fence scope
+   then fills line 1, fills line 2 and starts line 3, which wraps onto
+   line 1, and syncs — all under absorbed fences — before the crash
+   cuts the scope.  Had line 3 been sealed, an eviction that kept its
+   seal but lost line 2's would leave no seal to recover from. *)
+let test_absorbed_seals_spare_the_last_commit () =
+  for seed = 1 to 50 do
+    let heap, b = make_buffered ~capacity:14 () in
+    enqueue_range b 1 9;
+    for _ = 1 to 8 do
+      ignore (Dq.Buffered_q.dequeue b)
+    done;
+    Dq.Buffered_q.sync b;
+    Nvm.Heap.with_batched_fences heap (fun () ->
+        enqueue_range b 10 22;
+        Dq.Buffered_q.sync b;
+        crash ~policy:Nvm.Crash.Random_evictions heap seed);
+    Dq.Buffered_q.recover b;
+    match (Dq.Buffered_q.instance b).Dq.Queue_intf.to_list () with
+    | 9 :: _ -> ()
+    | l ->
+        Alcotest.failf "seed %d: the committed entry 9 is lost (%s)" seed
+          (String.concat " " (List.map string_of_int l))
+  done
+
+(* Another thread's commit may cover a line that a thread with absorbed
+   fences filled: that line is sealed and flushed, but its fence has not
+   landed, so the commit must flush it again.  The filler appends one
+   line inside a batched-fence scope; a second thread appends five more
+   and syncs; the crash cuts the scope before its closing fence.  The
+   filler's line must survive every crash policy. *)
 let test_commit_covers_written_behind_line () =
   List.iter
     (fun policy ->
       for seed = 1 to 5 do
-        let heap = wall_heap ~line_ms:1 in
-        let b =
-          Dq.Buffered_q.create ~watermark:12 ~capacity:64 ~join_commits:false
-            heap
-        in
-        ignore (queue_drains heap ~lines:1000);
-        enqueue_range b 1 8;
-        Alcotest.(check int) "written behind, not committed" 0
-          (Dq.Buffered_q.committed_floor b);
-        let filler = Nvm.Tid.get () in
-        Nvm.Tid.set (Nvm.Tid.register ());
-        enqueue_range b 9 12;
-        Nvm.Tid.set filler;
-        Alcotest.(check int) "the other thread's commit counts the line" 12
-          (Dq.Buffered_q.committed_floor b);
-        crash ~policy heap seed;
+        let heap, b = make_buffered ~capacity:64 () in
+        Nvm.Heap.with_batched_fences heap (fun () ->
+            enqueue_range b 1 7;
+            Alcotest.(check int) "filled, not committed" 0
+              (Dq.Buffered_q.committed_floor b);
+            Nvm.Tid.set (Nvm.Tid.register ());
+            enqueue_range b 8 12;
+            Dq.Buffered_q.sync b;
+            Alcotest.(check int) "the other thread's commit counts the line"
+              12
+              (Dq.Buffered_q.committed_floor b);
+            crash ~policy heap seed);
         Dq.Buffered_q.recover b;
         Alcotest.(check (list int))
           (Printf.sprintf "the line survives (%s, seed %d)"
@@ -633,6 +661,32 @@ let test_commit_covers_written_behind_line () =
       Nvm.Crash.Torn_prefix;
       Nvm.Crash.Random_evictions;
     ]
+
+(* Recovery reads each seal word once, and each live entry once.  A
+   default-capacity tier holds 200 full lines, and the crash image loses
+   line 100's seal, so each of the 99 seals above it fails its window.
+   The bound is one pass over the seal words, plus the live entries,
+   plus one walk down the windows (at most a ring's length): a recovery
+   that rescanned the ring for each failing seal would read far more. *)
+let test_recover_reads_bounded () =
+  let capacity = 1 lsl 16 in
+  let heap, b = make_buffered () in
+  enqueue_range b 1 (200 * per_line);
+  crash ~policy:Nvm.Crash.All_flushed heap 31;
+  lose_seal heap ~capacity 100;
+  let before = Nvm.Stats.snapshot (Nvm.Heap.stats heap) in
+  Dq.Buffered_q.recover b;
+  let reads =
+    (Nvm.Stats.diff_total (Nvm.Heap.stats heap) ~since:before).Nvm.Stats.reads
+  in
+  Alcotest.(check int) "recovered to the line below the lost seal"
+    (100 * per_line) (Dq.Buffered_q.appended b);
+  let lines = ring_lines ~capacity in
+  let live = Dq.Buffered_q.appended b - Dq.Buffered_q.consumed b in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d reads, bound %d" reads (lines + live + lines))
+    true
+    (reads <= lines + live + lines)
 
 (* Recovery allocates nothing: the journal region is the tier's whole
    NVM footprint.  A thousand cycles of enqueue 10, dequeue 10, sync, a
@@ -786,60 +840,39 @@ let test_strict_sync_commits_nothing () =
   Alcotest.(check int) "and covers its items" 0
     (Broker.Service.total_durability_lag service)
 
-(* The durability census counts every journal persist.  A fresh tier
-   at watermark 64: 128 appends fill 16 journal lines, each written
-   behind as it fills (one flush and one fence apiece), and trip two
-   commits that end on a line boundary, so each publishes only its
-   meta word.  18 flushes, as when a commit flushed the group's lines
-   itself; 18 fences instead of that design's 4.  The shard's device
-   is kept busy, so no line commits: this is the watermark group's
-   persist shape, 1/8 + 1/64 flushes and fences per enqueue. *)
-let test_census_counts_write_behind () =
-  fresh_tid ();
-  let service =
-    Broker.Service.create ~shards:1 ~acks:Broker.Service.Acks_none
-      ~latency:(wall_latency ~line_ms:1) ()
+(* The journal has one persist shape, wherever the device stands: the
+   same 140 acks=none appends on an idle and on a busy wall-clock shard
+   (a thousand line drains queued ahead of them) each read one commit,
+   one flush and one fence per seven enqueues, and no post-flush
+   access. *)
+let test_census_one_persist_shape () =
+  let shape ~busy =
+    fresh_tid ();
+    let service =
+      Broker.Service.create ~shards:1 ~acks:Broker.Service.Acks_none
+        ~latency:(wall_latency ~line_ms:1) ()
+    in
+    let heap = Broker.Shard.heap (Broker.Service.shards service).(0) in
+    if busy then ignore (queue_drains heap ~lines:1000);
+    let before = Nvm.Stats.snapshot (Nvm.Heap.stats heap) in
+    for seq = 1 to 140 do
+      match Broker.Service.enqueue service ~stream:0 (enc ~producer:0 ~seq) with
+      | Broker.Backpressure.Accepted -> ()
+      | v -> Alcotest.failf "enqueue: %s" (Broker.Backpressure.verdict_name v)
+    done;
+    let d = Nvm.Stats.diff_total (Nvm.Heap.stats heap) ~since:before in
+    let j = Broker.Census.journal_persists service in
+    [
+      j.Broker.Census.j_commits;
+      j.Broker.Census.j_flushes;
+      j.Broker.Census.j_fences;
+      Nvm.Stats.post_flush_accesses d;
+    ]
   in
-  ignore
-    (queue_drains
-       (Broker.Shard.heap (Broker.Service.shards service).(0))
-       ~lines:1000);
-  for seq = 1 to 128 do
-    match Broker.Service.enqueue service ~stream:0 (enc ~producer:0 ~seq) with
-    | Broker.Backpressure.Accepted -> ()
-    | v -> Alcotest.failf "enqueue: %s" (Broker.Backpressure.verdict_name v)
-  done;
-  let j = Broker.Census.journal_persists service in
-  Alcotest.(check int) "two watermark commits" 2 j.Broker.Census.j_commits;
-  Alcotest.(check int) "16 lines + 2 meta words flushed" 18
-    j.Broker.Census.j_flushes;
-  Alcotest.(check int) "16 write-behinds + 2 meta fences" 18
-    j.Broker.Census.j_fences
-
-(* The census counts line commits and syncs alike, each persist once.
-   On [Latency.off] the device always idles and a line needs no time to
-   fill: 132 appends commit each of their 16 full lines behind its
-   write-behind, and a sync commits the four-entry tail (a tail flush
-   and fence, then the meta word).  17 commits; 16 lines + 16 meta
-   words + the tail and its meta word = 34 flushes and 34 fences. *)
-let test_census_counts_line_commits () =
-  fresh_tid ();
-  let service =
-    Broker.Service.create ~shards:1 ~acks:Broker.Service.Acks_none ()
-  in
-  for seq = 1 to 132 do
-    match Broker.Service.enqueue service ~stream:0 (enc ~producer:0 ~seq) with
-    | Broker.Backpressure.Accepted -> ()
-    | v -> Alcotest.failf "enqueue: %s" (Broker.Backpressure.verdict_name v)
-  done;
-  Broker.Service.sync_all service;
-  let j = Broker.Census.journal_persists service in
-  Alcotest.(check int) "16 line commits + 1 sync commit" 17
-    j.Broker.Census.j_commits;
-  Alcotest.(check int) "16 lines, 16 meta words, a tail and a meta word" 34
-    j.Broker.Census.j_flushes;
-  Alcotest.(check int) "16 write-behinds, 16 meta fences, 2 sync fences" 34
-    j.Broker.Census.j_fences
+  let expected = [ 20; 20; 20; 0 ] in
+  Alcotest.(check (list int)) "idle: commits, flushes, fences, post-flush"
+    expected (shape ~busy:false);
+  Alcotest.(check (list int)) "busy: the same" expected (shape ~busy:true)
 
 let test_service_crash_recovers_synced_floor () =
   let service = weak_service () in
@@ -891,15 +924,15 @@ let () =
     [
       ( "group-commit",
         [
-          Alcotest.test_case "watermark trips a commit" `Quick
-            test_watermark_commit;
+          Alcotest.test_case "a full line commits" `Quick
+            test_line_fill_commits;
           Alcotest.test_case "sync is the boundary" `Quick test_sync_boundary;
           Alcotest.test_case "join is per-call" `Quick test_join_override;
           Alcotest.test_case "dequeues keep FIFO" `Quick test_queue_semantics;
           Alcotest.test_case "full ring refuses" `Quick test_journal_full;
-          Alcotest.test_case "ring is line-aligned" `Quick
-            test_capacity_line_aligned;
-          Alcotest.test_case "absorbed fences write nothing behind" `Quick
+          Alcotest.test_case "capacity counts entries" `Quick
+            test_capacity_counts_entries;
+          Alcotest.test_case "absorbed fences issue no commit" `Quick
             test_absorbed_write_behind;
           Alcotest.test_case "commit callback snapshots" `Quick
             test_on_commit_callback;
@@ -912,23 +945,19 @@ let () =
           Alcotest.test_case "concurrent syncs all count" `Quick
             test_concurrent_syncs_count;
         ] );
-      ( "line-commit",
+      ( "pacing",
         [
-          Alcotest.test_case "a slow line on an idle device commits" `Quick
-            test_line_commit_on_idle_device;
-          Alcotest.test_case "a fast line waits for the watermark" `Quick
-            test_fast_line_waits_for_watermark;
-          Alcotest.test_case "a queued drain defers the line" `Quick
-            test_busy_device_defers_line;
-          Alcotest.test_case "absorbed fences commit no line" `Quick
-            test_absorbed_fences_no_line_commit;
-          Alcotest.test_case "a leader enqueue never joins it" `Quick
-            test_leader_never_joins_line_commit;
+          Alcotest.test_case "an idle device never makes a leader wait"
+            `Quick test_idle_device_never_waits;
+          Alcotest.test_case "an outrunning leader is paced" `Quick
+            test_outrunning_producer_is_paced;
         ] );
       ( "crash-floor",
         [
           Alcotest.test_case "unsynced tail drops as a unit" `Quick
             test_recover_floor;
+          Alcotest.test_case "a line's commit is a cut" `Quick
+            test_line_commit_is_a_cut;
           Alcotest.test_case "synced dequeue stays consumed" `Quick
             test_recover_consumed;
           Alcotest.test_case "sync means survives" `Quick
@@ -937,8 +966,14 @@ let () =
             test_recover_wrapped_ring;
           Alcotest.test_case "dropped line is refilled" `Quick
             test_recover_then_refill_line;
+          Alcotest.test_case "a wrapped window keeps its lowest line" `Quick
+            test_wrapped_window_keeps_its_lowest_line;
+          Alcotest.test_case "absorbed seals spare the last commit" `Quick
+            test_absorbed_seals_spare_the_last_commit;
           Alcotest.test_case "another thread's commit keeps the line" `Quick
             test_commit_covers_written_behind_line;
+          Alcotest.test_case "recovery reads each seal once" `Quick
+            test_recover_reads_bounded;
           Alcotest.test_case "1,000 recoveries allocate nothing" `Quick
             test_recover_allocates_nothing;
         ] );
@@ -954,9 +989,7 @@ let () =
             test_strict_sync_commits_nothing;
           Alcotest.test_case "crash recovers the synced floor" `Quick
             test_service_crash_recovers_synced_floor;
-          Alcotest.test_case "census counts write-behinds" `Quick
-            test_census_counts_write_behind;
-          Alcotest.test_case "census counts line commits" `Quick
-            test_census_counts_line_commits;
+          Alcotest.test_case "census counts one persist shape" `Quick
+            test_census_one_persist_shape;
         ] );
     ]

@@ -102,7 +102,7 @@ let buffered_case pname = Dq.Buffered_q.name ^ "/" ^ pname
 (* A directed buffered scenario: the sync floor swept across every crash
    point, through the point after the run finishes.  Fiber 0 syncs
    mid-plan, so crashes after that step must keep its first two
-   enqueues; the watermark (4) adds commits of its own. *)
+   enqueues. *)
 let test_buffered_sync_sweep () =
   let plans =
     [|
@@ -120,22 +120,17 @@ let test_buffered_sync_sweep () =
     (Spec.Explore.buffered_sweep ~policy:Nvm.Crash.Random_evictions ~seed:13
        ~plans)
 
-(* The journal's line boundary: campaign plans never fill an eight-entry
-   line, so this directed plan does.  Both fibers enqueue — 20 values
-   fill lines [0, 8) and [8, 16), then wrap the 16-entry ring into slots
-   0-3 — and each dequeues three items before its second run, so the
-   backlog stays below the ring.  The syncs move the watermark commits
-   off the line boundaries, so a line fills while its filler owes no
-   watermark commit; on the explorer's always-idle device the filler
-   then issues a line commit behind its write-behind.  Every step of
-   the schedules of seeds 1-20 is crashed: no one schedule reaches
-   every interleaving (a write-behind that skips its fence fails 19
-   seeds under Torn_prefix and 15 under Random_evictions, its meta word
-   evicted ahead of the line; under Only_persisted the line commit's
-   meta fence persists the line too.  A commit by another thread that
-   counts a line its filler wrote behind without committing needs a
-   busy device: test_buffered "another thread's commit keeps the line"
-   covers it). *)
+(* The journal's line boundary: campaign plans seldom fill a
+   seven-entry line and never wrap the ring, so this directed plan does.
+   Both fibers enqueue — 20 values fill lines [0, 7) and [7, 14), then
+   wrap the 14-entry ring into slots 0-5 — and each dequeues three items
+   before its second run, so the backlog stays within the ring.  The
+   syncs seal partial lines that later fills seal again, and the wrap
+   lets a window straddle three lines of a two-line ring.  Every step
+   of the schedules of seeds 1-20 is crashed: no one schedule reaches
+   every interleaving (a write-behind that skips its fence fails every
+   seed under Only_persisted, Torn_prefix and Random_evictions; a seal
+   stored before its line's last entry fails under All_flushed). *)
 let line_plans =
   let open Spec.Explore in
   let enqs lo hi = List.init (hi - lo + 1) (fun i -> Enq (lo + i)) in
@@ -152,14 +147,12 @@ let test_buffered_line_sweep policy () =
     check_ok (Spec.Explore.buffered_sweep ~policy ~seed ~plans:line_plans)
   done
 
-(* Line commits without a sync.  At watermark 12 (above one line) on
-   the explorer's cost-free device, which always idles, every line that
-   fills short of the watermark commits behind its write-behind: the
-   commits this plan crashes across are line commits, never a [Sync].
-   Both fibers enqueue — 20 values fill lines [0, 8) and [8, 16), then
-   wrap the 16-entry ring into slots 0-3 — and each dequeues three items
-   mid-plan, so the backlog stays below the ring.  Every step of the
-   schedules of seeds 1-20 is crashed. *)
+(* Line commits without a sync: every commit this plan crashes across
+   is a line's write-behind.  Both fibers enqueue — 20 values fill lines
+   [0, 7) and [7, 14), then wrap the 14-entry ring into slots 0-5 — and
+   each dequeues three items mid-plan, so the backlog stays within the
+   ring and the write-behinds carry the dequeues' consumed count.
+   Every step of the schedules of seeds 1-20 is crashed. *)
 let line_commit_plans =
   let open Spec.Explore in
   let enqs lo hi = List.init (hi - lo + 1) (fun i -> Enq (lo + i)) in
@@ -169,7 +162,7 @@ let line_commit_plans =
 let test_line_commit_sweep policy () =
   for seed = 1 to 20 do
     check_ok
-      (Spec.Explore.line_commit_sweep ~policy ~seed ~plans:line_commit_plans)
+      (Spec.Explore.buffered_sweep ~policy ~seed ~plans:line_commit_plans)
   done
 
 (* Per-op fence audit under explored interleavings.  [explore_once]
