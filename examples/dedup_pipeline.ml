@@ -13,8 +13,11 @@
      lookup and no queue traffic;
    - [Broker.Service.dequeue_committed] durably commits each delivered
      sequence and drops anything at or below the commit offset — the
-     rare crash-window duplicate (enqueued, then crashed before the
-     dedup record) dies here, before the consumer sees it.
+     rare crash-window duplicate dies here, before the consumer sees
+     it: a crash that lost the dedup record of an item already
+     consumed lets the retry enqueue a second copy.  (A retry of an
+     item still queued reads Duplicate: recovery raises the record to
+     the highest sequence its shard holds.)
 
    The demo publishes with deliberate duplicate retries, pulls the plug
    twice mid-pipeline, lets the producers blindly retry everything after

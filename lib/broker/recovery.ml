@@ -16,6 +16,12 @@
    - depth gauges and strict-tier bounds are re-seated from the
      recovered queue lengths ({!Shard.reseat}).
 
+   On a service with offsets, each shard's recovery also raises every
+   producer's dedup record to the highest sequence the shard still holds
+   ({!Offsets.reconcile}): a crash may keep an item and lose its record,
+   and the producer's retry must then read Duplicate rather than enqueue
+   a second copy that the next recovery's uniqueness check would reject.
+
    The paper's complete-recovery model (one single-threaded recovery per
    queue before operations resume) is preserved per shard: parallelism is
    only across shards, never within one. *)
@@ -153,9 +159,15 @@ let crash_and_recover ?rng ?(policy = Nvm.Crash.Random_evictions)
                   (* The shard's durable offset maps live on the same
                      heap and are rebuilt by the same domain, after the
                      queue (paper model: single-threaded recovery per
-                     shard, parallelism only across shards). *)
+                     shard, parallelism only across shards).  Then the
+                     dedup records catch up with the items the crash
+                     kept without their records. *)
                   Option.iter
-                    (fun off -> Offsets.recover off ~shard:(Shard.id shard))
+                    (fun off ->
+                      let shard_id = Shard.id shard in
+                      Offsets.recover off ~shard:shard_id;
+                      Offsets.reconcile off ~shard:shard_id
+                        (Shard.to_list shard))
                     (Service.offsets service);
                   Ok ()
                 with exn ->

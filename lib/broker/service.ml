@@ -281,23 +281,34 @@ let dequeue_any t : deq_result =
 (* Items carry their own (producer, seq) identity — the encoding of
    {!Spec.Durable_check} — so the offset maps need no side channel.
 
-   [enqueue_once] orders its three steps check-fresh -> enqueue -> record:
-   a crash after the enqueue but before the dedup record lets a retrying
-   producer enqueue the same sequence twice, and that is the one
-   duplicate shape [dequeue_committed]'s committed-offset filter absorbs
-   (the second copy arrives at or below the group's commit offset and is
-   dropped before delivery).  Recording before enqueueing would invert
-   the failure into silent loss: a crash between the two would persist
-   "published" for an item no queue holds.
+   [enqueue_once] orders its three steps check-fresh -> enqueue -> record,
+   and writes the record behind: the record's fence is issued once the
+   item's own drain has been joined, and the call returns without waiting
+   for the record's drain.  Recording before enqueueing would turn a
+   crash between the two into silent loss: "published" would persist for
+   an item no queue holds.  The crash argument, at acks=all-synced:
 
-   Under a buffered acks level the same inversion reappears inside the
-   window: the dedup record persists eagerly (the offset maps are not
-   buffered) while the enqueue waits for its commit, so a crash in the
-   unsynced window can lose the item while the record suppresses the
-   producer's retry as Duplicate.  Exactly-once therefore weakens to
-   exactly-once-among-synced under acks=none/leader — a producer that
-   needs the full guarantee calls [sync_stream] before trusting
-   Enqueued, or publishes the stream at acks=all-synced. *)
+   (i) a surviving record implies a surviving item.  The record is
+       flushed only after the item is durable, so no crash image holds
+       the record without the item;
+   (ii) a retry of a still-queued item reads Duplicate after recovery.
+       A crash inside the record's drain can keep the item and lose the
+       record; recovery raises each producer's record to the highest
+       sequence its shard still holds ({!Offsets.reconcile}), so the
+       queue never holds two copies of one sequence;
+   (iii) a re-sent copy of an already-consumed sequence dies at the
+       durable offset.  Once the item is consumed, recovery cannot raise
+       a lost record from the queue, so the retry enqueues a second copy;
+       [dequeue_committed] drops it, because a delivered sequence's
+       commit offset was durable before the item was returned.  That is
+       why the commit stays joined;
+   (iv) under a buffered level (acks=none/leader) the record is written
+       while the item still waits for its group commit, as before: a
+       crash in the unsynced window can lose the item while the record
+       suppresses the producer's retry as Duplicate.  Exactly-once
+       weakens to exactly-once-among-synced, unchanged: a producer that
+       needs the full guarantee calls [sync_stream] before trusting
+       Enqueued, or publishes the stream at acks=all-synced. *)
 
 let require_offsets t fn =
   match t.offsets with
@@ -326,10 +337,10 @@ let enqueue_once t ~stream item : once_result =
 (* Deliver the stream's next uncommitted item to [group], advancing the
    group's durable commit offset before returning it.  Queue-level
    duplicates (seq at or below the commit offset) are dequeued and
-   dropped without delivery — this is where enqueue-side crash
-   duplicates die.  The commit is durable before the caller sees the
-   item, so a crash never re-delivers an already-returned sequence to
-   the same group. *)
+   dropped without delivery — this is where a copy re-sent after a lost
+   dedup record dies (point (iii) above).  The commit is durable before
+   the caller sees the item, so a crash never re-delivers an
+   already-returned sequence to the same group. *)
 let rec dequeue_committed t ~stream ~group : deq_result =
   let off = require_offsets t "dequeue_committed" in
   match dequeue t ~stream with

@@ -54,8 +54,11 @@ val create :
     [default_depth_bound], [Checked] heaps, {!Nvm.Latency.off}.
     [~offsets:true] attaches the durable offset/dedup maps
     ({!Offsets}) that back {!enqueue_once} and
-    {!dequeue_committed}.  [~combining:true] puts the flat-combining
-    enqueue front-end ({!Dq.Combining_q}) on every shard: announced
+    {!dequeue_committed}; every item of such a service must carry the
+    {!Spec.Durable_check} encoding, since recovery reads each recovered
+    item's producer and sequence ({!Offsets.reconcile}).
+    [~combining:true] puts the flat-combining enqueue front-end
+    ({!Dq.Combining_q}) on every shard: announced
     enqueues are applied by an elected combiner as single-fence batches
     with a pipelined drain, the per-op mode staying available by
     leaving the knob off.  [~acks] sets the service-wide default
@@ -189,16 +192,25 @@ type once_result =
 
 val enqueue_once : t -> stream:int -> int -> once_result
 (** Idempotent publish: drops items the dedup index has already seen.
-    Ordered check-fresh -> enqueue -> record, so a crash can only leave
-    a queue-level duplicate (caught by {!dequeue_committed}'s filter),
-    never a recorded-but-lost item.
-
-    Under a buffered acks level the guarantee weakens to exactly-once
-    {e among synced operations}: the dedup record persists eagerly
-    while the enqueue waits for its commit, so a crash inside the
-    unsynced window can lose the item while the record suppresses the
-    retry as [Duplicate].  Call {!sync_stream} before trusting
-    [Enqueued], or publish the stream at [Acks_all_synced]. *)
+    Ordered check-fresh -> enqueue -> record.  The item is durable when
+    [Enqueued] returns (at [Acks_all_synced]); its dedup record is
+    written behind, durable one device drain later
+    ({!Offsets.record_published}).  Losing that record is safe:
+    - (i) a surviving record implies a surviving item: the record is
+      written only after the item is durable;
+    - (ii) a retry of an item still queued reads [Duplicate] after
+      recovery, which raises each producer's record to the highest
+      sequence its shard holds ({!Offsets.reconcile});
+    - (iii) a re-sent copy of a sequence already consumed is enqueued
+      again and dies at the group's durable commit offset in
+      {!dequeue_committed}, whose commit is durable before it returns;
+    - (iv) under a buffered acks level the guarantee weakens to
+      exactly-once {e among synced operations}, as it always has: the
+      record is written while the enqueue waits for its commit, so a
+      crash inside the unsynced window can lose the item while the
+      record suppresses the retry as [Duplicate].  Call
+      {!sync_stream} before trusting [Enqueued], or publish the stream
+      at [Acks_all_synced]. *)
 
 val dequeue_committed : t -> stream:int -> group:int -> deq_result
 (** The stream's next item not yet delivered to [group]: dequeues,

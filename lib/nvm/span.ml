@@ -6,7 +6,10 @@
    A span frame snapshots the thread's counters at open; its delta at
    close is exact for that operation.  Excluded (setup) spans add their
    delta to every enclosing frame's baseline so steady-state op spans are
-   never charged for allocator growth.
+   never charged for allocator growth.  A frame opened inside an excluded
+   one is excluded too: work an op does not wait for (a write-behind)
+   stays out of the op even where it runs an instrumented op of its
+   own.
 
    Hot-path discipline: opening and closing a span allocates nothing in
    steady state.  Frames live in a preallocated per-thread stack whose
@@ -173,7 +176,8 @@ let open_span_at ?(exclude = false) t ~tid label =
   let f = pt.frames.(pt.depth) in
   f.f_label <- label;
   f.f_t0 <- pt.clock;
-  f.f_exclude <- exclude;
+  f.f_exclude <-
+    exclude || (pt.depth > 0 && pt.frames.(pt.depth - 1).f_exclude);
   Stats.blit ~src:(Stats.get t.totals tid) ~dst:f.at_open;
   pt.depth <- pt.depth + 1
 

@@ -23,7 +23,13 @@
     (setup work such as {!Heap.alloc_region}'s designated-area persist)
     reports its own delta but is subtracted from every enclosing span, so
     steady-state op spans are not charged for allocator growth that
-    merely happened to run inside them.
+    merely happened to run inside them.  A span opened inside an excluded
+    span is excluded too: it reports [excluded = true], aggregates under
+    its own label, and is charged to no enclosing span, the excluded
+    parent included, so each counter lands in exactly one span.  A
+    write-behind that runs an instrumented operation (the exactly-once
+    dedup record's map put) thereby stays out of the calling op's
+    accounting.
 
     Thread safety: stacks, clocks, aggregates and rings are per-thread
     ({!Tid}) and touched only by their owner; [aggregates], [trace] and
@@ -49,7 +55,8 @@ type closed = {
   t0 : int;  (** thread-local instruction-clock tick at open *)
   t1 : int;  (** tick at close *)
   delta : Stats.counters;  (** exactly what this span accrued *)
-  excluded : bool;  (** opened with [~exclude:true] *)
+  excluded : bool;
+      (** opened with [~exclude:true], or inside an excluded span *)
   instant : bool;  (** a point event recorded with {!event}, not a span *)
 }
 
@@ -89,7 +96,8 @@ val charge_ns_at : t -> tid:int -> int -> unit
 val open_span : ?exclude:bool -> t -> string -> unit
 (** Push a labeled frame on the calling thread's span stack.
     [~exclude:true] marks setup work whose delta enclosing spans must not
-    be charged for. *)
+    be charged for; a frame pushed while the innermost open frame is
+    excluded is excluded whatever [exclude] says. *)
 
 val close_span : t -> closed
 (** Pop the innermost frame: computes its delta, aggregates it under its

@@ -1397,6 +1397,169 @@ let test_sharded_runner_smoke () =
   Alcotest.(check bool) "modeled throughput positive" true
     (r.Load.Sharded.model_mops > 0.)
 
+(* -- exactly-once: the dedup record written behind ---------------------------- *)
+
+(* One shard with the offset maps; stream 0 (producer 0) publishes at
+   [acks]. *)
+let once_service acks =
+  fresh_tid ();
+  let svc =
+    Broker.Service.create ~shards:1 ~offsets:true
+      ~buffered:(acks <> Broker.Service.Acks_all_synced)
+      ()
+  in
+  Broker.Service.set_stream_acks svc ~stream:0 acks;
+  svc
+
+let once_name = function
+  | Broker.Service.Enqueued -> "enqueued"
+  | Broker.Service.Duplicate -> "duplicate"
+  | Broker.Service.Rejected v -> "rejected " ^ Broker.Backpressure.verdict_name v
+
+let publish svc ~seq =
+  once_name (Broker.Service.enqueue_once svc ~stream:0 (enc ~producer:0 ~seq))
+
+let crash_ok what ~policy ~rng svc =
+  let report =
+    Broker.Recovery.crash_and_recover ~rng ~policy ~domains:1
+      ~producer_of:Spec.Durable_check.producer_of svc
+  in
+  if not (Broker.Recovery.ok report) then
+    Alcotest.failf "%s: %a" what Broker.Recovery.pp report
+
+(* Stream 0's sequences as group 1 receives them. *)
+let drain_committed svc =
+  let rec go acc =
+    match Broker.Service.dequeue_committed svc ~stream:0 ~group:1 with
+    | Broker.Service.Item v -> go (Spec.Durable_check.seq_of v :: acc)
+    | Broker.Service.Empty -> List.rev acc
+    | _ -> Alcotest.fail "unexpected dequeue verdict"
+  in
+  go []
+
+(* A crash keeps an item and loses its dedup record.  The plain enqueue
+   of seq 3 leaves exactly that durable state: seq 3's queue fence
+   drained, its record never written.  Recovery raises the record to
+   the highest sequence the shard holds, so the retry reads Duplicate
+   and the next recovery finds one copy of seq 3, not two. *)
+let test_recordless_survivor () =
+  let svc = once_service Broker.Service.Acks_all_synced in
+  let policy = Nvm.Crash.Only_persisted and rng = Random.State.make [| 1 |] in
+  List.iter
+    (fun seq -> Alcotest.(check string) "publish" "enqueued" (publish svc ~seq))
+    [ 1; 2 ];
+  accept "record-less seq 3"
+    (Broker.Service.enqueue svc ~stream:0 (enc ~producer:0 ~seq:3));
+  crash_ok "first recovery" ~policy ~rng svc;
+  Alcotest.(check string) "retry of the survivor" "duplicate"
+    (publish svc ~seq:3);
+  crash_ok "second recovery" ~policy ~rng svc;
+  Alcotest.(check (list int)) "each delivered once" [ 1; 2; 3 ]
+    (drain_committed svc)
+
+(* Reconciliation writes one put per producer whose record it raises,
+   whatever the number of record-less items, and nothing once the
+   records hold. *)
+let test_reconcile_puts () =
+  let svc = once_service Broker.Service.Acks_all_synced in
+  let heap = Broker.Shard.heap (Broker.Service.shards svc).(0) in
+  let puts () =
+    match
+      Nvm.Span.find_aggregate (Nvm.Heap.spans heap) Dset.Instrumented.ins_label
+    with
+    | Some a -> a.Nvm.Span.count
+    | None -> 0
+  in
+  List.iter
+    (fun (stream, seq) ->
+      accept "record-less item"
+        (Broker.Service.enqueue svc ~stream (enc ~producer:stream ~seq)))
+    [ (0, 1); (0, 2); (0, 3); (1, 1); (1, 2) ];
+  let policy = Nvm.Crash.Only_persisted and rng = Random.State.make [| 1 |] in
+  let p0 = puts () in
+  crash_ok "first recovery" ~policy ~rng svc;
+  Alcotest.(check int) "one put per raised producer" 2 (puts () - p0);
+  let p1 = puts () in
+  crash_ok "second recovery" ~policy ~rng svc;
+  Alcotest.(check int) "no put when nothing is raised" 0 (puts () - p1);
+  Alcotest.(check (list string)) "retries read Duplicate"
+    [ "duplicate"; "duplicate" ]
+    [
+      once_name
+        (Broker.Service.enqueue_once svc ~stream:0 (enc ~producer:0 ~seq:3));
+      once_name
+        (Broker.Service.enqueue_once svc ~stream:1 (enc ~producer:1 ~seq:2));
+    ]
+
+(* Once enqueue_once returns, the record's fence has been issued; the
+   crash model persists a fence's lines at issue, so no crash can lose
+   the record from here on.  Another thread consumes the item first, so
+   no queue copy is left to raise a lost record from: only the record
+   itself makes the retry read Duplicate. *)
+let test_record_fenced_on_return () =
+  let svc = once_service Broker.Service.Acks_all_synced in
+  Alcotest.(check string) "publish" "enqueued" (publish svc ~seq:1);
+  Nvm.Tid.set (Nvm.Tid.get () + 1);
+  Alcotest.(check (list int)) "consumed on another thread" [ 1 ]
+    (drain_committed svc);
+  crash_ok "recovery" ~policy:Nvm.Crash.Only_persisted
+    ~rng:(Random.State.make [| 1 |]) svc;
+  Alcotest.(check string) "retry after the crash" "duplicate"
+    (publish svc ~seq:1);
+  Alcotest.(check (list int)) "nothing delivered twice" []
+    (drain_committed svc)
+
+(* Directed crash sweep across one enqueue_once: the power fails at the
+   entry of its k-th heap primitive, for every k, and once after it
+   returns.  Recovery, a retry of the same sequence, a second crash and
+   a committed drain must then deliver every sequence exactly once,
+   with both recoveries ok.
+
+   At all-synced the swept publish is seq 2 on the strict tier.  At
+   leader it is the publish whose append fills a journal line (seqs 1-6
+   are published and synced first), so its write-behind commit is
+   issued before its record.  A leader publish that leaves its line
+   open is not durable when it returns, and exactly-once only holds
+   among synced operations there: a crash may keep its record and lose
+   the item.  The retry is synced before the second crash for the same
+   reason.  The sweep must see the retry both enqueued (a crash before
+   the item persisted) and dropped as a duplicate. *)
+let test_once_crash_sweep acks policy () =
+  let seq = if acks = Broker.Service.Acks_all_synced then 2 else 7 in
+  let retries = Hashtbl.create 2 in
+  let rec at k =
+    let svc = once_service acks in
+    for s = 1 to seq - 1 do
+      Alcotest.(check string) "setup publish" "enqueued" (publish svc ~seq:s)
+    done;
+    accept "setup sync" (Broker.Service.sync_stream svc ~stream:0);
+    let heap = Broker.Shard.heap (Broker.Service.shards svc).(0) in
+    let steps = ref 0 in
+    Nvm.Heap.set_step_hook heap
+      (Some
+         (fun () ->
+           if !steps = k then Effect.perform Power_cut;
+           incr steps));
+    let cut = run_until_power_cut (fun () -> publish svc ~seq) in
+    Nvm.Heap.set_step_hook heap None;
+    let rng = Random.State.make [| k |] in
+    let what = Printf.sprintf "crash at step %d" k in
+    crash_ok (what ^ ": first recovery") ~policy ~rng svc;
+    (match publish svc ~seq with
+    | ("enqueued" | "duplicate") as r -> Hashtbl.replace retries r k
+    | r -> Alcotest.failf "%s: retry %s" what r);
+    accept "retry sync" (Broker.Service.sync_stream svc ~stream:0);
+    crash_ok (what ^ ": second recovery") ~policy ~rng svc;
+    Alcotest.(check (list int)) (what ^ ": each delivered once")
+      (List.init seq succ) (drain_committed svc);
+    if cut then at (k + 1) else k
+  in
+  let points = at 0 + 1 in
+  Alcotest.(check (list string))
+    (Printf.sprintf "retry outcomes over %d crash points" points)
+    [ "duplicate"; "enqueued" ]
+    (List.sort compare (List.of_seq (Hashtbl.to_seq_keys retries)))
+
 let () =
   Alcotest.run "broker"
     [
@@ -1482,6 +1645,28 @@ let () =
           Alcotest.test_case "1,000 heal cycles keep the heap bounded" `Slow
             test_heal_cycles_bounded_heap;
         ] );
+      ( "exactly-once",
+        [
+          Alcotest.test_case "a record-less survivor reads Duplicate" `Quick
+            test_recordless_survivor;
+          Alcotest.test_case "reconciliation puts once per producer" `Quick
+            test_reconcile_puts;
+          Alcotest.test_case "the record is fenced when enqueue_once returns"
+            `Quick test_record_fenced_on_return;
+        ]
+        @ List.concat_map
+            (fun acks ->
+              List.map
+                (fun policy ->
+                  Alcotest.test_case
+                    (Printf.sprintf "crash sweep across enqueue_once (%s, %s)"
+                       (Broker.Service.acks_name acks)
+                       (Nvm.Crash.policy_name policy))
+                    `Quick
+                    (test_once_crash_sweep acks policy))
+                Nvm.Crash.
+                  [ All_flushed; Only_persisted; Torn_prefix; Random_evictions ])
+            Broker.Service.[ Acks_all_synced; Acks_leader ] );
       ( "harness",
         [
           Alcotest.test_case "sharded runner smoke" `Quick

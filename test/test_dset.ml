@@ -377,7 +377,20 @@ let test_broker_exactly_once () =
   done;
   (* the offset tier's map spans stay within their variant's bounds *)
   check_ok "broker strict audit (queue + offsets)"
-    (Broker.Census.strict_audit service)
+    (Broker.Census.strict_audit service);
+  (* every accepted publish wrote its dedup record behind, in one
+     put-behind span owning the put's one fence *)
+  match
+    List.find_opt
+      (fun (a : Nvm.Span.agg) ->
+        a.Nvm.Span.agg_label = Dset.Instrumented.put_behind_label)
+      (Broker.Census.span_aggregates service)
+  with
+  | Some a ->
+      Alcotest.(check (pair int int)) "put-behind spans and their fences"
+        (producers * seqs, producers * seqs)
+        (a.Nvm.Span.count, a.Nvm.Span.sum.Nvm.Stats.fences)
+  | None -> Alcotest.fail "no put-behind span"
 
 (* -- registry ---------------------------------------------------------------- *)
 

@@ -72,6 +72,56 @@ let test_nesting_and_exclusion () =
       Alcotest.(check int) "outer count" 1 a.Nvm.Span.count
   | None -> Alcotest.fail "outer aggregate missing"
 
+(* A span opened inside an excluded span is excluded too: the sink sees
+   it excluded, it aggregates under its own label, and no enclosing span
+   is charged for it — not even its excluded parent, so each counter
+   lands in exactly one span.  The shape of a write-behind that runs an
+   instrumented map put: the put's "ins" span must not bill its flush to
+   the operation that does not wait for it. *)
+let test_nested_in_excluded () =
+  let heap = fresh_heap () in
+  let spans = Nvm.Heap.spans heap in
+  let r = Nvm.Heap.alloc_region heap ~tag:Nvm.Region.Meta ~words:8 in
+  let addr = Nvm.Region.line_addr r 0 in
+  let sunk = ref [] in
+  Nvm.Span.set_sink spans
+    (Some
+       (fun c ->
+         if not c.Nvm.Span.instant then
+           sunk := (c.Nvm.Span.label, c.Nvm.Span.excluded) :: !sunk));
+  let before = Nvm.Stats.total (Nvm.Heap.stats heap) in
+  Nvm.Span.open_span spans "op";
+  Nvm.Heap.persist_line heap addr;
+  Nvm.Span.with_span ~exclude:true spans "behind" (fun () ->
+      Nvm.Span.with_span spans "inner" (fun () ->
+          Nvm.Heap.flush heap addr;
+          Nvm.Heap.flush heap addr);
+      Nvm.Heap.sfence heap);
+  let op = Nvm.Span.close_span spans in
+  Nvm.Span.set_sink spans None;
+  let after = Nvm.Stats.total (Nvm.Heap.stats heap) in
+  Alcotest.(check (list (pair string bool)))
+    "sink: the inner span is excluded"
+    [ ("inner", true); ("behind", true); ("op", false) ]
+    (List.rev !sunk);
+  Alcotest.(check (pair int int)) "op: its own flush and fence only" (1, 1)
+    (op.Nvm.Span.delta.Nvm.Stats.flushes, op.Nvm.Span.delta.Nvm.Stats.fences);
+  let agg label =
+    match Nvm.Span.find_aggregate spans label with
+    | Some a -> (a.Nvm.Span.sum.Nvm.Stats.flushes, a.Nvm.Span.sum.Nvm.Stats.fences)
+    | None -> Alcotest.failf "%s aggregate missing" label
+  in
+  Alcotest.(check (pair int int)) "inner: its own two flushes" (2, 0)
+    (agg "inner");
+  Alcotest.(check (pair int int)) "behind: its fence, not inner's flushes"
+    (0, 1) (agg "behind");
+  (* No double count: the three spans' deltas add up to the totals. *)
+  Alcotest.(check (pair int int)) "spans sum to the totals"
+    ( after.Nvm.Stats.flushes - before.Nvm.Stats.flushes,
+      after.Nvm.Stats.fences - before.Nvm.Stats.fences )
+    (let f1, n1 = agg "inner" and f2, n2 = agg "behind" and f3, n3 = agg "op" in
+     (f1 + f2 + f3, n1 + n2 + n3))
+
 let test_ring_wrap_and_export () =
   let heap = fresh_heap () in
   let spans = Nvm.Heap.spans heap in
@@ -280,6 +330,8 @@ let () =
           Alcotest.test_case "delta and totals" `Quick test_delta;
           Alcotest.test_case "nesting and exclusion" `Quick
             test_nesting_and_exclusion;
+          Alcotest.test_case "a span nested in an excluded span is excluded"
+            `Quick test_nested_in_excluded;
           Alcotest.test_case "trace ring and export" `Quick
             test_ring_wrap_and_export;
           Alcotest.test_case "crash abandons open spans" `Quick test_abandon;
