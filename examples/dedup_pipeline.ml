@@ -3,21 +3,24 @@
    Real producers retry: an acknowledgment can be lost to a crash or a
    dropped connection even when the publish itself survived, and a
    producer that cannot tell must send the item again.  Plain queues
-   then deliver duplicates.  This demo composes the broker's durable
-   keyed-store tier ({!Broker.Offsets}: per-shard durable hash maps for
-   a producer dedup index and consumer-group commit offsets) with the
-   durable queue shards to absorb them at both ends:
+   then deliver duplicates.  This demo composes the broker's offset
+   tier ({!Broker.Offsets}: per-shard durable consumer-group commit
+   offsets and a producer dedup index) with the durable queue shards to
+   absorb them at both ends:
 
    - [Broker.Service.enqueue_once] refuses a sequence the dedup index
-     already recorded — the common retry case costs one durable-map
-     lookup and no queue traffic;
+     has already seen — the common retry case costs one volatile lookup
+     and no queue traffic.  The index is never written to NVM: recovery
+     derives it from the sequences each shard still holds and the
+     durable commit offsets;
    - [Broker.Service.dequeue_committed] durably commits each delivered
-     sequence and drops anything at or below the commit offset — the
-     rare crash-window duplicate dies here, before the consumer sees
-     it: a crash that lost the dedup record of an item already
-     consumed lets the retry enqueue a second copy.  (A retry of an
-     item still queued reads Duplicate: recovery raises the record to
-     the highest sequence its shard holds.)
+     sequence before returning it and drops anything at or below the
+     commit offset, so a retry of a consumed item reads Duplicate after
+     a crash too.
+
+   One producer publishes at acks=leader: its last items sit in an
+   unsynced journal line when the plug is pulled, the crash takes them,
+   and their retries are accepted again.
 
    The demo publishes with deliberate duplicate retries, pulls the plug
    twice mid-pipeline, lets the producers blindly retry everything after
@@ -29,13 +32,19 @@
 let producers = 4
 let seqs_per_producer = 300
 let group = 1
+let leader = 3 (* the producer that publishes at acks=leader *)
 
 let () =
   ignore (Nvm.Tid.register ());
-  let service = Broker.Service.create ~shards:2 ~offsets:true () in
+  let service =
+    Broker.Service.create ~shards:2 ~offsets:true ~buffered:true ()
+  in
+  Broker.Service.set_stream_acks service ~stream:leader
+    Broker.Service.Acks_leader;
   let off = Option.get (Broker.Service.offsets service) in
-  Printf.printf "broker: 2 shards + durable offset maps (%s)\n"
-    (Broker.Offsets.map_name off);
+  Printf.printf
+    "broker: 2 shards + durable offset maps (%s), producer %d at acks=leader\n"
+    (Broker.Offsets.map_name off) leader;
 
   (* Publish with a flaky network: every item is sent, and a third of
      the time the "lost ack" makes the producer send it again. *)
@@ -87,7 +96,8 @@ let () =
     (Hashtbl.length delivered);
 
   (* Pull the plug, recover, and let every producer blindly re-send its
-     whole history — the durable dedup index survived the crash. *)
+     whole history: the rebuilt dedup index refuses all but the leader
+     producer's items the crash took. *)
   let crash seed =
     let report =
       Broker.Recovery.crash_and_recover
@@ -95,12 +105,17 @@ let () =
         ~producer_of:Spec.Durable_check.producer_of service
     in
     if not (Broker.Recovery.ok report) then failwith "recovery failed";
-    Printf.printf "crash + recovery: queues and offset maps rebuilt\n"
+    Printf.printf
+      "crash + recovery: queues, offset maps and dedup index rebuilt\n"
   in
   crash 1;
-  publish ~from:1 (* all refused: nothing re-enters the queues *);
+  publish ~from:1;
   consume ~per_stream:(seqs_per_producer / 4);
   crash 2;
+  publish ~from:1;
+  (match Broker.Service.sync_stream service ~stream:leader with
+  | Broker.Backpressure.Accepted -> ()
+  | v -> failwith (Broker.Backpressure.verdict_name v));
   consume ~per_stream:max_int (* drain *);
 
   (* Exactly once, end to end: each sequence delivered once, none lost. *)

@@ -1,70 +1,68 @@
-(* Durable consumer-group offsets and producer dedup state, one durable
-   hash map per shard, living on the shard's own heap.
+(* Consumer-group commit offsets and the producer dedup index, per shard.
 
-   Two kinds of entries share each map under disjoint key tags:
-
-   - dedup index: producer id -> highest sequence number ever accepted
-     from that producer on this shard.  [Service.enqueue_once] consults
-     it before enqueueing, so a producer that retries after a crash (or
-     a lost acknowledgment) cannot publish the same sequence twice;
    - commit offsets: (consumer group, producer) -> highest sequence
-     number delivered to that group.  [Service.dequeue_committed]
-     advances it on every delivery and drops dequeued items at or below
-     it, so a queue-level duplicate (possible when a crash lands between
-     an enqueue and its dedup record) is filtered before delivery.
+     number delivered to that group, in one durable hash map per shard,
+     on the shard's own heap.  [Service.dequeue_committed] advances it
+     on every delivery and drops dequeued items at or below it.  A
+     commit is durable when [commit] returns;
+   - dedup index: producer id -> highest sequence number accepted from
+     that producer on this shard.  [Service.enqueue_once] consults it
+     before enqueueing, so a producer that retries after a lost
+     acknowledgment cannot publish the same sequence twice.  The index
+     is volatile: nothing in it is written to the heap.
 
-   Placing the maps on the shard heaps keeps the broker's crash model
+   Placing the map on the shard heap keeps the broker's crash model
    unchanged: the one power failure in {!Recovery.crash_and_recover}
-   already truncates these maps' lines along with the queue's, and the
-   per-shard recovery procedure rebuilds both.  A commit offset is
-   durable when [commit] returns.  A dedup record is written behind: its
-   fence is issued before [record_published] returns, and the drain is
-   not waited for, because the exactly-once protocol survives losing the
-   record (see service.ml). *)
+   already truncates the map's lines along with the queue's, and the
+   per-shard recovery procedure rebuilds both.  The index needs no
+   persisting, because recovery can derive all of it: [reconcile]
+   rebuilds it from the recovered queue and the durable commit offsets
+   (the crash argument is in service.ml). *)
 
 type t = {
-  heaps : Nvm.Heap.t array;
   maps : Dset.Map_intf.instance array;  (* one per shard, same order *)
+  published : (int, int) Hashtbl.t array;  (* the dedup index, per shard *)
+  locks : Mutex.t array;  (* one per [published] table *)
   map_name : string;
 }
 
 let default_map = "LinkFreeMap"
 
-(* Key layout: tag in the top bits keeps the two index kinds disjoint.
-   Producers fit 26 bits, groups 24 — far beyond the simulated broker's
+(* Producers fit 26 bits, groups 24 — far beyond the simulated broker's
    scale, and still well inside OCaml's 63-bit int. *)
-let dedup_key ~producer = (1 lsl 50) lor (producer land 0x3FF_FFFF)
+let producer_bits = 0x3FF_FFFF
 
 let commit_key ~group ~producer =
-  (2 lsl 50) lor ((group land 0xFF_FFFF) lsl 26) lor (producer land 0x3FF_FFFF)
+  ((group land 0xFF_FFFF) lsl 26) lor (producer land producer_bits)
+
+let producer_of_key key = key land producer_bits
 
 let create ~heaps () =
   let entry = Dq.Registry.instrumented_map (Dq.Registry.find_map default_map) in
+  let n = Array.length heaps in
   {
-    heaps;
     maps = Array.map entry.Dq.Registry.make_map heaps;
+    published = Array.init n (fun _ -> Hashtbl.create 16);
+    locks = Array.init n (fun _ -> Mutex.create ());
     map_name = entry.Dq.Registry.m_name;
   }
 
 let map_name t = t.map_name
 
-let last_published t ~shard ~producer =
-  match t.maps.(shard).Dset.Map_intf.get ~key:(dedup_key ~producer) with
-  | Some seq -> seq
-  | None -> 0
+let with_index t ~shard f =
+  Mutex.protect t.locks.(shard) (fun () -> f t.published.(shard))
 
-(* The put's fence is absorbed into a split batch whose one closing
-   fence is issued here and never joined: the record reaches the device
-   right behind the item's own drain, in the same order as a blocking
-   put, and only the caller's sleep through it goes. *)
-let record_published t ~shard ~producer ~seq =
-  let heap = t.heaps.(shard) in
-  Nvm.Span.with_span ~exclude:true (Nvm.Heap.spans heap)
-    Dset.Instrumented.put_behind_label (fun () ->
-      ignore
-        (Nvm.Heap.with_batched_fences_split heap (fun () ->
-             t.maps.(shard).Dset.Map_intf.put ~key:(dedup_key ~producer)
-               ~value:seq)))
+let last_published t ~shard ~producer =
+  with_index t ~shard (fun idx ->
+      Option.value (Hashtbl.find_opt idx producer) ~default:0)
+
+let raise_in idx ~producer ~seq =
+  match Hashtbl.find_opt idx producer with
+  | Some s when s >= seq -> ()
+  | _ -> Hashtbl.replace idx producer seq
+
+let raise_published t ~shard ~producer ~seq =
+  with_index t ~shard (raise_in ~producer ~seq)
 
 let committed t ~shard ~group ~producer =
   match t.maps.(shard).Dset.Map_intf.get ~key:(commit_key ~group ~producer) with
@@ -76,35 +74,19 @@ let commit t ~shard ~group ~producer ~seq =
 
 let recover t ~shard = t.maps.(shard).Dset.Map_intf.recover ()
 
-(* A crash can keep an item and lose its record.  Raising the record to
-   the item's sequence makes a retry of the item read Duplicate, so the
-   queue never holds two copies of one (producer, seq).  The puts are
-   recovery work and persist under the map's "recover" label. *)
+(* A sequence the recovered shard still holds was accepted, and so was
+   one any group has a durable commit for.  Anything else the crash
+   took before it was durable or delivered, and its retry is fresh. *)
 let reconcile t ~shard items =
-  let high = Hashtbl.create 8 in
-  List.iter
-    (fun v ->
-      let producer = Spec.Durable_check.producer_of v in
-      let seq = Spec.Durable_check.seq_of v in
-      match Hashtbl.find_opt high producer with
-      | Some s when s >= seq -> ()
-      | _ -> Hashtbl.replace high producer seq)
-    items;
-  let raised =
-    Hashtbl.fold
-      (fun producer seq acc ->
-        if seq > last_published t ~shard ~producer then (producer, seq) :: acc
-        else acc)
-      high []
-  in
-  if raised <> [] then begin
-    let heap = t.heaps.(shard) in
-    Nvm.Span.with_span (Nvm.Heap.spans heap) Dset.Instrumented.recover_label
-      (fun () ->
-        Nvm.Heap.with_batched_fences heap (fun () ->
-            List.iter
-              (fun (producer, seq) ->
-                t.maps.(shard).Dset.Map_intf.put ~key:(dedup_key ~producer)
-                  ~value:seq)
-              raised))
-  end
+  let commits = t.maps.(shard).Dset.Map_intf.to_alist () in
+  with_index t ~shard (fun idx ->
+      Hashtbl.reset idx;
+      List.iter
+        (fun v ->
+          raise_in idx
+            ~producer:(Spec.Durable_check.producer_of v)
+            ~seq:(Spec.Durable_check.seq_of v))
+        items;
+      List.iter
+        (fun (key, seq) -> raise_in idx ~producer:(producer_of_key key) ~seq)
+        commits)

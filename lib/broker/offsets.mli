@@ -1,13 +1,14 @@
-(** Durable consumer-group offsets and producer dedup state: one
-    durable hash map ({!Dset}) per shard, on the shard's own heap, so
-    the broker's single-power-failure crash model covers queue and
-    offsets together.
+(** Consumer-group commit offsets and the producer dedup index, per
+    shard.  The commit offsets live in one durable hash map ({!Dset})
+    per shard, on the shard's own heap, so the broker's
+    single-power-failure crash model covers queue and offsets together.
+    The dedup index is volatile, and recovery derives it ({!reconcile}).
 
-    Dedup entries (producer -> highest accepted sequence) back
-    {!Service.enqueue_once}; commit entries ((group, producer) ->
-    highest delivered sequence) back {!Service.dequeue_committed}.
-    Sequence numbers start at 1; 0 means "nothing yet".  Producer ids
-    must fit 26 bits, group ids 24. *)
+    Commit entries ((group, producer) -> highest delivered sequence)
+    back {!Service.dequeue_committed}; the index (producer -> highest
+    accepted sequence) backs {!Service.enqueue_once}.  Sequence numbers
+    start at 1; 0 means "nothing yet".  Producer ids must fit 26 bits,
+    group ids 24. *)
 
 type t
 
@@ -16,20 +17,18 @@ val default_map : string
     offset maps only ever put), and its lookups stay bounded. *)
 
 val create : heaps:Nvm.Heap.t array -> unit -> t
-(** One span-instrumented {!default_map} per heap. *)
+(** One span-instrumented {!default_map} per heap, and an empty index
+    per heap. *)
 
 val map_name : t -> string
 
 val last_published : t -> shard:int -> producer:int -> int
+(** The producer's highest accepted sequence on [shard]: an O(1) read
+    of the volatile index, touching no heap. *)
 
-val record_published : t -> shard:int -> producer:int -> seq:int -> unit
-(** Raise the producer's dedup record, written behind: the put's one
-    fence is issued before the call returns, and the record is durable
-    one device drain later, which the call does not wait for.  A crash
-    inside that drain loses only the record, which the exactly-once
-    protocol tolerates ({!Service.enqueue_once}).  Runs in an excluded
-    {!Dset.Instrumented.put_behind_label} span, charged to no enclosing
-    operation. *)
+val raise_published : t -> shard:int -> producer:int -> seq:int -> unit
+(** Raise the producer's index entry to [seq] (no-op when it is
+    already at or above).  Volatile: writes nothing to the heap. *)
 
 val committed : t -> shard:int -> group:int -> producer:int -> int
 
@@ -42,8 +41,8 @@ val recover : t -> shard:int -> unit
 
 val reconcile : t -> shard:int -> int list -> unit
 (** [reconcile t ~shard items], after {!recover}, with [items] the
-    shard's recovered queue contents in the {!Spec.Durable_check}
-    encoding: raise each producer's dedup record to the highest
-    sequence [items] holds, so a retry of a surviving item reads
-    [Duplicate].  At most one put per producer, all under one batched
-    fence; none when no record is raised. *)
+    shard's recovered queue contents (both tiers) in the
+    {!Spec.Durable_check} encoding: rebuild the shard's index, each
+    producer's entry the highest of the sequences [items] holds and
+    every group's durable commit offset for that producer.  Reads the
+    map; no put and no fence. *)

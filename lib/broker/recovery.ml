@@ -16,11 +16,11 @@
    - depth gauges and strict-tier bounds are re-seated from the
      recovered queue lengths ({!Shard.reseat}).
 
-   On a service with offsets, each shard's recovery also raises every
-   producer's dedup record to the highest sequence the shard still holds
-   ({!Offsets.reconcile}): a crash may keep an item and lose its record,
-   and the producer's retry must then read Duplicate rather than enqueue
-   a second copy that the next recovery's uniqueness check would reject.
+   On a service with offsets, each shard's recovery also rebuilds the
+   volatile dedup index ({!Offsets.reconcile}): each producer's entry is
+   the highest sequence the shard still holds or some group durably
+   committed, so a retry of a surviving or delivered item reads
+   Duplicate rather than enqueue a second copy.
 
    The paper's complete-recovery model (one single-threaded recovery per
    queue before operations resume) is preserved per shard: parallelism is
@@ -156,12 +156,11 @@ let crash_and_recover ?rng ?(policy = Nvm.Crash.Random_evictions)
               let check =
                 try
                   Shard.recover shard;
-                  (* The shard's durable offset maps live on the same
-                     heap and are rebuilt by the same domain, after the
+                  (* The shard's durable offset map lives on the same
+                     heap and is rebuilt by the same domain, after the
                      queue (paper model: single-threaded recovery per
                      shard, parallelism only across shards).  Then the
-                     dedup records catch up with the items the crash
-                     kept without their records. *)
+                     dedup index is derived from both. *)
                   Option.iter
                     (fun off ->
                       let shard_id = Shard.id shard in

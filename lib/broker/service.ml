@@ -64,9 +64,9 @@ type t = {
          new Round_robin streams route around it (the {!Routing}
          availability mask is kept in lockstep). *)
   offsets : Offsets.t option;
-      (* per-shard durable offset/dedup maps (on the shard heaps) backing
-         [enqueue_once]/[dequeue_committed]; [None] unless requested at
-         [create] *)
+      (* per-shard commit offsets (durable, on the shard heaps) and dedup
+         index (volatile) backing [enqueue_once]/[dequeue_committed];
+         [None] unless requested at [create] *)
   combining : bool;
       (* shards carry the flat-combining enqueue front-end
          ({!Dq.Combining_q}): announced enqueues are applied by an
@@ -281,34 +281,28 @@ let dequeue_any t : deq_result =
 (* Items carry their own (producer, seq) identity — the encoding of
    {!Spec.Durable_check} — so the offset maps need no side channel.
 
-   [enqueue_once] orders its three steps check-fresh -> enqueue -> record,
-   and writes the record behind: the record's fence is issued once the
-   item's own drain has been joined, and the call returns without waiting
-   for the record's drain.  Recording before enqueueing would turn a
-   crash between the two into silent loss: "published" would persist for
-   an item no queue holds.  The crash argument, at acks=all-synced:
+   [enqueue_once] orders its three steps check-fresh -> enqueue -> raise
+   the index, and writes nothing besides the item: the dedup index is
+   volatile, and recovery derives it per shard from what survived, the
+   sequences the shard still holds and every group's durable commit
+   offset ({!Offsets.reconcile}).  Raising the index before the enqueue
+   would make the retry of a refused item read Duplicate.  The crash
+   cases, at every acks level:
 
-   (i) a surviving record implies a surviving item.  The record is
-       flushed only after the item is durable, so no crash image holds
-       the record without the item;
-   (ii) a retry of a still-queued item reads Duplicate after recovery.
-       A crash inside the record's drain can keep the item and lose the
-       record; recovery raises each producer's record to the highest
-       sequence its shard still holds ({!Offsets.reconcile}), so the
-       queue never holds two copies of one sequence;
-   (iii) a re-sent copy of an already-consumed sequence dies at the
-       durable offset.  Once the item is consumed, recovery cannot raise
-       a lost record from the queue, so the retry enqueues a second copy;
-       [dequeue_committed] drops it, because a delivered sequence's
-       commit offset was durable before the item was returned.  That is
-       why the commit stays joined;
-   (iv) under a buffered level (acks=none/leader) the record is written
-       while the item still waits for its group commit, as before: a
-       crash in the unsynced window can lose the item while the record
-       suppresses the producer's retry as Duplicate.  Exactly-once
-       weakens to exactly-once-among-synced, unchanged: a producer that
-       needs the full guarantee calls [sync_stream] before trusting
-       Enqueued, or publishes the stream at acks=all-synced. *)
+   1. a retry of an item the shard still holds reads Duplicate, so the
+      uniqueness check never sees two copies;
+   2. a retry of an item consumed through [dequeue_committed] reads
+      Duplicate: its commit was durable before the item was returned;
+   3. a retry of an item that no crash image kept and no group
+      committed is accepted and delivered once.  At all-synced this
+      can only be a publish that had not returned; at a buffered level
+      it is also one its group commit had not covered;
+   4. an item whose dequeue persisted but whose commit did not is
+      re-accepted and delivered: [dequeue_committed] never returned it.
+
+   Exactly-once holds for items consumed with [dequeue_committed].  A
+   plain [dequeue] leaves no commit, so a crash after it lets the
+   item's retry in again. *)
 
 let require_offsets t fn =
   match t.offsets with
@@ -330,17 +324,17 @@ let enqueue_once t ~stream item : once_result =
       else if shard_enqueue t ~shard:s ~stream [ item ] = 0 then
         Rejected Backpressure.Overflow
       else begin
-        Offsets.record_published off ~shard:s ~producer ~seq;
+        Offsets.raise_published off ~shard:s ~producer ~seq;
         Enqueued
       end
 
 (* Deliver the stream's next uncommitted item to [group], advancing the
-   group's durable commit offset before returning it.  Queue-level
-   duplicates (seq at or below the commit offset) are dequeued and
-   dropped without delivery — this is where a copy re-sent after a lost
-   dedup record dies (point (iii) above).  The commit is durable before
-   the caller sees the item, so a crash never re-delivers an
-   already-returned sequence to the same group. *)
+   group's durable commit offset before returning it.  Items at or
+   below the commit offset are dequeued and dropped without delivery:
+   a buffered dequeue that a crash undid puts its item back.  The
+   commit is durable before the caller sees the item, so a crash never
+   re-delivers an already-returned sequence to the same group, and the
+   recovered dedup index covers it (case 2 above). *)
 let rec dequeue_committed t ~stream ~group : deq_result =
   let off = require_offsets t "dequeue_committed" in
   match dequeue t ~stream with

@@ -52,8 +52,8 @@ val create :
   t
 (** Defaults: OptUnlinkedQ, 4 shards, [Round_robin],
     [default_depth_bound], [Checked] heaps, {!Nvm.Latency.off}.
-    [~offsets:true] attaches the durable offset/dedup maps
-    ({!Offsets}) that back {!enqueue_once} and
+    [~offsets:true] attaches the durable commit offsets and the dedup
+    index ({!Offsets}) that back {!enqueue_once} and
     {!dequeue_committed}; every item of such a service must carry the
     {!Spec.Durable_check} encoding, since recovery reads each recovered
     item's producer and sequence ({!Offsets.reconcile}).
@@ -187,30 +187,29 @@ val dequeue_any : t -> deq_result
 
 type once_result =
   | Enqueued
-  | Duplicate  (** at or below the producer's durable dedup offset *)
+  | Duplicate
+      (** at or below the highest sequence the producer's shard has
+          accepted from it *)
   | Rejected of Backpressure.verdict
 
 val enqueue_once : t -> stream:int -> int -> once_result
 (** Idempotent publish: drops items the dedup index has already seen.
-    Ordered check-fresh -> enqueue -> record.  The item is durable when
-    [Enqueued] returns (at [Acks_all_synced]); its dedup record is
-    written behind, durable one device drain later
-    ({!Offsets.record_published}).  Losing that record is safe:
-    - (i) a surviving record implies a surviving item: the record is
-      written only after the item is durable;
-    - (ii) a retry of an item still queued reads [Duplicate] after
-      recovery, which raises each producer's record to the highest
-      sequence its shard holds ({!Offsets.reconcile});
-    - (iii) a re-sent copy of a sequence already consumed is enqueued
-      again and dies at the group's durable commit offset in
-      {!dequeue_committed}, whose commit is durable before it returns;
-    - (iv) under a buffered acks level the guarantee weakens to
-      exactly-once {e among synced operations}, as it always has: the
-      record is written while the enqueue waits for its commit, so a
-      crash inside the unsynced window can lose the item while the
-      record suppresses the retry as [Duplicate].  Call
-      {!sync_stream} before trusting [Enqueued], or publish the stream
-      at [Acks_all_synced]. *)
+    Ordered check-fresh -> enqueue -> raise the index.  The index is
+    volatile, so the call persists nothing but the item, which is
+    durable when [Enqueued] returns at [Acks_all_synced] and at the
+    next group commit at a buffered level.  After a crash, recovery
+    derives each producer's entry from the sequences its shard still
+    holds and every group's durable commit offset
+    ({!Offsets.reconcile}):
+    - a retry of an item the shard still holds, or of one consumed
+      through {!dequeue_committed}, reads [Duplicate];
+    - a retry of an item the crash took before it was durable or
+      delivered is accepted and delivered once, at every acks level;
+    - an item whose dequeue persisted but whose commit did not was
+      never returned, and its retry is accepted and delivered.
+    Exactly-once holds for items consumed with {!dequeue_committed}: a
+    plain {!dequeue} commits nothing, so a crash after it lets the
+    item's retry in again. *)
 
 val dequeue_committed : t -> stream:int -> group:int -> deq_result
 (** The stream's next item not yet delivered to [group]: dequeues,

@@ -16,14 +16,6 @@ let sync_label = "sync"
 let recover_label = "recover"
 let create_label = "setup:create"
 
-(* A put written behind: its caller issues the put's one fence and does
-   not wait for the drain (the exactly-once dedup record,
-   {!Broker.Offsets.record_published}).  The span is excluded, so the
-   "ins" span inside it is too, and neither is charged to the calling
-   operation; the audit bounds it at one fence.  Not the queue journal's
-   "write-behind", which the census counts as a journal commit. *)
-let put_behind_label = "put-behind"
-
 (* The labels the per-op map audit bounds apply to. *)
 let op_labels = [ ins_label; del_label; get_label ]
 

@@ -7,9 +7,9 @@
    close is exact for that operation.  Excluded (setup) spans add their
    delta to every enclosing frame's baseline so steady-state op spans are
    never charged for allocator growth.  A frame opened inside an excluded
-   one is excluded too: work an op does not wait for (a write-behind)
-   stays out of the op even where it runs an instrumented op of its
-   own.
+   one is excluded too, and is charged to no frame but its own: a
+   constructor's "setup:create" does not also count the "setup:alloc"
+   frames of the regions it allocates.
 
    Hot-path discipline: opening and closing a span allocates nothing in
    steady state.  Frames live in a preallocated per-thread stack whose

@@ -26,10 +26,10 @@
     merely happened to run inside them.  A span opened inside an excluded
     span is excluded too: it reports [excluded = true], aggregates under
     its own label, and is charged to no enclosing span, the excluded
-    parent included, so each counter lands in exactly one span.  A
-    write-behind that runs an instrumented operation (the exactly-once
-    dedup record's map put) thereby stays out of the calling op's
-    accounting.
+    parent included, so each counter lands in exactly one span: the
+    [setup:alloc] spans of the regions a constructor allocates inside
+    its excluded [setup:create] span are counted once, under
+    [setup:alloc].
 
     Thread safety: stacks, clocks, aggregates and rings are per-thread
     ({!Tid}) and touched only by their owner; [aggregates], [trace] and

@@ -39,8 +39,7 @@ let bound ~name ~label =
   | "OptUnlinkedQ" | "OptLinkedQ" when queue_op ->
       Some { max_fences = 1; max_flushes = None; max_post_flush = Some 0 }
   | "OptUnlinkedQ" | "OptLinkedQ" when batch -> fences 1
-  | "LinkFreeMap" when map_op || label = Dset.Instrumented.put_behind_label ->
-      fences 1
+  | "LinkFreeMap" when map_op -> fences 1
   | "SOFTMap" when label = Dset.Instrumented.ins_label -> fences 1
   | "SOFTMap" when map_op ->
       Some { max_fences = 0; max_flushes = Some 0; max_post_flush = None }

@@ -13,9 +13,8 @@
 
     Batch semantics: under {!Nvm.Heap.with_batched_fences} the per-op
     spans inside a ["batch"] (or ["combine"]) span observe zero fences
-    and the batch span owns exactly one closing fence; a ["put-behind"]
-    span owns its map put's fence the same way.  Labels without a
-    row — ["recover"], ["setup:*"], ["sync"], ["write-behind"] — are
+    and the batch span owns exactly one closing fence.  Labels without
+    a row — ["recover"], ["setup:*"], ["sync"], ["write-behind"] — are
     exempt. *)
 
 type bound = {
@@ -33,8 +32,6 @@ val bound : name:string -> label:string -> bound option
     - their [batch]/[combine] spans: one fence;
     - LinkFreeMap [ins]/[del]/[get] and SOFTMap [ins]: one fence;
       SOFTMap [del]/[get]: no fence and no flush;
-    - LinkFreeMap [put-behind] (a put whose fence its caller issues
-      without waiting, the exactly-once dedup record): one fence;
     - [ckpt:flip] under any name: one fence, no flush.
 
     [None] for everything else — the compared prior work and ablation

@@ -1397,7 +1397,7 @@ let test_sharded_runner_smoke () =
   Alcotest.(check bool) "modeled throughput positive" true
     (r.Load.Sharded.model_mops > 0.)
 
-(* -- exactly-once: the dedup record written behind ---------------------------- *)
+(* -- exactly-once: the derived dedup index ------------------------------------ *)
 
 (* One shard with the offset maps; stream 0 (producer 0) publishes at
    [acks]. *)
@@ -1427,21 +1427,21 @@ let crash_ok what ~policy ~rng svc =
   if not (Broker.Recovery.ok report) then
     Alcotest.failf "%s: %a" what Broker.Recovery.pp report
 
-(* Stream 0's sequences as group 1 receives them. *)
-let drain_committed svc =
+(* Stream 0's sequences as [group] receives them. *)
+let drain_committed ?(group = 1) svc =
   let rec go acc =
-    match Broker.Service.dequeue_committed svc ~stream:0 ~group:1 with
+    match Broker.Service.dequeue_committed svc ~stream:0 ~group with
     | Broker.Service.Item v -> go (Spec.Durable_check.seq_of v :: acc)
     | Broker.Service.Empty -> List.rev acc
     | _ -> Alcotest.fail "unexpected dequeue verdict"
   in
   go []
 
-(* A crash keeps an item and loses its dedup record.  The plain enqueue
-   of seq 3 leaves exactly that durable state: seq 3's queue fence
-   drained, its record never written.  Recovery raises the record to
-   the highest sequence the shard holds, so the retry reads Duplicate
-   and the next recovery finds one copy of seq 3, not two. *)
+(* An item the crash kept reads Duplicate on retry, however it was
+   published: seq 3 goes in by a plain enqueue, which never touches the
+   index.  Recovery derives the index from the items the shard holds,
+   so the retry reads Duplicate and the next recovery finds one copy of
+   seq 3, not two. *)
 let test_recordless_survivor () =
   let svc = once_service Broker.Service.Acks_all_synced in
   let policy = Nvm.Crash.Only_persisted and rng = Random.State.make [| 1 |] in
@@ -1457,10 +1457,10 @@ let test_recordless_survivor () =
   Alcotest.(check (list int)) "each delivered once" [ 1; 2; 3 ]
     (drain_committed svc)
 
-(* Reconciliation writes one put per producer whose record it raises,
-   whatever the number of record-less items, and nothing once the
-   records hold. *)
-let test_reconcile_puts () =
+(* The index is derived, not stored: recovering five record-less items
+   of two producers, twice, puts nothing into the offset map, and both
+   producers' retries still read Duplicate. *)
+let test_recovery_puts_nothing () =
   let svc = once_service Broker.Service.Acks_all_synced in
   let heap = Broker.Shard.heap (Broker.Service.shards svc).(0) in
   let puts () =
@@ -1478,10 +1478,8 @@ let test_reconcile_puts () =
   let policy = Nvm.Crash.Only_persisted and rng = Random.State.make [| 1 |] in
   let p0 = puts () in
   crash_ok "first recovery" ~policy ~rng svc;
-  Alcotest.(check int) "one put per raised producer" 2 (puts () - p0);
-  let p1 = puts () in
   crash_ok "second recovery" ~policy ~rng svc;
-  Alcotest.(check int) "no put when nothing is raised" 0 (puts () - p1);
+  Alcotest.(check int) "ins spans across two recoveries" 0 (puts () - p0);
   Alcotest.(check (list string)) "retries read Duplicate"
     [ "duplicate"; "duplicate" ]
     [
@@ -1491,12 +1489,11 @@ let test_reconcile_puts () =
         (Broker.Service.enqueue_once svc ~stream:1 (enc ~producer:1 ~seq:2));
     ]
 
-(* Once enqueue_once returns, the record's fence has been issued; the
-   crash model persists a fence's lines at issue, so no crash can lose
-   the record from here on.  Another thread consumes the item first, so
-   no queue copy is left to raise a lost record from: only the record
-   itself makes the retry read Duplicate. *)
-let test_record_fenced_on_return () =
+(* Once consumed through dequeue_committed, an item has left the queue,
+   and only its group's durable commit offset remembers it: another
+   thread consumes it, an only-persisted crash follows, and the retry
+   must still read Duplicate. *)
+let test_consumed_retry_duplicate () =
   let svc = once_service Broker.Service.Acks_all_synced in
   Alcotest.(check string) "publish" "enqueued" (publish svc ~seq:1);
   Nvm.Tid.set (Nvm.Tid.get () + 1);
@@ -1509,6 +1506,82 @@ let test_record_fenced_on_return () =
   Alcotest.(check (list int)) "nothing delivered twice" []
     (drain_committed svc)
 
+(* Two groups take one item each, leaving the queue empty: the rebuilt
+   index must read both groups' commit offsets, whichever group took
+   the higher sequence. *)
+let test_index_reads_every_group () =
+  List.iter
+    (fun (first, second) ->
+      let what = Printf.sprintf "groups %d then %d" first second in
+      let svc = once_service Broker.Service.Acks_all_synced in
+      List.iter
+        (fun seq ->
+          Alcotest.(check string) "publish" "enqueued" (publish svc ~seq))
+        [ 1; 2 ];
+      let take group =
+        match Broker.Service.dequeue_committed svc ~stream:0 ~group with
+        | Broker.Service.Item v -> Spec.Durable_check.seq_of v
+        | _ -> Alcotest.failf "%s: group %d got no item" what group
+      in
+      let a = take first in
+      let b = take second in
+      Alcotest.(check (list int)) (what ^ ": one item each") [ 1; 2 ] [ a; b ];
+      crash_ok what ~policy:Nvm.Crash.Only_persisted
+        ~rng:(Random.State.make [| 1 |]) svc;
+      let r1 = publish svc ~seq:1 in
+      let r2 = publish svc ~seq:2 in
+      Alcotest.(check (list string)) (what ^ ": retries read Duplicate")
+        [ "duplicate"; "duplicate" ] [ r1; r2 ];
+      Alcotest.(check (list int)) (what ^ ": nothing left") []
+        (drain_committed ~group:first svc @ drain_committed ~group:second svc))
+    [ (1, 2); (2, 1) ]
+
+(* A leader publish returns before its group commit; a crash before the
+   commit takes the item, and with no durable trace of it left the
+   retry is accepted and delivered. *)
+let test_leader_lost_reaccepted () =
+  List.iter
+    (fun policy ->
+      let what = Nvm.Crash.policy_name policy in
+      let svc = once_service Broker.Service.Acks_leader in
+      Alcotest.(check string) (what ^ ": publish") "enqueued"
+        (publish svc ~seq:1);
+      crash_ok what ~policy ~rng:(Random.State.make [| 1 |]) svc;
+      Alcotest.(check string) (what ^ ": retry") "enqueued" (publish svc ~seq:1);
+      accept "sync" (Broker.Service.sync_stream svc ~stream:0);
+      Alcotest.(check (list int)) (what ^ ": delivered") [ 1 ]
+        (drain_committed svc))
+    Nvm.Crash.[ Only_persisted; All_flushed ]
+
+(* The index is raised after the enqueue, so a refused publish leaves it
+   where it was: the retry, once there is room, is accepted. *)
+let test_refused_retry_accepted () =
+  fresh_tid ();
+  let svc = Broker.Service.create ~shards:1 ~depth_bound:1 ~offsets:true () in
+  Alcotest.(check string) "publish" "enqueued" (publish svc ~seq:1);
+  Alcotest.(check string) "at the bound" "rejected overflow"
+    (publish svc ~seq:2);
+  Alcotest.(check (list int)) "room made" [ 1 ] (drain_committed svc);
+  Alcotest.(check string) "retry" "enqueued" (publish svc ~seq:2)
+
+(* The index writes nothing: an all-synced publish persists its queue
+   node and nothing else.  A first publish and a commit warm both the
+   queue and the offset map, so no allocation is counted. *)
+let test_once_cost () =
+  let svc = once_service Broker.Service.Acks_all_synced in
+  Alcotest.(check string) "warm-up publish" "enqueued" (publish svc ~seq:1);
+  Alcotest.(check (list int)) "warm-up commit" [ 1 ] (drain_committed svc);
+  let heap = Broker.Shard.heap (Broker.Service.shards svc).(0) in
+  let before = Nvm.Stats.snapshot (Nvm.Heap.stats heap) in
+  for seq = 2 to 65 do
+    Alcotest.(check string) "publish" "enqueued" (publish svc ~seq)
+  done;
+  let d = Nvm.Stats.diff_total (Nvm.Heap.stats heap) ~since:before in
+  Alcotest.(check (pair (float 1e-9) (float 1e-9)))
+    "fences and flushes per publish" (1., 1.)
+    (float_of_int d.Nvm.Stats.fences /. 64.,
+     float_of_int d.Nvm.Stats.flushes /. 64.)
+
 (* Directed crash sweep across one enqueue_once: the power fails at the
    entry of its k-th heap primitive, for every k, and once after it
    returns.  Recovery, a retry of the same sequence, a second crash and
@@ -1517,13 +1590,11 @@ let test_record_fenced_on_return () =
 
    At all-synced the swept publish is seq 2 on the strict tier.  At
    leader it is the publish whose append fills a journal line (seqs 1-6
-   are published and synced first), so its write-behind commit is
-   issued before its record.  A leader publish that leaves its line
-   open is not durable when it returns, and exactly-once only holds
-   among synced operations there: a crash may keep its record and lose
-   the item.  The retry is synced before the second crash for the same
-   reason.  The sweep must see the retry both enqueued (a crash before
-   the item persisted) and dropped as a duplicate. *)
+   are published and synced first), so the sweep crosses the line's
+   commit.  The retry is synced before the second crash: a leader
+   retry the crash let in is durable only at its group commit.  The
+   sweep must see the retry both enqueued (a crash before the item
+   persisted) and dropped as a duplicate. *)
 let test_once_crash_sweep acks policy () =
   let seq = if acks = Broker.Service.Acks_all_synced then 2 else 7 in
   let retries = Hashtbl.create 2 in
@@ -1649,10 +1720,21 @@ let () =
         [
           Alcotest.test_case "a record-less survivor reads Duplicate" `Quick
             test_recordless_survivor;
-          Alcotest.test_case "reconciliation puts once per producer" `Quick
-            test_reconcile_puts;
-          Alcotest.test_case "the record is fenced when enqueue_once returns"
-            `Quick test_record_fenced_on_return;
+          Alcotest.test_case "recovery writes no offset-map entry" `Quick
+            test_recovery_puts_nothing;
+          Alcotest.test_case "a consumed item's retry reads Duplicate" `Quick
+            test_consumed_retry_duplicate;
+          Alcotest.test_case "the rebuilt index reads every group" `Quick
+            test_index_reads_every_group;
+          Alcotest.test_case
+            "a leader publish lost before its group commit is re-accepted \
+             after a crash"
+            `Quick test_leader_lost_reaccepted;
+          Alcotest.test_case "a refused publish's retry is accepted" `Quick
+            test_refused_retry_accepted;
+          Alcotest.test_case "an all-synced enqueue_once costs one fence and \
+                              one flush"
+            `Quick test_once_cost;
         ]
         @ List.concat_map
             (fun acks ->

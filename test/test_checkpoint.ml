@@ -153,11 +153,11 @@ let test_region_recycling name () =
 
 (* -- broker: exactly-once across checkpointed recovery ----------------------- *)
 
-(* The dedup index, the committed consumer offsets and the queue
-   contents all live on the same shard heaps the checkpoint compacts:
-   after checkpoint passes, two crash/recovery cycles must still
-   deliver every sequence exactly once, refuse every republish, and
-   report the committed epoch in the recovery report. *)
+(* The committed consumer offsets and the queue contents, from which
+   recovery derives the dedup index, live on the same shard heaps the
+   checkpoint compacts: after checkpoint passes, two crash/recovery
+   cycles must still deliver every sequence exactly once, refuse every
+   republish, and report the committed epoch in the recovery report. *)
 let test_exactly_once_checkpointed () =
   fresh_tid ();
   let service = Broker.Service.create ~shards:2 ~offsets:true () in
@@ -230,8 +230,9 @@ let test_exactly_once_checkpointed () =
         (Printf.sprintf "shard %d recovered from epoch 1" r.Broker.Recovery.shard)
         1 r.Broker.Recovery.ckpt_epoch)
     report.Broker.Recovery.shards;
-  (* retries after the checkpointed recovery: the compacted dedup index
-     must still refuse everything *)
+  (* retries after the checkpointed recovery: the index derived from
+     the compacted queue and the commit offsets must still refuse
+     everything *)
   publish_all ~expect_fresh:false;
   for stream = 0 to producers - 1 do
     deliver_n ~stream (seqs / 4)

@@ -283,7 +283,8 @@ let prop_concurrent_torn (entry : Dq.Registry.map_entry) =
    by the dedup index, and across two full crash/recover cycles no
    sequence is ever delivered twice to the same consumer group — and
    none is lost (all operations here complete before each crash, so
-   both maps and queue are durable at the crash point). *)
+   the commit offsets and the queue are durable at the crash point, and
+   recovery derives the index from them). *)
 let test_broker_exactly_once () =
   fresh_tid ();
   let service = Broker.Service.create ~shards:2 ~offsets:true () in
@@ -378,19 +379,18 @@ let test_broker_exactly_once () =
   (* the offset tier's map spans stay within their variant's bounds *)
   check_ok "broker strict audit (queue + offsets)"
     (Broker.Census.strict_audit service);
-  (* every accepted publish wrote its dedup record behind, in one
-     put-behind span owning the put's one fence *)
+  (* the dedup index writes nothing: the only map puts are the
+     commits of delivered items *)
   match
     List.find_opt
       (fun (a : Nvm.Span.agg) ->
-        a.Nvm.Span.agg_label = Dset.Instrumented.put_behind_label)
+        a.Nvm.Span.agg_label = Dset.Instrumented.ins_label)
       (Broker.Census.span_aggregates service)
   with
   | Some a ->
-      Alcotest.(check (pair int int)) "put-behind spans and their fences"
-        (producers * seqs, producers * seqs)
-        (a.Nvm.Span.count, a.Nvm.Span.sum.Nvm.Stats.fences)
-  | None -> Alcotest.fail "no put-behind span"
+      Alcotest.(check int) "ins spans equal the committed deliveries"
+        (Hashtbl.length delivered) a.Nvm.Span.count
+  | None -> Alcotest.fail "no ins span"
 
 (* -- registry ---------------------------------------------------------------- *)
 

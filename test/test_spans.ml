@@ -75,9 +75,9 @@ let test_nesting_and_exclusion () =
 (* A span opened inside an excluded span is excluded too: the sink sees
    it excluded, it aggregates under its own label, and no enclosing span
    is charged for it — not even its excluded parent, so each counter
-   lands in exactly one span.  The shape of a write-behind that runs an
-   instrumented map put: the put's "ins" span must not bill its flush to
-   the operation that does not wait for it. *)
+   lands in exactly one span.  The shape of setup work: the excluded
+   "setup:alloc" spans of the regions a constructor allocates open
+   inside its excluded "setup:create" span. *)
 let test_nested_in_excluded () =
   let heap = fresh_heap () in
   let spans = Nvm.Heap.spans heap in
