@@ -17,9 +17,9 @@
    - [Retry]: the broker is transiently unable to serve (mid-recovery);
      retrying after a short wait is expected to succeed.
    - [Unavailable]: the stream's shard is quarantined (its recovery
-     verdict failed, or an operator drill).  Distinct from [Retry]: the
-     wait is open-ended — the shard serves again only after a clean
-     re-check re-admits it ({!Supervisor.readmit}). *)
+     failed, or an operator drill).  Distinct from [Retry]: the wait is
+     open-ended — a drill lasts until it is lifted, a failed recovery
+     until a recovery passes ({!Service.record_recovery}). *)
 
 type verdict = Accepted | Retry | Overflow | Unavailable
 

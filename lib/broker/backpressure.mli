@@ -10,8 +10,9 @@ type verdict =
       (** the shard is at its depth bound; consume or shed load before
           retrying *)
   | Unavailable
-      (** the stream's shard is quarantined; it serves again only after
-          {!Supervisor.readmit} passes a clean re-check *)
+      (** the stream's shard is quarantined: drilled until the drill is
+          lifted ({!Service.clear_quarantine}), or its recovery failed
+          and it serves again once a recovery passes *)
 
 val verdict_name : verdict -> string
 
@@ -31,4 +32,4 @@ val release : t -> int -> unit
 (** Return room for [n] items (dequeues, or failed enqueue rollback). *)
 
 val reset : t -> depth:int -> unit
-(** Re-seat the gauge ({!Shard.recover}, {!Shard.reseat}). *)
+(** Re-seat the gauge ({!Shard.recover}). *)

@@ -15,9 +15,9 @@
    unchanged: the one power failure in {!Recovery.crash_and_recover}
    already truncates the map's lines along with the queue's, and the
    per-shard recovery procedure rebuilds both.  The index needs no
-   persisting, because recovery can derive all of it: [reconcile]
-   rebuilds it from the recovered queue and the durable commit offsets
-   (the crash argument is in service.ml). *)
+   persisting, because recovery can derive all of it: [recover] rebuilds
+   it from the recovered queue and the durable commit offsets (the crash
+   argument is in service.ml). *)
 
 type t = {
   maps : Dset.Map_intf.instance array;  (* one per shard, same order *)
@@ -72,13 +72,14 @@ let committed t ~shard ~group ~producer =
 let commit t ~shard ~group ~producer ~seq =
   t.maps.(shard).Dset.Map_intf.put ~key:(commit_key ~group ~producer) ~value:seq
 
-let recover t ~shard = t.maps.(shard).Dset.Map_intf.recover ()
-
-(* A sequence the recovered shard still holds was accepted, and so was
-   one any group has a durable commit for.  Anything else the crash
-   took before it was durable or delivered, and its retry is fresh. *)
-let reconcile t ~shard items =
-  let commits = t.maps.(shard).Dset.Map_intf.to_alist () in
+(* Rebuild the shard's map, then derive its index.  A sequence the
+   recovered shard still holds was accepted, and so was one any group
+   has a durable commit for.  Anything else the crash took before it was
+   durable or delivered, and its retry is fresh. *)
+let recover t ~shard items =
+  let map = t.maps.(shard) in
+  map.Dset.Map_intf.recover ();
+  let commits = map.Dset.Map_intf.to_alist () in
   with_index t ~shard (fun idx ->
       Hashtbl.reset idx;
       List.iter

@@ -2,7 +2,7 @@
     shard.  The commit offsets live in one durable hash map ({!Dset})
     per shard, on the shard's own heap, so the broker's
     single-power-failure crash model covers queue and offsets together.
-    The dedup index is volatile, and recovery derives it ({!reconcile}).
+    The dedup index is volatile, and recovery derives it ({!recover}).
 
     Commit entries ((group, producer) -> highest delivered sequence)
     back {!Service.dequeue_committed}; the index (producer -> highest
@@ -35,14 +35,11 @@ val committed : t -> shard:int -> group:int -> producer:int -> int
 val commit : t -> shard:int -> group:int -> producer:int -> seq:int -> unit
 (** Durable when the call returns. *)
 
-val recover : t -> shard:int -> unit
-(** Rebuild shard [shard]'s map after a crash (run after the shard's
-    queue recovery, on the same domain). *)
-
-val reconcile : t -> shard:int -> int list -> unit
-(** [reconcile t ~shard items], after {!recover}, with [items] the
-    shard's recovered queue contents (both tiers) in the
-    {!Spec.Durable_check} encoding: rebuild the shard's index, each
-    producer's entry the highest of the sequences [items] holds and
-    every group's durable commit offset for that producer.  Reads the
-    map; no put and no fence. *)
+val recover : t -> shard:int -> int list -> unit
+(** [recover t ~shard items], after a crash, with [items] the shard's
+    recovered queue contents (both tiers, {!Shard.recover}) in the
+    {!Spec.Durable_check} encoding: rebuild the shard's map, then its
+    index, each producer's entry the highest of the sequences [items]
+    holds and every group's durable commit offset for that producer.
+    Runs after the shard's queue recovery, on the same domain.  The
+    index rebuild only reads the map: no put and no fence. *)

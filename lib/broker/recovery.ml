@@ -3,24 +3,30 @@
    A full-system crash hits every shard at once: the orchestrator
    quiesces the service (in-flight callers observe Retry/Busy), snapshots
    the whole NVM image — every shard heap — via {!Nvm.Crash.crash}, then
-   re-runs each shard's recovery procedure.  Shards share no NVM state,
-   so their recoveries are independent and run in parallel across
-   domains; each recovered shard is validated before the service resumes:
+   runs each shard's one recovery procedure ([recover_shard]).  Shards
+   share no NVM state, so their recoveries are independent and run in
+   parallel across domains.  The procedure, single-threaded per shard:
 
-   - uniqueness of the recovered items (per shard, and across shards —
-     an item surfacing in two shards would mean cross-shard leakage);
-   - with [~producer_of], per-producer FIFO order of each shard's
-     contents and routing consistency (every recovered item must sit on
-     the shard its stream is pinned to) — the {!Spec.Durable_check}
-     conditions of durable linearizability, per shard;
-   - depth gauges and strict-tier bounds are re-seated from the
-     recovered queue lengths ({!Shard.reseat}).
+   - both tiers ({!Shard.recover}), which also re-seat the depth gauge
+     and the strict-tier bound and return the contents, in one walk;
+   - on a service with offsets, the offset map and the volatile dedup
+     index rebuilt from those contents ({!Offsets.recover}): each
+     producer's entry is the highest sequence the shard still holds or
+     some group durably committed, so a retry of a surviving or
+     delivered item reads Duplicate rather than enqueue a second copy;
+   - validation: uniqueness of the recovered items, and with
+     [~producer_of] per-producer FIFO order and routing consistency
+     (every recovered item must sit on the shard its stream is pinned
+     to) — the {!Spec.Durable_check} conditions of durable
+     linearizability, per shard.
 
-   On a service with offsets, each shard's recovery also rebuilds the
-   volatile dedup index ({!Offsets.reconcile}): each producer's entry is
-   the highest sequence the shard still holds or some group durably
-   committed, so a retry of a surviving or delivered item reads
-   Duplicate rather than enqueue a second copy.
+   The procedure's verdict owns the shard's quarantine
+   ({!Service.record_recovery}): a failed verdict, a raised recovery
+   included, fences the shard off before the service resumes, and only
+   a later passing verdict lets it serve again.  Nothing else re-admits
+   it, so no shard serves from a state its recovery did not rebuild.
+   Across shards, the recovered items must be unique too (an item
+   surfacing in two shards would mean cross-shard leakage).
 
    The paper's complete-recovery model (one single-threaded recovery per
    queue before operations resume) is preserved per shard: parallelism is
@@ -108,32 +114,78 @@ let validate_shard ~producer_of ~check_unique ~routing shard contents =
           | Some _ | None -> Ok ())
         (Ok ()) contents
 
-(* Re-validate one shard in place — the re-admission gate for a
-   quarantined shard ({!Supervisor.readmit}).  Quiescent use only. *)
-let recheck ?producer_of ?(check_unique = true) service ~shard:i =
-  let shard = (Service.shards service).(i) in
-  let check =
-    validate_shard ~producer_of ~check_unique
-      ~routing:(Service.routing service) shard (Shard.to_list shard)
-  in
-  if Result.is_ok check then ignore (Shard.reseat shard);
-  check
-
 let check_leakage per_shard_contents =
   let all = List.concat (Array.to_list per_shard_contents) in
   Spec.Durable_check.check_unique "across shards" all
 
-(* Snapshot the whole NVM image, then recover all shards in parallel and
-   validate.  All application threads must have been stopped (the crash
-   model: they are gone).  After the call the service is [Serving] again
-   and the calling thread holds a fresh {!Nvm.Tid} registration. *)
+(* The one per-shard recovery procedure: both tiers, then the offsets
+   rebuilt from their contents, then validation; the verdict goes to the
+   shard's quarantine before the service resumes.  [recover_ms] times
+   the two rebuilds, not the validation. *)
+let recover_shard ~producer_of ~check_unique service shard =
+  let id = Shard.id shard in
+  let r0 = Unix.gettimeofday () in
+  let recovered =
+    try
+      let contents = Shard.recover shard in
+      Option.iter
+        (fun off -> Offsets.recover off ~shard:id contents)
+        (Service.offsets service);
+      Ok contents
+    with exn ->
+      Error (Printf.sprintf "recovery raised %s" (Printexc.to_string exn))
+  in
+  let r1 = Unix.gettimeofday () in
+  let contents, check =
+    match recovered with
+    | Ok contents ->
+        ( contents,
+          validate_shard ~producer_of ~check_unique
+            ~routing:(Service.routing service) shard contents )
+    | Error e -> ([], Error e)
+  in
+  Service.record_recovery service ~shard:id check;
+  (* Checkpointed recovery statistics: what the committed epoch bought
+     this shard — image replay instead of a full designated-area scan.
+     Zeros for algorithms without a checkpoint handle. *)
+  let ckpt_epoch, replayed_items, scanned_regions =
+    match Shard.checkpoint shard with
+    | Some ck ->
+        let s = Dq.Checkpoint.last_recovery ck in
+        ( s.Dq.Checkpoint.ckpt_epoch,
+          s.Dq.Checkpoint.replayed_items,
+          s.Dq.Checkpoint.scanned_regions )
+    | None -> (0, 0, 0)
+  in
+  ( {
+      shard = id;
+      recovered_items = List.length contents;
+      recover_ms = (r1 -. r0) *. 1e3;
+      ckpt_epoch;
+      replayed_items;
+      scanned_regions;
+      check;
+    },
+    contents )
+
+(* Snapshot the whole NVM image, then recover all shards in parallel.
+   All application threads must have been stopped (the crash model:
+   they are gone).  After the call the service is [Serving] again, every
+   shard whose verdict failed quarantined, and the calling thread holds
+   a fresh {!Nvm.Tid} registration. *)
 let crash_and_recover ?rng ?(policy = Nvm.Crash.Random_evictions)
     ?domains ?producer_of ?(check_unique = true) service =
   Service.quiesce service;
   let shards = Service.shards service in
   let n = Array.length shards in
-  (* The crash: one power failure, every DIMM's cache contents lost. *)
-  Array.iter (fun s -> Nvm.Crash.crash ?rng ~policy (Shard.heap s)) shards;
+  (* The crash: one power failure, every DIMM's cache contents lost.  A
+     refused crash (a Fast heap, a randomized policy without an rng)
+     raises at shard 0 before any line is touched — the shards share one
+     heap mode and one rng — so the service goes back to serving. *)
+  (try Array.iter (fun s -> Nvm.Crash.crash ?rng ~policy (Shard.heap s)) shards
+   with Nvm.Crash.Error _ as e ->
+     Service.resume service;
+     raise e);
   Nvm.Tid.reset ();
   let domains_used =
     let d =
@@ -151,65 +203,9 @@ let crash_and_recover ?rng ?(policy = Nvm.Crash.Random_evictions)
             Nvm.Tid.set w;
             let i = ref w in
             while !i < n do
-              let shard = shards.(!i) in
-              let r0 = Unix.gettimeofday () in
-              let check =
-                try
-                  Shard.recover shard;
-                  (* The shard's durable offset map lives on the same
-                     heap and is rebuilt by the same domain, after the
-                     queue (paper model: single-threaded recovery per
-                     shard, parallelism only across shards).  Then the
-                     dedup index is derived from both. *)
-                  Option.iter
-                    (fun off ->
-                      let shard_id = Shard.id shard in
-                      Offsets.recover off ~shard:shard_id;
-                      Offsets.reconcile off ~shard:shard_id
-                        (Shard.to_list shard))
-                    (Service.offsets service);
-                  Ok ()
-                with exn ->
-                  Error
-                    (Printf.sprintf "recovery raised %s"
-                       (Printexc.to_string exn))
-              in
-              let r1 = Unix.gettimeofday () in
-              let contents =
-                match check with Ok () -> Shard.reseat shard | Error _ -> []
-              in
-              let check =
-                match check with
-                | Ok () ->
-                    validate_shard ~producer_of ~check_unique
-                      ~routing:(Service.routing service) shard contents
-                | Error _ as e -> e
-              in
-              (* Checkpointed recovery statistics: what the committed
-                 epoch bought this shard — image replay instead of a full
-                 designated-area scan.  Zeros for algorithms without a
-                 checkpoint handle. *)
-              let ckpt_epoch, replayed_items, scanned_regions =
-                match Shard.checkpoint shard with
-                | Some ck ->
-                    let s = Dq.Checkpoint.last_recovery ck in
-                    ( s.Dq.Checkpoint.ckpt_epoch,
-                      s.Dq.Checkpoint.replayed_items,
-                      s.Dq.Checkpoint.scanned_regions )
-                | None -> (0, 0, 0)
-              in
               reports.(!i) <-
                 Some
-                  ( {
-                      shard = Shard.id shard;
-                      recovered_items = List.length contents;
-                      recover_ms = (r1 -. r0) *. 1e3;
-                      ckpt_epoch;
-                      replayed_items;
-                      scanned_regions;
-                      check;
-                    },
-                    contents );
+                  (recover_shard ~producer_of ~check_unique service shards.(!i));
               i := !i + domains_used
             done))
   in

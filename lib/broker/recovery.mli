@@ -1,8 +1,12 @@
 (** Crash-recovery orchestration: one full-system crash snapshots every
-    shard's NVM image; shard recovery procedures (single-threaded each,
-    per the paper's complete-recovery model) re-run in parallel across
-    domains; each shard is validated with the {!Spec.Durable_check}
-    conditions before the service resumes. *)
+    shard's NVM image, then each shard runs its one recovery procedure
+    (single-threaded, per the paper's complete-recovery model; in
+    parallel across shards): both tiers ({!Shard.recover}), then the
+    offset map and dedup index rebuilt from the recovered contents
+    ({!Offsets.recover}), then validation with the
+    {!Spec.Durable_check} conditions.  The procedure's verdict owns the
+    shard's quarantine ({!Service.record_recovery}), set before the
+    service resumes. *)
 
 type shard_report = {
   shard : int;
@@ -29,18 +33,6 @@ type report = {
 val ok : report -> bool
 val pp : Format.formatter -> report -> unit
 
-val recheck :
-  ?producer_of:(int -> int) ->
-  ?check_unique:bool ->
-  Service.t ->
-  shard:int ->
-  (unit, string) result
-(** Re-validate one shard's contents in place (uniqueness, and with
-    [producer_of] per-stream FIFO + routing consistency) and, on
-    success, re-seat its depth gauge and strict-tier bound
-    ({!Shard.reseat}).  The re-admission gate for a
-    quarantined shard ({!Supervisor.readmit}).  Quiescent use only. *)
-
 val crash_and_recover :
   ?rng:Random.State.t ->
   ?policy:Nvm.Crash.policy ->
@@ -62,5 +54,10 @@ val crash_and_recover :
     [producer_of] (e.g. {!Spec.Durable_check.producer_of}) additionally
     enables per-stream FIFO-order and routing-consistency validation;
     [check_unique] (default true) assumes the workload enqueues distinct
-    item encodings.  On return the service is serving again and the
-    calling thread holds a fresh {!Nvm.Tid} registration. *)
+    item encodings.  On return the service is serving again, each shard
+    whose [check] failed is quarantined until a later recovery passes,
+    each shard that passed is lifted from a failed recovery's quarantine
+    (an operator's drill stays), and the calling thread holds a fresh
+    {!Nvm.Tid} registration.  A refused crash ([Fast_mode_heap],
+    [Missing_rng]) raises before any shard is touched and leaves the
+    service serving. *)

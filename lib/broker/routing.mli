@@ -31,8 +31,8 @@ val shard_for : t -> stream:int -> int
     are implicit pins and ignore availability. *)
 
 val set_available : t -> shard:int -> bool -> unit
-(** Maintained by the quarantine machinery ({!Service.quarantine} /
-    {!Supervisor}); affects only future pin choices. *)
+(** Maintained by {!Service}'s quarantine slots, in step with each
+    transition; affects only future pin choices. *)
 
 val available : t -> shard:int -> bool
 val available_count : t -> int

@@ -14,8 +14,9 @@
      caller-visible {!Backpressure.verdict}s — [Overflow] at the bound,
      [Retry] while a crash recovery is in progress;
    - recovery: {!Recovery.crash_and_recover} quiesces the service,
-     snapshots every shard's NVM image and re-runs all shard recovery
-     procedures in parallel, validating each ({!Recovery});
+     snapshots every shard's NVM image and runs each shard's one
+     recovery procedure, in parallel across shards; its verdict owns the
+     shard's quarantine ({!record_recovery});
    - durability levels: each stream publishes at an acks level, which
      {!Shard.enqueue} maps onto one of two queue tiers per shard —
      acks=all-synced onto the strict queue (durable before the enqueue
@@ -35,6 +36,14 @@
    promised; no sharded system can give one without re-serializing). *)
 
 type state = Serving | Recovering
+
+(* Why a shard is out of service.  The two ways in have one way out
+   each: {!clear_quarantine} lifts a drill, and only a passing recovery
+   lifts a failed one ({!record_recovery}). *)
+type quarantine =
+  | Clear
+  | Drill of string  (* an operator's drill *)
+  | Failed of string  (* the shard's last recovery failed *)
 
 type acks = Shard.acks = Acks_none | Acks_leader | Acks_all_synced
 
@@ -58,11 +67,12 @@ type t = {
   routing : Routing.t;
   state : state Atomic.t;
   cursor : int Atomic.t;  (* rotation start for dequeue_any sweeps *)
-  quarantined : string option Atomic.t array;
-      (* per shard: [Some reason] while quarantined.  Operations on a
-         quarantined shard answer Unavailable instead of touching it;
-         new Round_robin streams route around it (the {!Routing}
-         availability mask is kept in lockstep). *)
+  quarantined : quarantine Atomic.t array;
+      (* per shard.  Operations on a quarantined shard answer
+         Unavailable instead of touching it; new Round_robin streams
+         route around it (the {!Routing} availability mask is kept in
+         lockstep, under [quarantine_mu]). *)
+  quarantine_mu : Mutex.t;
   offsets : Offsets.t option;
       (* per-shard commit offsets (durable, on the shard heaps) and dedup
          index (volatile) backing [enqueue_once]/[dequeue_committed];
@@ -109,7 +119,8 @@ let create ?(algorithm = "OptUnlinkedQ") ?(shards = 4)
     routing = Routing.create policy ~shards;
     state = Atomic.make Serving;
     cursor = Atomic.make 0;
-    quarantined = Array.init shards (fun _ -> Atomic.make None);
+    quarantined = Array.init shards (fun _ -> Atomic.make Clear);
+    quarantine_mu = Mutex.create ();
     offsets =
       (if offsets then
          Some (Offsets.create ~heaps:(Array.map Shard.heap shard_arr) ())
@@ -191,26 +202,48 @@ let serving t = Atomic.get t.state = Serving
 (* -- Quarantine ------------------------------------------------------------- *)
 
 (* Degraded service instead of whole-broker failure: a shard whose
-   recovery verdict failed (or an operator drill) is fenced off.  Its
-   pinned streams observe a distinct Unavailable verdict, new streams
-   route around it, and {!Supervisor.readmit} lifts the quarantine after
-   a clean re-check. *)
+   recovery failed, or one an operator drills, is fenced off.  Its
+   pinned streams observe a distinct Unavailable verdict and new streams
+   route around it.  A drill never overwrites a failed recovery, so an
+   operator cannot lift what only a passing recovery may. *)
+
+let clear = function Clear -> true | Drill _ | Failed _ -> false
+let live t s = clear (Atomic.get t.quarantined.(s))
+
+(* One transition of a shard's slot, with the routing mask kept in
+   step; returns what [f] reports. *)
+let transition t ~shard f =
+  Mutex.protect t.quarantine_mu (fun () ->
+      let q, r = f (Atomic.get t.quarantined.(shard)) in
+      Atomic.set t.quarantined.(shard) q;
+      Routing.set_available t.routing ~shard (clear q);
+      r)
 
 let quarantine t ~shard ~reason =
-  Atomic.set t.quarantined.(shard) (Some reason);
-  Routing.set_available t.routing ~shard false
+  transition t ~shard (function
+    | Failed _ as q -> (q, ())
+    | Clear | Drill _ -> (Drill reason, ()))
 
 let clear_quarantine t ~shard =
-  Atomic.set t.quarantined.(shard) None;
-  Routing.set_available t.routing ~shard true
+  transition t ~shard (function
+    | Drill _ -> (Clear, Ok ())
+    | Clear -> (Clear, Error (Printf.sprintf "shard %d is not quarantined" shard))
+    | Failed reason as q ->
+        (q, Error (Printf.sprintf "shard %d: recovery failed: %s" shard reason)))
 
-let shard_quarantined t ~shard = Atomic.get t.quarantined.(shard) <> None
-let quarantine_reason t ~shard = Atomic.get t.quarantined.(shard)
+let record_recovery t ~shard verdict =
+  transition t ~shard (fun q ->
+      match (verdict, q) with
+      | Error reason, _ -> (Failed reason, ())
+      | Ok (), Failed _ -> (Clear, ())
+      | Ok (), q -> (q, ()))
+
+let shard_quarantined t ~shard = not (live t shard)
 
 let quarantined_shards t =
-  Array.to_list t.quarantined
-  |> List.mapi (fun i q -> (i, Atomic.get q))
-  |> List.filter_map (fun (i, q) -> if q = None then None else Some i)
+  List.filter
+    (fun shard -> shard_quarantined t ~shard)
+    (List.init (Array.length t.shards) Fun.id)
 
 (* -- The gate ---------------------------------------------------------------- *)
 
@@ -221,8 +254,7 @@ let gate t ~stream : (int, Backpressure.verdict) result =
   if not (serving t) then Error Backpressure.Retry
   else
     let s = Routing.shard_for t.routing ~stream in
-    if Atomic.get t.quarantined.(s) <> None then Error Backpressure.Unavailable
-    else Ok s
+    if live t s then Ok s else Error Backpressure.Unavailable
 
 (* -- Enqueue ----------------------------------------------------------------- *)
 
@@ -267,7 +299,7 @@ let dequeue_any t : deq_result =
       if i = n then Empty
       else
         let si = (start + i) mod n in
-        if Atomic.get t.quarantined.(si) <> None then sweep (i + 1)
+        if not (live t si) then sweep (i + 1)
         else
           match Shard.dequeue t.shards.(si) with
           | Some v -> Item v
@@ -285,7 +317,7 @@ let dequeue_any t : deq_result =
    the index, and writes nothing besides the item: the dedup index is
    volatile, and recovery derives it per shard from what survived, the
    sequences the shard still holds and every group's durable commit
-   offset ({!Offsets.reconcile}).  Raising the index before the enqueue
+   offset ({!Offsets.recover}).  Raising the index before the enqueue
    would make the retry of a refused item read Duplicate.  The crash
    cases, at every acks level:
 
@@ -381,7 +413,7 @@ let sync_stream t ~stream : Backpressure.verdict =
 let sync_all t =
   Array.iteri
     (fun s shard ->
-      if Atomic.get t.quarantined.(s) = None then Shard.sync shard)
+      if live t s then Shard.sync shard)
     t.shards
 
 (* -- Introspection ----------------------------------------------------------- *)

@@ -56,7 +56,7 @@ val create :
     index ({!Offsets}) that back {!enqueue_once} and
     {!dequeue_committed}; every item of such a service must carry the
     {!Spec.Durable_check} encoding, since recovery reads each recovered
-    item's producer and sequence ({!Offsets.reconcile}).
+    item's producer and sequence ({!Offsets.recover}).
     [~combining:true] puts the flat-combining enqueue front-end
     ({!Dq.Combining_q}) on every shard: announced
     enqueues are applied by an elected combiner as single-fence batches
@@ -103,13 +103,28 @@ val resume : t -> unit
     shard answers [Unavailable] to its pinned streams, new
     [Round_robin] streams route around it, and its items stay put until
     re-admission (pins are never moved — a stream's FIFO lives on one
-    shard).  Normally driven by {!Supervisor}; exposed here for drills
-    and tests. *)
+    shard).  There are two ways in, each with one way out: an
+    operator's drill ({!quarantine}), lifted by {!clear_quarantine};
+    and a failed recovery ({!record_recovery}), lifted only by a later
+    passing one.  A drill never overwrites a failed recovery. *)
 
 val quarantine : t -> shard:int -> reason:string -> unit
-val clear_quarantine : t -> shard:int -> unit
+(** Drill the shard: fence it off without a failed recovery.  A no-op
+    on a shard whose last recovery failed. *)
+
+val clear_quarantine : t -> shard:int -> (unit, string) result
+(** Lift a drill: the one operator lift.  Re-checks nothing, since the
+    shard's last recovery passed.  [Error] for a shard whose last
+    recovery failed (it stays quarantined until a recovery passes) and
+    for a shard that is not quarantined. *)
+
+val record_recovery : t -> shard:int -> (unit, string) result -> unit
+(** The verdict of the shard's recovery procedure ({!Recovery}), which
+    owns the shard's quarantine: [Error reason] quarantines it as a
+    failed recovery, over a drill if there is one; [Ok ()] lifts a
+    failed recovery's quarantine and leaves a drill in place. *)
+
 val shard_quarantined : t -> shard:int -> bool
-val quarantine_reason : t -> shard:int -> string option
 
 val quarantined_shards : t -> int list
 (** Indices of currently quarantined shards, ascending. *)
@@ -200,7 +215,7 @@ val enqueue_once : t -> stream:int -> int -> once_result
     next group commit at a buffered level.  After a crash, recovery
     derives each producer's entry from the sequences its shard still
     holds and every group's durable commit offset
-    ({!Offsets.reconcile}):
+    ({!Offsets.recover}):
     - a retry of an item the shard still holds, or of one consumed
       through {!dequeue_committed}, reads [Duplicate];
     - a retry of an item the crash took before it was durable or

@@ -196,19 +196,15 @@ let dequeue t =
 (* Both tiers' recovery procedures, single-threaded, in [to_list] order:
    the strict queue's own recovery, then the buffered tier's journal
    read — which restores exactly the synced floor (the last issued
-   commit's snapshot); the unsynced tail is gone as a unit. *)
+   commit's snapshot); the unsynced tail is gone as a unit.  One walk of
+   the rebuilt tiers then re-seats the volatile counters: the depth
+   gauge counts both tiers, the strict bound the strict tier alone.  If
+   a tier's recovery raises, the counters keep their pre-crash values;
+   the shard then stays quarantined until a recovery passes
+   ({!Service.record_recovery}), so no operation reads them. *)
 let recover t =
-  (* Until [reseat] counts the rebuilt tiers, and for good if recovery
-     raises, every dequeue probes the strict tier and the gauge reads 0. *)
-  Atomic.set t.strict_bound (max_int / 2);
-  Backpressure.reset t.gauge ~depth:0;
   t.queue.Dq.Queue_intf.recover ();
-  Option.iter Dq.Buffered_q.recover t.buffered
-
-(* Re-seat the volatile counters from the tiers' contents: the depth
-   gauge counts both tiers, the strict bound the strict tier alone.
-   Returns the contents in [to_list] order. *)
-let reseat t =
+  Option.iter Dq.Buffered_q.recover t.buffered;
   let strict = t.queue.Dq.Queue_intf.to_list () in
   let contents = strict @ buffered_list t in
   Atomic.set t.strict_bound (List.length strict);

@@ -8,8 +8,7 @@
     tier: {!enqueue} takes room in the depth gauge for as much of a list
     as the bound allows and puts that prefix on the tier the acks level
     and the stream's placement pick, {!dequeue} and {!dequeue_batch}
-    give the room back, and {!recover}/{!reseat} re-seat both
-    counters.
+    give the room back, and {!recover} re-seats both counters.
 
     The strict-tier bound is an upper bound on the strict queue's item
     count: every strict enqueue raises it first, and a dequeue lowers it
@@ -66,7 +65,7 @@ val buffered : t -> Dq.Buffered_q.t option
 
 val depth : t -> int
 (** Items admitted and not yet dequeued, over both tiers: a volatile,
-    advisory gauge, re-seated from the recovered contents by {!reseat}. *)
+    advisory gauge, re-seated from the recovered contents by {!recover}. *)
 
 val depth_bound : t -> int
 (** The gauge's bound: {!enqueue} admits nothing past it. *)
@@ -115,18 +114,15 @@ val dequeue : t -> int option
     empty strict tier costs no movnti and no fence.  A buffered dequeue
     costs no fence either. *)
 
-val recover : t -> unit
+val recover : t -> int list
 (** Both tiers' recovery, single-threaded: the strict queue's own
     procedure, then the buffered tier's journal read — exactly the
-    synced floor; the unsynced tail is dropped as a unit.  Until
-    {!reseat} follows, the depth gauge reads 0 and the strict bound is
-    left high, so every dequeue probes the strict tier. *)
-
-val reseat : t -> int list
-(** Re-seat the volatile counters from the tiers' contents — the depth
-    gauge from both tiers, the strict bound from the strict tier — and
-    return the contents in [to_list] order.  Quiescent use only: after
-    recovery, or when a quarantined shard is re-admitted. *)
+    synced floor; the unsynced tail is dropped as a unit.  One walk of
+    the rebuilt tiers then re-seats the depth gauge (both tiers) and the
+    strict bound (the strict tier), and the contents are returned in
+    [to_list] order.  Quiescent use only, after a crash.  If a tier's
+    recovery raises, the counters are left as they were: the caller
+    keeps the shard out of service until a recovery returns. *)
 
 val sync : t -> unit
 (** Group-commit the buffered tier and join its drain (no-op without

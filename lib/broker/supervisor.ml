@@ -1,89 +1,70 @@
 (* The broker supervisor: degrade instead of die.
 
-   {!Recovery.crash_and_recover} reports a per-shard validation verdict
-   but leaves the policy decision to the caller.  The supervisor is that
-   policy: a shard whose recovery check failed is *quarantined* — fenced
-   off behind {!Service.quarantine} so its pinned streams observe
-   [Unavailable], new streams route around it, and the rest of the
-   broker keeps serving.  A quarantined shard re-enters service only
-   through {!readmit}, which re-runs the shard validation in place
-   ({!Recovery.recheck}) and lifts the quarantine on a clean pass; a
-   later full crash-recovery cycle whose verdict comes back clean
-   re-admits it automatically.
+   {!Recovery.crash_and_recover} runs each shard's recovery procedure,
+   and the procedure's verdict owns the shard's quarantine: a shard
+   whose recovery failed is fenced off ({!Service.record_recovery}) so
+   its pinned streams observe [Unavailable], new streams route around
+   it, and the rest of the broker keeps serving, until a later
+   recovery passes.  The supervisor adds the policy for drills: after a
+   full crash-recovery cycle, a drilled shard whose recovery passed is
+   lifted too ({!Service.clear_quarantine}, the one operator lift).
+   Nothing is re-checked outside a recovery.
 
    Quarantine never moves a stream's pin: per-producer FIFO lives on one
    shard, and splitting a stream across two shards would silently break
    it.  The honest degraded contract — [Unavailable] until the shard is
    proven sound again — is the whole point. *)
 
-type verdict = Healthy | Quarantined of string
-
-let verdict_name = function
-  | Healthy -> "healthy"
-  | Quarantined _ -> "quarantined"
-
 type heal = {
   recovery : Recovery.report;
-  verdicts : verdict array;
   newly_quarantined : int list;
   readmitted : int list;
 }
 
 let healthy h = h.newly_quarantined = [] && Result.is_ok h.recovery.leakage
 
-let force_quarantine service ~shard ~reason =
-  Service.quarantine service ~shard ~reason
-
-(* Re-admission gate: a quarantined shard serves again only after its
-   contents pass a clean re-check (which also re-seats the gauge).
-   Guarded against double-readmission: two racing readmit calls (or a
-   flapping drill) must not re-run the re-check on a shard that is
-   already serving — the gauge re-seat would clobber live traffic's
-   depth accounting. *)
-let readmit ?producer_of ?check_unique service ~shard =
-  if not (Service.shard_quarantined service ~shard) then
-    Error (Printf.sprintf "shard %d is not quarantined" shard)
-  else
-  match Recovery.recheck ?producer_of ?check_unique service ~shard with
-  | Ok () ->
-      Service.clear_quarantine service ~shard;
-      Ok ()
-  | Error _ as e -> e
-
 (* One full crash-recovery cycle, then classify every shard:
-   - a failed validation verdict => quarantine (reason = the verdict);
-   - a clean verdict on a previously quarantined shard => auto-readmit
-     (the crash-recovery validation *is* the clean re-check). *)
+   - a failed verdict on a shard that was serving => newly quarantined
+     (the recovery already fenced it off);
+   - a passing verdict on a shard quarantined before the cycle =>
+     readmitted: the recovery lifted a failed recovery's quarantine,
+     and a drill is lifted here (the recovery is the clean re-check). *)
 let recover_and_heal ?rng ?policy ?domains ?producer_of ?check_unique service =
   let was_quarantined = Service.quarantined_shards service in
   let recovery =
     Recovery.crash_and_recover ?rng ?policy ?domains ?producer_of
       ?check_unique service
   in
-  let newly_quarantined = ref [] and readmitted = ref [] in
-  let verdicts =
-    Array.map
-      (fun (s : Recovery.shard_report) ->
-        match s.check with
-        | Error reason ->
-            if not (Service.shard_quarantined service ~shard:s.shard) then
-              newly_quarantined := s.shard :: !newly_quarantined;
-            Service.quarantine service ~shard:s.shard ~reason;
-            Quarantined reason
-        | Ok () ->
-            if List.mem s.shard was_quarantined then begin
-              Service.clear_quarantine service ~shard:s.shard;
-              readmitted := s.shard :: !readmitted
-            end;
-            Healthy)
-      recovery.shards
+  let passed i = Result.is_ok recovery.shards.(i).check in
+  let readmitted = List.filter passed was_quarantined in
+  (* The recovery lifted each failed recovery that passed, and this lift
+     refuses those; it lifts the drills. *)
+  List.iter
+    (fun shard -> ignore (Service.clear_quarantine service ~shard))
+    readmitted;
+  let newly_quarantined =
+    List.init (Array.length recovery.shards) Fun.id
+    |> List.filter (fun i -> not (passed i || List.mem i was_quarantined))
   in
-  {
-    recovery;
-    verdicts;
-    newly_quarantined = List.rev !newly_quarantined;
-    readmitted = List.rev !readmitted;
-  }
+  { recovery; newly_quarantined; readmitted }
+
+let pp ppf h =
+  Recovery.pp ppf h.recovery;
+  Array.iter
+    (fun (s : Recovery.shard_report) ->
+      match s.check with
+      | Ok () -> ()
+      | Error reason ->
+          Format.fprintf ppf "shard %d QUARANTINED: %s@." s.shard reason)
+    h.recovery.shards;
+  (match h.readmitted with
+  | [] -> ()
+  | l ->
+      Format.fprintf ppf "readmitted:%a@."
+        (fun ppf -> List.iter (Format.fprintf ppf " %d"))
+        l);
+  Format.fprintf ppf "supervisor: %s@."
+    (if healthy h then "healthy" else "degraded")
 
 (* -- Checkpoint scheduler -------------------------------------------------
 
@@ -152,21 +133,3 @@ let pp_ckpt_decisions ppf ds =
           Format.fprintf ppf "shard %d: %a@." i Dq.Checkpoint.pp_report r
       | Skipped why -> Format.fprintf ppf "shard %d: skipped (%s)@." i why)
     ds
-
-let pp ppf h =
-  Recovery.pp ppf h.recovery;
-  Array.iteri
-    (fun i v ->
-      match v with
-      | Healthy -> ()
-      | Quarantined reason ->
-          Format.fprintf ppf "shard %d QUARANTINED: %s@." i reason)
-    h.verdicts;
-  (match h.readmitted with
-  | [] -> ()
-  | l ->
-      Format.fprintf ppf "readmitted:%a@."
-        (fun ppf -> List.iter (Format.fprintf ppf " %d"))
-        l);
-  Format.fprintf ppf "supervisor: %s@."
-    (if healthy h then "healthy" else "degraded")

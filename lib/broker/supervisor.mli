@@ -1,20 +1,18 @@
-(** The broker supervisor: turns per-shard recovery verdicts into a
-    degraded-but-serving broker.  A shard whose {!Recovery} validation
-    fails is quarantined ({!Service.quarantine}): its pinned streams
-    observe [Unavailable], new [Round_robin] streams route around it,
-    and it re-enters service only after a clean re-check.  Pins are
-    never moved — per-producer FIFO lives on one shard. *)
-
-type verdict = Healthy | Quarantined of string
-
-val verdict_name : verdict -> string
+(** The broker supervisor: a degraded-but-serving broker after a
+    crash.  Each shard's recovery verdict owns its quarantine
+    ({!Recovery}, {!Service.record_recovery}): a shard whose recovery
+    failed answers [Unavailable] to its pinned streams, new
+    [Round_robin] streams route around it, and it serves again only
+    once a later recovery passes.  The supervisor also lifts a drill
+    whose shard passed a crash-recovery cycle.  Pins are never moved —
+    per-producer FIFO lives on one shard. *)
 
 type heal = {
   recovery : Recovery.report;
-  verdicts : verdict array;  (** indexed by shard *)
   newly_quarantined : int list;
+      (** shards serving before the cycle whose recovery failed *)
   readmitted : int list;
-      (** previously quarantined shards whose verdict came back clean *)
+      (** previously quarantined shards whose recovery passed *)
 }
 
 val healthy : heal -> bool
@@ -30,28 +28,15 @@ val recover_and_heal :
   ?check_unique:bool ->
   Service.t ->
   heal
-(** One {!Recovery.crash_and_recover} cycle, then classify: failed
-    verdicts are quarantined (reason = the verdict), clean verdicts on
-    previously quarantined shards are auto-readmitted.  Same
+(** One {!Recovery.crash_and_recover} cycle, which quarantines every
+    shard whose recovery failed and lifts a failed recovery's
+    quarantine from every shard that passed; then a drilled shard that
+    passed is lifted too ({!Service.clear_quarantine}).  Same
     preconditions and raises as {!Recovery.crash_and_recover}. *)
 
-val force_quarantine : Service.t -> shard:int -> reason:string -> unit
-(** Operator/drill entry: fence a shard off without a failed verdict. *)
-
-val readmit :
-  ?producer_of:(int -> int) ->
-  ?check_unique:bool ->
-  Service.t ->
-  shard:int ->
-  (unit, string) result
-(** Lift a quarantine after a clean in-place re-check
-    ({!Recovery.recheck}); on [Error] the shard stays quarantined.
-    Readmitting a shard that is not quarantined is an [Error] without a
-    re-check — the guard that makes drill flapping and racing operators
-    unable to double-readmit (a second re-check would re-seat the
-    backpressure gauge under live traffic). *)
-
 val pp : Format.formatter -> heal -> unit
+(** The recovery report, then [shard N QUARANTINED: reason] for each
+    failed shard, the readmitted shards and the supervisor's verdict. *)
 
 (** {1 Checkpoint scheduler}
 

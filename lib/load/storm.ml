@@ -149,7 +149,7 @@ let run ~seed ~cycles (cfg : config) : Fault.Report.t =
       else begin
         let stream = c.crash_seed mod cfg.producers in
         let shard = Broker.Service.shard_of_stream service ~stream in
-        Broker.Supervisor.force_quarantine service ~shard
+        Broker.Service.quarantine service ~shard
           ~reason:(Printf.sprintf "drill cycle %d" c.index);
         incr quarantine_cycles;
         Some (stream, shard)

@@ -14,6 +14,12 @@ let accept what v =
   if v <> Broker.Backpressure.Accepted then
     Alcotest.failf "%s: %s" what (Broker.Backpressure.verdict_name v)
 
+(* Lift a drill with the one operator lift; it must succeed. *)
+let lift service ~shard =
+  match Broker.Service.clear_quarantine service ~shard with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "lift refused: %s" e
+
 (* Fill [per_stream] items on each of [streams] streams, batched. *)
 let fill service ~streams ~per_stream ~batch =
   for stream = 0 to streams - 1 do
@@ -472,13 +478,95 @@ let test_producer_of_mismatch_fires () =
   (match shard0.Broker.Recovery.check with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "routing validator did not fire");
-  (* The honest producer_of accepts the same state (after re-recovery). *)
+  (* The failed verdict fences shard 0 off before the service resumes,
+     and neither the lift nor a drill over it lets it serve. *)
+  Alcotest.(check (list int)) "failed shard quarantined" [ 0 ]
+    (Broker.Service.quarantined_shards service);
+  let stream0 () =
+    Broker.Backpressure.verdict_name
+      (Broker.Service.enqueue service ~stream:0 (enc ~producer:0 ~seq:9))
+  in
+  Alcotest.(check string) "its stream is unavailable" "unavailable"
+    (stream0 ());
+  let lift_refused what =
+    match Broker.Service.clear_quarantine service ~shard:0 with
+    | Error _ -> ()
+    | Ok () -> Alcotest.failf "%s: the lift readmitted a failed recovery" what
+  in
+  lift_refused "after the failed recovery";
+  Broker.Service.quarantine service ~shard:0 ~reason:"drill";
+  lift_refused "after a drill over it";
+  (* The honest producer_of accepts the same state (after re-recovery),
+     and that passing verdict alone readmits the shard. *)
   let report =
     Broker.Recovery.crash_and_recover ~policy:Nvm.Crash.All_flushed ~domains:2
       ~producer_of:Spec.Durable_check.producer_of service
   in
   Alcotest.(check bool) "honest producer_of accepts" true
-    (Broker.Recovery.ok report)
+    (Broker.Recovery.ok report);
+  Alcotest.(check (list int)) "readmitted by the passing recovery" []
+    (Broker.Service.quarantined_shards service);
+  Alcotest.(check string) "its stream serves again" "accepted" (stream0 ())
+
+(* The supervisor's view of a failed verdict: the shard lands in
+   [newly_quarantined], [pp] names it with its reason, and the next
+   passing cycle readmits it. *)
+let test_heal_failed_verdict () =
+  fresh_tid ();
+  let service = Broker.Service.create ~shards:2 () in
+  ignore (Broker.Service.shard_of_stream service ~stream:0);
+  ignore (Broker.Service.shard_of_stream service ~stream:1);
+  for seq = 1 to 4 do
+    accept "setup"
+      (Broker.Service.enqueue service ~stream:0 (enc ~producer:0 ~seq))
+  done;
+  let heal producer_of =
+    Broker.Supervisor.recover_and_heal ~policy:Nvm.Crash.All_flushed
+      ~domains:2 ~producer_of service
+  in
+  let failed = heal (fun _ -> 1) in
+  Alcotest.(check (list int)) "newly quarantined" [ 0 ]
+    failed.Broker.Supervisor.newly_quarantined;
+  Alcotest.(check bool) "degraded" false (Broker.Supervisor.healthy failed);
+  let reason =
+    match failed.Broker.Supervisor.recovery.Broker.Recovery.shards.(0)
+            .Broker.Recovery.check
+    with
+    | Error reason -> reason
+    | Ok () -> Alcotest.fail "shard 0 passed"
+  in
+  let line = Printf.sprintf "shard 0 QUARANTINED: %s" reason in
+  Alcotest.(check bool)
+    (Printf.sprintf "pp prints %S" line)
+    true
+    (List.mem line
+       (String.split_on_char '\n'
+          (Format.asprintf "%a" Broker.Supervisor.pp failed)));
+  let healed = heal Spec.Durable_check.producer_of in
+  Alcotest.(check bool) "healthy" true (Broker.Supervisor.healthy healed);
+  Alcotest.(check (list int)) "readmitted" [ 0 ]
+    healed.Broker.Supervisor.readmitted;
+  Alcotest.(check (list int)) "nothing quarantined" []
+    (Broker.Service.quarantined_shards service)
+
+(* A crash the NVM model refuses raises before any shard is touched, and
+   leaves the service serving: a randomized policy without an rng, and a
+   Fast-mode heap. *)
+let test_refused_crash_keeps_serving () =
+  List.iter
+    (fun (what, mode) ->
+      fresh_tid ();
+      let service = Broker.Service.create ~shards:2 ~mode () in
+      accept (what ^ ": before")
+        (Broker.Service.enqueue service ~stream:0 (enc ~producer:0 ~seq:1));
+      (match Broker.Recovery.crash_and_recover service with
+      | _ -> Alcotest.failf "%s: the crash was not refused" what
+      | exception Nvm.Crash.Error _ -> ());
+      Alcotest.(check bool) (what ^ ": serving") true
+        (Broker.Service.serving service);
+      accept (what ^ ": after")
+        (Broker.Service.enqueue service ~stream:0 (enc ~producer:0 ~seq:2)))
+    [ ("no rng", Nvm.Heap.Checked); ("fast heap", Nvm.Heap.Fast) ]
 
 (* -- quarantine ---------------------------------------------------------------- *)
 
@@ -521,7 +609,7 @@ let test_quarantine_verdicts () =
       true
       (Broker.Service.shard_of_stream service ~stream:s <> victim)
   done;
-  Broker.Service.clear_quarantine service ~shard:victim;
+  lift service ~shard:victim;
   Alcotest.(check bool) "serves after clearing" true
     (Broker.Service.enqueue service ~stream:0 (enc ~producer:0 ~seq:1)
     = Broker.Backpressure.Accepted)
@@ -531,7 +619,7 @@ let test_supervisor_quarantine_readmit () =
   let service = Broker.Service.create ~shards:2 () in
   fill service ~streams:4 ~per_stream:20 ~batch:5;
   let victim = Broker.Service.shard_of_stream service ~stream:0 in
-  Broker.Supervisor.force_quarantine service ~shard:victim ~reason:"drill";
+  Broker.Service.quarantine service ~shard:victim ~reason:"drill";
   Alcotest.(check bool) "pinned stream unavailable" true
     (Broker.Service.dequeue service ~stream:0 = Broker.Service.Unavailable);
   (* A clean crash-recovery cycle auto-readmits the drilled shard. *)
@@ -551,23 +639,17 @@ let test_supervisor_quarantine_readmit () =
       Alcotest.(check int) "pinned stream serves its FIFO head again"
         (enc ~producer:0 ~seq:1) v
   | _ -> Alcotest.fail "pinned stream did not serve after readmission");
-  (* Manual path: readmit after an explicit recheck. *)
-  Broker.Supervisor.force_quarantine service ~shard:victim ~reason:"again";
-  (match
-     Broker.Supervisor.readmit
-       ~producer_of:Spec.Durable_check.producer_of service ~shard:victim
-   with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "readmit failed: %s" e);
+  (* Manual path: the operator lifts a second drill. *)
+  Broker.Service.quarantine service ~shard:victim ~reason:"again";
+  lift service ~shard:victim;
   Alcotest.(check (list int)) "quarantine lifted" []
     (Broker.Service.quarantined_shards service)
 
-(* Drill flapping: force_quarantine / readmit cycled on one shard while
-   producer domains keep the other shard's combining front-end hot.
-   Nothing may leak across the flaps — every announce slot must return
-   to idle, the double-readmit guard must hold on every cycle, and the
-   items accepted while the drills ran must survive in per-stream FIFO
-   order. *)
+(* Drill flapping: quarantine / lift cycled on one shard while producer
+   domains keep the other shard's combining front-end hot.  Nothing may
+   leak across the flaps — every announce slot must return to idle, a
+   second lift must be refused on every cycle, and the items accepted
+   while the drills ran must survive in per-stream FIFO order. *)
 let test_quarantine_flapping () =
   fresh_tid ();
   let service = Broker.Service.create ~shards:2 ~combining:true () in
@@ -595,25 +677,19 @@ let test_quarantine_flapping () =
   let domains = List.map (fun s -> Domain.spawn (producer s)) live in
   let victim_seq = ref 0 in
   for cycle = 1 to 12 do
-    Broker.Supervisor.force_quarantine service ~shard:victim
+    Broker.Service.quarantine service ~shard:victim
       ~reason:(Printf.sprintf "flap %d" cycle);
     Alcotest.(check bool)
       (Printf.sprintf "cycle %d: victim fenced" cycle)
       true
       (Broker.Service.enqueue service ~stream:0 (enc ~producer:0 ~seq:9999)
       = Broker.Backpressure.Unavailable);
-    (match
-       Broker.Supervisor.readmit ~producer_of:Spec.Durable_check.producer_of
-         service ~shard:victim
-     with
+    (match Broker.Service.clear_quarantine service ~shard:victim with
     | Ok () -> ()
-    | Error e -> Alcotest.failf "cycle %d: readmit failed: %s" cycle e);
-    (match
-       Broker.Supervisor.readmit ~producer_of:Spec.Durable_check.producer_of
-         service ~shard:victim
-     with
+    | Error e -> Alcotest.failf "cycle %d: lift failed: %s" cycle e);
+    (match Broker.Service.clear_quarantine service ~shard:victim with
     | Error _ -> ()
-    | Ok () -> Alcotest.failf "cycle %d: double readmit slipped through" cycle);
+    | Ok () -> Alcotest.failf "cycle %d: double lift slipped through" cycle);
     (* Between flaps the victim serves again: grow its FIFO a little. *)
     incr victim_seq;
     Alcotest.(check bool)
@@ -623,13 +699,10 @@ let test_quarantine_flapping () =
          (enc ~producer:0 ~seq:!victim_seq)
       = Broker.Backpressure.Accepted)
   done;
-  (* Readmitting a shard that was never quarantined is an error too. *)
-  (match
-     Broker.Supervisor.readmit ~producer_of:Spec.Durable_check.producer_of
-       service ~shard:(1 - victim)
-   with
+  (* Lifting a shard that was never quarantined is an error too. *)
+  (match Broker.Service.clear_quarantine service ~shard:(1 - victim) with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "readmit of a healthy shard slipped through");
+  | Ok () -> Alcotest.fail "lift of a healthy shard slipped through");
   List.iter Domain.join domains;
   Alcotest.(check (list int)) "no shard left quarantined" []
     (Broker.Service.quarantined_shards service);
@@ -1030,14 +1103,6 @@ let test_readmit_delivers_strict () =
   publish service ~stream:0 6;
   Broker.Service.sync_all service;
   consume service ~stream:0 2;
-  let readmit () =
-    match
-      Broker.Supervisor.readmit ~producer_of:Spec.Durable_check.producer_of
-        service ~shard:victim
-    with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "readmit failed: %s" e
-  in
   let deliver what seqs =
     List.iter
       (fun seq ->
@@ -1047,20 +1112,21 @@ let test_readmit_delivers_strict () =
         | _ -> Alcotest.failf "%s: seq %d not delivered" what seq)
       seqs
   in
-  Broker.Supervisor.force_quarantine service ~shard:victim ~reason:"drill";
-  readmit ();
+  Broker.Service.quarantine service ~shard:victim ~reason:"drill";
+  lift service ~shard:victim;
   deliver "after a drill" [ 3; 4 ];
-  Broker.Supervisor.force_quarantine service ~shard:victim ~reason:"again";
+  Broker.Service.quarantine service ~shard:victim ~reason:"again";
   let report =
     Broker.Recovery.crash_and_recover ~policy:Nvm.Crash.Only_persisted
       ~domains:1 ~producer_of:Spec.Durable_check.producer_of service
   in
   Alcotest.(check bool) "report ok" true (Broker.Recovery.ok report);
-  Alcotest.(check bool) "still quarantined" true
+  Alcotest.(check bool) "a drill outlives a passing recovery" true
     (Broker.Service.shard_quarantined service ~shard:victim);
-  readmit ();
   let shard = (Broker.Service.shards service).(victim) in
-  Alcotest.(check int) "bound re-seated" 2 (Broker.Shard.strict_bound shard);
+  Alcotest.(check int) "bound re-seated by the recovery" 2
+    (Broker.Shard.strict_bound shard);
+  lift service ~shard:victim;
   deliver "after a crash" [ 5; 6 ];
   match Broker.Service.dequeue service ~stream:0 with
   | Broker.Service.Item v ->
@@ -1582,6 +1648,55 @@ let test_once_cost () =
     (float_of_int d.Nvm.Stats.fences /. 64.,
      float_of_int d.Nvm.Stats.flushes /. 64.)
 
+(* A shard whose recovery raised serves again only after a recovery
+   passes.  Three leader publishes are left unsynced, so an
+   only-persisted crash takes them all; the first recovery raises at its
+   first heap step, before the shard's tiers, offset map or index are
+   rebuilt.  The shard is quarantined and the operator lift must refuse
+   it: serving it would answer the retries from the index of before the
+   crash, as Duplicate, and the three items would never be delivered.
+   The next recovery passes and readmits it, and the retries are
+   accepted and delivered once each. *)
+let test_raised_recovery_stays_quarantined () =
+  let svc = once_service Broker.Service.Acks_leader in
+  List.iter
+    (fun seq -> Alcotest.(check string) "publish" "enqueued" (publish svc ~seq))
+    [ 1; 2; 3 ];
+  let heap = Broker.Shard.heap (Broker.Service.shards svc).(0) in
+  let fired = Atomic.make false in
+  Nvm.Heap.set_step_hook heap
+    (Some
+       (fun () ->
+         if not (Atomic.exchange fired true) then failwith "injected fault"));
+  let heal () =
+    Broker.Supervisor.recover_and_heal ~policy:Nvm.Crash.Only_persisted
+      ~domains:1 ~producer_of:Spec.Durable_check.producer_of svc
+  in
+  let failed = heal () in
+  Nvm.Heap.set_step_hook heap None;
+  (match failed.Broker.Supervisor.recovery.Broker.Recovery.shards.(0)
+           .Broker.Recovery.check
+   with
+  | Error e when String.starts_with ~prefix:"recovery raised" e -> ()
+  | Error e -> Alcotest.failf "unexpected verdict: %s" e
+  | Ok () -> Alcotest.fail "the injected fault did not fail the recovery");
+  Alcotest.(check (list int)) "quarantined" [ 0 ]
+    failed.Broker.Supervisor.newly_quarantined;
+  (match Broker.Service.clear_quarantine svc ~shard:0 with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "the lift readmitted a shard whose recovery raised");
+  Alcotest.(check string) "a retry is refused while quarantined"
+    "rejected unavailable" (publish svc ~seq:1);
+  let healed = heal () in
+  Alcotest.(check (list int)) "readmitted by the passing recovery" [ 0 ]
+    healed.Broker.Supervisor.readmitted;
+  Alcotest.(check (list string)) "the lost publishes' retries"
+    [ "enqueued"; "enqueued"; "enqueued" ]
+    (List.map (fun seq -> publish svc ~seq) [ 1; 2; 3 ]);
+  Alcotest.(check (list int)) "each delivered once" [ 1; 2; 3 ]
+    (drain_committed svc);
+  Alcotest.(check (list int)) "nothing more" [] (drain_committed svc)
+
 (* Directed crash sweep across one enqueue_once: the power fails at the
    entry of its k-th heap primitive, for every k, and once after it
    returns.  Recovery, a retry of the same sequence, a second crash and
@@ -1672,6 +1787,10 @@ let () =
             test_leakage_validator_fires;
           Alcotest.test_case "producer_of mismatch fires" `Quick
             test_producer_of_mismatch_fires;
+          Alcotest.test_case "a failed verdict is newly quarantined" `Quick
+            test_heal_failed_verdict;
+          Alcotest.test_case "a refused crash leaves the service serving"
+            `Quick test_refused_crash_keeps_serving;
         ] );
       ( "quarantine",
         [
@@ -1735,6 +1854,9 @@ let () =
           Alcotest.test_case "an all-synced enqueue_once costs one fence and \
                               one flush"
             `Quick test_once_cost;
+          Alcotest.test_case
+            "a shard whose recovery raised serves only after a recovery passes"
+            `Quick test_raised_recovery_stays_quarantined;
         ]
         @ List.concat_map
             (fun acks ->

@@ -796,7 +796,9 @@ let test_sync_quarantined () =
   | v ->
       Alcotest.failf "quarantined sync: %s" (Broker.Backpressure.verdict_name v));
   Broker.Service.sync_all service (* must skip the quarantined shard *);
-  Broker.Service.clear_quarantine service ~shard;
+  (match Broker.Service.clear_quarantine service ~shard with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "lift: %s" e);
   Broker.Service.sync_all service;
   Alcotest.(check int) "synced after readmission" 0
     (Broker.Service.total_durability_lag service)

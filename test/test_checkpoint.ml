@@ -274,7 +274,7 @@ let test_scheduler_quarantine () =
       | v -> Alcotest.failf "enqueue: %s" (Broker.Backpressure.verdict_name v)
     done
   done;
-  Broker.Supervisor.force_quarantine service ~shard:1 ~reason:"drill";
+  Broker.Service.quarantine service ~shard:1 ~reason:"drill";
   (* the direct pass must refuse the quarantined shard *)
   (match Broker.Supervisor.checkpoint_shard service ~shard:1 with
   | Broker.Supervisor.Skipped _ -> ()
