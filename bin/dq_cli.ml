@@ -159,7 +159,7 @@ let admission_census_demo () =
   for i = 11 to 20 do
     ignore (Broker.Admission.enqueue adm ~tenant:2 ~stream:2 ~arrival:!clock i)
   done;
-  Broker.Census.pp_admission Format.std_formatter adm;
+  Broker.Admission.pp_rows Format.std_formatter adm;
   Format.pp_print_flush Format.std_formatter ()
 
 let census_cmd =
@@ -177,11 +177,7 @@ let census_cmd =
       if level = Broker.Service.Acks_all_synced then
         resolve_queues queues ~default:Dq.Registry.durable
       else
-        [
-          Dq.Registry.buffered
-            ~join_commits:(level = Broker.Service.Acks_leader)
-            ();
-        ]
+        [ Dq.Registry.buffered () ]
     in
     let audited =
       List.map
@@ -287,6 +283,13 @@ let census_cmd =
 
 let trace_cmd =
   let run queue ops out format combining buffered checkpoint =
+    if buffered && combining then begin
+      (* A combined batch absorbs its fences, and the journal refuses to
+         append under absorbed fences: as in the broker, only a strict
+         queue is combined. *)
+      prerr_endline "dq trace: --combining does not apply to --buffered";
+      exit 2
+    end;
     let entry = Dq.Registry.instrumented (Dq.Registry.find queue) in
     Nvm.Tid.reset ();
     Nvm.Tid.set 0;
@@ -420,8 +423,10 @@ let trace_cmd =
           flat-combining front-end in announced batches of 8, so combined \
           batch boundaries appear as \"combine\" spans.  With --buffered, \
           group commits and their split fence drains appear as \"sync\" \
-          spans and instant events.  With --checkpoint, the ckpt:* spans \
-          of one incremental checkpoint appear between the phases.")
+          spans and instant events (--buffered with --combining is a \
+          usage error: the journal is never combined).  With \
+          --checkpoint, the ckpt:* spans of one incremental checkpoint \
+          appear between the phases.")
     Term.(
       const run $ queue $ ops $ out $ format $ combining_arg $ buffered
       $ checkpoint)

@@ -11,11 +11,12 @@
    - the token bucket charges a tenant for what it actually got
      admitted (rejections refund), so one tenant's storm cannot starve
      the others' contracted rates;
-   - watermarks read the target shard's two congestion signals — queue
-     depth against its bound, and the buffered tier's durability lag —
+   - watermarks read the target shard's queue depth against its bound
      and answer in tiers: yellow degrades (demote an all-synced tenant
      onto the leader tier, trading per-op drains for group commits),
-     red sheds;
+     red sheds.  The buffered tier's durability lag is no signal: every
+     journal line commits inside the append that fills it, so the lag
+     stays below one line ({!Dq.Buffered_q});
    - the deadline check sheds work that has already missed its SLA at
      admission time: enqueueing it would spend a full device drain
      making an answer nobody is waiting for, which is exactly how
@@ -37,15 +38,9 @@
    Admission decides locked, enqueues unlocked, then settles the
    refund/counters locked again. *)
 
-type watermarks = {
-  yellow_depth : float;
-  red_depth : float;
-  yellow_lag : int;
-  red_lag : int;
-}
+type watermarks = { yellow_depth : float; red_depth : float }
 
-let default_watermarks =
-  { yellow_depth = 0.5; red_depth = 0.85; yellow_lag = 256; red_lag = 1024 }
+let default_watermarks = { yellow_depth = 0.5; red_depth = 0.85 }
 
 type level = Green | Yellow | Red
 
@@ -154,32 +149,22 @@ let tenant_config t ~tenant =
 
 (* -- Watermarks -------------------------------------------------------------- *)
 
-(* Read the target shard's congestion state.  Depth comes from the
-   shard's depth gauge (bound included); lag from the buffered tier.
-   Lock-free reads of monotonic-ish counters: a slightly stale level is
-   fine — watermarks are thresholds, not invariants. *)
+(* Read the target shard's depth gauge (bound included).  A lock-free
+   read of a monotonic-ish counter: a slightly stale level is fine —
+   watermarks are thresholds, not invariants. *)
 let shard_level t ~shard =
   let sh = (Service.shards t.svc).(shard) in
   let frac =
     float_of_int (Shard.depth sh) /. float_of_int (Shard.depth_bound sh)
   in
-  let lag = Shard.durability_lag sh in
-  if frac >= t.wm.red_depth || lag >= t.wm.red_lag then Red
-  else if frac >= t.wm.yellow_depth || lag >= t.wm.yellow_lag then Yellow
+  if frac >= t.wm.red_depth then Red
+  else if frac >= t.wm.yellow_depth then Yellow
   else Green
-
-let stream_level t ~stream =
-  shard_level t ~shard:(Service.shard_of_stream t.svc ~stream)
 
 let red_reason t ~shard =
   let sh = (Service.shards t.svc).(shard) in
-  let depth = Shard.depth sh and bound = Shard.depth_bound sh in
-  let lag = Shard.durability_lag sh in
-  if lag >= t.wm.red_lag then
-    Printf.sprintf "shard %d durability lag %d >= %d" shard lag t.wm.red_lag
-  else
-    Printf.sprintf "shard %d depth %d/%d >= %.0f%%" shard depth bound
-      (t.wm.red_depth *. 100.)
+  Printf.sprintf "shard %d depth %d/%d >= %.0f%%" shard (Shard.depth sh)
+    (Shard.depth_bound sh) (t.wm.red_depth *. 100.)
 
 (* -- Token bucket ------------------------------------------------------------ *)
 
@@ -209,7 +194,7 @@ let refund_locked s n =
 
 (* The demotion a yellow watermark buys: an all-synced tenant's stream
    moves onto the buffered leader tier — group commits instead of a
-   full drain per op, durability lag bounded by the watermark.  The
+   full drain per op, durability lag below one journal line.  The
    stream keeps its FIFO: its older items sit on the strict tier, which
    drains first. *)
 let demote_locked t ~stream ~requested =

@@ -1,5 +1,5 @@
 (** Admission control in front of {!Service}: per-tenant token-bucket
-    quotas, queue-depth/durability-lag watermarks, deadline-aware
+    quotas, queue-depth watermarks, deadline-aware
     shedding and graceful degradation — the overload path that keeps the
     broker's accepted work inside its SLA instead of letting the device
     queue melt under open-loop arrivals.
@@ -16,21 +16,19 @@
     layer never charges quota for an operation the service could not
     have accepted anyway. *)
 
-(** Watermark thresholds, evaluated against the target shard at
-    admission time. *)
+(** Watermark thresholds on the target shard's depth, evaluated at
+    admission time.  The buffered tier's durability lag needs none: every
+    journal line commits inside the append that fills it, so the lag
+    stays below one line. *)
 type watermarks = {
   yellow_depth : float;
       (** shard depth as a fraction of its bound at which degradation
           starts (demote acks=all-synced tenants to leader) *)
   red_depth : float;  (** depth fraction at which new work is shed *)
-  yellow_lag : int;
-      (** buffered-tier durability lag (ops not yet covered by a
-          commit) at which degradation starts *)
-  red_lag : int;  (** durability lag at which new work is shed *)
 }
 
 val default_watermarks : watermarks
-(** yellow at 50% depth / 256 lag, red at 85% depth / 1024 lag. *)
+(** yellow at 50% depth, red at 85%. *)
 
 type level = Green | Yellow | Red
 
@@ -87,9 +85,7 @@ val set_tenant : t -> tenant:int -> tenant -> unit
 val tenant_config : t -> tenant:int -> tenant
 
 val shard_level : t -> shard:int -> level
-(** The shard's current watermark level (worst of depth and lag). *)
-
-val stream_level : t -> stream:int -> level
+(** The shard's current watermark level, read from its depth. *)
 
 val enqueue :
   t -> tenant:int -> stream:int -> ?arrival:float -> int -> decision

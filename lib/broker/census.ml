@@ -158,7 +158,7 @@ let durability service =
                })
 
 (* The buffered tier's journal persists over all shard heaps: its
-   commits on sync, the ring guard or a handoff ("sync" spans) and the
+   commits on sync or the ring guard ("sync" spans) and the
    write-behinds that commit each journal line as it fills (excluded
    "write-behind" spans).  The two labels never nest, so each persist
    counts once.  Together with [durability] this is the buffered
@@ -272,12 +272,3 @@ let pp_per_op ppf p =
     p.max_op_fences p.max_batch_fences p.op_flushes p.max_op_flushes
     p.op_movntis p.max_op_movntis p.op_post_flush p.max_op_post_flush
     p.setup_fences
-
-(* -- Admission census -------------------------------------------------------- *)
-
-(* The overload view: per-tenant accepted/degraded/shed/rejected
-   counters from an admission layer fronting this service, re-exported
-   so census consumers read every table through one module. *)
-
-let admission = Admission.rows
-let pp_admission = Admission.pp_rows

@@ -74,7 +74,7 @@ type journal = {
 
 val journal_persists : Service.t -> journal
 (** The buffered tier's journal persists over all shard heaps: its
-    commits on [sync], the ring guard or a combiner handoff
+    commits on [sync] or the ring guard
     ({!Dq.Instrumented.sync_label}) and the write-behinds that commit
     each journal line as it fills ({!Dq.Instrumented.write_behind_label}),
     each counted once. *)
@@ -104,17 +104,3 @@ val occupancy : Service.t -> occupancy_row list
 (** One row per shard. *)
 
 val pp_occupancy : Format.formatter -> Service.t -> unit
-
-(** {1 Admission census}
-
-    The overload view, when an {!Admission} layer fronts the service:
-    what each tenant offered, what was admitted (and at what level),
-    and how the rest was turned away — in the same table family as
-    fences/op and occupancy, so overload state is auditable next to the
-    persist invariants. *)
-
-val admission : Admission.t -> Admission.row list
-(** One row per tenant ({!Admission.rows}, re-exported here so census
-    consumers need only this module). *)
-
-val pp_admission : Format.formatter -> Admission.t -> unit

@@ -57,9 +57,6 @@ let create policy ~shards =
 let set_available t ~shard ok = Atomic.set t.avail.(shard) ok
 let available t ~shard = Atomic.get t.avail.(shard)
 
-let available_count t =
-  Array.fold_left (fun n a -> if Atomic.get a then n + 1 else n) 0 t.avail
-
 (* Stateless mix (splitmix64 finalizer with the multipliers truncated to
    OCaml's 63-bit native int): streams that differ in any bit land on
    uncorrelated shards. *)

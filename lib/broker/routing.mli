@@ -35,7 +35,6 @@ val set_available : t -> shard:int -> bool -> unit
     transition; affects only future pin choices. *)
 
 val available : t -> shard:int -> bool
-val available_count : t -> int
 
 val pin_of : t -> stream:int -> int option
 (** The shard a stream is currently routed to, without creating a pin. *)

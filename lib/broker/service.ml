@@ -134,7 +134,6 @@ let create ?(algorithm = "OptUnlinkedQ") ?(shards = 4)
 
 let algorithm t = t.entry.Dq.Registry.name
 let combining t = t.combining
-let default_acks t = t.default_acks
 
 let buffered_tier t =
   Array.length t.shards > 0 && Shard.buffered t.shards.(0) <> None
@@ -186,7 +185,6 @@ let set_stream_acks t ~stream level =
   Mutex.unlock t.acks_mu
 
 let offsets t = t.offsets
-let shard_count t = Array.length t.shards
 let shards t = t.shards
 let routing t = t.routing
 let state t = Atomic.get t.state

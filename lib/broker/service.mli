@@ -73,16 +73,12 @@ val algorithm : t -> string
 val combining : t -> bool
 (** Whether the shards carry the combining enqueue front-end. *)
 
-val default_acks : t -> acks
-(** The service-wide default durability level. *)
-
 val buffered_tier : t -> bool
 (** Whether the shards carry the buffered group-commit tier. *)
 
 val offsets : t -> Offsets.t option
 (** The durable offset tier, when created with [~offsets:true].*)
 
-val shard_count : t -> int
 val shards : t -> Shard.t array
 val routing : t -> Routing.t
 val state : t -> state

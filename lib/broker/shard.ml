@@ -55,11 +55,7 @@ let create_all ~(entry : Dq.Registry.entry) ~n ~depth_bound ~mode ~latency
         | None -> queue
       in
       let buffered =
-        if buffered then
-          (* Instance default is fire-and-forget (acks=none); the
-             acks=leader enqueue path opts into joining per call. *)
-          Some (Dq.Buffered_q.create ~join_commits:false heap)
-        else None
+        if buffered then Some (Dq.Buffered_q.create heap) else None
       in
       {
         id;
@@ -103,8 +99,9 @@ let enqueue_strict t items =
           Nvm.Heap.with_batched_fences t.heap (fun () ->
               List.iter t.queue.Dq.Queue_intf.enqueue items))
 
-(* Append to the buffered tier one by one — the journal's watermark
-   commit is the batch amortization, so no fence scope is needed.
+(* Append to the buffered tier one by one — each journal line's commit
+   is the batch amortization, and the journal refuses appends inside a
+   fence scope.
    Returns the count appended; a full journal stops the list. *)
 let enqueue_buffered b ~join items =
   let rec go n = function

@@ -19,11 +19,12 @@
 (** Per-stream durability level: what an accepted enqueue promises. *)
 type acks =
   | Acks_none
-      (** buffered tier, fire-and-forget: durable at the next watermark
-          commit or explicit sync *)
+      (** buffered tier, fire-and-forget: durable once the commit of its
+          journal line (issued as the line fills) or an explicit sync
+          drains *)
   | Acks_leader
-      (** buffered tier, commit drains joined: durability lag bounded by
-          the group-commit watermark, producer paced to the device *)
+      (** buffered tier, commit drains joined: the producer is paced to
+          the device by the journal's watermark *)
   | Acks_all_synced
       (** durable before the call returns: the strict tier, or, for a
           stream already placed on the buffered tier, an append there

@@ -21,7 +21,10 @@ type heal = {
   readmitted : int list;
 }
 
-let healthy h = h.newly_quarantined = [] && Result.is_ok h.recovery.leakage
+(* Every shard's verdict, not only those of shards serving before the
+   cycle: a drilled shard whose recovery failed stays quarantined as a
+   failed recovery. *)
+let healthy h = Recovery.ok h.recovery
 
 (* One full crash-recovery cycle, then classify every shard:
    - a failed verdict on a shard that was serving => newly quarantined

@@ -16,9 +16,9 @@ type heal = {
 }
 
 val healthy : heal -> bool
-(** No newly quarantined shard and no cross-shard leakage.  (Shards
-    still quarantined from before are a known-degraded state, not a new
-    failure.) *)
+(** Every shard's recovery passed and no item leaked across shards
+    ({!Recovery.ok}): a shard whose recovery failed reads degraded,
+    whether or not it was quarantined before the cycle. *)
 
 val recover_and_heal :
   ?rng:Random.State.t ->

@@ -25,13 +25,13 @@
      the cost the paper's second amendment removes;
    - a *commit* seals the line holding entry [floor - 1]: it stores the
      packed (floor, consumed) pair, read under the append lock, in that
-     line's seal word, flushes the line and any line no earlier commit
-     flushed, issues one split fence ({!Nvm.Heap.sfence_split}) and
-     passes the fence's ticket to [on_commit].  Four things commit, all
-     the same way: the append that fills a line (its write-behind),
-     [sync], the ring guard and a combiner handoff.  A full line thus
-     costs one flush and one fence, and its entries are durable one line
-     drain after it fills.  Only [sync] joins its drain;
+     line's seal word, flushes that one line, issues one split fence
+     ({!Nvm.Heap.sfence_split}) and passes the fence's ticket to
+     [on_commit].  Three things commit, all the same way: the append
+     that fills a line (its write-behind), [sync] and the ring guard.  A
+     full line thus costs one flush and one fence, and its entries are
+     durable one line drain after it fills.  Only [sync] joins its
+     drain;
    - the watermark only paces an acknowledging producer.  The append
      that fills the first line at or past [watermark] entries since the
      previous pacing point is the next one: it saves its commit's
@@ -66,9 +66,10 @@
      enqueue past [floor] had completed and every dequeue counted in
      [consumed] claimed an entry below [floor].  It carries the consumed
      count next to the floor, so a crash drops only a suffix;
-   - (iii) the last issued commit always survives intact: its fence
-     covers its own line and every line of its window [consumed, floor)
-     not fenced before, and each of those is sealed full by then.  A
+   - (iii) the last issued commit always survives intact: every line
+     fill commits inside the append that fills it, so each line of its
+     window [consumed, floor) below its own was sealed full and fenced
+     by an earlier commit, and its own fence covers its own line.  A
      later store can only replace a seal with a newer one.  Recovery
      takes the highest-floor seal whose lines, from the one holding its
      consumed floor up, are all sealed full, so it never lands below the
@@ -86,13 +87,12 @@
      highest, whose entries fill only slots below the consumed floor's,
      and whose seal, stored after the older entries, vouches for them
      too — hence "at or past" above.
-   A thread whose fences are absorbed (a combining pass over the tier)
-   stores its seals and flushes, but its fence lands only when its scope
-   closes, so it issues no commit: the committed cut, the ring guard and
-   other threads' commits rely on nothing it wrote, and the next issued
-   commit flushes its lines again.  It also seals nothing on the ring
-   line that holds the last issued commit's seal, so by (iii) that seal
-   survives every crash.  Recovery reads each seal word once, walks down
+   A caller whose fences are absorbed (inside a
+   {!Nvm.Heap.with_batched_fences} scope) could not issue a commit: its
+   fence would land only when the scope closes.  So [enqueue] and
+   [sync] refuse such a caller before touching any state, and every
+   issued commit is the one path above; a dequeue issues no persist and
+   stays legal there.  Recovery reads each seal word once, walks down
    from the highest, refills slots [consumed, floor) from the journal
    and allocates nothing: the journal region is the tier's whole NVM
    footprint. *)
@@ -115,10 +115,6 @@ type t = {
   watermark : int;  (* enqueues between an acknowledging producer's waits *)
   capacity : int;  (* unconsumed entries allowed before [Journal_full] *)
   lines : int;  (* ring size in journal lines *)
-  join_commits : bool;
-      (* enqueue at a pacing point waits for the previous point's commit:
-         bounded durability lag at the cost of pacing the producer to
-         the device (the broker's acks=leader shape) *)
   yield : unit -> unit;  (* append-lock back-off hook *)
   base : int;  (* address of ring line 0 *)
   slots : int array;  (* volatile copy of the ring's entries *)
@@ -151,7 +147,7 @@ let default_yield () =
   done
 
 let create ?(watermark = default_watermark) ?(capacity = default_capacity)
-    ?(join_commits = true) ?(yield = default_yield) heap =
+    ?(yield = default_yield) heap =
   if watermark < 1 then invalid_arg "Buffered_q.create: watermark < 1";
   if capacity < 1 || capacity > consumed_mask then
     invalid_arg "Buffered_q.create: bad capacity";
@@ -167,7 +163,6 @@ let create ?(watermark = default_watermark) ?(capacity = default_capacity)
     watermark;
     capacity;
     lines;
-    join_commits;
     yield;
     base = Nvm.Region.base_addr region;
     slots = Array.make (lines * per_line) 0;
@@ -207,55 +202,43 @@ let seal_addr t l = line_addr t l + per_line
 let later a b =
   if Nvm.Heap.drain_deadline b > Nvm.Heap.drain_deadline a then b else a
 
-(* Commit (lock held): seal the line holding entry [floor - 1], flush it
-   and every line from the one holding [committed_floor] up, and issue
-   one split fence.
+(* Commit (lock held): seal the line holding entry [floor - 1], flush
+   it and issue one split fence.  Every line below it was sealed full
+   and fenced by the commit of the append that filled it.
    Returns the ticket covering the commit and every earlier one; the
    caller decides whether to join it.  A write-behind ([~behind:true])
    runs under the excluded "write-behind" span, since the appending call
    does not wait for it; the others run under "sync", so censuses report
-   commit persists apart from the fence-free op spans.  Under absorbed
-   fences the commit is not issued (see the header): it returns
-   {!Nvm.Heap.no_drain} and records nothing. *)
+   commit persists apart from the fence-free op spans. *)
 let commit ?(behind = false) t =
   let floor = Atomic.get t.appended in
   let consumed = Atomic.get t.consumed in
-  let top = line_of (floor - 1) in
-  let absorbed = Nvm.Heap.fences_absorbed t.heap in
   if floor = t.committed_floor && consumed = t.committed_consumed then
     t.last_drain
-  else if absorbed && top - line_of (t.committed_floor - 1) >= t.lines then
-    Nvm.Heap.no_drain
   else begin
     let spans = Nvm.Heap.spans t.heap in
+    let top = line_of (floor - 1) in
     let drain =
       Nvm.Span.with_span ~exclude:behind spans
         (if behind then Instrumented.write_behind_label
          else Instrumented.sync_label) (fun () ->
           Nvm.Heap.write t.heap (seal_addr t top) (pack ~floor ~consumed);
-          for l = min (line_of t.committed_floor) top to top do
-            Nvm.Heap.flush t.heap (line_addr t l)
-          done;
-          let fence = Nvm.Heap.sfence_split t.heap in
-          if absorbed then Nvm.Heap.no_drain
-          else begin
-            let drain = later fence t.last_drain in
-            t.committed_floor <- floor;
-            t.committed_consumed <- consumed;
-            t.last_drain <- drain;
-            t.commits <- t.commits + 1;
-            (* Straight after the fence, before the span closes: a
-               commit drains one line, so its ticket can complete
-               200 µs after issue, and a callback that stamps the issue
-               on its own clock should run as close to the fence as it
-               can. *)
-            (match t.on_commit with
-            | Some f -> f ~floor ~consumed ~drain
-            | None -> ());
-            drain
-          end)
+          Nvm.Heap.flush t.heap (line_addr t top);
+          let drain = later (Nvm.Heap.sfence_split t.heap) t.last_drain in
+          t.committed_floor <- floor;
+          t.committed_consumed <- consumed;
+          t.last_drain <- drain;
+          t.commits <- t.commits + 1;
+          (* Straight after the fence, before the span closes: a commit
+             drains one line, so its ticket can complete 200 µs after
+             issue, and a callback that stamps the issue on its own clock
+             should run as close to the fence as it can. *)
+          (match t.on_commit with
+          | Some f -> f ~floor ~consumed ~drain
+          | None -> ());
+          drain)
     in
-    if not absorbed then Nvm.Span.event spans "sync:commit";
+    Nvm.Span.event spans "sync:commit";
     drain
   end
 
@@ -263,7 +246,15 @@ let commit ?(behind = false) t =
 
 exception Journal_full
 
-let enqueue ?join t v =
+(* The one commit path needs the commit's fence issued now: under
+   absorbed fences it would land only when the scope closes (see the
+   header). *)
+let refuse_absorbed t op =
+  if Nvm.Heap.fences_absorbed t.heap then
+    invalid_arg ("Buffered_q." ^ op ^ ": fences absorbed by a batched scope")
+
+let enqueue ?(join = true) t v =
+  refuse_absorbed t "enqueue";
   acquire t;
   let due =
     match
@@ -286,10 +277,9 @@ let enqueue ?join t v =
        else
          (* The full line commits at once.  The first fill [watermark]
             entries past the previous pacing point is the next one (see
-            the header); a combining pass never waits. *)
+            the header). *)
          let drain = commit ~behind:true t in
-         if hi - t.paced_at < t.watermark || Nvm.Heap.fences_absorbed t.heap
-         then None
+         if hi - t.paced_at < t.watermark then None
          else begin
            let due = t.paced_drain in
            t.paced_at <- hi;
@@ -306,12 +296,10 @@ let enqueue ?join t v =
   in
   (* Wait outside the lock: the drain is device time, and holding the
      append lock through it would serialise producers behind the DIMM.
-     [?join] overrides the instance default per call — the broker maps
-     acks=leader onto waiting and acks=none onto fire-and-forget over
-     the same shard tier. *)
+     [join] is per call — the broker maps acks=leader onto waiting and
+     acks=none onto fire-and-forget over the same shard tier. *)
   match due with
-  | Some d when Option.value join ~default:t.join_commits ->
-      Nvm.Heap.drain_join t.heap d
+  | Some d when join -> Nvm.Heap.drain_join t.heap d
   | _ -> ()
 
 (* The slot is read before the CAS: a successful CAS proves no append
@@ -325,6 +313,7 @@ let rec dequeue t =
     else dequeue t
 
 let sync t =
+  refuse_absorbed t "sync";
   let spans = Nvm.Heap.spans t.heap in
   Nvm.Span.event spans "sync";
   acquire t;

@@ -11,10 +11,9 @@
 
     A commit stores the packed (floor, consumed) pair, read under the
     lock, in the seal word of the line holding entry [floor - 1], after
-    that line's entries, flushes the line (and any line no earlier
-    commit flushed) and issues one split fence.  The append that fills
-    a line commits at once, and so do {!sync}, the ring guard and a
-    combiner handoff.  A seal is the last store to its line, so by the
+    that line's entries, flushes that line and issues one split fence.
+    The append that fills a line commits at once, and so do {!sync} and
+    the ring guard.  A seal is the last store to its line, so by the
     paper's Assumption 1 a surviving seal means its entries survived:
     the seal needs no fence of its own.  A crash keeps at least the last
     issued commit's cut — every operation covered by a commit survives,
@@ -28,7 +27,12 @@
     per-op persistence pays one full drain per operation no matter how
     fences are batched), and an operation is durable one line drain
     after its line fills.  The watermark triggers no commit:
-    it only paces an acknowledging producer (see {!enqueue}). *)
+    it only paces an acknowledging producer (see {!enqueue}).
+
+    A commit's fence must be issued at once, so {!enqueue} and {!sync}
+    refuse a caller whose fences are absorbed
+    ({!Nvm.Heap.fences_absorbed}); {!dequeue} issues no persist and
+    works anywhere. *)
 
 type t
 
@@ -42,7 +46,6 @@ val name : string
 val create :
   ?watermark:int ->
   ?capacity:int ->
-  ?join_commits:bool ->
   ?yield:(unit -> unit) ->
   Nvm.Heap.t ->
   t
@@ -50,11 +53,8 @@ val create :
     footprint) and a volatile copy of the ring.  [capacity] (default
     65536) is the unconsumed backlog allowed before {!Journal_full}; the
     ring rounds it up to whole seven-entry lines.  [watermark] (default
-    64) spaces the pacing points of an acknowledging producer, and
-    [join_commits] (default [true]) makes an enqueue acknowledge: at a
-    pacing point it waits for the commit saved at the previous one
-    (the broker's acks=leader shape), while [false] leaves every drain
-    to [sync].  [yield] is the append-lock back-off hook (the
+    64) spaces the pacing points of an acknowledging producer (see
+    {!enqueue}).  [yield] is the append-lock back-off hook (the
     interleaving explorer passes its fiber yield).
     @raise Invalid_argument when [watermark < 1], or [capacity] is
     below 1 or above 2{^31} - 1. *)
@@ -68,11 +68,14 @@ val enqueue : ?join:bool -> t -> int -> unit
     for the ticket saved at the previous point.  A device that keeps up
     has drained that one already, so an acknowledging producer never
     waits on it, while one that outruns the device stays within about
-    two watermarks of it.  [join] overrides [join_commits] for this call
-    (the broker maps acks=leader onto [~join:true] and acks=none onto
-    [~join:false] over the same shard tier).
+    two watermarks of it.  [join] (default [true]) makes this call
+    acknowledge; [false] leaves every drain to {!sync} (the broker maps
+    acks=leader onto [~join:true] and acks=none onto [~join:false] over
+    the same shard tier).
     @raise Journal_full when the unconsumed backlog reached
-    [capacity]. *)
+    [capacity].
+    @raise Invalid_argument inside a batched-fence scope
+    ({!Nvm.Heap.with_batched_fences}), before any state changes. *)
 
 val dequeue : t -> int option
 (** Claim the oldest live entry (lock-free: one CAS on the consumed
@@ -82,10 +85,10 @@ val dequeue : t -> int option
 val sync : t -> unit
 (** The explicit persistence boundary: issue a commit covering every
     operation completed so far and join its drain.  On return, all of
-    them survive any later crash.  Inside a batched-fence scope
-    ({!Nvm.Heap.with_batched_fences}) the commit's fence lands only
-    when the scope closes, so no commit is issued there: the next one
-    outside covers the operations. *)
+    them survive any later crash.
+    @raise Invalid_argument inside a batched-fence scope
+    ({!Nvm.Heap.with_batched_fences}), before any state changes: the
+    commit's fence would land only when the scope closes. *)
 
 val recover : t -> unit
 (** Post-crash: read each seal word once, take the highest-floor seal
@@ -132,7 +135,7 @@ val set_on_commit :
     ticket's deadline. *)
 
 type stats = { s_commits : int; s_syncs : int }
-(** Commits issued (write-behinds, syncs, the ring guard and combiner
-    handoffs) and {!sync} calls. *)
+(** Commits issued (write-behinds, syncs and the ring guard) and
+    {!sync} calls. *)
 
 val stats : t -> stats

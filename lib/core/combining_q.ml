@@ -40,7 +40,12 @@
    Per-producer FIFO is preserved because a thread has at most one
    outstanding announcement and a slot's items are applied in list
    order; a global order across producers is not promised (the broker
-   never promised one). *)
+   never promised one).
+
+   The underlying queue must be strictly durable: a multi-operation
+   pass absorbs its fences, and the buffered journal ({!Buffered_q})
+   refuses appends under absorbed fences, so the broker combines only
+   its strict tier. *)
 
 (* Announce-slot states. *)
 let idle = 0
@@ -247,21 +252,16 @@ let run_combiner t ~mine =
 let try_lock t = Atomic.compare_and_set t.lock false true
 let unlock t = Atomic.set t.lock false
 
-(* Wait for a released slot, retrying the combiner election each time:
-   a combiner that hit its pass bound and left cannot strand a waiter,
-   because the waiter then combines for itself. *)
 (* Combine with the lock held, then hand the lock back before joining
    the last pass's drain. *)
 let combine_unlock t ~mine =
   let tail = run_combiner t ~mine in
   unlock t;
-  finish t tail;
-  (* Combiner handoff is a buffered-tier flush trigger: before this
-     thread goes back to being an ordinary producer, bound the
-     durability lag of the tenure's batches with an explicit sync —
-     a no-op for strict queues. *)
-  t.q.Queue_intf.sync ()
+  finish t tail
 
+(* Wait for a released slot, retrying the combiner election each time:
+   a combiner that hit its pass bound and left cannot strand a waiter,
+   because the waiter then combines for itself. *)
 let wait_released t (s : slot) =
   let rec wait () =
     if Atomic.get s.state <> released then begin

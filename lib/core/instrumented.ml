@@ -22,10 +22,10 @@ let combine_label = "combine"
    spans it applies observe zero. *)
 
 let sync_label = "sync"
-(* A buffered queue's commit on [sync], on its ring guard or at a
-   combiner handoff ({!Buffered_q}): owns the commit's one split fence
-   on behalf of the whole group, while the buffered op spans themselves
-   are fence-free. *)
+(* A buffered queue's commit on [sync] or on its ring guard
+   ({!Buffered_q}): owns the commit's one split fence on behalf of the
+   whole group, while the buffered op spans themselves are
+   fence-free. *)
 
 let write_behind_label = "write-behind"
 (* A buffered queue's write-behind ({!Buffered_q}): the append that

@@ -104,13 +104,12 @@ let combining entry =
    group-commit persistence with an explicit [sync].  It runs no
    registry algorithm — its journal is the queue — and composes under
    [instrumented] ([instrumented (buffered ())]) like any entry. *)
-let buffered ?watermark ?capacity ?join_commits () =
+let buffered ?watermark ?capacity () =
   {
     name = Buffered_q.name;
     make =
       (fun heap ->
-        Buffered_q.instance
-          (Buffered_q.create ?watermark ?capacity ?join_commits heap));
+        Buffered_q.instance (Buffered_q.create ?watermark ?capacity heap));
     durable = true;
     in_figure2 = false;
   }

@@ -35,8 +35,7 @@ val combining : entry -> entry
     ([combining (instrumented e)]) so combine spans wrap the per-op
     spans the fence audit bounds. *)
 
-val buffered :
-  ?watermark:int -> ?capacity:int -> ?join_commits:bool -> unit -> entry
+val buffered : ?watermark:int -> ?capacity:int -> unit -> entry
 (** The buffered-durability tier ({!Buffered_q}) as an entry named
     {!Buffered_q.name}: group-commit persistence with an explicit
     [sync].  It wraps no registry algorithm — its journal is the queue —

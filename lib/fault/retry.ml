@@ -185,14 +185,6 @@ let admission_enqueue_batch ~rng ?policy ?on_retry ?(retry_shed = false)
   | Ok () -> (total, Ok ())
   | Error e -> (!accepted, Error e)
 
-let dequeue ~rng ?policy ?on_retry service ~stream =
-  with_backoff ~rng ?policy ?on_retry (fun ~attempt:_ ->
-      match Broker.Service.dequeue service ~stream with
-      | Broker.Service.Item v -> Ok (Some v)
-      | Broker.Service.Empty -> Ok None
-      | Broker.Service.Busy -> Error (`Transient "busy")
-      | Broker.Service.Unavailable -> Error (`Transient "unavailable"))
-
 let dequeue_any ~rng ?policy ?on_retry service =
   with_backoff ~rng ?policy ?on_retry (fun ~attempt:_ ->
       match Broker.Service.dequeue_any service with

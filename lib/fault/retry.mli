@@ -104,19 +104,11 @@ val admission_enqueue_batch :
 (** Returns (items admitted, outcome); quota prefixes and service-side
     partial acceptance re-batch only the remainder. *)
 
-val dequeue :
-  rng:Random.State.t ->
-  ?policy:policy ->
-  ?on_retry:(attempt:int -> string -> unit) ->
-  Broker.Service.t ->
-  stream:int ->
-  (int option, string error) result
-(** [Ok None] when the stream's shard is empty (not retried — emptiness
-    is a valid answer). *)
-
 val dequeue_any :
   rng:Random.State.t ->
   ?policy:policy ->
   ?on_retry:(attempt:int -> string -> unit) ->
   Broker.Service.t ->
   (int option, string error) result
+(** [Ok None] when every serving shard is empty (not retried —
+    emptiness is a valid answer). *)

@@ -284,5 +284,3 @@ let run_map_census_checked (entry : Dq.Registry.map_entry) ~ops :
       (Nvm.Span.aggregates spans)
   in
   ({ mc_map = entry.Dq.Registry.m_name; mc_rows }, verdict)
-
-let run_map_census entry ~ops = fst (run_map_census_checked entry ~ops)

@@ -90,8 +90,6 @@ type census_row = {
 
 type map_census = { mc_map : string; mc_rows : census_row list }
 
-val run_map_census : Dq.Registry.map_entry -> ops:int -> map_census
-
 val run_map_census_checked :
   Dq.Registry.map_entry -> ops:int -> map_census * (unit, string) Stdlib.result
 (** The census plus the strict verdict

@@ -201,12 +201,7 @@ let run cfg =
     if cfg.admission then cfg.watermarks
     else
       (* Admission off: same pipeline, thresholds no load can reach. *)
-      {
-        A.yellow_depth = infinity;
-        red_depth = infinity;
-        yellow_lag = max_int;
-        red_lag = max_int;
-      }
+      { A.yellow_depth = infinity; red_depth = infinity }
   in
   let adm = A.create ~watermarks service in
   List.iteri

@@ -151,7 +151,8 @@ val fences_absorbed : t -> bool
     on this heap, so that a fence it issues now is absorbed: the covered
     flushes persist only when the scope closes.  A caller that publishes
     "this line is persisted" to other threads must not rely on such a
-    fence. *)
+    fence: the buffered journal's appends and syncs refuse to run
+    here. *)
 
 val reset_fence_contention : t -> unit
 (** Forget which threads have fenced on this heap (the write-bandwidth

@@ -510,7 +510,8 @@ let test_producer_of_mismatch_fires () =
 
 (* The supervisor's view of a failed verdict: the shard lands in
    [newly_quarantined], [pp] names it with its reason, and the next
-   passing cycle readmits it. *)
+   passing cycle readmits it.  A drilled shard whose recovery fails is
+   not newly quarantined, but the supervisor still reads degraded. *)
 let test_heal_failed_verdict () =
   fresh_tid ();
   let service = Broker.Service.create ~shards:2 () in
@@ -547,6 +548,19 @@ let test_heal_failed_verdict () =
   Alcotest.(check (list int)) "readmitted" [ 0 ]
     healed.Broker.Supervisor.readmitted;
   Alcotest.(check (list int)) "nothing quarantined" []
+    (Broker.Service.quarantined_shards service);
+  Broker.Service.quarantine service ~shard:0 ~reason:"drill";
+  let drilled = heal (fun _ -> 1) in
+  Alcotest.(check (list int)) "a drilled shard is not newly quarantined" []
+    drilled.Broker.Supervisor.newly_quarantined;
+  Alcotest.(check bool) "a drilled shard's failed recovery is degraded"
+    false
+    (Broker.Supervisor.healthy drilled);
+  Alcotest.(check bool) "pp prints degraded" true
+    (List.mem "supervisor: degraded"
+       (String.split_on_char '\n'
+          (Format.asprintf "%a" Broker.Supervisor.pp drilled)));
+  Alcotest.(check (list int)) "still quarantined" [ 0 ]
     (Broker.Service.quarantined_shards service)
 
 (* A crash the NVM model refuses raises before any shard is touched, and
@@ -1072,7 +1086,11 @@ let run_schedule ~seed ~steps =
         let items = List.length (model_contents m) in
         if Broker.Shard.depth sh <> items then
           fail "step %d: shard %d depth %d, %d items" step i
-            (Broker.Shard.depth sh) items)
+            (Broker.Shard.depth sh) items;
+        (* Every journal line commits inside the append that fills it. *)
+        if Broker.Shard.durability_lag sh >= 7 then
+          fail "step %d: shard %d durability lag %d, a whole line" step i
+            (Broker.Shard.durability_lag sh))
       (Broker.Service.shards service)
   done;
   true

@@ -1,11 +1,12 @@
 (* Tests for the buffered-durability tier: the journal queue
    (lib/core/buffered_q.ml) — a commit as each line fills, the explicit
-   [sync] boundary, the watermark's pacing, recovery from the highest
-   seal whose lines are sealed full (allocating nothing and reading each
-   seal once), ring-full refusal, claim-by-CAS dequeues under slot
-   reuse — and the broker's per-stream acks levels mapped onto it: tier
-   routing, level validation, sync verdicts, and a full-system crash
-   recovering exactly the synced floor. *)
+   [sync] boundary, its refusal of absorbed fences, the watermark's
+   pacing, recovery from the highest seal whose lines are sealed full
+   (allocating nothing and reading each seal once), ring-full refusal,
+   claim-by-CAS dequeues under slot reuse — and the broker's per-stream
+   acks levels mapped onto it: tier routing, level validation, sync
+   verdicts, and a full-system crash recovering exactly the synced
+   floor. *)
 
 let fresh_tid () =
   Nvm.Tid.reset ();
@@ -15,10 +16,9 @@ let fresh_heap ?(mode = Nvm.Heap.Checked) () =
   fresh_tid ();
   Nvm.Heap.create ~mode ~latency:Nvm.Latency.off ()
 
-let make_buffered ?watermark ?capacity ?join_commits ?(mode = Nvm.Heap.Checked)
-    () =
+let make_buffered ?watermark ?capacity ?(mode = Nvm.Heap.Checked) () =
   let heap = fresh_heap ~mode () in
-  (heap, Dq.Buffered_q.create ?watermark ?capacity ?join_commits heap)
+  (heap, Dq.Buffered_q.create ?watermark ?capacity heap)
 
 (* Fences that drain on a wall-clock device, one line in [line_ms]
    milliseconds ({!Nvm.Latency.dimm_wall}, rescaled). *)
@@ -122,7 +122,7 @@ let test_sync_boundary () =
 let test_join_override () =
   (* join only changes whether the producer waits for a drain; the
      commit itself (and the floor) is identical either way. *)
-  let _, b = make_buffered ~watermark:4 ~join_commits:false () in
+  let _, b = make_buffered ~watermark:4 () in
   for v = 1 to 7 do
     Dq.Buffered_q.enqueue ~join:(v mod 2 = 0) b v
   done;
@@ -177,32 +177,82 @@ let test_capacity_counts_entries () =
   Alcotest.(check int) "12 taken in a two-line ring" 12
     (Dq.Buffered_q.appended b)
 
-(* A thread whose fences are absorbed (a combining pass over the tier)
-   issues no commit: the line it fills is sealed and flushed, but its
-   fence lands only when the scope closes, so the committed cut does not
-   move and no callback runs.  Another thread's commit must then flush
-   that line again rather than trust a fence that has not been
-   issued. *)
-let test_absorbed_write_behind () =
-  let heap, b = make_buffered ~watermark:64 () in
-  let commits = ref 0 in
-  Dq.Buffered_q.set_on_commit b
-    (Some (fun ~floor:_ ~consumed:_ ~drain:_ -> incr commits));
-  let tid0 = Nvm.Tid.get () in
+(* Every full line commits inside the append that fills it, so no
+   append leaves a whole line uncommitted, whatever the watermark, the
+   syncs between fills or the ring's wraps: the bound that lets the
+   broker's admission watch depth alone.  Each commit, a fill's or a
+   sync's, flushes its one sealed line under one fence. *)
+let test_lag_stays_below_a_line () =
+  List.iter
+    (fun watermark ->
+      let heap, b = make_buffered ~watermark ~capacity:21 () in
+      for v = 1 to 200 do
+        Dq.Buffered_q.enqueue b v;
+        if v > 10 then ignore (Dq.Buffered_q.dequeue b);
+        if v mod 11 = 0 then Dq.Buffered_q.sync b;
+        let lag = Dq.Buffered_q.durability_lag b in
+        if lag >= per_line then
+          Alcotest.failf "watermark %d, append %d: lag %d, a whole line"
+            watermark v lag;
+        if v mod per_line = 0 && lag <> 0 then
+          Alcotest.failf "watermark %d, append %d: the fill left lag %d"
+            watermark v lag
+      done;
+      let commits = (Dq.Buffered_q.stats b).Dq.Buffered_q.s_commits in
+      let persists label =
+        let a = span_agg heap label in
+        [ a.Nvm.Span.sum.Nvm.Stats.flushes; a.Nvm.Span.sum.Nvm.Stats.fences ]
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "watermark %d: a flush and a fence per commit"
+           watermark)
+        [ commits; commits ]
+        (List.map2 ( + )
+           (persists Dq.Instrumented.write_behind_label)
+           (persists Dq.Instrumented.sync_label)))
+    [ 1; 7; 64 ]
+
+(* The journal has one commit path, and a commit's fence must be issued
+   at once: inside a batched-fence scope it would land only when the
+   scope closes, so [enqueue] and [sync] refuse such a caller before
+   touching any state.  A dequeue issues no persist and still works
+   there ([Shard.dequeue_batch] runs its dequeues in such a scope), and
+   the next append outside the scope commits its line as usual. *)
+let test_absorbed_fences_refused () =
+  let heap, b = make_buffered () in
+  enqueue_range b 1 6;
+  Dq.Buffered_q.sync b;
+  let state () =
+    ( Dq.Buffered_q.appended b,
+      Dq.Buffered_q.committed_floor b,
+      (Dq.Buffered_q.instance b).Dq.Queue_intf.to_list () )
+  in
+  let before = state () in
+  let stats = Nvm.Stats.snapshot (Nvm.Heap.stats heap) in
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s ran under absorbed fences" what
+    | exception Invalid_argument _ -> ()
+  in
+  let unchanged = Alcotest.(triple int int (list int)) in
   Nvm.Heap.with_batched_fences heap (fun () ->
-      enqueue_range b 1 8;
-      Alcotest.(check int) "no commit under absorbed fences" 0
-        (Dq.Buffered_q.committed_floor b);
-      Alcotest.(check int) "no callback" 0 !commits;
-      Nvm.Tid.set (Nvm.Tid.register ());
-      Dq.Buffered_q.sync b;
-      Nvm.Tid.set tid0);
-  Alcotest.(check int) "the other thread's commit" 8
-    (Dq.Buffered_q.committed_floor b);
-  let a = span_agg heap Dq.Instrumented.sync_label in
-  Alcotest.(check int) "flushes the filled line and the tail" 2
-    a.Nvm.Span.sum.Nvm.Stats.flushes;
-  Alcotest.(check int) "under one fence" 1 a.Nvm.Span.sum.Nvm.Stats.fences
+      refused "an append" (fun () -> Dq.Buffered_q.enqueue b 7);
+      refused "a sync" (fun () -> Dq.Buffered_q.sync b);
+      Alcotest.check unchanged "appended, floor and contents unchanged"
+        before (state ());
+      let d = Nvm.Stats.diff_total (Nvm.Heap.stats heap) ~since:stats in
+      Alcotest.(check (list int)) "no write, flush or fence"
+        [ 0; 0; 0 ]
+        [ d.Nvm.Stats.writes; d.Nvm.Stats.flushes; d.Nvm.Stats.fences ];
+      Alcotest.(check (option int)) "a dequeue still works" (Some 1)
+        (Dq.Buffered_q.dequeue b));
+  Alcotest.(check int) "the refused sync is not counted" 1
+    (Dq.Buffered_q.stats b).Dq.Buffered_q.s_syncs;
+  Dq.Buffered_q.enqueue b 7;
+  Alcotest.(check (pair int int)) "the line fill outside commits" (7, 1)
+    (Dq.Buffered_q.committed_floor b, Dq.Buffered_q.committed_consumed b);
+  Alcotest.(check (list int)) "contents" [ 2; 3; 4; 5; 6; 7 ]
+    ((Dq.Buffered_q.instance b).Dq.Queue_intf.to_list ())
 
 let test_on_commit_callback () =
   let _, b = make_buffered ~watermark:2 () in
@@ -599,69 +649,6 @@ let test_wrapped_window_keeps_its_lowest_line () =
       Nvm.Crash.Random_evictions;
     ]
 
-(* A thread whose fences are absorbed seals nothing on the ring line
-   that holds the last issued commit's seal.  On a two-line ring the
-   commit (9, 8) leaves one live entry in line 1; a batched-fence scope
-   then fills line 1, fills line 2 and starts line 3, which wraps onto
-   line 1, and syncs — all under absorbed fences — before the crash
-   cuts the scope.  Had line 3 been sealed, an eviction that kept its
-   seal but lost line 2's would leave no seal to recover from. *)
-let test_absorbed_seals_spare_the_last_commit () =
-  for seed = 1 to 50 do
-    let heap, b = make_buffered ~capacity:14 () in
-    enqueue_range b 1 9;
-    for _ = 1 to 8 do
-      ignore (Dq.Buffered_q.dequeue b)
-    done;
-    Dq.Buffered_q.sync b;
-    Nvm.Heap.with_batched_fences heap (fun () ->
-        enqueue_range b 10 22;
-        Dq.Buffered_q.sync b;
-        crash ~policy:Nvm.Crash.Random_evictions heap seed);
-    Dq.Buffered_q.recover b;
-    match (Dq.Buffered_q.instance b).Dq.Queue_intf.to_list () with
-    | 9 :: _ -> ()
-    | l ->
-        Alcotest.failf "seed %d: the committed entry 9 is lost (%s)" seed
-          (String.concat " " (List.map string_of_int l))
-  done
-
-(* Another thread's commit may cover a line that a thread with absorbed
-   fences filled: that line is sealed and flushed, but its fence has not
-   landed, so the commit must flush it again.  The filler appends one
-   line inside a batched-fence scope; a second thread appends five more
-   and syncs; the crash cuts the scope before its closing fence.  The
-   filler's line must survive every crash policy. *)
-let test_commit_covers_written_behind_line () =
-  List.iter
-    (fun policy ->
-      for seed = 1 to 5 do
-        let heap, b = make_buffered ~capacity:64 () in
-        Nvm.Heap.with_batched_fences heap (fun () ->
-            enqueue_range b 1 7;
-            Alcotest.(check int) "filled, not committed" 0
-              (Dq.Buffered_q.committed_floor b);
-            Nvm.Tid.set (Nvm.Tid.register ());
-            enqueue_range b 8 12;
-            Dq.Buffered_q.sync b;
-            Alcotest.(check int) "the other thread's commit counts the line"
-              12
-              (Dq.Buffered_q.committed_floor b);
-            crash ~policy heap seed);
-        Dq.Buffered_q.recover b;
-        Alcotest.(check (list int))
-          (Printf.sprintf "the line survives (%s, seed %d)"
-             (Nvm.Crash.policy_name policy) seed)
-          (List.init 12 succ)
-          ((Dq.Buffered_q.instance b).Dq.Queue_intf.to_list ())
-      done)
-    [
-      Nvm.Crash.All_flushed;
-      Nvm.Crash.Only_persisted;
-      Nvm.Crash.Torn_prefix;
-      Nvm.Crash.Random_evictions;
-    ]
-
 (* Recovery reads each seal word once, and each live entry once.  A
    default-capacity tier holds 200 full lines, and the crash image loses
    line 100's seal, so each of the 99 seals above it fails its window.
@@ -842,6 +829,83 @@ let test_strict_sync_commits_nothing () =
   Alcotest.(check int) "and covers its items" 0
     (Broker.Service.total_durability_lag service)
 
+(* A combining broker applies its strict batches inside batched-fence
+   scopes, where the journal refuses appends, so its buffered streams
+   must reach the journal outside them.  Three producer domains share
+   one shard: an all-synced stream whose batches the combiner applies,
+   and an acks=leader and an acks=none stream on the journal.  A
+   batched drain (its dequeues run inside a scope, where the journal's
+   are legal) then returns every item in per-producer order, and the
+   next line filled after it commits. *)
+let test_combining_beside_the_journal () =
+  fresh_tid ();
+  let service =
+    Broker.Service.create ~shards:1 ~combining:true ~buffered:true ()
+  in
+  Broker.Service.set_stream_acks service ~stream:1 Broker.Service.Acks_leader;
+  Broker.Service.set_stream_acks service ~stream:2 Broker.Service.Acks_none;
+  let per_stream = 120 in
+  let producer stream =
+    Domain.spawn (fun () ->
+        Nvm.Tid.set (1 + stream);
+        let rec go seq =
+          if seq <= per_stream then begin
+            let n = min (1 + (seq mod 5)) (per_stream - seq + 1) in
+            let items =
+              List.init n (fun i -> enc ~producer:stream ~seq:(seq + i))
+            in
+            (match Broker.Service.enqueue_batch service ~stream items with
+            | k, Broker.Backpressure.Accepted when k = n -> ()
+            | k, v ->
+                Alcotest.failf "stream %d: %d of %d accepted, %s" stream k n
+                  (Broker.Backpressure.verdict_name v));
+            go (seq + n)
+          end
+        in
+        go 1)
+  in
+  List.iter Domain.join (List.map producer [ 0; 1; 2 ]);
+  let shard = (Broker.Service.shards service).(0) in
+  let tier = Option.get (Broker.Shard.buffered shard) in
+  let journal = (Dq.Buffered_q.instance tier).Dq.Queue_intf.to_list () in
+  Alcotest.(check (list int)) "the journal holds the buffered streams"
+    [ 1; 2 ]
+    (List.sort_uniq compare (List.map Spec.Durable_check.producer_of journal));
+  Alcotest.(check int) "all of them" (2 * per_stream) (List.length journal);
+  Alcotest.(check bool) "the combiner applied strict batches" true
+    ((span_agg (Broker.Shard.heap shard) Dq.Instrumented.combine_label)
+       .Nvm.Span.count > 0);
+  let next = Array.make 3 1 in
+  let rec drain () =
+    match Broker.Service.dequeue_batch service ~stream:0 ~max:8 with
+    | Broker.Service.Items [] -> ()
+    | Broker.Service.Items l ->
+        List.iter
+          (fun v ->
+            let p = Spec.Durable_check.producer_of v in
+            Alcotest.(check int)
+              (Printf.sprintf "producer %d FIFO" p)
+              next.(p)
+              (Spec.Durable_check.seq_of v);
+            next.(p) <- next.(p) + 1)
+          l;
+        drain ()
+    | _ -> Alcotest.fail "dequeue_batch refused"
+  in
+  drain ();
+  Alcotest.(check (array int)) "every item delivered"
+    (Array.make 3 (per_stream + 1))
+    next;
+  for seq = per_stream + 1 to per_stream + per_line do
+    match Broker.Service.enqueue service ~stream:1 (enc ~producer:1 ~seq) with
+    | Broker.Backpressure.Accepted -> ()
+    | v -> Alcotest.failf "enqueue: %s" (Broker.Backpressure.verdict_name v)
+  done;
+  let appended = Dq.Buffered_q.appended tier in
+  Alcotest.(check int) "the next fill commits its line"
+    (appended - (appended mod per_line))
+    (Dq.Buffered_q.committed_floor tier)
+
 (* The journal has one persist shape, wherever the device stands: the
    same 140 acks=none appends on an idle and on a busy wall-clock shard
    (a thousand line drains queued ahead of them) each read one commit,
@@ -934,8 +998,10 @@ let () =
           Alcotest.test_case "full ring refuses" `Quick test_journal_full;
           Alcotest.test_case "capacity counts entries" `Quick
             test_capacity_counts_entries;
-          Alcotest.test_case "absorbed fences issue no commit" `Quick
-            test_absorbed_write_behind;
+          Alcotest.test_case "lag stays below a line" `Quick
+            test_lag_stays_below_a_line;
+          Alcotest.test_case "a batched scope refuses appends and syncs"
+            `Quick test_absorbed_fences_refused;
           Alcotest.test_case "commit callback snapshots" `Quick
             test_on_commit_callback;
           Alcotest.test_case "claims survive slot reuse" `Quick
@@ -970,10 +1036,6 @@ let () =
             test_recover_then_refill_line;
           Alcotest.test_case "a wrapped window keeps its lowest line" `Quick
             test_wrapped_window_keeps_its_lowest_line;
-          Alcotest.test_case "absorbed seals spare the last commit" `Quick
-            test_absorbed_seals_spare_the_last_commit;
-          Alcotest.test_case "another thread's commit keeps the line" `Quick
-            test_commit_covers_written_behind_line;
           Alcotest.test_case "recovery reads each seal once" `Quick
             test_recover_reads_bounded;
           Alcotest.test_case "1,000 recoveries allocate nothing" `Quick
@@ -991,6 +1053,8 @@ let () =
             test_strict_sync_commits_nothing;
           Alcotest.test_case "crash recovers the synced floor" `Quick
             test_service_crash_recovers_synced_floor;
+          Alcotest.test_case "combining beside the journal" `Quick
+            test_combining_beside_the_journal;
           Alcotest.test_case "census counts one persist shape" `Quick
             test_census_one_persist_shape;
         ] );

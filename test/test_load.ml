@@ -267,12 +267,7 @@ let test_admission_quarantine_passthrough () =
 (* -- admission: watermarks and graceful degradation --------------------------- *)
 
 let tight_watermarks =
-  {
-    Broker.Admission.yellow_depth = 0.3;
-    red_depth = 0.7;
-    yellow_lag = max_int;
-    red_lag = max_int;
-  }
+  { Broker.Admission.yellow_depth = 0.3; red_depth = 0.7 }
 
 let test_admission_red_sheds () =
   let _clock, service, adm =
